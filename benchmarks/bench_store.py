@@ -1,27 +1,24 @@
-"""F-store — segment codec: legacy JSON segments vs packed binary + mmap.
+"""F-store — segment codec: lazy packed-binary reads and batched writes.
 
-The PR-5-era store kept each segment as one JSON document, so *any* read —
-even a single-entry probe — paid a full-file parse. The packed binary
-codec (``repro.store.base``) front-loads a tiny struct header and an entry
-index; attaching a segment mmaps it and parses only the index, and each
-requested entry decodes exactly its own blob. This bench builds one
-store-realistic segment (4 096 entries, ~1.5 KB each) in both layouts and
-times the access patterns the stores actually issue:
+The packed binary codec (``repro.store.base``) front-loads a tiny struct
+header and an entry index; attaching a segment mmaps it and parses only
+the index, and each requested entry decodes exactly its own blob. This
+bench builds one store-realistic segment (4 096 entries, ~1.5 KB each)
+and times the access patterns the stores actually issue:
 
 * **attach + 1 entry** — a fresh process probing a warm on-disk store,
-  the dominant shard/CI pattern. Asserted ≥5× faster on binary.
+  the dominant shard/CI pattern. Asserted ≥5× cheaper than decoding the
+  whole segment: a single-entry probe must not pay for the other 4 095.
 * **warm view, per entry** — repeated probes through the in-process view
-  cache (legacy wins by construction: its eager parse already paid for
-  every entry).
-* **whole segment** — full decode, the merge/manifest pattern. Binary
-  pays a per-entry ``json.loads`` where legacy parsed one document, so it
-  loses this row; merges are rare and batched, probes are constant, which
-  is exactly the trade the codec makes.
+  cache.
+* **whole segment** — full decode, the merge/manifest pattern.
+
+A second bench times one deferred batch of puts against a read-merge-write
+per put, and checks both leave byte-identical segments.
 """
 
 from __future__ import annotations
 
-import json
 import time
 
 from repro.store.base import (
@@ -56,20 +53,14 @@ def _drop_views() -> None:
         _VIEW_CACHE.clear()
 
 
-def _build(tmp_path, entries):
+def _build(tmp_path, entries) -> _BenchStore:
     payload = {"version": _BenchStore.version, "key": SEGMENT_KEY}
-    binary = _BenchStore(tmp_path / "binary")
-    binary.root.mkdir(parents=True, exist_ok=True)
-    binary._segment_path("bench-", SEGMENT_KEY).write_bytes(
+    store = _BenchStore(tmp_path / "binary")
+    store.root.mkdir(parents=True, exist_ok=True)
+    store._segment_path("bench-", SEGMENT_KEY).write_bytes(
         encode_segment(payload, entries)
     )
-    legacy = _BenchStore(tmp_path / "legacy")
-    legacy.root.mkdir(parents=True, exist_ok=True)
-    legacy._legacy_segment_path("bench-", SEGMENT_KEY).write_text(
-        json.dumps({**payload, "entries": entries}, sort_keys=True),
-        encoding="utf-8",
-    )
-    return binary, legacy
+    return store
 
 
 def _get_one(store: _BenchStore, entry_key: str) -> dict:
@@ -108,47 +99,36 @@ def _time_whole_segment(store: _BenchStore) -> float:
 
 def test_segment_read_paths(tmp_path):
     entries = _entries()
-    binary, legacy = _build(tmp_path, entries)
+    store = _build(tmp_path, entries)
     keys = list(entries)[:: N_ENTRIES // 64]
 
-    # The two layouts must serve identical values before we time anything.
     probe = keys[7]
-    assert _get_one(binary, probe) == _get_one(legacy, probe) == {
-        probe: entries[probe]
-    }
+    assert _get_one(store, probe) == {probe: entries[probe]}
 
-    t_attach_bin = _time_attach_probe(binary, keys)
-    t_attach_json = _time_attach_probe(legacy, keys)
-    t_warm_bin = _time_warm_probe(binary, keys)
-    t_warm_json = _time_warm_probe(legacy, keys)
-    t_whole_bin = _time_whole_segment(binary)
-    t_whole_json = _time_whole_segment(legacy)
+    t_attach = _time_attach_probe(store, keys)
+    t_warm = _time_warm_probe(store, keys)
+    t_whole = _time_whole_segment(store)
 
     def us(t: float) -> str:
         return f"{t * 1e6:,.0f}"
 
-    rows = [
-        ["attach + 1 entry (fresh process)", us(t_attach_json),
-         us(t_attach_bin), f"{t_attach_json / t_attach_bin:.1f}x"],
-        ["warm view, per entry", us(t_warm_json), us(t_warm_bin),
-         f"{t_warm_json / t_warm_bin:.1f}x"],
-        ["whole segment decode", us(t_whole_json), us(t_whole_bin),
-         f"{t_whole_json / t_whole_bin:.1f}x"],
-    ]
     print()
     print(format_table(
-        ["read pattern", "JSON segment (us)", "binary segment (us)",
-         "binary speedup"],
-        rows,
+        ["read pattern", "binary segment (us)"],
+        [
+            ["attach + 1 entry (fresh process)", us(t_attach)],
+            ["warm view, per entry", us(t_warm)],
+            ["whole segment decode", us(t_whole)],
+        ],
         title=f"Segment codec: {N_ENTRIES} entries, one segment",
     ))
 
     # The load-bearing claim: a cold attach serving one entry must not pay
-    # the whole-segment parse. 5x is the floor; the margin grows with
+    # the whole-segment decode. 5x is the floor; the margin grows with
     # segment size.
-    assert t_attach_json / t_attach_bin >= 5.0, (
-        f"single-entry attach speedup {t_attach_json / t_attach_bin:.1f}x "
-        "< 5x floor"
+    assert t_whole / t_attach >= 5.0, (
+        f"single-entry attach only {t_whole / t_attach:.1f}x cheaper than "
+        "a whole-segment decode (< 5x floor)"
     )
 
 

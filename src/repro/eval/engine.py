@@ -48,7 +48,7 @@ from repro.eval.journal import SweepJournal, checkpoint_interval
 from repro.llm.base import LlmModel, LlmResponse
 from repro.llm.config import ModelConfig
 from repro.llm.pricing import Usage, UsageMeter
-from repro.store.base import ArtifactStore, _segment_view, parse_max_bytes
+from repro.store.base import ArtifactStore, _encode_blob, parse_max_bytes
 from repro.util.faults import active_fault_plan
 from repro.util.hashing import stable_hash_bytes, stable_hash_u64
 from repro.util.parallel import (
@@ -261,9 +261,9 @@ class DiskResponseStore(ArtifactStore):
     one engine or separate processes sharing a cache directory — can only
     ever race to install identical content.
 
-    Pre-PR-6 caches (one ``root/xx/<key>.json`` file per entry) keep
-    serving: a key missing from its segment falls back to the legacy file,
-    and those files stay visible to ``size_bytes``/eviction/merging.
+    Segments are the only files the store reads or owns: per-entry
+    ``root/xx/<key>.json`` files left by older versions are foreign, so
+    their keys miss and recompute, and the files stay untouched.
 
     Pass ``max_bytes`` for a size-bounded store: when the total store size
     exceeds the bound, oldest-written segments are evicted first. ``0``
@@ -285,45 +285,6 @@ class DiskResponseStore(ArtifactStore):
     def _response_payload(self, shard: str) -> dict:
         return {"version": CACHE_SCHEMA_VERSION, "key": shard}
 
-    # -- legacy per-entry files (pre-segment caches) -------------------------
-    def _legacy_path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.json"
-
-    def _legacy_entry_files(self) -> list[Path]:
-        if not self.root.is_dir():
-            return []
-        try:
-            return sorted(self.root.glob("??/*.json"))
-        except OSError:
-            return []  # shard dir vanished mid-scan (concurrent wipe)
-
-    def _extra_data_files(self) -> list[Path]:
-        return self._legacy_entry_files()
-
-    def _iter_tmp_files(self) -> list[Path]:
-        files = super()._iter_tmp_files()
-        # Pre-segment writers left their tmp files inside the shard dirs.
-        if self.root.is_dir():
-            try:
-                files.extend(
-                    p for p in self.root.glob("??/*.tmp.*") if p.is_file()
-                )
-            except OSError:
-                pass
-        return files
-
-    def _legacy_dict(self, key: str) -> dict | None:
-        try:
-            data = json.loads(
-                self._legacy_path(key).read_text(encoding="utf-8")
-            )
-        except (OSError, ValueError):
-            # Missing or torn entry (bad JSON, bad UTF-8) == miss; a put
-            # repairs it. JSONDecodeError and UnicodeDecodeError are both
-            # ValueErrors.
-            return None
-        return data if isinstance(data, dict) else None
-
     # -- the ResponseStore protocol ------------------------------------------
     def get(self, key: str) -> CachedResponse | None:
         shard = self._shard_of(key)
@@ -331,8 +292,6 @@ class DiskResponseStore(ArtifactStore):
             "responses-", shard, [key], expect_key=shard
         )
         raw = entries.get(key)
-        if raw is None:
-            raw = self._legacy_dict(key)
         if not isinstance(raw, dict):
             return None
         try:
@@ -350,38 +309,14 @@ class DiskResponseStore(ArtifactStore):
             expect_key=shard,
         )
 
-    def _has(self, key: str) -> bool:
-        shard = self._shard_of(key)
-        with self._store_lock:
-            pend = self._pending.get(self._segment_path("responses-", shard))
-            if pend is not None and key in pend[3]:
-                return True
-        view = self._view_for("responses-", shard, expect_key=shard)
-        if view is not None and key in view:
-            return True
-        return self._legacy_path(key).is_file()
-
     def _live_blobs(self) -> dict[str, bytes]:
-        """key → canonical entry bytes for every live entry; a segment
-        entry shadows its (already-migrated) legacy twin."""
-        self.flush()
+        """key → canonical entry bytes for every live entry."""
         blobs: dict[str, bytes] = {}
-        for path in self._segment_files():
-            if path.suffix == ".json" and path.with_suffix(".bin").is_file():
-                continue
-            view = _segment_view(path)
-            if view is None or view.payload.get("version") != self.version:
-                continue
+        for _, view in self._live_views():
             for key in view.keys():
                 blob = view.blob(key)
                 if blob is not None:
                     blobs[key] = blob
-        for p in self._legacy_entry_files():
-            if p.stem in blobs:
-                continue
-            data = self._legacy_dict(p.stem)
-            if data is not None:
-                blobs[p.stem] = json.dumps(data, sort_keys=True).encode("utf-8")
         return blobs
 
     def __len__(self) -> int:
@@ -392,30 +327,22 @@ class DiskResponseStore(ArtifactStore):
 
         The raw-bytes view of the store used by cache merging
         (:func:`repro.eval.shard.merge_caches`): entry blobs are canonical
-        (sorted keys, deterministic JSON) in both the binary segments and
-        legacy per-entry files, so byte equality means value equality.
+        (sorted keys, deterministic JSON), so byte equality means value
+        equality.
         """
         blobs = self._live_blobs()
         for key in sorted(blobs):
             yield key, blobs[key]
 
     def get_blob(self, key: str) -> bytes | None:
-        """One live entry's canonical JSON bytes (segment, pending batch,
-        or legacy file), or ``None`` — the merge conflict check."""
+        """One live entry's canonical JSON bytes (pending batch or
+        segment), or ``None`` — the merge conflict check."""
         shard = self._shard_of(key)
-        with self._store_lock:
-            pend = self._pending.get(self._segment_path("responses-", shard))
-            if pend is not None and key in pend[3]:
-                return json.dumps(pend[3][key], sort_keys=True).encode("utf-8")
+        pending = self._buffered("responses-", shard, (key,))
+        if key in pending:
+            return _encode_blob(pending[key])
         view = self._view_for("responses-", shard, expect_key=shard)
-        if view is not None:
-            blob = view.blob(key)
-            if blob is not None:
-                return blob
-        data = self._legacy_dict(key)
-        if data is None:
-            return None
-        return json.dumps(data, sort_keys=True).encode("utf-8")
+        return None if view is None else view.blob(key)
 
     # -- merge provenance ---------------------------------------------------
     @property
@@ -450,7 +377,7 @@ class DiskResponseStore(ArtifactStore):
         merged = {
             key: label
             for key, label in self.provenance().items()
-            if self._has(key)
+            if self.get_blob(key) is not None
         }
         merged.update(mapping)
         try:
@@ -471,7 +398,6 @@ class DiskResponseStore(ArtifactStore):
 
         Entry ages derive from their file's mtime — every entry in one
         segment shares the segment's last-write age."""
-        self.flush()
         now = time.time()
         per_model: dict[str, int] = {}
         provenance = self.provenance()
@@ -480,26 +406,7 @@ class DiskResponseStore(ArtifactStore):
         oldest: float | None = None
         newest: float | None = None
         count = 0
-        seen: set[str] = set()
-
-        def _tally(key: str, data: dict, age: float) -> None:
-            nonlocal count, oldest, newest
-            count += 1
-            seen.add(key)
-            oldest = age if oldest is None else max(oldest, age)
-            newest = age if newest is None else min(newest, age)
-            model = str(data.get("model", ""))
-            per_model[model] = per_model.get(model, 0) + 1
-            source = provenance.get(key)
-            if source is not None:
-                per_source[source] = per_source.get(source, 0) + 1
-
-        for path in self._segment_files():
-            if path.suffix == ".json" and path.with_suffix(".bin").is_file():
-                continue
-            view = _segment_view(path)
-            if view is None or view.payload.get("version") != self.version:
-                continue
+        for path, view in self._live_views():
             try:
                 st = path.stat()
             except OSError:
@@ -507,20 +414,16 @@ class DiskResponseStore(ArtifactStore):
             total += st.st_size
             age = max(0.0, now - st.st_mtime)
             for key, data in view.entries().items():
-                if isinstance(data, dict):
-                    _tally(key, data, age)
-        for p in self._legacy_entry_files():
-            if p.stem in seen:
-                continue
-            try:
-                st = p.stat()
-            except OSError:
-                continue
-            data = self._legacy_dict(p.stem)
-            if data is None:
-                continue
-            total += st.st_size
-            _tally(p.stem, data, max(0.0, now - st.st_mtime))
+                if not isinstance(data, dict):
+                    continue
+                count += 1
+                oldest = age if oldest is None else max(oldest, age)
+                newest = age if newest is None else min(newest, age)
+                model = str(data.get("model", ""))
+                per_model[model] = per_model.get(model, 0) + 1
+                source = provenance.get(key)
+                if source is not None:
+                    per_source[source] = per_source.get(source, 0) + 1
         return CacheManifest(
             entries=count,
             total_bytes=total,
@@ -532,23 +435,11 @@ class DiskResponseStore(ArtifactStore):
         )
 
     def clear(self) -> None:
-        # Remove only files the store owns and then-empty shard dirs —
-        # never the root wholesale: --cache-dir may point at a directory
-        # that contains unrelated files.
         super().clear()
         try:
             self._provenance_path.unlink()
         except OSError:
             pass  # absent on non-merged stores
-        if not self.root.is_dir():
-            return
-        for shard in self.root.iterdir():
-            if not (shard.is_dir() and len(shard.name) == 2):
-                continue
-            try:
-                shard.rmdir()
-            except OSError:
-                pass  # non-empty (foreign files): leave it
 
 
 @dataclass

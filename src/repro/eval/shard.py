@@ -346,10 +346,8 @@ def merge_caches(
     """Union shard caches into one store.
 
     Entry *blobs* are copied byte-verbatim into the destination's binary
-    segments (legacy per-entry source files included — their canonical
-    JSON bytes are what a segment would hold), so for a partitioned grid
-    the merged store equals the single-machine store entry-for-entry,
-    segment-file-for-segment-file. A key present in the destination or an
+    segments, so for a partitioned grid the merged store equals the
+    single-machine store entry-for-entry, segment-file-for-segment-file. A key present in the destination or an
     earlier source must carry identical bytes — anything else raises
     :class:`CacheMergeConflict` rather than silently corrupting results.
     Missing or empty sources are tolerated (an interrupted shard simply

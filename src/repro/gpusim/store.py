@@ -168,7 +168,7 @@ class ProfileStoreManifest:
 class ProfileStore(ArtifactStore):
     """Disk-backed profile/trace segments with size-bounded eviction.
 
-    One JSON segment per device (plus one per profiler version for the
+    One segment per device (plus one per profiler version for the
     device-independent traces); see :class:`~repro.store.base.ArtifactStore`
     for the write/eviction contract shared with the text-artifact stores.
     """
@@ -266,15 +266,11 @@ class ProfileStore(ArtifactStore):
     # -- lifecycle -----------------------------------------------------------
     def __len__(self) -> int:
         """Total stored profile entries (traces are not counted)."""
-        self.flush()
-        total = 0
-        for path in self._segment_files():
-            if not path.name.startswith(_SEGMENT_PREFIX_PROFILES):
-                continue
-            if path.suffix == ".json" and path.with_suffix(".bin").is_file():
-                continue  # legacy twin shadowed by its migrated segment
-            total += len(self._read_segment(path, expect_key=None))
-        return total
+        return sum(
+            len(view.entries())
+            for path, view in self._live_views()
+            if path.name.startswith(_SEGMENT_PREFIX_PROFILES)
+        )
 
     def manifest(self) -> ProfileStoreManifest:
         """Entry counts, bytes, and per-device breakdown. A missing or

@@ -6,10 +6,10 @@ pieces compose bottom-up:
 * :mod:`repro.serve.providers` — one async :class:`ProviderClient` face
   over the emulated zoo and OpenAI/Gemini/Anthropic wire shapes, with
   injectable transports (no SDKs, no network required).
-* :mod:`repro.serve.retry` — jittered exponential backoff, per-attempt
-  deadlines, and an async token-bucket rate limiter.
 * :mod:`repro.serve.resilience` — per-provider circuit breakers, the
-  latency-tracking hedge trigger, and the load-shedding error taxonomy.
+  latency-tracking hedge trigger, the load-shedding error taxonomy, and
+  the async token-bucket rate limiter. Retry and backoff come from
+  :mod:`repro.util.retry`, shared with the batch engine.
 * :mod:`repro.serve.engine` — :class:`AsyncEvalEngine`, the asyncio twin
   of the sync engine: same cache keys, byte-identical results, plus
   in-flight request coalescing, provider failover chains, and hedged
@@ -27,6 +27,7 @@ from repro.serve.resilience import (
     HedgePolicy,
     LatencyTracker,
     LoadShedError,
+    RateLimiter,
 )
 from repro.serve.http import (
     DEFAULT_MODEL,
@@ -51,8 +52,7 @@ from repro.serve.providers import (
     provider_label,
     resolve_provider,
 )
-from repro.serve.retry import RateLimiter, RetryPolicy, call_with_retry
-from repro.util.retry import DeadlineExceeded
+from repro.util.retry import DeadlineExceeded, RetryPolicy
 
 __all__ = [
     "AsyncEvalEngine",
@@ -85,5 +85,4 @@ __all__ = [
     "resolve_provider",
     "RateLimiter",
     "RetryPolicy",
-    "call_with_retry",
 ]

@@ -22,10 +22,12 @@ What the async path adds over the sync one:
   responses are exact, and with real APIs coalescing is what keeps a
   burst of identical queries from billing N times.
 * **Retry/backoff + rate limiting.** Every upstream call runs under a
-  :class:`~repro.serve.retry.RetryPolicy` (bounded attempts, jittered
-  exponential backoff, jittered per-attempt deadlines) and an optional
-  :class:`~repro.serve.retry.RateLimiter` token bucket, acquired inside
-  each attempt so backed-off retries re-queue behind fresh work.
+  :class:`~repro.util.retry.RetryPolicy` (bounded attempts, jittered
+  exponential backoff, jittered per-attempt deadlines, an overrun
+  surfacing as :class:`~repro.serve.providers.ProviderTimeout`) and an
+  optional :class:`~repro.serve.resilience.RateLimiter` token bucket,
+  acquired inside each attempt so backed-off retries re-queue behind
+  fresh work.
 * **Resilience.** ``complete`` accepts a *failover chain* — an ordered
   tuple of providers sharing one :class:`~repro.llm.config.ModelConfig`.
   Each chain member sits behind its own
@@ -65,20 +67,35 @@ from repro.eval.engine import (
 )
 from repro.llm.base import LlmResponse
 from repro.llm.pricing import UsageMeter
-from repro.serve.providers import ProviderClient, provider_label
+from repro.serve.providers import (
+    ProviderClient,
+    ProviderTimeout,
+    provider_label,
+)
 from repro.serve.resilience import (
     AllProvidersUnavailable,
     BreakerPolicy,
     CircuitBreaker,
     HedgePolicy,
     LatencyTracker,
+    RateLimiter,
 )
-from repro.serve.retry import RateLimiter, RetryPolicy, Sleep, call_with_retry
 from repro.util.faults import active_fault_plan
-from repro.util.retry import DeadlineExceeded, TransientError
+from repro.util.retry import (
+    DeadlineExceeded,
+    RetryPolicy,
+    Sleep,
+    TransientError,
+    call_with_retry,
+)
 
 #: ``complete`` accepts one provider or an ordered failover chain.
 ProviderChain = ProviderClient | Sequence[ProviderClient]
+
+
+def _provider_timeout(attempt: int, timeout: float) -> ProviderTimeout:
+    """An attempt overrun, in the provider error taxonomy (retryable)."""
+    return ProviderTimeout(f"attempt {attempt + 1} exceeded {timeout:.3f}s")
 
 
 @dataclass
@@ -325,6 +342,7 @@ class AsyncEvalEngine:
                 rng=self._rng,
                 sleep=self._sleep,
                 on_retry=on_retry,
+                timeout_error=_provider_timeout,
                 deadline=deadline,
                 clock=self._clock,
             )

@@ -24,7 +24,7 @@ offline.
 Error taxonomy: :class:`RateLimitError` (429-shaped, carries an optional
 ``retry_after``), :class:`ProviderTimeout`, and
 :class:`TransientProviderError` are the retryable failures
-(:data:`RETRYABLE_ERRORS`) that :mod:`repro.serve.retry` backs off on;
+(:data:`RETRYABLE_ERRORS`) that the serving engine backs off on;
 anything else propagates immediately.
 """
 

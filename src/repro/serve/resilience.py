@@ -18,6 +18,8 @@ weather; this module is for the failures retry makes worse:
 * The shedding taxonomy — :class:`LoadShedError` (429-shaped, carries
   the ``Retry-After`` hint) and :class:`AllProvidersUnavailable` (every
   breaker in the failover chain is open).
+* :class:`RateLimiter` — the async token bucket each upstream attempt
+  acquires, so backed-off retries re-queue behind fresh work.
 
 Everything here is event-loop-confined by design: the serving engine
 mutates breakers and trackers only between awaits on its single loop, so
@@ -27,10 +29,13 @@ none of it takes locks. Handler threads observe state through
 
 from __future__ import annotations
 
+import asyncio
 import time
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable
+
+from repro.util.retry import Sleep
 
 #: Breaker states, in escalation order.
 CLOSED = "closed"
@@ -257,3 +262,63 @@ class CircuitBreaker:
             "opened": self.opened,
             "retry_after_s": round(self.retry_after(), 3),
         }
+
+
+class RateLimiter:
+    """Async token bucket: sustained ``rate`` acquisitions/s, bursts of
+    ``burst``.
+
+    Single-event-loop discipline: state is mutated only between awaits, so
+    no lock is needed. Waiters self-schedule — each sleeps exactly until
+    its own token matures — and ``_reserved`` tokens make concurrent
+    waiters queue FIFO-fairly instead of stampeding the bucket when it
+    refills. ``rate=None`` (or ``<= 0``) disables limiting;
+    ``clock``/``sleep`` are injectable for virtual-time tests.
+    """
+
+    def __init__(
+        self,
+        rate: float | None,
+        burst: int = 1,
+        *,
+        clock: Callable[[], float] = time.monotonic,
+        sleep: Sleep = asyncio.sleep,
+    ) -> None:
+        if rate is not None and rate <= 0:
+            rate = None
+        if burst < 1:
+            raise ValueError(f"burst must be >= 1, got {burst}")
+        self.rate = rate
+        self.burst = burst
+        self._clock = clock
+        self._sleep = sleep
+        self._tokens = float(burst)
+        self._reserved = 0.0  # tokens promised to already-queued waiters
+        self._last = clock()
+
+    def _refill(self) -> None:
+        now = self._clock()
+        assert self.rate is not None
+        self._tokens = min(
+            float(self.burst), self._tokens + (now - self._last) * self.rate
+        )
+        self._last = now
+
+    async def acquire(self) -> None:
+        """Take one token, sleeping until the bucket can cover it."""
+        if self.rate is None:
+            return
+        self._refill()
+        # Claim a place in line: our token is the (_reserved + 1)-th to
+        # mature. Reserving before sleeping keeps arrivals FIFO.
+        deficit = self._reserved + 1.0 - self._tokens
+        if deficit <= 0:
+            self._tokens -= 1.0
+            return
+        self._reserved += 1.0
+        try:
+            await self._sleep(deficit / self.rate)
+        finally:
+            self._reserved -= 1.0
+        self._refill()
+        self._tokens -= 1.0  # may briefly dip below 0 under cancellation

@@ -24,11 +24,12 @@ truncated at *any* byte reads as empty, never raises. Encoding is
 canonical (sorted keys, deterministic JSON), so two stores holding the
 same entries hold byte-identical segment files.
 
-Legacy ``.json`` segments (PR 4/5 era) remain readable: reads fall back
-to the ``.json`` twin when no binary segment exists, and the next write
-to that segment migrates it (merge into binary, unlink the legacy file).
-Existing ``.repro-*-cache`` directories therefore keep serving without a
-flag day.
+The packed ``.bin`` segment is the only format a store reads, counts,
+evicts, clears or diagnoses. Anything else in the directory — including
+whole-JSON ``.json`` segments and per-entry ``xx/<key>.json`` response
+files written by older versions — is a foreign file the store never
+touches. Every key is content-addressed, so an ignored old file costs one
+recomputation, never a wrong answer.
 
 Writes are buffered: each ``put`` lands in an in-process pending map that
 :meth:`ArtifactStore.flush` merges into disk segments — one
@@ -155,9 +156,7 @@ _MISS = object()
 
 
 def _encode_blob(value: object) -> bytes:
-    """One entry's canonical JSON blob — byte-identical to the encoding
-    legacy JSON segments used for entry values, so format migration never
-    changes a value's bytes."""
+    """One entry's canonical JSON blob (sorted keys, UTF-8)."""
     if isinstance(value, bytes):
         return value
     return json.dumps(value, sort_keys=True).encode("utf-8")
@@ -204,65 +203,33 @@ def encode_segment(payload: Mapping, entries: Mapping[str, object]) -> bytes:
 class SegmentView:
     """Parsed header + lazily decodable entries of one readable segment.
 
-    Binary segments keep an mmap of the file and decode single entries on
-    demand; legacy JSON segments arrive fully decoded (the whole file was
-    one JSON document) and merely present the same interface.
+    Keeps an mmap of the file and decodes single entries on demand.
     """
 
-    __slots__ = ("payload", "_index", "_buf", "_body_start", "_entries")
+    __slots__ = ("payload", "_index", "_buf", "_body_start")
 
-    def __init__(
-        self,
-        payload: dict,
-        *,
-        index: dict | None = None,
-        buf=None,
-        body_start: int = 0,
-        entries: dict | None = None,
-    ):
+    def __init__(self, payload: dict, index: dict, buf, body_start: int):
         self.payload = payload
         self._index = index
         self._buf = buf
         self._body_start = body_start
-        self._entries = entries
-
-    def __len__(self) -> int:
-        if self._entries is not None:
-            return len(self._entries)
-        return len(self._index)
-
-    def __contains__(self, key: str) -> bool:
-        if self._entries is not None:
-            return key in self._entries
-        return key in self._index
 
     def keys(self):
-        if self._entries is not None:
-            return self._entries.keys()
         return self._index.keys()
 
     def blob(self, key: str) -> bytes | None:
         """The entry's canonical JSON bytes, or ``None`` when absent."""
-        if self._entries is not None:
-            if key not in self._entries:
-                return None
-            return _encode_blob(self._entries[key])
         span = self._index.get(key)
-        # Spans come straight from the untrusted index JSON; validate here,
-        # per probe, so attaching never pays a whole-index scan.
-        if (
-            not isinstance(span, (list, tuple))
-            or len(span) != 2
-            or not all(isinstance(v, int) for v in span)
-        ):
+        if span is None:
             return None
+        # Spans come straight from the untrusted index; cross-check each
+        # against the body per probe, so attaching never pays a
+        # whole-index scan. An offset past ssize_t overflows, not errors.
         offset, length = span
-        if offset < 0 or length < 0:
-            return None
         start = self._body_start + offset
         try:
             (prefixed,) = _BLOB_PREFIX.unpack_from(self._buf, start)
-        except struct.error:
+        except (struct.error, OverflowError):
             return None
         if prefixed != length:
             return None  # index/body disagree: corrupt entry == miss
@@ -272,9 +239,7 @@ class SegmentView:
         return blob
 
     def get(self, key: str, default=None):
-        """Decode exactly one entry (lazy for binary segments)."""
-        if self._entries is not None:
-            return self._entries.get(key, default)
+        """Decode exactly one entry."""
         blob = self.blob(key)
         if blob is None:
             return default
@@ -285,8 +250,6 @@ class SegmentView:
 
     def entries(self) -> dict:
         """Full decode — the manifest/merge path, not the warm-read path."""
-        if self._entries is not None:
-            return dict(self._entries)
         out = {}
         for key in self._index:
             value = self.get(key, _MISS)
@@ -342,37 +305,21 @@ def _load_binary_view(path: Path) -> SegmentView | None:
         return None
     # Span *contents* are validated lazily in :meth:`SegmentView.blob` — a
     # span pointing outside the body is a per-entry miss.
-    return SegmentView(payload, index=index, buf=buf, body_start=body_start)
-
-
-def _load_legacy_view(path: Path) -> SegmentView | None:
-    """Parse one legacy whole-JSON segment into an eager view."""
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError):
-        return None
-    if not isinstance(data, dict):
-        return None
-    entries = data.get("entries")
-    if not isinstance(entries, dict):
-        return None
-    payload = {k: v for k, v in data.items() if k != "entries"}
-    return SegmentView(payload, entries=entries)
+    return SegmentView(payload, index, buf, body_start)
 
 
 # Parsed views are cached process-wide by (path, stat signature): a warm
 # replay probes the same segment thousands of times, and re-parsing the
-# index (let alone re-reading a legacy JSON file) per probe would defeat
-# the lazy format. A rewrite changes the signature and reloads; mmaps of
-# replaced files stay valid until dropped.
+# index per probe would defeat the lazy format. A rewrite changes the
+# signature and reloads; mmaps of replaced files stay valid until dropped.
 _VIEW_CACHE_LOCK = threading.Lock()
 _VIEW_CACHE: "OrderedDict[str, tuple[tuple, SegmentView | None]]" = OrderedDict()
 _VIEW_CACHE_CAP = 512
 
 
 def _segment_view(path: Path) -> SegmentView | None:
-    """The cached view of ``path`` (binary or legacy by suffix), or ``None``
-    for anything missing or unreadable."""
+    """The cached view of ``path``, or ``None`` for anything missing or
+    unreadable."""
     try:
         st = os.stat(path)
     except OSError:
@@ -384,10 +331,7 @@ def _segment_view(path: Path) -> SegmentView | None:
         if hit is not None and hit[0] == sig:
             _VIEW_CACHE.move_to_end(cache_key)
             return hit[1]
-    if path.suffix == ".json":
-        view = _load_legacy_view(path)
-    else:
-        view = _load_binary_view(path)
+    view = _load_binary_view(path)
     with _VIEW_CACHE_LOCK:
         _VIEW_CACHE[cache_key] = (sig, view)
         _VIEW_CACHE.move_to_end(cache_key)
@@ -472,9 +416,6 @@ class ArtifactStore:
     def _segment_path(self, prefix: str, key: str) -> Path:
         return self.root / f"{prefix}{key[:32]}.bin"
 
-    def _legacy_segment_path(self, prefix: str, key: str) -> Path:
-        return self.root / f"{prefix}{key[:32]}.json"
-
     def _segment_files(self) -> list[Path]:
         if not self.root.is_dir():
             return []
@@ -482,7 +423,7 @@ class ArtifactStore:
             return sorted(
                 p
                 for p in self.root.iterdir()
-                if p.name.endswith((".bin", ".json"))
+                if p.name.endswith(".bin")
                 and p.name.startswith(self.segment_prefixes)
             )
         except OSError:
@@ -496,35 +437,46 @@ class ArtifactStore:
         except OSError:
             return []
 
-    def _extra_data_files(self) -> list[Path]:
-        """Non-segment files the store also owns (counted and evictable);
-        hook for :class:`~repro.eval.engine.DiskResponseStore`'s legacy
-        per-entry files."""
-        return []
-
     # -- reads ---------------------------------------------------------------
+    def _live_view(
+        self, path: Path, expect_key: str | None = None
+    ) -> SegmentView | None:
+        """``path``'s view when it can serve reads: readable, written at
+        this store's version and, given ``expect_key``, recorded under that
+        key (guarding against prefix-truncated filename collisions)."""
+        view = _segment_view(path)
+        if view is None or view.payload.get("version") != self.version:
+            return None
+        if expect_key is not None and view.payload.get("key") != expect_key:
+            return None
+        return view
+
     def _view_for(
         self, prefix: str, key: str, *, expect_key: str | None
     ) -> SegmentView | None:
-        """The readable current-version view of one logical segment —
-        binary first, legacy ``.json`` fallback.
+        """The live view of one logical segment, or ``None``."""
+        return self._live_view(self._segment_path(prefix, key), expect_key)
 
-        ``expect_key`` guards against prefix-truncated filename collisions
-        and version skew: a segment whose recorded key differs is ignored.
-        """
-        for path in (
-            self._segment_path(prefix, key),
-            self._legacy_segment_path(prefix, key),
-        ):
-            view = _segment_view(path)
-            if view is None:
-                continue
-            if view.payload.get("version") != self.version:
-                continue
-            if expect_key is not None and view.payload.get("key") != expect_key:
-                continue
-            return view
-        return None
+    def _live_views(self) -> Iterator[tuple[Path, SegmentView]]:
+        """Flush, then yield ``(path, view)`` for every live segment — the
+        one whole-store walk that manifests, counts and merges read."""
+        self.flush()
+        for path in self._segment_files():
+            view = self._live_view(path)
+            if view is not None:
+                yield path, view
+
+    def _buffered(
+        self, prefix: str, key: str, entry_keys: Sequence[str]
+    ) -> dict:
+        """The requested entries still in the pending buffer — the
+        read-your-writes overlay on top of the on-disk segment."""
+        with self._store_lock:
+            pend = self._pending.get(self._segment_path(prefix, key))
+            if pend is None:
+                return {}
+            entries = pend[3]
+            return {k: entries[k] for k in entry_keys if k in entries}
 
     def _get_entries(
         self,
@@ -545,55 +497,25 @@ class ArtifactStore:
                 value = view.get(k, _MISS)
                 if value is not _MISS:
                     out[k] = value
-        with self._store_lock:
-            pend = self._pending.get(self._segment_path(prefix, key))
-            if pend is not None:
-                entries = pend[3]
-                for k in entry_keys:
-                    if k in entries:
-                        out[k] = entries[k]
+        out.update(self._buffered(prefix, key, entry_keys))
         return out
 
-    def _read_segment(self, path: Path, *, expect_key: str | None) -> dict:
-        """A segment file's full ``entries`` dict; anything unreadable,
-        version-skewed, or mis-keyed reads as empty."""
-        view = _segment_view(path)
-        if view is None or view.payload.get("version") != self.version:
-            return {}
-        if expect_key is not None and view.payload.get("key") != expect_key:
-            return {}
-        return view.entries()
-
     def iter_segments(self) -> Iterator[tuple[Path, dict]]:
-        """Yield ``(path, payload)`` for every readable current-version
-        segment — the raw material for subclass manifests. A legacy
-        ``.json`` segment shadowed by its migrated binary twin is skipped,
-        so entries are never double-counted."""
-        self.flush()
-        for path in self._segment_files():
-            if path.suffix == ".json" and path.with_suffix(".bin").is_file():
-                continue
-            view = _segment_view(path)
-            if view is None or view.payload.get("version") != self.version:
-                continue
+        """Yield ``(path, payload)`` for every live segment, the payload
+        carrying its decoded ``entries`` — the raw material for subclass
+        manifests."""
+        for path, view in self._live_views():
             data = dict(view.payload)
             data["entries"] = view.entries()
             yield path, data
 
     def stale_segment_count(self) -> int:
         """Segment files that can no longer serve reads — version-skewed
-        (stranded by a version bump) or unreadable — plus legacy files
-        shadowed by a migrated binary twin. The next :meth:`evict` call
-        garbage-collects them; manifests surface this count."""
-        stale = 0
-        for path in self._segment_files():
-            if path.suffix == ".json" and path.with_suffix(".bin").is_file():
-                stale += 1
-                continue
-            view = _segment_view(path)
-            if view is None or view.payload.get("version") != self.version:
-                stale += 1
-        return stale
+        (stranded by a version bump) or unreadable. The next :meth:`evict`
+        call garbage-collects them; manifests surface this count."""
+        return sum(
+            1 for p in self._segment_files() if self._live_view(p) is None
+        )
 
     # -- writes --------------------------------------------------------------
     def _merge_entries(
@@ -694,10 +616,8 @@ class ArtifactStore:
                 self.flush()
 
     def _write_segment(self, path: Path, payload: dict, entries: dict) -> None:
-        """Atomically install the binary segment; a same-stem legacy
-        ``.json`` segment is unlinked afterwards (its entries were merged
-        in, completing the migration). Unwritable stores degrade to
-        uncached, never crash the computing pass."""
+        """Atomically install the binary segment. Unwritable stores degrade
+        to uncached, never crash the computing pass."""
         try:
             self.root.mkdir(parents=True, exist_ok=True)
             data = encode_segment(payload, entries)
@@ -715,23 +635,14 @@ class ArtifactStore:
             os.replace(tmp, path)
         except OSError:
             return
-        legacy = path.with_suffix(".json")
-        try:
-            legacy.unlink()
-        except OSError:
-            pass  # usually just absent
 
     # -- lifecycle -----------------------------------------------------------
     def size_bytes(self) -> int:
-        """Bytes the store occupies on disk: segments, legacy files, and
-        ``*.tmp.*`` leftovers — everything the eviction bound must cover."""
+        """Bytes the store occupies on disk: segments and ``*.tmp.*``
+        leftovers — everything the eviction bound must cover."""
         self.flush()
         total = 0
-        for p in (
-            *self._segment_files(),
-            *self._extra_data_files(),
-            *self._iter_tmp_files(),
-        ):
+        for p in (*self._segment_files(), *self._iter_tmp_files()):
             try:
                 total += p.stat().st_size
             except OSError:
@@ -772,7 +683,7 @@ class ArtifactStore:
         """Garbage-collect stale segments and tmp leftovers, then delete
         oldest-written segments until the store fits ``max_bytes``
         (defaults to the configured bound; ``0`` keeps nothing; ``None``
-        skips the bound pass). Returns segment/data files removed."""
+        skips the bound pass). Returns segment files removed."""
         self.flush()
         self._sweep_stale_tmp_files()
         removed = 0
@@ -783,29 +694,14 @@ class ArtifactStore:
                 st = p.stat()
             except OSError:
                 continue
-            shadowed = (
-                p.suffix == ".json" and p.with_suffix(".bin").is_file()
-            )
-            view = _segment_view(p)
-            if (
-                shadowed
-                or view is None
-                or view.payload.get("version") != self.version
-            ):
-                # Version-skewed, unreadable, or superseded: unreachable
-                # disk garbage regardless of any size bound.
+            if self._live_view(p) is None:
+                # Version-skewed or unreadable: unreachable disk garbage
+                # regardless of any size bound.
                 try:
                     p.unlink()
                     removed += 1
                 except OSError:
                     pass
-                continue
-            stats.append((st.st_mtime, st.st_size, p))
-            total += st.st_size
-        for p in self._extra_data_files():
-            try:
-                st = p.stat()
-            except OSError:
                 continue
             stats.append((st.st_mtime, st.st_size, p))
             total += st.st_size
@@ -834,7 +730,7 @@ class ArtifactStore:
         with self._store_lock:
             self._pending.clear()
             self._pending_entries = 0
-        for path in (*self._segment_files(), *self._extra_data_files()):
+        for path in self._segment_files():
             try:
                 path.unlink()
             except OSError:

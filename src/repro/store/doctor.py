@@ -1,8 +1,9 @@
 """Store fsck: diagnose and quarantine damaged segments.
 
 ``repro-paper doctor`` runs this over all three store families (response,
-profile, text-artifact). Diagnosis is read-only and classifies every way
-a store file can stop serving reads:
+profile, text-artifact). Diagnosis is read-only and passes every ``.bin``
+segment and ``*.tmp.*`` file through one classifier each, covering every
+way a store file can stop serving reads:
 
 * ``torn_write`` — file shorter/longer than the total its header records
   (a crashed or interrupted writer);
@@ -14,19 +15,18 @@ a store file can stop serving reads:
   body, or the span/blob prefixes disagree (per-entry misses at read
   time);
 * ``bad_entry`` — a span resolves but its blob is not valid JSON;
-* ``shadowed_legacy`` — a ``.json`` segment superseded by its migrated
-  ``.bin`` twin;
-* ``corrupt_entry`` — an unreadable legacy per-entry file
-  (:class:`~repro.eval.engine.DiskResponseStore`'s pre-segment layout);
 * ``stale_tmp`` — a ``*.tmp.*`` file leaked by a dead writer.
+
+Files that are not segments — including ``.json`` segments and per-entry
+response files from older versions — are foreign to every store, so the
+doctor neither scans nor touches them.
 
 Every class is a *degradation* the stores already survive (reads miss and
 recompute); the doctor exists so an operator can see the damage and
 reclaim it deliberately. Repair quarantines bad segment files into a
 ``quarantine/`` subdirectory (out of every store's segment scan, so the
 store re-attaches clean, but recoverable by hand) and deletes the
-trash that has nothing to recover (stale tmp files, shadowed legacy
-twins).
+trash that has nothing to recover (stale tmp files).
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from pathlib import Path
 from typing import Iterator
 
 from repro.store.base import (
-    _KEY_BLOB_PREFIX,
     _SEGMENT_HEADER,
     SEGMENT_MAGIC,
     ArtifactStore,
@@ -52,7 +51,7 @@ QUARANTINE_DIRNAME = "quarantine"
 
 #: Issue kinds whose files carry nothing recoverable: repair deletes them
 #: instead of quarantining.
-_DELETE_KINDS = frozenset({"stale_tmp", "shadowed_legacy"})
+_DELETE_KINDS = frozenset({"stale_tmp"})
 
 
 @contextmanager
@@ -145,17 +144,6 @@ def _classify_binary(path: Path, version: str) -> tuple[str, str] | None:
     return None
 
 
-def _classify_legacy(path: Path, version: str) -> tuple[str, str] | None:
-    """(kind, detail) for a damaged legacy ``.json`` segment."""
-    view = _segment_view(path)
-    if view is None:
-        return "corrupt", "not a readable legacy JSON segment"
-    recorded = view.payload.get("version")
-    if recorded != version:
-        return "version_skew", f"segment version {recorded!r}, store wants {version!r}"
-    return None
-
-
 def _stale_tmp_files(store: ArtifactStore) -> list[tuple[Path, str]]:
     out = []
     now = time.time()
@@ -184,32 +172,9 @@ def diagnose_store(store: ArtifactStore, label: str) -> DoctorReport:
     scanned = 0
     for path in store._segment_files():
         scanned += 1
-        if path.suffix == ".json" and path.with_suffix(".bin").is_file():
-            issues.append(
-                StoreIssue(
-                    label, path, "shadowed_legacy",
-                    "superseded by its migrated .bin twin",
-                )
-            )
-            continue
-        found = (
-            _classify_legacy(path, store.version)
-            if path.suffix == ".json"
-            else _classify_binary(path, store.version)
-        )
+        found = _classify_binary(path, store.version)
         if found is not None:
             issues.append(StoreIssue(label, path, found[0], found[1]))
-    for path in store._extra_data_files():
-        scanned += 1
-        try:
-            json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            issues.append(
-                StoreIssue(
-                    label, path, "corrupt_entry",
-                    "unreadable legacy per-entry file",
-                )
-            )
     for path, detail in _stale_tmp_files(store):
         scanned += 1
         issues.append(StoreIssue(label, path, "stale_tmp", detail))

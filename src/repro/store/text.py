@@ -343,6 +343,9 @@ class ArtifactCache:
         Bytes cover *every* segment file — including corrupt or
         version-skewed ones whose entries are not counted — so the total
         matches what :meth:`size_bytes` and the eviction bound see."""
+        # The renders walk flushes only its own store: flush the
+        # tokenizer buffer too, or a deferred block undercounts it.
+        self.flush()
         tokenizer_entries = source_entries = count_entries = 0
         count_tokenizers = 0
         for path, data in self.renders.iter_segments():

@@ -1,11 +1,11 @@
 """Bounded retry with jittered exponential backoff — sync and async.
 
-This is the shared half of what :mod:`repro.serve.retry` grew for the
-async serving path: the :class:`RetryPolicy` schedule, the
-:class:`TransientError` marker taxonomy, and the retry drivers. The sync
-batch engine (:mod:`repro.eval.engine`) and the async serving engine now
-back off under the *same* policy object — serve re-exports everything
-here unchanged, so ``from repro.serve import RetryPolicy`` keeps working.
+The one retry layer: the :class:`RetryPolicy` schedule, the
+:class:`TransientError` marker taxonomy, and the sync and async retry
+drivers. The sync batch engine (:mod:`repro.eval.engine`) and the async
+serving engine (:mod:`repro.serve.engine`) back off under the *same*
+policy object and call these drivers directly; ``repro.serve`` also
+exports :class:`RetryPolicy` for its callers.
 
 What counts as retryable is the caller's business: both drivers take a
 ``retryable`` exception tuple (defaulting to :class:`TransientError`, the

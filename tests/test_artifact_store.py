@@ -46,8 +46,8 @@ MERGES = [("a", "b"), ("ab", "c"), (" ", "f")]
 
 
 def read_segment(path):
-    """Decode one (binary or legacy) segment into the PR-5-era dict shape:
-    the payload keys plus an ``entries`` dict."""
+    """Decode one segment into a dict: the payload keys plus an
+    ``entries`` dict."""
     from repro.store.base import _segment_view
 
     view = _segment_view(path)
@@ -92,7 +92,7 @@ class TestSharedBase:
         for cls in (ProfileStore, TokenizerStore, RenderStore):
             assert issubclass(cls, ArtifactStore)
         # The eviction/write/read machinery is inherited, not reimplemented.
-        for name in ("_write_segment", "_read_segment", "evict", "clear",
+        for name in ("_write_segment", "_live_views", "evict", "clear",
                      "size_bytes"):
             for cls in (ProfileStore, TokenizerStore, RenderStore):
                 assert getattr(cls, name) is getattr(ArtifactStore, name)
@@ -113,32 +113,6 @@ class TestSharedBase:
         assert data["version"] == PROFILER_VERSION
         assert data["key"] == device_profile_key(device)
         assert path.name == f"profiles-{device_profile_key(device)[:32]}.bin"
-
-    def test_legacy_json_segment_dir_keeps_hitting(self, tmp_path):
-        # A PR-5-era store dir (whole-JSON segments) must serve reads
-        # without a flag day; the next put migrates it to binary.
-        from repro.store.text import TEXT_VERSION
-
-        binary = TokenizerStore(tmp_path / "ac")
-        binary.put_merges("k", MERGES)
-        seg = read_segment(binary._tokenizers_path())
-        legacy_dir = tmp_path / "legacy"
-        legacy_dir.mkdir()
-        legacy_path = legacy_dir / binary._tokenizers_path().with_suffix(
-            ".json"
-        ).name
-        legacy_path.write_text(json.dumps(seg), encoding="utf-8")
-
-        store = TokenizerStore(legacy_dir)
-        assert store.get_merges("k") == MERGES
-        store.put_merges("k2", MERGES[:1])  # migrate: binary written …
-        assert store._tokenizers_path().is_file()
-        assert not legacy_path.exists()  # … and the legacy twin removed
-        assert store.get_merges("k") == MERGES
-        assert store.get_merges("k2") == MERGES[:1]
-        migrated = read_segment(store._tokenizers_path())
-        assert migrated["version"] == TEXT_VERSION
-        assert set(migrated["entries"]) == {"k", "k2"}
 
 
 class TestTokenizerStore:
@@ -307,6 +281,17 @@ class TestSharedLifecycle:
         rendered = m.render()
         assert TEXT_VERSION in rendered
         assert "sources" in rendered
+
+    def test_manifest_counts_buffered_tokenizer_entries(self, tmp_path):
+        # Inside deferred() the tokenizer entry is still buffered; the
+        # manifest must count it, matching the bytes it already reports.
+        cache = ArtifactCache(tmp_path / "ac")
+        with cache.deferred():
+            cache.tokenizers.put_merges("k", MERGES)
+            inside = cache.manifest()
+        after = cache.manifest()
+        assert inside.tokenizer_entries == after.tokenizer_entries == 1
+        assert inside.total_bytes == after.total_bytes > 0
 
 
 class TestContentKeys:

@@ -5,7 +5,6 @@ first, amortised checks), the per-model manifest behind ``repro-paper
 cache``, and the v2 record layout that tags entries with their model.
 """
 
-import json
 import os
 import time
 
@@ -171,12 +170,10 @@ class TestManifest:
     def test_untagged_v1_style_entry_skipped_gracefully(self, tmp_path):
         store = DiskResponseStore(tmp_path)
         _fill(store, 1)
-        legacy = tmp_path / "ab" / ("ab" + "0" * 62 + ".json")
-        legacy.parent.mkdir(exist_ok=True)
-        legacy.write_text(json.dumps({
-            "text": "Compute", "input_tokens": 5,
-            "output_tokens": 1, "reasoning_tokens": 0,
-        }))
+        store.put(
+            "ab" + "0" * 62,
+            CachedResponse("Compute", 5, 1, 0, model=""),
+        )
         manifest = store.manifest()
         assert manifest.entries == 2
         assert ("", 1) in manifest.per_model

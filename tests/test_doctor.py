@@ -2,13 +2,11 @@
 
 ``diagnose_store`` must classify each damage class the fault injector can
 produce — torn writes, forged index spans, version skew, stale tmp files
-— plus organically-occurring ones (bad magic, shadowed legacy segments,
-corrupt legacy entries), all without modifying a byte. ``repair_store``
+— plus organically-occurring ones (bad magic, garbled entry blobs), all
+without modifying a byte. ``repair_store``
 quarantines or deletes exactly what was reported, after which the store
 re-attaches clean and every surviving read works.
 """
-
-import json
 
 import pytest
 
@@ -101,24 +99,6 @@ class TestDiagnosis:
         kinds = {i.kind for i in diagnose_store(store, "responses").issues}
         assert kinds == {"bad_entry"}
 
-    def test_shadowed_legacy_twin_detected(self, tmp_path):
-        store = _populated(tmp_path, n=1)
-        seg = store._segment_files()[0]
-        legacy = seg.with_suffix(".json")
-        legacy.write_text(json.dumps({
-            "version": store.version, "key": _keys(1)[0], "entries": {},
-        }))
-        kinds = {i.kind for i in diagnose_store(store, "responses").issues}
-        assert kinds == {"shadowed_legacy"}
-
-    def test_corrupt_legacy_entry_file(self, tmp_path):
-        store = _populated(tmp_path, n=1)
-        key = _keys(1)[0]
-        shard = store.root / key[:2]
-        shard.mkdir()
-        (shard / f"{key}.json").write_text("{torn")
-        kinds = {i.kind for i in diagnose_store(store, "responses").issues}
-        assert kinds == {"corrupt_entry"}
 
 
 class TestRepair:
@@ -140,23 +120,15 @@ class TestRepair:
 
     def test_repair_deletes_trash_kinds(self, tmp_path):
         store = _populated(tmp_path, n=1)
-        seg = store._segment_files()[0]
-        legacy = seg.with_suffix(".json")
-        legacy.write_text(json.dumps({
-            "version": store.version, "key": _keys(1)[0], "entries": {},
-        }))
         tmp = store.root / "responses-00.tmp.3999999.0"
         tmp.write_bytes(b"half a segment")
         with quiet_attach():
             probe = DiskResponseStore(store.root)
         report = doctor_store(probe, "responses", repair=True)
-        assert {i.kind for i in report.issues} == {
-            "shadowed_legacy", "stale_tmp",
-        }
-        assert not legacy.exists()
+        assert {i.kind for i in report.issues} == {"stale_tmp"}
         assert not tmp.exists()
         assert not (store.root / QUARANTINE_DIRNAME).exists()
-        # The healthy binary twin survived untouched.
+        # The healthy segment survived untouched.
         assert DiskResponseStore(store.root).get(_keys(1)[0]) == _response(0)
 
     def test_quarantine_name_collisions_get_numeric_suffixes(self, tmp_path):

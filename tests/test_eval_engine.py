@@ -182,22 +182,6 @@ class TestDiskStore:
         store.put(key, value)
         assert store.get(key) == value
 
-    def test_legacy_per_entry_file_still_serves(self, tmp_path):
-        # A pre-segment cache dir (one root/xx/<key>.json file per entry)
-        # must keep hitting — and corrupt legacy files read as misses.
-        store = DiskResponseStore(tmp_path / "cache")
-        key = "cd" + "0" * 62
-        value = CachedResponse("Bandwidth", 5, 1, 0)
-        legacy = store._legacy_path(key)
-        legacy.parent.mkdir(parents=True)
-        legacy.write_text(
-            json.dumps(value.to_dict(), sort_keys=True), encoding="utf-8"
-        )
-        assert store.get(key) == value
-        assert len(store) == 1
-        legacy.write_text("{not json", encoding="utf-8")
-        assert store.get(key) is None
-
     def test_clear(self, tmp_path):
         store = DiskResponseStore(tmp_path / "cache")
         store.put("ab" + "0" * 62, CachedResponse("Compute", 1, 1, 0))

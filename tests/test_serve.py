@@ -32,7 +32,6 @@ from repro.serve import (
     RateLimitError,
     RetryPolicy,
     TransientProviderError,
-    call_with_retry,
     emulated_transport,
     provider_family,
     resolve_provider,
@@ -44,6 +43,7 @@ from repro.serve.providers import (
     GeminiProvider,
     OpenAiProvider,
 )
+from repro.util.retry import call_with_retry
 
 
 class FaultyProvider:
@@ -231,18 +231,19 @@ def test_retry_does_not_retry_programming_errors():
 
 
 def test_attempt_timeout_surfaces_as_provider_timeout():
-    async def hang():
-        await asyncio.sleep(30.0)
-
+    provider = GatedProvider()          # never released: every attempt hangs
     policy = RetryPolicy(max_attempts=2, timeout_s=0.01, timeout_jitter=0.0,
                          base_delay_s=0.0, jitter=0.0)
     sleeps: list[float] = []
+    engine = AsyncEvalEngine(
+        store=MemoryResponseStore(), retry=policy, rng=random.Random(0),
+        sleep=_recording_sleep(sleeps),
+    )
     with pytest.raises(ProviderTimeout):
-        asyncio.run(call_with_retry(
-            hang, policy=policy, rng=random.Random(0),
-            sleep=_recording_sleep(sleeps),
-        ))
-    assert len(sleeps) == 1             # timed out, retried once, gave up
+        asyncio.run(engine.complete(provider, "hello"))
+    assert provider.calls == 2          # timed out, retried once, gave up
+    assert len(sleeps) == 1
+    assert engine.stats.retries == 1
 
 
 def test_jittered_timeouts_vary_per_attempt():

@@ -10,17 +10,20 @@ families; this module pins the failure-mode contracts the codec promises:
 * stale ``*.tmp.<pid>.<tid>`` droppings are swept and version-skewed
   segments garbage-collected;
 * the byte-count env parsers of all three stores agree on junk handling;
-* results stay digest-identical with the store off, cold, warm, and with a
-  legacy per-entry-JSON cache dir standing in for a binary one.
+* results stay digest-identical with the store off, cold, and warm; a
+  directory holding only old-format ``.json`` files recomputes to the
+  same digest and leaves those files untouched.
 """
 
 import json
 import os
+import struct
 import threading
 
 import pytest
 
 from repro.eval.engine import (
+    CACHE_SCHEMA_VERSION,
     CachedResponse,
     DiskResponseStore,
     EvalEngine,
@@ -28,7 +31,13 @@ from repro.eval.engine import (
 from repro.eval.matrix import run_matrix
 from repro.llm import get_model
 from repro.roofline.hardware import get_gpu
-from repro.store.base import SEGMENT_MAGIC, encode_segment, parse_max_bytes
+from repro.store.base import (
+    _KEY_BLOB_PREFIX,
+    _SEGMENT_HEADER,
+    SEGMENT_MAGIC,
+    encode_segment,
+    parse_max_bytes,
+)
 
 
 def _response(i: int) -> CachedResponse:
@@ -79,6 +88,23 @@ class TestTornWrites:
         data = bytearray(encode_segment(payload, {"ee" + "0" * 62: {"x": 1}}))
         seg.write_bytes(bytes(data[:-4]) + b"\xff\xff\xff\x7f")
         assert store.get("ee" + "0" * 62) is None
+
+    def test_span_offset_past_ssize_t_is_a_miss(self, tmp_path):
+        """A forged u64 span offset too large for a C ssize_t must read as
+        a per-entry miss, not overflow out of the reader."""
+        store = DiskResponseStore(tmp_path)
+        key = "ef" + "0" * 62
+        store.put(key, _response(1))
+        seg = store._segment_path("responses-", "ef")
+        data = bytearray(seg.read_bytes())
+        _, _, meta_len, _ = _SEGMENT_HEADER.unpack_from(data, 0)
+        span_at = (
+            _SEGMENT_HEADER.size + meta_len + _KEY_BLOB_PREFIX.size + len(key)
+        )
+        struct.pack_into("<Q", data, span_at, 2**64 - 1)
+        seg.write_bytes(bytes(data))
+        assert store.get(key) is None
+        assert len(store) == 0
 
 
 class TestConcurrentWriters:
@@ -387,7 +413,8 @@ class TestDigestInvariance:
         return result.digest(), result
 
     def test_off_cold_warm_and_legacy_all_identical(self, tmp_path, dataset):
-        off_digest, off = self._run(EvalEngine())
+        off_engine = EvalEngine()
+        off_digest, off = self._run(off_engine)
 
         store = DiskResponseStore(tmp_path / "binary")
         cold_digest, _ = self._run(EvalEngine(jobs=2, store=store))
@@ -398,19 +425,39 @@ class TestDigestInvariance:
         assert warm.render() == off.render()
         assert warm_engine.stats.completions == 0
 
-        # Rebuild the same cache as a PR-5-era per-entry-JSON directory:
-        # the binary-native engine must replay it hit-for-hit.
+        # The same entries in the old formats — one ``xx/<key>.json`` file
+        # per entry plus one whole-JSON ``responses-xx.json`` segment — are
+        # foreign files: the run recomputes every unit to the same digest
+        # and never modifies them, clear() included.
         legacy_root = tmp_path / "legacy"
-        for key, blob in store.iter_entries():
+        entries = dict(store.iter_entries())
+        for key, blob in entries.items():
             path = legacy_root / key[:2] / f"{key}.json"
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_bytes(blob)
-        legacy_engine = EvalEngine(
-            jobs=2, store=DiskResponseStore(legacy_root)
-        )
+        shard = min(entries)[:2]
+        (legacy_root / f"responses-{shard}.json").write_text(json.dumps({
+            "version": CACHE_SCHEMA_VERSION,
+            "key": shard,
+            "entries": {
+                k: json.loads(b) for k, b in entries.items()
+                if k.startswith(shard)
+            },
+        }, sort_keys=True))
+        old_files = {
+            p: p.read_bytes() for p in legacy_root.rglob("*.json")
+        }
+        legacy_store = DiskResponseStore(legacy_root)
+        legacy_engine = EvalEngine(jobs=2, store=legacy_store)
         legacy_digest, _ = self._run(legacy_engine)
         assert legacy_digest == off_digest
-        assert legacy_engine.stats.completions == 0
+        assert legacy_engine.stats.completions == off_engine.stats.completions
+        assert legacy_engine.stats.hits == 0
+        legacy_store.clear()
+        assert len(legacy_store) == 0
+        assert {
+            p: p.read_bytes() for p in legacy_root.rglob("*.json")
+        } == old_files
 
     def test_legacy_blobs_round_trip_byte_exactly(self, tmp_path):
         """The glue the legacy replay relies on: a canonical blob decoded
