@@ -72,14 +72,15 @@ def classify_decomposed(
     model: LlmModel, sample: Sample, *, gpu: GpuSpec | None = None,
     meter: UsageMeter | None = None, engine: EvalEngine | None = None,
 ) -> DecomposedPrediction:
-    """Run the full three-step protocol for one sample."""
+    """Run the full three-step protocol for one sample.
+
+    Every step completes through ``engine`` (a store-less one by default),
+    so retries, the active fault plan and stats apply to all of them."""
     gpu = gpu or default_gpu()
+    engine = engine or EvalEngine()
 
     def complete(prompt: str) -> str:
-        if engine is not None:
-            response = engine.complete(model, prompt)
-        else:
-            response = model.complete(prompt)
+        response = engine.complete(model, prompt)
         if meter is not None:
             meter.record(response.usage)
         return response.text

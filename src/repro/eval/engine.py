@@ -2,16 +2,27 @@
 
 Every experiment in the repo reduces to a grid of *(model, item)* work units:
 build a prompt, get one completion, parse one word. This module owns that
-hot path:
+hot path as one engine core that every executor drives:
 
-* :class:`EvalEngine` shards work units over an executor backend
-  (:mod:`repro.util.parallel`) with deterministic, submission-order results —
-  any ``jobs`` value and any backend (``sequential``/``thread``/``process``)
-  produce the same :class:`~repro.eval.runner.RunResult` as the sequential
-  loop they replaced. The process backend sidesteps the GIL for cold sweeps
-  of the pure-Python emulated models; cache reads/writes stay in the parent
-  process, so any :class:`ResponseStore` works unchanged and cache contents
-  are identical across backends.
+* **Lookup → compute → commit → assemble.** Each unit derives its
+  :func:`cache_key` once, looks it up in the store, computes a miss
+  (:func:`_compute`: the retry loop under the active fault plan), and
+  commits the outcome (store write plus stats); a run is then assembled
+  into records and failures with usage metered in item order.
+  :class:`_EngineCore` holds the lookup and commit steps — the only code
+  that touches the response store or moves the unit counters — and both
+  :class:`EvalEngine` and :class:`repro.serve.engine.AsyncEvalEngine`
+  build on it, so every execution path yields the same
+  :class:`~repro.eval.runner.RunResult`, cache bytes and
+  :class:`CacheStats`.
+* **Executors only schedule.** :class:`EvalEngine` fans units over a
+  backend (:mod:`repro.util.parallel`) with deterministic,
+  submission-order results. The sequential and thread backends run each
+  unit's lookup → compute → commit as one task; the process backend
+  (which sidesteps the GIL for cold sweeps of the pure-Python emulated
+  models) looks units up and commits them in the parent and ships only
+  the misses' compute to workers, so any :class:`ResponseStore` works
+  unchanged.
 * Completions are memoized in a content-addressed store. Keys are
   :func:`cache_key` digests over the *full* model capability profile, the
   prompt text, and the sampling parameters, so any calibration change or
@@ -20,8 +31,7 @@ hot path:
   hardware block of classification prompts rides in the prompt text, so
   per-device scenarios (:mod:`repro.eval.matrix`) cache disjointly for free.
 * Stores are injectable (:class:`MemoryResponseStore` for tests and warm
-  in-process sweeps, :class:`DiskResponseStore` for cross-run reuse), in the
-  spirit of :mod:`repro.dataset.store`'s JSON persistence.
+  in-process sweeps, :class:`DiskResponseStore` for cross-run reuse).
   :class:`DiskResponseStore` optionally enforces a size bound by evicting
   oldest-written entries first.
 
@@ -464,9 +474,12 @@ class CacheStats:
     def total(self) -> int:
         return self.hits + self.misses + self.uncached
 
-    def _bump(self, field_name: str, count: int = 1) -> None:
+    def _bump(self, field_name: str, count: int = 1) -> int:
+        """Add ``count`` to one counter; returns its new value."""
         with self._lock:
-            setattr(self, field_name, getattr(self, field_name) + count)
+            value = getattr(self, field_name) + count
+            setattr(self, field_name, value)
+            return value
 
     def summary(self) -> str:
         out = (
@@ -519,61 +532,101 @@ class _FailedCompletion:
     attempts: int
 
 
-def _complete_uncached(
+def _compute(
     model: LlmModel,
     temperature: float | None,
     top_p: float | None,
     policy: RetryPolicy,
-    prompt: str,
-    on_retry=None,
-) -> CachedResponse:
-    """One completion, retried under ``policy``, as its persistable payload.
+    collect: bool,
+    unit: tuple[str, str],
+) -> tuple[CachedResponse | _FailedCompletion, int]:
+    """Compute one ``(key, prompt)`` unit: ``(outcome, retries)``.
 
-    Module-level (and invoked via :func:`functools.partial` over picklable
-    args) so the process backend can ship it to workers; the model object is
-    pickled once per shard, not per item. The retry RNG is seeded from the
-    unit's cache key, so backoff jitter is reproducible per unit however
-    the fan-out schedules it; the active fault plan (parent's, or a
-    worker's via the inherited ``$REPRO_FAULT_PLAN``) gets a shot at every
-    attempt.
+    Module-level over picklable args so the process backend can ship it to
+    workers (the model is pickled once per shard). The caller's cache key
+    seeds the retry RNG, so backoff jitter reproduces however the fan-out
+    schedules the unit, and selects its faults under the active fault plan
+    (a worker's comes from the inherited ``$REPRO_FAULT_PLAN``). In
+    ``collect`` mode an exhausted transient failure returns as a
+    :class:`_FailedCompletion` marker instead of raising; anything
+    non-transient still propagates — that's a bug, not weather.
     """
-    token = cache_key(model.config, prompt, temperature, top_p)
+    key, prompt = unit
     plan = active_fault_plan()
-    state = {"attempt": 0}
+    attempts = 0
 
     def attempt() -> CachedResponse:
-        i = state["attempt"]
-        state["attempt"] += 1
+        nonlocal attempts
+        attempts += 1
         if plan is not None:
-            plan.completion_fault(token, i)
+            plan.completion_fault(key, attempts - 1)
         response = model.complete(prompt, temperature=temperature, top_p=top_p)
         return CachedResponse.from_response(response)
 
-    rng = random.Random(stable_hash_u64("retry", token))
-    return retry_call(attempt, policy=policy, rng=rng, on_retry=on_retry)
-
-
-def _complete_collect(
-    model: LlmModel,
-    temperature: float | None,
-    top_p: float | None,
-    policy: RetryPolicy,
-    prompt: str,
-    on_retry=None,
-) -> CachedResponse | _FailedCompletion:
-    """Collect-mode twin of :func:`_complete_uncached`: an exhausted
-    transient failure becomes a marker instead of an exception (markers
-    pickle back from process workers; anything non-transient still
-    propagates — that's a bug, not weather)."""
+    rng = random.Random(stable_hash_u64("retry", key))
     try:
-        return _complete_uncached(
-            model, temperature, top_p, policy, prompt, on_retry
-        )
+        outcome = retry_call(attempt, policy=policy, rng=rng)
     except TransientError as exc:
-        return _FailedCompletion(type(exc).__name__, str(exc), policy.max_attempts)
+        if not collect:
+            raise
+        outcome = _FailedCompletion(type(exc).__name__, str(exc), attempts)
+    return outcome, attempts - 1
 
 
-class EvalEngine:
+def _as_response(outcome, model_name: str) -> LlmResponse | _FailedCompletion:
+    if isinstance(outcome, _FailedCompletion):
+        return outcome
+    return outcome.to_response(model_name)
+
+
+class _EngineCore:
+    """Lookup and commit, shared by both engines: the only code that
+    touches the response store or moves the unit counters."""
+
+    store: ResponseStore | None
+    stats: CacheStats
+    max_failures: int | None = None
+
+    def _lookup(self, key: str) -> CachedResponse | None:
+        """The stored response for ``key`` (booked as a hit), or ``None``."""
+        if self.store is None:
+            return None
+        cached = self.store.get(key)
+        if cached is not None:
+            self.stats._bump("hits")
+        return cached
+
+    def _commit(
+        self,
+        key: str,
+        outcome: CachedResponse | _FailedCompletion,
+        retries: int = 0,
+    ) -> CachedResponse | _FailedCompletion:
+        """Book one computed unit and store its response; returns it.
+        An exhausted unit raises at the ``max_failures`` threshold."""
+        if retries:
+            self.stats._bump("retries", retries)
+        if isinstance(outcome, _FailedCompletion):
+            failed = self.stats._bump("failed")
+            if self.max_failures is not None and failed >= self.max_failures:
+                raise MaxFailuresExceeded(self.max_failures)
+        elif self.store is None:
+            self.stats._bump("uncached")
+        else:
+            self.store.put(key, outcome)
+            self.stats._bump("misses")
+        return outcome
+
+    def _batched(self):
+        """Batch a run's store writes: one read-merge-write per touched
+        segment per flush interval instead of one per completion. Stores
+        without deferral (:class:`MemoryResponseStore`, test doubles) run
+        as-is."""
+        deferred = getattr(self.store, "deferred", None)
+        return deferred() if deferred is not None else nullcontext()
+
+
+class EvalEngine(_EngineCore):
     """Fans (model, item) work units over a worker pool, memoizing responses.
 
     One engine instance is meant to span a whole experiment (or several: a
@@ -583,10 +636,10 @@ class EvalEngine:
 
     ``backend`` picks the executor for :meth:`run`'s fan-out: ``"thread"``
     (default; best for warm caches and IO), ``"process"`` (cold CPU-bound
-    sweeps scale with cores), or ``"sequential"``. Results and cache
-    contents are byte-identical across backends; with the process backend
-    the parent resolves cache hits and writes all cache entries, so workers
-    never touch the store.
+    sweeps scale with cores), or ``"sequential"``. Only the compute step
+    ever crosses a process boundary: lookups and commits run in this
+    process, so results, cache contents and every stats counter are
+    identical across backends.
 
     Fault tolerance: every completion attempt runs under ``retry`` (a
     :class:`~repro.util.retry.RetryPolicy`; jitter RNG seeded per unit
@@ -623,20 +676,6 @@ class EvalEngine:
         self.max_failures = max_failures
         self.journal = journal
         self.stats = CacheStats()
-        self._failure_lock = threading.Lock()
-        self._failures_seen = 0
-
-    def _count_retry(self, attempt: int, exc: BaseException) -> None:
-        self.stats._bump("retries")
-
-    def _note_failure(self) -> None:
-        """Book one exhausted unit; raise at the abort threshold."""
-        self.stats._bump("failed")
-        with self._failure_lock:
-            self._failures_seen += 1
-            seen = self._failures_seen
-        if self.max_failures is not None and seen >= self.max_failures:
-            raise MaxFailuresExceeded(self.max_failures)
 
     # -- single completion ---------------------------------------------------
     def complete(
@@ -648,23 +687,25 @@ class EvalEngine:
         top_p: float | None = None,
     ) -> LlmResponse:
         """One completion, served from the store when possible."""
-        if self.store is None:
-            cached = _complete_uncached(
-                model, temperature, top_p, self.retry, prompt, self._count_retry
-            )
-            self.stats._bump("uncached")
-            return cached.to_response(model.name)
+        return self._unit(model, temperature, top_p, False, prompt)
+
+    def _unit(
+        self,
+        model: LlmModel,
+        temperature: float | None,
+        top_p: float | None,
+        collect: bool,
+        prompt: str,
+    ) -> LlmResponse | _FailedCompletion:
+        """Lookup → compute → commit for one unit, in this thread."""
         key = cache_key(model.config, prompt, temperature, top_p)
-        cached = self.store.get(key)
-        if cached is not None:
-            self.stats._bump("hits")
-            return cached.to_response(model.name)
-        cached = _complete_uncached(
-            model, temperature, top_p, self.retry, prompt, self._count_retry
-        )
-        self.store.put(key, cached)
-        self.stats._bump("misses")
-        return cached.to_response(model.name)
+        outcome = self._lookup(key)
+        if outcome is None:
+            computed = _compute(
+                model, temperature, top_p, self.retry, collect, (key, prompt)
+            )
+            outcome = self._commit(key, *computed)
+        return _as_response(outcome, model.name)
 
     # -- batched evaluation --------------------------------------------------
     def run(
@@ -684,44 +725,12 @@ class EvalEngine:
         journaled run that resumes mid-sweep assembles the same result as
         an uninterrupted one.
         """
-        from repro.eval.runner import FailedUnit, RunResult
-
         items = list(items)
         if not items:
             raise ValueError("no items to run")
-
-        # Batch the sweep's store writes: one read-merge-write per touched
-        # segment per flush interval instead of one per completion. Stores
-        # without deferral (MemoryResponseStore, test doubles) run as-is.
-        deferred = getattr(self.store, "deferred", None)
-        with deferred() if deferred is not None else nullcontext():
+        with self._batched():
             responses = self._run_units(model, items, temperature, top_p)
-
-        records = []
-        failures = []
-        ok_responses = []
-        for (item_id, _, truth), response in zip(items, responses):
-            if isinstance(response, _FailedCompletion):
-                failures.append(
-                    FailedUnit(
-                        item_id=item_id,
-                        error_type=response.error_type,
-                        error=response.error,
-                        attempts=response.attempts,
-                    )
-                )
-                continue
-            records.append(_make_record(item_id, truth, response))
-            ok_responses.append(response)
-        meter = UsageMeter(model.config)
-        for response in ok_responses:
-            meter.record(response.usage)
-        return RunResult(
-            model_name=model.name,
-            records=tuple(records),
-            usage=meter.summary(),
-            failures=tuple(failures),
-        )
+        return _assemble(model, items, responses)
 
     def _run_units(
         self,
@@ -751,10 +760,9 @@ class EvalEngine:
         todo: list[int] = []
         for i, key in enumerate(keys):
             if self.journal.completed(key):
-                cached = self.store.get(key)
+                cached = self._lookup(key)
                 if cached is not None:
                     # Journaled + durable: skip without re-issuing.
-                    self.stats._bump("hits")
                     out[i] = cached.to_response(model.name)
                     continue
                 # Journaled but evicted from the store: recompute (the
@@ -787,90 +795,80 @@ class EvalEngine:
         temperature: float | None,
         top_p: float | None,
     ) -> list:
-        if self.backend == "process" and self.jobs > 1 and len(items) > 1:
-            return self._responses_via_processes(model, items, temperature, top_p)
-        fn = partial(self._complete_item, model, temperature, top_p)
-        return parallel_map(fn, items, jobs=self.jobs, backend=self.backend)
+        """Every unit's response (or failure marker), in item order.
 
-    def _complete_item(
-        self,
-        model: LlmModel,
-        temperature: float | None,
-        top_p: float | None,
-        item: tuple[str, str, object],
-    ) -> LlmResponse | _FailedCompletion:
+        Sequential and thread backends run each unit's lookup → compute →
+        commit as one task (one ``get`` per unit in item order, one ``put``
+        after its compute). The process backend looks every unit up here,
+        ships only the misses' compute to workers, and commits here in
+        submission order.
+        """
+        collect = self.failure_mode == "collect"
+        prompts = [prompt for _, prompt, _ in items]
+        if self.backend != "process" or self.jobs <= 1 or len(items) <= 1:
+            unit = partial(self._unit, model, temperature, top_p, collect)
+            return parallel_map(
+                unit, prompts, jobs=self.jobs, backend=self.backend
+            )
+        keys = [
+            cache_key(model.config, prompt, temperature, top_p)
+            for prompt in prompts
+        ]
+        outcomes = [self._lookup(key) for key in keys]
+        misses = [i for i, outcome in enumerate(outcomes) if outcome is None]
+        computed = parallel_map(
+            partial(_compute, model, temperature, top_p, self.retry, collect),
+            [(keys[i], prompts[i]) for i in misses],
+            jobs=self.jobs,
+            backend="process",
+        )
+        for i, (outcome, retries) in zip(misses, computed):
+            outcomes[i] = self._commit(keys[i], outcome, retries)
+        return [_as_response(outcome, model.name) for outcome in outcomes]
+
+
+def _assemble(model, items: Sequence[tuple[str, str, object]], responses):
+    """Responses (or failure markers) → the run's
+    :class:`~repro.eval.runner.RunResult`.
+
+    Shared by both engines, so records, failures and usage — metered in
+    item order, so cost floats sum identically — are byte-identical
+    however the responses were produced. ``model`` is anything with the
+    ``name`` and ``config`` of the model that answered.
+    """
+    from repro.eval.runner import FailedUnit, PredictionRecord, RunResult
+
+    records = []
+    failures = []
+    meter = UsageMeter(model.config)
+    for (item_id, _, truth), response in zip(items, responses):
+        if isinstance(response, _FailedCompletion):
+            failures.append(
+                FailedUnit(
+                    item_id=item_id,
+                    error_type=response.error_type,
+                    error=response.error,
+                    attempts=response.attempts,
+                )
+            )
+            continue
         try:
-            return self.complete(
-                model, item[1], temperature=temperature, top_p=top_p
+            prediction = response.boundedness()
+        except ValueError:
+            prediction = None
+        records.append(
+            PredictionRecord(
+                item_id=item_id,
+                truth=truth,
+                prediction=prediction,
+                response_text=response.text,
             )
-        except TransientError as exc:
-            if self.failure_mode != "collect":
-                raise
-            self._note_failure()
-            return _FailedCompletion(
-                type(exc).__name__, str(exc), self.retry.max_attempts
-            )
-
-    def _responses_via_processes(
-        self,
-        model: LlmModel,
-        items: Sequence[tuple[str, str, object]],
-        temperature: float | None,
-        top_p: float | None,
-    ) -> list:
-        """Process-backend fan-out: parent serves cache hits and owns every
-        store write; only cache-missing prompts are shipped to workers."""
-        responses: list = [None] * len(items)
-        pending: list[tuple[int, str, str | None]] = []  # (index, prompt, key)
-        for i, (_, prompt, _) in enumerate(items):
-            if self.store is None:
-                pending.append((i, prompt, None))
-                continue
-            key = cache_key(model.config, prompt, temperature, top_p)
-            cached = self.store.get(key)
-            if cached is not None:
-                responses[i] = cached.to_response(model.name)
-            else:
-                pending.append((i, prompt, key))
-        self.stats._bump("hits", len(items) - len(pending))
-        if pending:
-            worker = (
-                _complete_collect
-                if self.failure_mode == "collect"
-                else _complete_uncached
-            )
-            fn = partial(worker, model, temperature, top_p, self.retry)
-            computed = parallel_map(
-                fn,
-                [prompt for _, prompt, _ in pending],
-                jobs=self.jobs,
-                backend="process",
-            )
-            field = "uncached" if self.store is None else "misses"
-            for (i, _, key), cached in zip(pending, computed):
-                if isinstance(cached, _FailedCompletion):
-                    responses[i] = cached
-                    self._note_failure()
-                    continue
-                if key is not None:
-                    self.store.put(key, cached)
-                responses[i] = cached.to_response(model.name)
-                self.stats._bump(field)
-        return responses
-
-
-def _make_record(item_id: str, truth: object, response: LlmResponse):
-    """Response → per-item record; shared by every backend so records are
-    byte-identical however the completion was computed."""
-    from repro.eval.runner import PredictionRecord
-
-    try:
-        pred = response.boundedness()
-    except ValueError:
-        pred = None
-    return PredictionRecord(
-        item_id=item_id,
-        truth=truth,
-        prediction=pred,
-        response_text=response.text,
+        )
+        meter.record(response.usage)
+    return RunResult(
+        model_name=model.name,
+        records=tuple(records),
+        usage=meter.summary(),
+        failures=tuple(failures),
     )
+

@@ -1,20 +1,18 @@
-"""The asyncio twin of :class:`repro.eval.engine.EvalEngine`.
+"""The asyncio engine over the shared engine core.
 
 :class:`AsyncEvalEngine` serves completions concurrently from an event
-loop while preserving the batch engine's contract bit for bit:
+loop on the same unit pipeline as :class:`repro.eval.engine.EvalEngine`:
+it derives the same :func:`repro.eval.engine.cache_key`, reaches the
+store only through the core's lookup and commit steps (run in worker
+threads via :func:`asyncio.to_thread`, so disk segment reads never stall
+the loop), and :meth:`AsyncEvalEngine.run` returns through the core's
+assembly step inside the core's batched-write block. A served completion
+therefore warms the batch CLI's cache and vice versa, and for the same
+grid :meth:`AsyncEvalEngine.run` returns a byte-identical
+:class:`~repro.eval.runner.RunResult` and writes byte-identical cache
+segments (pinned by the equivalence oracle).
 
-* **Same cache keys.** Misses and hits go through the same
-  :func:`repro.eval.engine.cache_key` digests over the same
-  :class:`~repro.llm.config.ModelConfig`/prompt/sampling inputs, against
-  the same injectable :class:`~repro.eval.engine.ResponseStore` — a
-  served completion warms the batch CLI's cache and vice versa.
-* **Same results.** :meth:`AsyncEvalEngine.run` assembles records with
-  the sync engine's ``_make_record`` and meters usage in item order, so
-  for the same grid it returns a byte-identical
-  :class:`~repro.eval.runner.RunResult` (pinned by digest in the tests)
-  and writes byte-identical cache segments.
-
-What the async path adds over the sync one:
+What the async engine adds is how it computes a miss:
 
 * **Request coalescing.** Identical in-flight prompts (same cache key)
   share one upstream completion: the first arrival owns the request, the
@@ -42,11 +40,6 @@ What the async path adds over the sync one:
   key. Requests may carry an absolute ``deadline`` that clips attempt
   timeouts and aborts pointless backoffs
   (:class:`~repro.util.retry.DeadlineExceeded`).
-
-Store calls run in worker threads (:func:`asyncio.to_thread`) so disk
-segment reads never stall the loop; the stores' own locking makes that
-safe, and inside :meth:`run` writes batch through ``store.deferred()``
-exactly like the sync engine.
 """
 
 from __future__ import annotations
@@ -54,7 +47,6 @@ from __future__ import annotations
 import asyncio
 import random
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -62,11 +54,11 @@ from repro.eval.engine import (
     CachedResponse,
     CacheStats,
     ResponseStore,
-    _make_record,
+    _assemble,
+    _EngineCore,
     cache_key,
 )
 from repro.llm.base import LlmResponse
-from repro.llm.pricing import UsageMeter
 from repro.serve.providers import (
     ProviderClient,
     ProviderTimeout,
@@ -132,7 +124,7 @@ class ServeStats(CacheStats):
         return out
 
 
-class AsyncEvalEngine:
+class AsyncEvalEngine(_EngineCore):
     """Concurrent cached evaluation against one or more providers.
 
     One engine spans a service lifetime: its ``stats`` describe all
@@ -249,15 +241,15 @@ class AsyncEvalEngine:
         chain = self._as_chain(provider)
         if info is not None:
             info.setdefault("hedged", False)
+        key = cache_key(chain[0].config, prompt, temperature, top_p)
         if self.store is None:
             response = await self._upstream(
                 chain, prompt, temperature=temperature, top_p=top_p,
-                deadline=deadline, info=info,
+                key=key, deadline=deadline, info=info,
             )
-            self.stats._bump("uncached")
+            self._commit(key, CachedResponse.from_response(response))
             return response
 
-        key = cache_key(chain[0].config, prompt, temperature, top_p)
         existing = self._inflight.get(key)
         if existing is not None:
             self.stats._bump("coalesced")
@@ -272,9 +264,8 @@ class AsyncEvalEngine:
         )
         self._inflight[key] = future
         try:
-            cached = await asyncio.to_thread(self.store.get, key)
+            cached = await asyncio.to_thread(self._lookup, key)
             if cached is not None:
-                self.stats._bump("hits")
                 if info is not None:
                     info["served_by"] = "cache"
                 response = cached.to_response(chain[0].name)
@@ -284,9 +275,8 @@ class AsyncEvalEngine:
                     key=key, deadline=deadline, info=info,
                 )
                 await asyncio.to_thread(
-                    self.store.put, key, CachedResponse.from_response(response)
+                    self._commit, key, CachedResponse.from_response(response)
                 )
-                self.stats._bump("misses")
             if not future.done():
                 future.set_result(response)
             return response
@@ -379,13 +369,12 @@ class AsyncEvalEngine:
         *,
         temperature: float | None,
         top_p: float | None,
-        key: str | None = None,
+        key: str,
         deadline: float | None = None,
         info: dict | None = None,
     ) -> LlmResponse:
         """Failover-chain upstream: breaker-gated candidates, hedging."""
         plan = active_fault_plan()
-        token = key or cache_key(chain[0].config, prompt, temperature, top_p)
         primary_label = provider_label(chain[0])
         used: set[str] = set()
 
@@ -410,7 +399,7 @@ class AsyncEvalEngine:
         def launch(c: ProviderClient, lbl: str) -> asyncio.Task:
             return asyncio.get_running_loop().create_task(
                 self._call_one(
-                    c, lbl, prompt, temperature, top_p, token, deadline, plan
+                    c, lbl, prompt, temperature, top_p, key, deadline, plan
                 )
             )
 
@@ -418,7 +407,7 @@ class AsyncEvalEngine:
         # to — skip the task machinery (and its overhead) entirely.
         if len(chain) == 1:
             response = await self._call_one(
-                client, label, prompt, temperature, top_p, token, deadline,
+                client, label, prompt, temperature, top_p, key, deadline,
                 plan,
             )
             if info is not None:
@@ -504,8 +493,6 @@ class AsyncEvalEngine:
         grid, whatever ``max_concurrency`` (and, because every chain
         member serves the same model config, whichever member answers).
         """
-        from repro.eval.runner import RunResult
-
         chain = self._as_chain(provider)
         items = list(items)
         if not items:
@@ -519,21 +506,8 @@ class AsyncEvalEngine:
                     chain, prompt, temperature=temperature, top_p=top_p
                 )
 
-        deferred = getattr(self.store, "deferred", None)
-        with deferred() if deferred is not None else nullcontext():
+        with self._batched():
             responses = await asyncio.gather(
                 *(bounded(prompt) for _, prompt, _ in items)
             )
-
-        records = [
-            _make_record(item_id, truth, response)
-            for (item_id, _, truth), response in zip(items, responses)
-        ]
-        meter = UsageMeter(chain[0].config)
-        for response in responses:
-            meter.record(response.usage)
-        return RunResult(
-            model_name=chain[0].name,
-            records=tuple(records),
-            usage=meter.summary(),
-        )
+        return _assemble(chain[0], items, responses)

@@ -248,7 +248,6 @@ class PredictionService:
                     build_classify_prompt, sample, variant=resolved, gpu=spec
                 )
             ).text
-            before = self.engine.stats.completions
             info: dict = {}
             response = await self.engine.complete(
                 chain, prompt, deadline=deadline, info=info
@@ -266,7 +265,9 @@ class PredictionService:
                 "prediction": prediction,
                 "truth": sample.label.word,
                 "correct": prediction == sample.label.word,
-                "cached": self.engine.stats.completions == before,
+                # This request's own provenance: engine-wide counters move
+                # under concurrent requests' misses.
+                "cached": info.get("served_by") == "cache",
                 "served_by": info.get("served_by"),
                 "hedged": bool(info.get("hedged")),
                 "usage": {

@@ -1,0 +1,181 @@
+"""Equivalence oracle: every execution path of one small grid agrees.
+
+One seeded grid (two models × twelve RQ1 questions, 24 units) runs
+through every way the repo can evaluate it — the sequential, thread and
+process backends with the response store off, cold on disk and warm on
+disk; the async engine cold and warm; and a journaled sweep resumed over
+a partially journaled store. The oracle asserts:
+
+* one :class:`~repro.eval.runner.RunResult` digest across all paths;
+* byte-identical ``responses-*.bin`` segments across the cold disk stores;
+* zero completions on every warm path;
+* identical ``hits``/``misses``/``uncached``/``retries``/``failed``
+  across the three sync backends under an injected fault plan.
+
+This is the safety net for the engine core: any path that drifts from
+the shared lookup → compute → commit → assemble pipeline fails here.
+"""
+
+from __future__ import annotations
+
+import asyncio
+import hashlib
+
+import pytest
+
+from repro.eval.engine import DiskResponseStore, EvalEngine
+from repro.eval.journal import DEFAULT_JOURNAL_NAME, SweepJournal
+from repro.llm import get_model
+from repro.prompts.rq1 import build_rq1_prompt, generate_rq1_questions
+from repro.serve import AsyncEvalEngine
+from repro.serve.providers import EmulatedProvider
+from repro.util.faults import reset_active_fault_plan
+from repro.util.retry import RetryPolicy
+
+MODELS = ("gpt-4o-mini", "o3-mini-high")
+_QUESTIONS = generate_rq1_questions(6, seed_key="equivalence-oracle")
+ITEMS = [
+    (f"q{i}", build_rq1_prompt(q, shots=2), q.truth)
+    for i, q in enumerate(_QUESTIONS)
+]
+
+SYNC_BACKENDS = (("sequential", 1), ("thread", 4), ("process", 2))
+STORES = ("off", "cold", "warm")
+PATHS = [
+    f"{backend}-{store}" for backend, _ in SYNC_BACKENDS for store in STORES
+] + ["async-cold", "async-warm", "journal-resume"]
+
+FAULT_PLAN = "seed=11;provider_error:rate=0.3,attempts=1"
+
+
+def grid_digest(results) -> str:
+    """One digest over the grid's per-model results, in model order."""
+    return hashlib.sha256(
+        "\n".join(r.digest() for r in results).encode("ascii")
+    ).hexdigest()
+
+
+def segment_bytes(root) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in sorted(root.glob("responses-*.bin"))}
+
+
+def sync_grid(engine: EvalEngine):
+    return [engine.run(get_model(name), ITEMS) for name in MODELS]
+
+
+def async_grid(engine: AsyncEvalEngine):
+    async def scenario():
+        return [
+            await engine.run(EmulatedProvider(get_model(name)), ITEMS)
+            for name in MODELS
+        ]
+
+    return asyncio.run(scenario())
+
+
+def run_path(path: str, root):
+    """(grid digest, new completions, the store's root or None)."""
+    kind, _, store_mode = path.partition("-")
+    if kind == "journal":
+        # A first sweep journals only the first model's units; the resumed
+        # sweep over the same store serves those through the journal and
+        # computes the rest.
+        journal_path = root / DEFAULT_JOURNAL_NAME
+        EvalEngine(
+            store=DiskResponseStore(root),
+            journal=SweepJournal(journal_path, label="partial"),
+        ).run(get_model(MODELS[0]), ITEMS)
+        engine = EvalEngine(
+            store=DiskResponseStore(root),
+            journal=SweepJournal(journal_path, label="resume"),
+        )
+        results = sync_grid(engine)
+        assert engine.stats.hits == len(ITEMS)
+        return grid_digest(results), engine.stats.completions, None
+    if kind == "async":
+        if store_mode == "warm":
+            async_grid(AsyncEvalEngine(store=DiskResponseStore(root)))
+        engine = AsyncEvalEngine(store=DiskResponseStore(root))
+        results = async_grid(engine)
+        return grid_digest(results), engine.stats.completions, root
+    jobs = dict(SYNC_BACKENDS)[kind]
+
+    def engine_for(store):
+        return EvalEngine(jobs=jobs, backend=kind, store=store)
+
+    if store_mode == "off":
+        engine = engine_for(None)
+        return grid_digest(sync_grid(engine)), engine.stats.completions, None
+    if store_mode == "warm":
+        sync_grid(engine_for(DiskResponseStore(root)))
+    engine = engine_for(DiskResponseStore(root))
+    return grid_digest(sync_grid(engine)), engine.stats.completions, root
+
+
+@pytest.fixture(scope="module")
+def reference(tmp_path_factory):
+    """The sequential loop with the store off, plus a cold store's
+    segments written by that same loop."""
+    root = tmp_path_factory.mktemp("reference")
+    digest, _, _ = run_path("sequential-off", root)
+    cold_digest, _, cold_root = run_path("sequential-cold", root)
+    assert cold_digest == digest
+    return digest, segment_bytes(cold_root)
+
+
+def test_grid_has_no_duplicate_prompts():
+    # Duplicates would let thread-backend units race on one key.
+    assert len({prompt for _, prompt, _ in ITEMS}) == len(ITEMS)
+
+
+@pytest.mark.parametrize("path", PATHS)
+def test_every_path_matches_the_reference(path, reference, tmp_path):
+    ref_digest, ref_segments = reference
+    digest, completions, root = run_path(path, tmp_path / "store")
+    assert digest == ref_digest
+    if path.endswith("-warm"):
+        assert completions == 0
+    elif path == "journal-resume":
+        assert completions == len(ITEMS) * (len(MODELS) - 1)
+    else:
+        assert completions == len(ITEMS) * len(MODELS)
+    if path.endswith("-cold"):
+        assert ref_segments and segment_bytes(root) == ref_segments
+
+
+@pytest.mark.parametrize("backend,jobs", SYNC_BACKENDS)
+def test_stats_identical_across_backends_under_faults(
+    backend, jobs, tmp_path, monkeypatch
+):
+    # Process workers inherit the plan through the environment.
+    monkeypatch.setenv("REPRO_FAULT_PLAN", FAULT_PLAN)
+    reset_active_fault_plan()
+
+    def counters(backend, jobs, root):
+        def engine_for(store):
+            return EvalEngine(
+                jobs=jobs,
+                backend=backend,
+                store=store,
+                retry=RetryPolicy(max_attempts=3, base_delay_s=0.0),
+            )
+
+        # Store off (uncached), then cold and warm over one store (misses,
+        # then hits): every counter is exercised.
+        off = engine_for(None)
+        sync_grid(off)
+        on = engine_for(DiskResponseStore(root))
+        sync_grid(on)
+        sync_grid(on)
+        return [
+            (s.hits, s.misses, s.uncached, s.retries, s.failed)
+            for s in (off.stats, on.stats)
+        ]
+
+    expected = counters("sequential", 1, tmp_path / "reference")
+    (_, _, uncached, off_retries, _), (hits, misses, _, retries, failed) = (
+        expected
+    )
+    assert uncached == misses == hits == len(ITEMS) * len(MODELS)
+    assert off_retries == retries > 0 and failed == 0
+    assert counters(backend, jobs, tmp_path / backend) == expected

@@ -225,10 +225,8 @@ class TestCollectMode:
         assert len(first.records) + len(first.failures) == len(items)
         assert first.digest() == second.digest()
         assert stats.failed == len(first.failures)
-        if backend != "process":
-            # One counted retry per exhausted unit (workers in other
-            # processes can't call back into the parent's stats).
-            assert stats.retries == len(first.failures)
+        # One counted retry per exhausted unit, on every backend.
+        assert stats.retries == len(first.failures)
         recorded = {r.item_id for r in first.records}
         assert all(f.item_id not in recorded for f in first.failures)
         assert "failed" in stats.summary()

@@ -17,7 +17,12 @@ import urllib.request
 
 import pytest
 
-from repro.eval.engine import DiskResponseStore, EvalEngine, MemoryResponseStore
+from repro.eval.engine import (
+    DiskResponseStore,
+    EvalEngine,
+    MemoryResponseStore,
+    cache_key,
+)
 from repro.eval.rq23 import classification_items
 from repro.llm.base import LlmResponse
 from repro.llm.pricing import Usage
@@ -549,6 +554,47 @@ def test_http_post_and_cold_query(serving):
     )
     assert again["cached"] is True
     assert again["prediction"] == body["prediction"]
+    assert engine.stats.completions == 1
+
+
+class HeldKeyStore(MemoryResponseStore):
+    """Memory store whose ``get`` on one key blocks until released."""
+
+    def __init__(self):
+        super().__init__()
+        self.held_key: str | None = None
+        self.reached = threading.Event()
+        self.release = threading.Event()
+
+    def get(self, key):
+        if key == self.held_key:
+            self.reached.set()
+            self.release.wait(timeout=30)
+        return super().get(key)
+
+
+def test_cached_flag_is_this_requests_provenance(balanced_samples):
+    """A hit stays ``cached: true`` even when another request's miss
+    finishes while the hit is reading the store."""
+    hit, miss = balanced_samples[:2]
+    model = get_model("gpt-4o-mini")
+    store = HeldKeyStore()
+    (item,) = classification_items([hit], few_shot=False)
+    EvalEngine(store=store).run(model, [item])
+    store.held_key = cache_key(model.config, item[1])
+    engine = AsyncEvalEngine(store=store)
+    service = PredictionService(engine)
+
+    async def scenario():
+        held = asyncio.create_task(service.classify(hit.uid, model=model.name))
+        assert await asyncio.to_thread(store.reached.wait, 30)
+        missed = await service.classify(miss.uid, model=model.name)
+        store.release.set()
+        return await held, missed
+
+    held, missed = asyncio.run(scenario())
+    assert (held["cached"], held["served_by"]) == (True, "cache")
+    assert missed["cached"] is False
     assert engine.stats.completions == 1
 
 
