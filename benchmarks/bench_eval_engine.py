@@ -14,6 +14,7 @@ import time
 from repro.eval.engine import EvalEngine, MemoryResponseStore
 from repro.eval.runner import run_queries
 from repro.llm import get_model
+from repro.llm.reasoner import clear_analysis_memo
 from repro.prompts import build_classify_prompt
 from repro.util.tables import format_table
 
@@ -34,6 +35,9 @@ def test_engine_warm_cache_speedup(balanced):
     sequential = run_queries(model, items)
     t_seq = time.perf_counter() - t0
 
+    # The sequential pass memoized every kernel reading; drop them so the
+    # parallel pass is cold too.
+    clear_analysis_memo()
     store = MemoryResponseStore()
     cold_engine = EvalEngine(jobs=8, store=store)
     t0 = time.perf_counter()

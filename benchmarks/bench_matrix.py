@@ -18,6 +18,7 @@ import time
 from repro.eval.engine import EvalEngine, MemoryResponseStore
 from repro.eval.matrix import run_matrix
 from repro.llm import get_model
+from repro.llm.reasoner import clear_analysis_memo
 from repro.roofline.hardware import get_gpu
 from repro.util.tables import format_table
 
@@ -42,13 +43,17 @@ def _sweep(backend: str, jobs: int, store=None):
 
 def test_matrix_backend_walltime(dataset):
     # Scenario profiling is memoized; prime it so each sweep times only the
-    # completion fan-out.
+    # completion fan-out. The emulated models' kernel readings are memoized
+    # too; clear them so every cold sweep reads each kernel afresh.
     run_matrix([get_model(MODELS[0])], [get_gpu(GPUS[0])],
                rqs=("rq2",), limit=1)
 
+    clear_analysis_memo()
     baseline, t_seq = _sweep("sequential", 1)
+    clear_analysis_memo()
     threads, t_thread = _sweep("thread", JOBS)
     store = MemoryResponseStore()
+    clear_analysis_memo()
     procs, t_proc = _sweep("process", JOBS, store=store)
     warm, t_warm = _sweep("thread", JOBS, store=store)
 

@@ -86,29 +86,20 @@ def lex(source: str) -> list[Token]:
     return out
 
 
+# One pass over the text: a comment (an unterminated ``/*`` runs to the
+# end) is dropped; a string literal is kept verbatim, so comment markers
+# inside it survive. Strings span newlines, a backslash escapes the next
+# character, an unterminated string runs to the end, and ``'`` is an
+# ordinary character (so ``'"'`` opens a string).
+_COMMENT_OR_STRING_RE = re.compile(
+    r"""//[^\n]*|/\*(?:.*?\*/|.*)|(?P<string>"(?:\\.|[^"\\])*"?)""",
+    re.DOTALL,
+)
+
+
 def strip_comments(source: str) -> str:
     """Remove // and /* */ comments (string-literal aware)."""
-    out: list[str] = []
-    i = 0
-    n = len(source)
-    while i < n:
-        two = source[i : i + 2]
-        if two == "//":
-            j = source.find("\n", i)
-            i = n if j == -1 else j
-        elif two == "/*":
-            j = source.find("*/", i + 2)
-            i = n if j == -1 else j + 2
-        elif source[i] == '"':
-            j = i + 1
-            while j < n and source[j] != '"':
-                j += 2 if source[j] == "\\" else 1
-            out.append(source[i : min(j + 1, n)])
-            i = j + 1
-        else:
-            out.append(source[i])
-            i += 1
-    return "".join(out)
+    return _COMMENT_OR_STRING_RE.sub(lambda m: m.group("string") or "", source)
 
 
 def number_value(text: str) -> float:

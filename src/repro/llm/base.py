@@ -90,14 +90,14 @@ class LlmModel:
                 decompose_handler.answer(prompt, self.config), in_tokens
             )
 
-        rq1 = parse_roofline_query(prompt)
-        if rq1 is not None and parse_classify_query(prompt) is None:
-            answer = solve_roofline(rq1, self.config, rng.child("rq1"))
-            return self._respond(answer.word, in_tokens)
-
         query = parse_classify_query(prompt)
         if query is not None:
             answer = self._classify(query, prompt, params, rng)
+            return self._respond(answer.word, in_tokens)
+
+        rq1 = parse_roofline_query(prompt)
+        if rq1 is not None:
+            answer = solve_roofline(rq1, self.config, rng.child("rq1"))
             return self._respond(answer.word, in_tokens)
 
         # Off-task prompt: behave like an obliging but unhelpful assistant.

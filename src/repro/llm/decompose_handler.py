@@ -91,8 +91,8 @@ def _answer_step1(prompt: str, config: ModelConfig) -> str:
 # -- step 2: per-thread work estimation ---------------------------------------
 
 def _answer_step2(prompt: str, config: ModelConfig) -> str:
-    from repro.analysis import analyze_kernel, find_kernel
     from repro.llm.promptio import estimate_prompt_tokens
+    from repro.llm.reasoner import static_estimate
 
     km = _KERNEL_RE.search(prompt)
     sm = _SOURCE_RE.search(prompt)
@@ -132,22 +132,11 @@ def _answer_step2(prompt: str, config: ModelConfig) -> str:
         "bytes": max(4.0, 4.0 * arrays * u.uniform(0.5, 4.0)),
     }
 
-    deep = None
+    est = None
     if not derailed:
-        try:
-            kernel = find_kernel(source, kernel_name, language)
-            est = analyze_kernel(kernel, param_values=argv_values, branch_taken=0.5)
-            deep = {
-                "sp": est.ops_sp,
-                "dp": est.ops_dp,
-                "int": est.ops_int,
-                "bytes": est.bytes_per_thread,
-            }
-            guess = est.guess_fraction
-        except Exception:
-            deep = None
+        est = static_estimate(source, kernel_name, language, argv_values)
 
-    if deep is None:
+    if est is None:
         vals = crude
     else:
         # Decomposition forces the sub-task, but cannot conjure reading
@@ -155,7 +144,13 @@ def _answer_step2(prompt: str, config: ModelConfig) -> str:
         # genuine trace and the crude skim by the model's analysis depth,
         # then carry focused-read noise (half the holistic sigma).
         depth = config.analysis_depth
-        sigma = config.deep_noise * 0.5 * (1.0 + guess * 0.5)
+        deep = {
+            "sp": est.ops_sp,
+            "dp": est.ops_dp,
+            "int": est.ops_int,
+            "bytes": est.bytes_per_thread,
+        }
+        sigma = config.deep_noise * 0.5 * (1.0 + est.guess_fraction * 0.5)
         noise = code_rng.child("noise")
         vals = {}
         for key in ("sp", "dp", "int", "bytes"):

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 from repro.llm.config import ModelConfig
 from repro.llm.promptio import ClassifyQuery
+from repro.llm.reasoner import memoized
+from repro.util.hashing import stable_hash_hex
 from repro.util.rng import RngStream
 
 _MATH_FN_RE = re.compile(
@@ -66,6 +68,14 @@ class LexicalFeatures:
         return max(-1.5, min(1.5, s))
 
 
+def source_score(source: str) -> float:
+    """:meth:`LexicalFeatures.score` of ``source``, memoized by its digest."""
+    return memoized(
+        ("lex", stable_hash_hex(source)),
+        lambda: LexicalFeatures.extract(source).score(),
+    )
+
+
 def lexical_logit(
     query: ClassifyQuery,
     model: ModelConfig,
@@ -77,10 +87,9 @@ def lexical_logit(
     per-(model, prompt) reading — a deterministic pseudo-random opinion that
     stands in for whatever an uninformed model keys on.
     """
-    feats = LexicalFeatures.extract(query.source)
     skill = model.heuristic_skill
     if query.has_real_examples:
         skill = min(1.0, skill + model.fewshot_skill_bonus)
-    informed = feats.score()
+    informed = source_score(query.source)
     idiosyncratic = rng.uniform(-0.8, 0.8)
     return skill * informed + (1.0 - skill) * idiosyncratic

@@ -14,12 +14,15 @@ with how much of the estimate rests on guesses.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
+from typing import Callable
 
-from repro.analysis import analyze_kernel, find_kernel
+from repro.analysis import StaticEstimate, analyze_kernel, find_kernel
 from repro.llm.config import ModelConfig
 from repro.llm.promptio import ClassifyQuery
-from repro.types import OpClass
+from repro.types import Language, OpClass
+from repro.util.hashing import stable_hash_hex
 from repro.util.rng import RngStream
 
 
@@ -33,21 +36,76 @@ class DeepAnalysis:
     succeeded: bool
 
 
+_FAILED = DeepAnalysis(logit=0.0, raw_margin=0.0, guess_fraction=1.0, succeeded=False)
+
+# The device-independent reading of a kernel, shared across every GPU ×
+# regime cell (and every model) in the process: the static estimates here
+# and the lexical scores of :func:`repro.llm.heuristic.source_score`. Keyed
+# by code digest, never by the source text itself. Bounded the way the
+# profiler bounds its trace memo: on overflow the oldest half is dropped.
+_ANALYSIS_LOCK = threading.Lock()
+_ANALYSIS_MEMO: dict[tuple, object] = {}
+_ANALYSIS_MEMO_CAP = 4096
+_MISSING = object()
+
+
+def clear_analysis_memo() -> None:
+    """Drop every memoized kernel reading."""
+    with _ANALYSIS_LOCK:
+        _ANALYSIS_MEMO.clear()
+
+
+def memoized(key: tuple, compute: Callable[[], object]) -> object:
+    """The analysis-memo entry for ``key``, computed on first use."""
+    value = _ANALYSIS_MEMO.get(key, _MISSING)
+    if value is _MISSING:
+        value = compute()
+        with _ANALYSIS_LOCK:
+            _ANALYSIS_MEMO[key] = value
+            if len(_ANALYSIS_MEMO) > _ANALYSIS_MEMO_CAP:
+                for stale in list(_ANALYSIS_MEMO)[: _ANALYSIS_MEMO_CAP // 2]:
+                    del _ANALYSIS_MEMO[stale]
+    return value
+
+
+def static_estimate(
+    source: str,
+    kernel_name: str,
+    language: Language,
+    argv_values: dict[str, int],
+) -> StaticEstimate | None:
+    """Find the kernel by name and run the static pipeline on it, with trip
+    counts resolved from ``argv_values``; None when the analysis fails.
+
+    Memoized by (code digest, language, argv params).
+    """
+
+    def analyze() -> StaticEstimate | None:
+        try:
+            kernel = find_kernel(source, kernel_name, language)
+            return analyze_kernel(kernel, param_values=argv_values, branch_taken=0.5)
+        except Exception:
+            return None
+
+    key = (
+        stable_hash_hex(source, kernel_name),
+        language,
+        tuple(sorted(argv_values.items())),
+    )
+    return memoized(key, analyze)
+
+
 def deep_logit(
     query: ClassifyQuery,
     model: ModelConfig,
     rng: RngStream,
 ) -> DeepAnalysis:
     """Run the static pipeline and produce a decision value."""
-    try:
-        kernel = find_kernel(query.source, query.kernel_name, query.language)
-        estimate = analyze_kernel(
-            kernel,
-            param_values=query.argv_values(),
-            branch_taken=0.5,
-        )
-    except Exception:
-        return DeepAnalysis(logit=0.0, raw_margin=0.0, guess_fraction=1.0, succeeded=False)
+    estimate = static_estimate(
+        query.source, query.kernel_name, query.language, query.argv_values()
+    )
+    if estimate is None:
+        return _FAILED
 
     balance = query.balance_points()
     margin = -math.inf
@@ -58,7 +116,7 @@ def deep_logit(
             continue
         margin = max(margin, math.log2(ai / bp))
     if not math.isfinite(margin):
-        return DeepAnalysis(logit=0.0, raw_margin=0.0, guess_fraction=1.0, succeeded=False)
+        return _FAILED
 
     # Reading noise: scaled up when the estimate rests on guessed trip
     # counts, branch densities, or data-dependent accesses.

@@ -1,6 +1,8 @@
 """Tests for the C lexer and kernel discovery."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis import (
     TokKind,
@@ -91,6 +93,64 @@ class TestStripComments:
 
     def test_unterminated_block(self):
         assert strip_comments("a /* never ends") == "a "
+
+    @pytest.mark.parametrize(
+        "src, expected",
+        [
+            # An unterminated string runs to the end.
+            ('a "never ends // x', 'a "never ends // x'),
+            # An escaped backslash closes the string; an escaped quote
+            # stays inside it.
+            (r'x = "\\"; // c', r'x = "\\"; '),
+            (r'"a\"b" /* c */ d', r'"a\"b"  d'),
+            # '"' is not a char literal: its quote opens a string.
+            ("c = '\"'; // x\ny", "c = '\"'; // x\ny"),
+            ('"tail \\', '"tail \\'),
+            ("/*/ still comment */x", "x"),
+            ("//*\nz", "\nz"),
+        ],
+    )
+    def test_quirks(self, src, expected):
+        assert strip_comments(src) == expected
+        assert _reference_strip_comments(src) == expected
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.text(alphabet='/*"\\\'\nab', max_size=40))
+    def test_matches_reference_loop(self, src):
+        assert strip_comments(src) == _reference_strip_comments(src)
+
+    def test_matches_reference_on_corpus_sources(self, mini_corpus):
+        from repro.kernels.codegen import render_program
+
+        for spec in mini_corpus.programs:
+            src = render_program(spec).concatenated_source()
+            assert strip_comments(src) == _reference_strip_comments(src)
+
+
+def _reference_strip_comments(source: str) -> str:
+    """The original character loop, kept as the differential oracle for the
+    one-pass regex in :func:`strip_comments`."""
+    out: list[str] = []
+    i = 0
+    n = len(source)
+    while i < n:
+        two = source[i : i + 2]
+        if two == "//":
+            j = source.find("\n", i)
+            i = n if j == -1 else j
+        elif two == "/*":
+            j = source.find("*/", i + 2)
+            i = n if j == -1 else j + 2
+        elif source[i] == '"':
+            j = i + 1
+            while j < n and source[j] != '"':
+                j += 2 if source[j] == "\\" else 1
+            out.append(source[i : min(j + 1, n)])
+            i = j + 1
+        else:
+            out.append(source[i])
+            i += 1
+    return "".join(out)
 
 
 CUDA_SRC = """

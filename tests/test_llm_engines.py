@@ -203,3 +203,127 @@ class TestAttentionModel:
             # but the pair must be deterministic
             assert p2.text in ("Compute", "Bandwidth")
             assert p3.text in ("Compute", "Bandwidth")
+
+
+class TestAnalysisMemo:
+    """The device-independent reading of a kernel (lexical score, static
+    estimate) is memoized by code digest across GPU × regime cells. The
+    memo must be invisible in the answers and must read each kernel once."""
+
+    MODELS = ("o3-mini-high", "gpt-4o-mini")
+    GPUS = ("V100", "H100")
+
+    def _grid(self):
+        from repro.eval.engine import EvalEngine
+        from repro.eval.matrix import run_matrix
+        from repro.llm import get_model
+        from repro.roofline.hardware import get_gpu
+
+        return run_matrix(
+            [get_model(n) for n in self.MODELS],
+            [get_gpu(n) for n in self.GPUS],
+            rqs=("rq2", "rq3"),
+            limit=12,
+            engine=EvalEngine(jobs=1, store=None),
+        )
+
+    @pytest.fixture
+    def reference(self, dataset):
+        """The grid with the memo cleared before every completion."""
+        from repro.llm import base, reasoner
+
+        real = base.LlmModel.complete
+
+        def cold_complete(self, prompt, **kwargs):
+            reasoner.clear_analysis_memo()
+            return real(self, prompt, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(base.LlmModel, "complete", cold_complete)
+            result = self._grid()
+        reasoner.clear_analysis_memo()
+        return result
+
+    def test_invisible(self, reference):
+        warming = self._grid()  # the memo fills as the sweep goes
+        warm = self._grid()     # every reading served from the memo
+        for result in (warming, warm):
+            assert result == reference
+            assert result.digest() == reference.digest()
+            for cell, ref in zip(result.cells, reference.cells):
+                assert cell.run.records == ref.run.records
+
+    def test_each_kernel_read_once(self, dataset, monkeypatch):
+        from collections import Counter
+
+        from repro.llm import base, reasoner
+        from repro.llm.promptio import parse_classify_query
+        from repro.util.hashing import stable_hash_hex
+
+        reasoner.clear_analysis_memo()
+        prompts: list[str] = []
+        extracted: Counter = Counter()
+        found: Counter = Counter()
+        deep_reads: list[tuple] = []
+
+        real_complete = base.LlmModel.complete
+        real_extract = LexicalFeatures.extract.__func__
+        real_find = reasoner.find_kernel
+        real_deep = base.deep_logit
+
+        def complete(self, prompt, **kwargs):
+            prompts.append(prompt)
+            return real_complete(self, prompt, **kwargs)
+
+        def extract(cls, source):
+            extracted[source] += 1
+            return real_extract(cls, source)
+
+        def find_kernel(source, kernel_name, language):
+            found[stable_hash_hex(source, kernel_name), language] += 1
+            return real_find(source, kernel_name, language)
+
+        def deep(query, model, rng):
+            deep_reads.append((
+                stable_hash_hex(query.source, query.kernel_name),
+                query.language,
+                tuple(sorted(query.argv_values().items())),
+            ))
+            return real_deep(query, model, rng)
+
+        monkeypatch.setattr(base.LlmModel, "complete", complete)
+        monkeypatch.setattr(LexicalFeatures, "extract", classmethod(extract))
+        monkeypatch.setattr(reasoner, "find_kernel", find_kernel)
+        monkeypatch.setattr(base, "deep_logit", deep)
+        self._grid()
+        reasoner.clear_analysis_memo()
+
+        queries = [parse_classify_query(p) for p in prompts]
+        assert len(queries) == 2 * 2 * 2 * 12  # models × GPUs × regimes × kernels
+        sources = {q.source for q in queries}
+        assert len(sources) < len(queries)
+        assert extracted == Counter(dict.fromkeys(sources, 1))
+
+        # Both models read deeply (at different depths); each (code
+        # digest, language, argv) is analysed once however many cells and
+        # models ask for it.
+        deep_keys = set(deep_reads)
+        assert len(deep_keys) < len(deep_reads)
+        assert found == Counter({(d, lang): 1 for d, lang, _ in deep_keys})
+        assert len(found) == len(deep_keys)
+
+    def test_overflow_drops_oldest_half(self, reference, monkeypatch):
+        from repro.llm import reasoner
+
+        monkeypatch.setattr(reasoner, "_ANALYSIS_MEMO_CAP", 8)
+        reasoner.clear_analysis_memo()
+        capped = self._grid()
+        assert len(reasoner._ANALYSIS_MEMO) <= 8
+        assert capped == reference
+        assert capped.digest() == reference.digest()
+
+        reasoner.clear_analysis_memo()
+        for i in range(9):
+            reasoner.memoized(("k", i), lambda i=i: i)
+        assert list(reasoner._ANALYSIS_MEMO) == [("k", i) for i in range(4, 9)]
+        reasoner.clear_analysis_memo()
