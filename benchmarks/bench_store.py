@@ -6,15 +6,16 @@ the index, and each requested entry decodes exactly its own blob. This
 bench builds one store-realistic segment (4 096 entries, ~1.5 KB each)
 and times the access patterns the stores actually issue:
 
-* **attach + 1 entry** — a fresh process probing a warm on-disk store,
-  the dominant shard/CI pattern. Asserted ≥5× cheaper than decoding the
+* **attach + 1 entry** — a fresh process (a new store, no cached views)
+  probing a warm on-disk store, the dominant shard/CI pattern. Asserted ≥5× cheaper than decoding the
   whole segment: a single-entry probe must not pay for the other 4 095.
 * **warm view, per entry** — repeated probes through the in-process view
   cache.
 * **whole segment** — full decode, the merge/manifest pattern.
 
-A second bench times one deferred batch of puts against a read-merge-write
-per put, and checks both leave byte-identical segments.
+A second bench times one deferred batch of puts (one run) against one
+run per put (plus the compactions that bound the run count), and checks
+both stores compact to byte-identical runs.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from repro.store.base import (
     _VIEW_CACHE,
     _VIEW_CACHE_LOCK,
     ArtifactStore,
-    encode_segment,
+    _segment_view,
 )
 from repro.util.tables import format_table
 
@@ -54,26 +55,24 @@ def _drop_views() -> None:
 
 
 def _build(tmp_path, entries) -> _BenchStore:
-    payload = {"version": _BenchStore.version, "key": SEGMENT_KEY}
     store = _BenchStore(tmp_path / "binary")
-    store.root.mkdir(parents=True, exist_ok=True)
-    store._segment_path("bench-", SEGMENT_KEY).write_bytes(
-        encode_segment(payload, entries)
-    )
+    with store.deferred():
+        store._merge_entries(
+            "bench-", SEGMENT_KEY, {"version": _BenchStore.version}, entries
+        )
     return store
 
 
 def _get_one(store: _BenchStore, entry_key: str) -> dict:
-    return store._get_entries(
-        "bench-", SEGMENT_KEY, [entry_key], expect_key=SEGMENT_KEY
-    )
+    return store._get_entries("bench-", SEGMENT_KEY, [entry_key])
 
 
 def _time_attach_probe(store: _BenchStore, keys) -> float:
     start = time.perf_counter()
     for i in range(ATTACH_REPS):
-        _drop_views()  # every rep is a fresh process attaching to the store
-        got = _get_one(store, keys[i % len(keys)])
+        # Every rep is a fresh process attaching to the store.
+        _drop_views()
+        got = _get_one(_BenchStore(store.root), keys[i % len(keys)])
         assert len(got) == 1
     return (time.perf_counter() - start) / ATTACH_REPS
 
@@ -90,9 +89,10 @@ def _time_warm_probe(store: _BenchStore, keys) -> float:
 
 def _time_whole_segment(store: _BenchStore) -> float:
     start = time.perf_counter()
+    (run,) = store._segment_files()
     for _ in range(ATTACH_REPS):
         _drop_views()
-        view = store._view_for("bench-", SEGMENT_KEY, expect_key=SEGMENT_KEY)
+        view = _segment_view(run)
         assert len(view.entries()) == N_ENTRIES
     return (time.perf_counter() - start) / ATTACH_REPS
 
@@ -120,7 +120,7 @@ def test_segment_read_paths(tmp_path):
             ["warm view, per entry", us(t_warm)],
             ["whole segment decode", us(t_whole)],
         ],
-        title=f"Segment codec: {N_ENTRIES} entries, one segment",
+        title=f"Segment codec: {N_ENTRIES} entries, one run",
     ))
 
     # The load-bearing claim: a cold attach serving one entry must not pay
@@ -132,36 +132,36 @@ def test_segment_read_paths(tmp_path):
     )
 
 
+def _run_bytes(store: _BenchStore) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in store._segment_files()}
+
+
 def test_batched_puts_vs_per_put_flush(tmp_path):
-    """One deferred flush per batch vs a read-merge-write per put."""
+    """One deferred batch (one run) vs one run per put."""
     n = 384
     items = {
         f"{i:064x}": {"text": f"Compute {i}", "n": i} for i in range(n)
     }
-    payload = {"version": _BenchStore.version, "key": SEGMENT_KEY}
+    payload = {"version": _BenchStore.version}
 
     eager = _BenchStore(tmp_path / "eager")
     start = time.perf_counter()
     for key, value in items.items():
-        eager._merge_entries(
-            "bench-", SEGMENT_KEY, payload, {key: value},
-            expect_key=SEGMENT_KEY,
-        )
+        eager._merge_entries("bench-", SEGMENT_KEY, payload, {key: value})
     t_eager = time.perf_counter() - start
 
     batched = _BenchStore(tmp_path / "batched")
     start = time.perf_counter()
     with batched.deferred():
         for key, value in items.items():
-            batched._merge_entries(
-                "bench-", SEGMENT_KEY, payload, {key: value},
-                expect_key=SEGMENT_KEY,
-            )
+            batched._merge_entries("bench-", SEGMENT_KEY, payload, {key: value})
     t_batched = time.perf_counter() - start
 
-    # Identical segments either way — batching changes cost, not content.
-    seg = "bench-" + SEGMENT_KEY[:32] + ".bin"
-    assert (eager.root / seg).read_bytes() == (batched.root / seg).read_bytes()
+    # Identical runs once compacted — batching changes cost, not content.
+    eager.compact()
+    batched.compact()
+    assert len(_run_bytes(eager)) == 1
+    assert _run_bytes(eager) == _run_bytes(batched)
 
     print()
     print(format_table(
@@ -172,6 +172,6 @@ def test_batched_puts_vs_per_put_flush(tmp_path):
             ["one deferred batch", f"{t_batched * 1e3:,.1f}",
              f"{t_batched / n * 1e6:,.0f}"],
         ],
-        title=f"{n} puts into one segment",
+        title=f"{n} puts into one logical segment",
     ))
     assert t_batched < t_eager

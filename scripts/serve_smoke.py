@@ -9,7 +9,14 @@ End-to-end, across real processes:
    every answer is served from cache with labels matching the batch
    CLI's (``repro-paper classify`` is cross-checked for the first
    kernels);
-4. assert the server's counters report **zero** new completions.
+4. assert the server's counters report **zero** new completions;
+5. share the cache between writers: while the server computes and
+   stores ``no-hint`` misses, a batch ``rq3 --limit N`` writes into the
+   same directory from another process;
+6. assert neither writer lost the other's entries: a batch ``rq3``
+   replay prints ``, 0 new completions`` and a restarted server answers
+   every ``no-hint`` query from cache with the same prediction;
+7. assert ``repro-paper doctor --dry-run`` finds the cache healthy.
 
 Exits non-zero with a diagnostic on any violation.
 
@@ -81,6 +88,43 @@ def batch_labels(cache_dir: str, limit: int) -> dict[str, str]:
         r.item_id: r.prediction.word if r.prediction else None
         for r in result.records
     }
+
+
+def stop_server(proc: subprocess.Popen) -> None:
+    proc.terminate()
+    try:
+        proc.wait(timeout=10)
+    except subprocess.TimeoutExpired:
+        proc.kill()
+
+
+def shared_writers(url: str, cache_dir: str, limit: int) -> dict[str, str]:
+    """Run a batch ``rq3 --limit N`` into ``cache_dir`` while the server
+    stores ``no-hint`` misses there too; returns the served predictions.
+    The server keeps taking misses until the batch exits (at least
+    ``limit`` of them), so the two processes write at the same time."""
+    from repro.dataset import paper_dataset
+
+    uids = [s.uid for s in paper_dataset().balanced]
+    batch = subprocess.Popen(
+        [*CLI, "rq3", "--model", MODEL, "--limit", str(limit),
+         "--cache-dir", cache_dir, "--jobs", "2"],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+    )
+    served: dict[str, str] = {}
+    for uid in uids:
+        if len(served) >= limit and batch.poll() is not None:
+            break
+        body = get_json(
+            f"{url}/v1/classify", uid=uid, model=MODEL, variant="no-hint"
+        )
+        if body["cached"]:
+            raise SystemExit(f"{uid}: no-hint served warm on a cold key")
+        served[uid] = body["prediction"]
+    out, _ = batch.communicate(timeout=600)
+    if batch.returncode != 0 or "RQ3" not in out:
+        raise SystemExit(f"batch rq3 failed rc={batch.returncode}:\n{out}")
+    return served
 
 
 def start_server(cache_dir: str) -> tuple[subprocess.Popen, str]:
@@ -168,15 +212,48 @@ def main() -> int:
                 f"expected {len(labels)} cache hits, saw {stats['hits']}"
             )
         print(f"   stats: {stats}")
+
+        print("5) server no-hint misses and a batch rq3 share the cache dir")
+        served = shared_writers(url, cache_dir, args.limit)
+        print(f"   server stored {len(served)} no-hint answers meanwhile")
     finally:
-        proc.terminate()
-        try:
-            proc.wait(timeout=10)
-        except subprocess.TimeoutExpired:
-            proc.kill()
+        stop_server(proc)
+
+    print("6) neither writer lost the other's entries")
+    out = run_cli(
+        "rq3", "--model", MODEL, "--limit", str(args.limit),
+        "--cache-dir", cache_dir, "--jobs", "2",
+    )
+    if ", 0 new completions" not in out:
+        raise SystemExit(f"rq3 replay recomputed entries:\n{out}")
+    print("   rq3 replay: 0 new completions")
+    proc, url = start_server(cache_dir)
+    try:
+        for uid, label in served.items():
+            body = get_json(
+                f"{url}/v1/classify", uid=uid, model=MODEL, variant="no-hint"
+            )
+            if not body["cached"] or body["prediction"] != label:
+                raise SystemExit(
+                    f"{uid}: restarted server answered "
+                    f"{body['prediction']!r} (cached={body['cached']}), "
+                    f"expected cached {label!r}"
+                )
+        print(f"   restarted server: {len(served)} no-hint answers cached")
+    finally:
+        stop_server(proc)
+
+    print("7) doctor --dry-run over the shared cache")
+    doctor = subprocess.run(
+        [*CLI, "doctor", "--dry-run", "--cache-dir", cache_dir],
+        capture_output=True, text=True, timeout=600,
+    )
+    if doctor.returncode != 0:
+        raise SystemExit(f"doctor found damage:\n{doctor.stdout}")
+    print("   healthy")
 
     print("serve smoke: OK (warm HTTP path, 0 new completions, "
-          "labels match the batch CLI)")
+          "labels match the batch CLI, shared cache keeps both writers)")
     return 0
 
 

@@ -58,7 +58,7 @@ from repro.eval.journal import SweepJournal, checkpoint_interval
 from repro.llm.base import LlmModel, LlmResponse
 from repro.llm.config import ModelConfig
 from repro.llm.pricing import Usage, UsageMeter
-from repro.store.base import ArtifactStore, _encode_blob, parse_max_bytes
+from repro.store.base import ArtifactStore, SegmentView, parse_max_bytes
 from repro.util.faults import active_fault_plan
 from repro.util.hashing import stable_hash_bytes, stable_hash_u64
 from repro.util.parallel import (
@@ -89,6 +89,12 @@ DEFAULT_CACHE_DIRNAME = ".repro-cache"
 #: merged entry came from. Not a segment or entry file — no store glob ever
 #: sees it — so merged and single-run stores stay entry-for-entry identical.
 MERGE_PROVENANCE_FILENAME = "merge-provenance.json"
+
+_RESPONSES_PREFIX = "responses-"
+
+#: The logical key of the response store's one segment, recorded in every
+#: run it writes.
+RESPONSES_SEGMENT_KEY = "all"
 
 
 def default_cache_dir() -> Path:
@@ -261,47 +267,47 @@ class CacheManifest:
 
 
 class DiskResponseStore(ArtifactStore):
-    """Packed binary response segments, sharded by 2-hex key prefix.
+    """Packed binary response runs: the whole store is one logical segment.
 
-    One segment per key prefix (≤256 segments) instead of one JSON file
-    per key: a warm sweep resolves each hit with one mmap-backed index
-    probe and one per-entry JSON decode, and a deferred batch of puts
-    costs one read-merge-write per touched segment. Writes stay atomic
-    (temp file + :func:`os.replace`), so concurrent writers — threads in
-    one engine or separate processes sharing a cache directory — can only
-    ever race to install identical content.
+    Every flush installs one immutable run holding just its batch, so a
+    deferred sweep writes each entry once (plus the bounded copies of
+    compaction) instead of rewriting whole segments, and a warm sweep
+    resolves each hit with one in-memory index probe and one per-entry
+    JSON decode. Concurrent writers — threads in one engine or separate
+    processes sharing a cache directory — never read-merge-write, so
+    none can erase another's entries.
 
-    Segments are the only files the store reads or owns: per-entry
+    Runs are the only files the store reads or owns: per-entry
     ``root/xx/<key>.json`` files left by older versions are foreign, so
     their keys miss and recompute, and the files stay untouched.
 
     Pass ``max_bytes`` for a size-bounded store: when the total store size
-    exceeds the bound, oldest-written segments are evicted first. ``0``
+    exceeds the bound, oldest-written runs are evicted first. ``0``
     keeps nothing; ``None`` is unbounded; negative bounds are rejected
     (see :class:`~repro.store.base.ArtifactStore`).
     """
 
     version = CACHE_SCHEMA_VERSION
-    segment_prefixes = ("responses-",)
+    segment_prefixes = (_RESPONSES_PREFIX,)
 
-    #: Inside ``deferred()`` (one engine sweep), merge pending entries to
-    #: disk every this many puts, so a crash mid-sweep loses at most one
-    #: interval of warmth.
+    #: Inside ``deferred()`` (one engine sweep), write pending entries out
+    #: as a run every this many puts, so a crash mid-sweep loses at most
+    #: one interval of warmth.
     DEFERRED_FLUSH_ENTRIES = 64
 
-    def _shard_of(self, key: str) -> str:
-        return key[:2]
-
-    def _response_payload(self, shard: str) -> dict:
-        return {"version": CACHE_SCHEMA_VERSION, "key": shard}
+    def _live_view(self, path: Path) -> SegmentView | None:
+        # The 2-hex shard segments written before runs record their shard
+        # as the key: stale, like a version skew, so eviction reclaims them.
+        view = super()._live_view(path)
+        if view is None or view.payload["key"] != RESPONSES_SEGMENT_KEY:
+            return None
+        return view
 
     # -- the ResponseStore protocol ------------------------------------------
     def get(self, key: str) -> CachedResponse | None:
-        shard = self._shard_of(key)
-        entries = self._get_entries(
-            "responses-", shard, [key], expect_key=shard
-        )
-        raw = entries.get(key)
+        raw = self._get_entries(
+            _RESPONSES_PREFIX, RESPONSES_SEGMENT_KEY, (key,)
+        ).get(key)
         if not isinstance(raw, dict):
             return None
         try:
@@ -310,23 +316,29 @@ class DiskResponseStore(ArtifactStore):
             return None
 
     def put(self, key: str, value: CachedResponse) -> None:
-        shard = self._shard_of(key)
         self._merge_entries(
-            "responses-",
-            shard,
-            self._response_payload(shard),
+            _RESPONSES_PREFIX,
+            RESPONSES_SEGMENT_KEY,
+            {"version": CACHE_SCHEMA_VERSION},
             {key: value.to_dict()},
-            expect_key=shard,
         )
+
+    def _live_runs(self):
+        """The response segment's snapshot (see ``_live_views``), or
+        ``None`` for an empty store."""
+        segments = self._live_views()
+        return segments.get((_RESPONSES_PREFIX, RESPONSES_SEGMENT_KEY))
 
     def _live_blobs(self) -> dict[str, bytes]:
         """key → canonical entry bytes for every live entry."""
+        seg = self._live_runs()
+        if seg is None:
+            return {}
         blobs: dict[str, bytes] = {}
-        for _, view in self._live_views():
-            for key in view.keys():
-                blob = view.blob(key)
-                if blob is not None:
-                    blobs[key] = blob
+        for key, view in seg.where.items():
+            blob = view.blob(key)
+            if blob is not None:
+                blobs[key] = blob
         return blobs
 
     def __len__(self) -> int:
@@ -345,14 +357,11 @@ class DiskResponseStore(ArtifactStore):
             yield key, blobs[key]
 
     def get_blob(self, key: str) -> bytes | None:
-        """One live entry's canonical JSON bytes (pending batch or
-        segment), or ``None`` — the merge conflict check."""
-        shard = self._shard_of(key)
-        pending = self._buffered("responses-", shard, (key,))
-        if key in pending:
-            return _encode_blob(pending[key])
-        view = self._view_for("responses-", shard, expect_key=shard)
-        return None if view is None else view.blob(key)
+        """One live entry's canonical JSON bytes (pending batch or run),
+        or ``None`` — the merge conflict check."""
+        return self._get_entries(
+            _RESPONSES_PREFIX, RESPONSES_SEGMENT_KEY, (key,), raw=True
+        ).get(key)
 
     # -- merge provenance ---------------------------------------------------
     @property
@@ -406,8 +415,9 @@ class DiskResponseStore(ArtifactStore):
         stores) per-source entry counts. A missing or empty cache directory
         reads as an empty manifest, never an error.
 
-        Entry ages derive from their file's mtime — every entry in one
-        segment shares the segment's last-write age."""
+        Entry ages derive from their run's mtime — every entry in one run
+        shares the run's write age (a compacted run keeps its newest
+        input's)."""
         now = time.time()
         per_model: dict[str, int] = {}
         provenance = self.provenance()
@@ -416,16 +426,14 @@ class DiskResponseStore(ArtifactStore):
         oldest: float | None = None
         newest: float | None = None
         count = 0
-        for path, view in self._live_views():
-            try:
-                st = path.stat()
-            except OSError:
-                continue
-            total += st.st_size
-            age = max(0.0, now - st.st_mtime)
-            for key, data in view.entries().items():
+        seg = self._live_runs()
+        if seg is not None:
+            total = sum(view.sig[1] for view in seg.runs.values())
+            for key, view in seg.where.items():
+                data = view.get(key)
                 if not isinstance(data, dict):
                     continue
+                age = max(0.0, now - view.sig[0] / 1e9)
                 count += 1
                 oldest = age if oldest is None else max(oldest, age)
                 newest = age if newest is None else min(newest, age)
@@ -618,8 +626,8 @@ class _EngineCore:
         return outcome
 
     def _batched(self):
-        """Batch a run's store writes: one read-merge-write per touched
-        segment per flush interval instead of one per completion. Stores
+        """Batch a run's store writes: one new run per flush interval
+        instead of one per completion. Stores
         without deferral (:class:`MemoryResponseStore`, test doubles) run
         as-is."""
         deferred = getattr(self.store, "deferred", None)

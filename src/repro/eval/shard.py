@@ -18,11 +18,11 @@ never need to talk to each other:
   sweep, so shard cache keys are exactly the keys a single run would write.
 * :func:`merge_caches` unions shard caches into one store
   (``repro-paper merge-caches``), copying entry blobs byte-verbatim into
-  the destination's segments, refusing conflicting values under one key,
+  the destination's runs, refusing conflicting values under one key,
   recording shard provenance in a sidecar manifest, and honoring a size
   bound. For a partitioned grid the merged store equals the single-machine
-  store entry-for-entry (and, segments being canonically encoded,
-  file-for-file), so a sweep replayed over it issues **zero** new
+  store entry-for-entry (and, runs being canonically encoded, file-for-file
+  once both are compacted), so a sweep replayed over it issues **zero** new
   completions and reproduces the matrix report byte-identically.
 
 Interrupted or lost shards are cheap: re-running a shard replays its
@@ -248,10 +248,10 @@ def run_shard(
 
     cells = []
     with ExitStack() as stack:
-        # Batch the whole shard's profile/artifact-store writes: one
-        # read-merge-write per segment at block exit (or per flush
-        # interval) instead of one per device pass. The response store
-        # batches per engine.run call already.
+        # Batch the whole shard's profile/artifact-store writes: one new
+        # run per segment at block exit (or per flush interval) instead of
+        # one per device pass. The response store batches per engine.run
+        # call already.
         for batched in (active_profile_store(), active_artifact_cache()):
             if batched is not None:
                 stack.enter_context(batched.deferred())
@@ -345,15 +345,17 @@ def merge_caches(
 ) -> MergeReport:
     """Union shard caches into one store.
 
-    Entry *blobs* are copied byte-verbatim into the destination's binary
-    segments, so for a partitioned grid the merged store equals the
-    single-machine store entry-for-entry, segment-file-for-segment-file. A key present in the destination or an
+    Entry *blobs* are copied byte-verbatim into the destination's runs,
+    so for a partitioned grid the merged store equals the single-machine
+    store entry-for-entry, and once both are compacted
+    (:meth:`~repro.store.base.ArtifactStore.compact`) run-file-for-run-file.
+    A key present in the destination or an
     earlier source must carry identical bytes — anything else raises
     :class:`CacheMergeConflict` rather than silently corrupting results.
     Missing or empty sources are tolerated (an interrupted shard simply
     contributes nothing; the report names it). Each installed entry's
     source is recorded in the destination's provenance sidecar, surfaced by
-    ``repro-paper cache``; with ``max_bytes``, oldest-written segments are
+    ``repro-paper cache``; with ``max_bytes``, oldest-written runs are
     evicted after the union.
     """
     # Unbounded during the union: the size bound applies once at the end,

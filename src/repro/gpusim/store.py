@@ -180,12 +180,6 @@ class ProfileStore(ArtifactStore):
     def _traces_key(self) -> str:
         return stable_hash_hex(PROFILER_VERSION)
 
-    def _profiles_path(self, device_key: str) -> Path:
-        return self._segment_path(_SEGMENT_PREFIX_PROFILES, device_key)
-
-    def _traces_path(self) -> Path:
-        return self._segment_path(_SEGMENT_PREFIX_TRACES, self._traces_key())
-
     # -- profiles ------------------------------------------------------------
     def get_profiles(
         self, device: "DeviceModel", program_keys: Sequence[str]
@@ -198,7 +192,7 @@ class ProfileStore(ArtifactStore):
 
         dkey = device_profile_key(device)
         entries = self._get_entries(
-            _SEGMENT_PREFIX_PROFILES, dkey, program_keys, expect_key=dkey
+            _SEGMENT_PREFIX_PROFILES, dkey, program_keys
         )
         out: dict[str, KernelProfile] = {}
         for key, raw in entries.items():
@@ -220,13 +214,8 @@ class ProfileStore(ArtifactStore):
         self._merge_entries(
             _SEGMENT_PREFIX_PROFILES,
             dkey,
-            {
-                "version": PROFILER_VERSION,
-                "key": dkey,
-                "device": device.spec.name,
-            },
+            {"version": PROFILER_VERSION, "device": device.spec.name},
             {key: prof.to_dict() for key, prof in profiles.items()},
-            expect_key=dkey,
         )
 
     # -- traces --------------------------------------------------------------
@@ -240,7 +229,6 @@ class ProfileStore(ArtifactStore):
             _SEGMENT_PREFIX_TRACES,
             self._traces_key(),
             program_keys,
-            expect_key=None,
         )
         out: dict[str, SymbolicTrace] = {}
         for key, raw in entries.items():
@@ -260,16 +248,15 @@ class ProfileStore(ArtifactStore):
             self._traces_key(),
             {"version": PROFILER_VERSION},
             {key: tr.to_dict() for key, tr in traces.items()},
-            expect_key=None,
         )
 
     # -- lifecycle -----------------------------------------------------------
     def __len__(self) -> int:
         """Total stored profile entries (traces are not counted)."""
         return sum(
-            len(view.entries())
-            for path, view in self._live_views()
-            if path.name.startswith(_SEGMENT_PREFIX_PROFILES)
+            len(data["entries"])
+            for prefix, data in self.iter_segments()
+            if prefix == _SEGMENT_PREFIX_PROFILES
         )
 
     def manifest(self) -> ProfileStoreManifest:
@@ -282,9 +269,9 @@ class ProfileStore(ArtifactStore):
         profile_entries = 0
         trace_entries = 0
         per_device: dict[str, int] = {}
-        for path, data in self.iter_segments():
+        for prefix, data in self.iter_segments():
             entries = data["entries"]
-            if path.name.startswith(_SEGMENT_PREFIX_TRACES):
+            if prefix == _SEGMENT_PREFIX_TRACES:
                 trace_entries += len(entries)
             else:
                 profile_entries += len(entries)

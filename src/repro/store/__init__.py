@@ -9,11 +9,14 @@ shared segment/eviction/atomic-write/manifest machinery into one
 * entries are addressed by SHA-256 content digests that hash in a version
   string — a stale entry can only read as a *miss*, never as a wrong
   value;
-* storage is segment-per-batch JSON (one file per reuse unit), written
-  atomically (temp file + ``os.replace``); torn/corrupt/foreign files
-  read as empty and the next put repairs them;
-* stores can be size-bounded, evicting whole oldest-written segments
-  until they fit.
+* storage is one logical segment per reuse unit, kept as immutable
+  packed-binary runs: each flush installs one new run atomically (temp
+  file + ``os.replace``) and never rewrites another, so writers sharing a
+  directory keep each other's entries; compaction merges runs;
+  torn/corrupt/foreign files read as empty and the next put rewrites
+  their entries;
+* stores can be size-bounded, evicting whole oldest-written runs until
+  they fit.
 
 Concrete stores: :class:`repro.gpusim.store.ProfileStore` (kernel
 profiles + symbolic traces), :class:`repro.store.text.TokenizerStore`

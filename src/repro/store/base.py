@@ -1,8 +1,8 @@
-"""The :class:`ArtifactStore` base: segments, eviction, atomic writes.
+"""The :class:`ArtifactStore` base: immutable runs, compaction, eviction.
 
 Extracted from the profile store (PR 4) so that every content-addressed
 disk cache in the repo shares one implementation of the risky parts —
-atomic read-merge-write segment I/O, corruption-tolerant reads, and
+log-structured segment I/O, corruption-tolerant reads, and
 size-bounded oldest-first eviction. Subclasses declare their ``version``
 string (recorded in and checked against every segment) and their
 ``segment_prefixes`` (the filename prefixes of every segment kind the
@@ -21,8 +21,8 @@ header and index; each requested entry decodes exactly its own blob, so a
 warm single-entry probe of a 5 000-entry segment never touches the other
 4 999. The recorded total size makes torn writes detectable — a segment
 truncated at *any* byte reads as empty, never raises. Encoding is
-canonical (sorted keys, deterministic JSON), so two stores holding the
-same entries hold byte-identical segment files.
+canonical (sorted keys, deterministic JSON), so two compacted stores
+holding the same entries hold byte-identical files.
 
 The packed ``.bin`` segment is the only format a store reads, counts,
 evicts, clears or diagnoses. Anything else in the directory — including
@@ -31,19 +31,35 @@ files written by older versions — is a foreign file the store never
 touches. Every key is content-addressed, so an ignored old file costs one
 recomputation, never a wrong answer.
 
+A store holds **logical segments**, one per reuse unit ``(prefix, key)``
+(a device's profiles, a tokenizer's counts, every response). On disk a
+logical segment is a set of immutable **runs**: packed segment files named
+``<prefix><content digest>.bin`` whose meta records the logical ``key``.
 Writes are buffered: each ``put`` lands in an in-process pending map that
-:meth:`ArtifactStore.flush` merges into disk segments — one
-read-merge-write per segment per flush, not per entry batch. Outside a
-:meth:`ArtifactStore.deferred` block every put flushes immediately (the
-pre-PR-6 durability contract); hot sweep paths open a ``deferred()``
-block to batch many put calls into one merge. A ``deferred`` block that
-exits with an exception (including ``KeyboardInterrupt``) deterministically
-**discards** its unflushed buffer rather than flushing mid-unwind — see
-:meth:`ArtifactStore.deferred` for the exact contract.
+:meth:`ArtifactStore.flush` writes out as one new run per touched logical
+segment. A flush never reads what is already on disk, so writers in other
+threads or processes cannot erase each other's entries, and two writers
+flushing the same entries install the same file. Outside a
+:meth:`ArtifactStore.deferred` block every put flushes immediately; hot
+sweep paths open a ``deferred()`` block to batch many put calls into one
+run. A ``deferred`` block that exits with an exception (including
+``KeyboardInterrupt``) deterministically **discards** its unflushed buffer
+rather than flushing mid-unwind — see :meth:`ArtifactStore.deferred` for
+the exact contract.
+
+Reads resolve each entry through an in-memory entry-key → run index per
+logical segment. The store's own flushes update it directly; a directory
+listing refreshes it whenever the root directory changes (another process
+wrote or compacted runs). When a logical segment holds more than
+:attr:`ArtifactStore.COMPACT_FAN_IN` runs, the newest runs are merged into
+one; :meth:`ArtifactStore.compact` merges every segment into exactly one
+run whose bytes equal :func:`encode_segment` over the union — the bytes a
+single writer would have produced.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import mmap
 import os
@@ -204,15 +220,22 @@ class SegmentView:
     """Parsed header + lazily decodable entries of one readable segment.
 
     Keeps an mmap of the file and decodes single entries on demand.
+    ``sig`` is the file's ``(st_mtime_ns, st_size, st_ino)`` when it was
+    parsed, so a reader can tell whether the file has changed since.
     """
 
-    __slots__ = ("payload", "_index", "_buf", "_body_start")
+    __slots__ = ("payload", "_index", "_buf", "_body_start", "path", "sig")
 
-    def __init__(self, payload: dict, index: dict, buf, body_start: int):
+    def __init__(
+        self, payload: dict, index: dict, buf, body_start: int,
+        path: str, sig: tuple[int, int, int],
+    ):
         self.payload = payload
         self._index = index
         self._buf = buf
         self._body_start = body_start
+        self.path = path
+        self.sig = sig
 
     def keys(self):
         return self._index.keys()
@@ -260,41 +283,47 @@ class SegmentView:
 
 def _load_binary_view(path: Path) -> SegmentView | None:
     """Parse one binary segment's header and index; ``None`` when the file
-    is missing, torn (size mismatch with the recorded total), or trash."""
+    is missing, torn (size mismatch with the recorded total), or trash.
+
+    Header and index are read, not mapped: touching a mapping maps whole
+    page-cache folios (up to 2 MiB), so a view that never serves an entry
+    — a run just written, a source run only ever re-put — must cost no
+    resident memory. Entry blobs are read through the mmap."""
     try:
         with open(path, "rb") as f:
             st = os.fstat(f.fileno())
             size = st.st_size
-            if size < _SEGMENT_HEADER.size:
+            head = f.read(_SEGMENT_HEADER.size)
+            if len(head) < _SEGMENT_HEADER.size:
                 return None
+            magic, total, meta_len, index_len = _SEGMENT_HEADER.unpack(head)
+            if magic != SEGMENT_MAGIC or total != size:
+                return None
+            body_start = _SEGMENT_HEADER.size + meta_len + index_len
+            if body_start > size:
+                return None
+            head = f.read(meta_len + index_len)
             try:
                 buf = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
             except (OSError, ValueError):
+                f.seek(0)
                 buf = f.read()
     except OSError:
         return None
     try:
-        magic, total, meta_len, index_len = _SEGMENT_HEADER.unpack_from(buf, 0)
-        if magic != SEGMENT_MAGIC or total != size:
-            return None
-        meta_start = _SEGMENT_HEADER.size
-        index_start = meta_start + meta_len
-        body_start = index_start + index_len
-        if body_start > size:
-            return None
-        payload = json.loads(bytes(buf[meta_start:index_start]))
+        payload = json.loads(head[:meta_len])
         if not isinstance(payload, dict):
             return None
-        (key_blob_len,) = _KEY_BLOB_PREFIX.unpack_from(buf, index_start)
-        keys_start = index_start + _KEY_BLOB_PREFIX.size
+        (key_blob_len,) = _KEY_BLOB_PREFIX.unpack_from(head, meta_len)
+        keys_start = meta_len + _KEY_BLOB_PREFIX.size
         spans_start = keys_start + key_blob_len
-        if spans_start > body_start:
+        if spans_start > len(head):
             return None
         if key_blob_len:
-            keys = bytes(buf[keys_start:spans_start]).decode("utf-8").split("\n")
+            keys = head[keys_start:spans_start].decode("utf-8").split("\n")
         else:
             keys = []
-        span_bytes = bytes(buf[spans_start:body_start])
+        span_bytes = head[spans_start:]
         if len(span_bytes) != len(keys) * _SPAN.size:
             return None
         # All C-level: attach cost is index I/O, never a per-key loop.
@@ -305,13 +334,16 @@ def _load_binary_view(path: Path) -> SegmentView | None:
         return None
     # Span *contents* are validated lazily in :meth:`SegmentView.blob` — a
     # span pointing outside the body is a per-entry miss.
-    return SegmentView(payload, index, buf, body_start)
+    return SegmentView(
+        payload, index, buf, body_start,
+        str(path), (st.st_mtime_ns, size, st.st_ino),
+    )
 
 
 # Parsed views are cached process-wide by (path, stat signature): a warm
-# replay probes the same segment thousands of times, and re-parsing the
-# index per probe would defeat the lazy format. A rewrite changes the
-# signature and reloads; mmaps of replaced files stay valid until dropped.
+# replay probes the same run thousands of times, and re-parsing the index
+# per probe would defeat the lazy format. A rewrite changes the signature
+# and reloads; mmaps of replaced or unlinked files stay valid until dropped.
 _VIEW_CACHE_LOCK = threading.Lock()
 _VIEW_CACHE: "OrderedDict[str, tuple[tuple, SegmentView | None]]" = OrderedDict()
 _VIEW_CACHE_CAP = 512
@@ -340,6 +372,13 @@ def _segment_view(path: Path) -> SegmentView | None:
     return view
 
 
+def _forget_views(paths: Iterable[str]) -> None:
+    """Drop cached views of deleted runs, releasing their mmaps."""
+    with _VIEW_CACHE_LOCK:
+        for path in paths:
+            _VIEW_CACHE.pop(path, None)
+
+
 def _pid_alive(pid: int) -> bool:
     try:
         os.kill(pid, 0)
@@ -350,25 +389,95 @@ def _pid_alive(pid: int) -> bool:
     return True
 
 
+def _unlink(path: Path | str) -> bool:
+    try:
+        os.unlink(path)
+    except OSError:
+        return False  # vanished already: a concurrent compactor or evictor
+    return True
+
+
+# ---------------------------------------------------------------------------
+# Logical segments
+# ---------------------------------------------------------------------------
+
+#: A root directory modified this recently may change again within the
+#: same filesystem timestamp tick, so a listing taken now is not trusted to
+#: stay current: reads keep listing until the root has been quiet this long.
+_RACY_ROOT_NS = 20_000_000
+
+_UNSYNCED = object()
+
+
+def _run_age(view: SegmentView) -> tuple[int, str]:
+    return view.sig[0], view.path
+
+
+def _newest_tier(runs: Sequence[SegmentView], fan_in: int) -> int:
+    """How many of the newest ``runs`` (oldest first) an automatic
+    compaction merges: enough to get back to ``fan_in`` runs, then every
+    older run no bigger than the merged total. Size-tiered merging copies
+    each entry O(log n) times rather than once per ``fan_in`` flushes."""
+    take = max(2, len(runs) - fan_in + 1)
+    size = sum(view.sig[1] for view in runs[-take:])
+    while take < len(runs) and runs[-take - 1].sig[1] <= size:
+        take += 1
+        size += runs[-take].sig[1]
+    return take
+
+
+class _Segment:
+    """One logical segment: its live runs and the run holding each entry."""
+
+    __slots__ = ("runs", "where")
+
+    def __init__(self, runs: dict[str, SegmentView] | None = None):
+        self.runs: dict[str, SegmentView] = runs or {}
+        self.where: dict[str, SegmentView] = {}
+        self.reindex()
+
+    def ordered(self) -> list[SegmentView]:
+        """The runs, oldest-written first."""
+        return sorted(self.runs.values(), key=_run_age)
+
+    def reindex(self) -> None:
+        # The newest run wins a key held twice (a corrupt entry re-put).
+        where: dict[str, SegmentView] = {}
+        for view in self.ordered():
+            where.update(dict.fromkeys(view.keys(), view))
+        self.where = where
+
+    def add(self, view: SegmentView) -> None:
+        """Index a freshly written (so newest) run."""
+        replaced = self.runs.get(view.path)
+        self.runs[view.path] = view
+        if replaced is None:
+            self.where.update(dict.fromkeys(view.keys(), view))
+        else:
+            self.reindex()
+
+
 # ---------------------------------------------------------------------------
 # The store base
 # ---------------------------------------------------------------------------
 
 class ArtifactStore:
-    """Disk-backed packed-binary segments with size-bounded eviction.
+    """Disk-backed logical segments of immutable runs, with compaction and
+    size-bounded eviction.
 
-    One segment per reuse unit (a device's profiles, a corpus's sources, a
-    tokenizer's counts). Writes are atomic and read-merge-write, so
-    concurrent writers can at worst lose some of each other's *warmth* —
-    entries are content-addressed and deterministic, so no interleaving
-    can install a wrong value.
+    One logical segment per reuse unit (a device's profiles, a corpus's
+    sources, a tokenizer's counts). Every flush installs one new run per
+    touched segment and never rewrites what is already on disk, so
+    concurrent writers — threads of one store or processes sharing a root —
+    keep every entry they write. Entries are content-addressed and
+    deterministic, so no interleaving can install a wrong value.
 
     ``max_bytes`` semantics: ``None`` (default) is unbounded; ``0`` keeps
-    nothing — every eviction pass deletes every segment (useful to force a
+    nothing — every eviction pass deletes every run (useful to force a
     cache-off sweep without unplumbing the store); a positive bound evicts
-    whole segments oldest-written-first until the store fits. Negative
-    bounds are rejected. Eviction also garbage-collects version-skewed and
-    unreadable segments (stranded by version bumps) and sweeps stale
+    whole runs oldest-written-first until the store fits. Negative bounds
+    are rejected. Eviction also garbage-collects version-skewed and
+    unreadable files (stranded by version bumps) and sweeps stale
     ``*.tmp.*`` files leaked by crashed writers; live tmp files count
     toward the bound so it stays honest.
     """
@@ -385,6 +494,10 @@ class ArtifactStore:
     #: Inside a ``deferred()`` block, flush anyway once this many entries
     #: are buffered (bounds memory on huge sweeps).
     DEFERRED_FLUSH_ENTRIES = 4096
+
+    #: A logical segment left holding more runs than this by a flush (or
+    #: found so by :meth:`evict`) merges its newest runs into one.
+    COMPACT_FAN_IN = 16
 
     #: A ``*.tmp.*`` file older than this is stale even if a process with
     #: its recorded pid is still alive (pids recycle).
@@ -404,18 +517,21 @@ class ArtifactStore:
             )
         self.max_bytes = max_bytes
         self._store_lock = threading.RLock()
-        self._pending: dict[Path, list] = {}
+        self._compact_lock = threading.RLock()
+        # (prefix, key) → [payload, entries]: the buffer, and the batches
+        # whose flush has not yet put its run in the index.
+        self._pending: dict[tuple[str, str], list] = {}
         self._pending_entries = 0
+        self._inflight: list[dict] = []
         self._defer_depth = 0
+        self._segments: dict[tuple[str, str], _Segment] = {}
+        self._root_sig: object = _UNSYNCED
         # Crashed writers leak tmp files that no size check used to see;
         # sweep the stale ones whenever a store attaches to a directory.
         if self.ATTACH_SWEEP and self.root.is_dir():
             self._sweep_stale_tmp_files()
 
-    # -- segment naming ------------------------------------------------------
-    def _segment_path(self, prefix: str, key: str) -> Path:
-        return self.root / f"{prefix}{key[:32]}.bin"
-
+    # -- files ---------------------------------------------------------------
     def _segment_files(self) -> list[Path]:
         if not self.root.is_dir():
             return []
@@ -437,46 +553,122 @@ class ArtifactStore:
         except OSError:
             return []
 
-    # -- reads ---------------------------------------------------------------
-    def _live_view(
-        self, path: Path, expect_key: str | None = None
-    ) -> SegmentView | None:
+    def _live_view(self, path: Path) -> SegmentView | None:
         """``path``'s view when it can serve reads: readable, written at
-        this store's version and, given ``expect_key``, recorded under that
-        key (guarding against prefix-truncated filename collisions)."""
+        this store's version and recording the logical key it belongs to."""
         view = _segment_view(path)
         if view is None or view.payload.get("version") != self.version:
             return None
-        if expect_key is not None and view.payload.get("key") != expect_key:
+        if not isinstance(view.payload.get("key"), str):
             return None
         return view
 
-    def _view_for(
-        self, prefix: str, key: str, *, expect_key: str | None
+    def _segment_id(self, view: SegmentView) -> tuple[str, str]:
+        """The logical segment ``(prefix, key)`` a live run belongs to."""
+        name = os.path.basename(view.path)
+        prefix = next(p for p in self.segment_prefixes if name.startswith(p))
+        return prefix, view.payload["key"]
+
+    # -- the run index -------------------------------------------------------
+    def _sync(self, *, full: bool = False) -> None:
+        """Bring the run index up to date with the directory (caller holds
+        the store lock).
+
+        One ``stat`` of the root when nothing changed: its
+        ``(st_mtime_ns, st_ino)`` moves whenever any process installs or
+        deletes a run. A changed root is listed again, keeping the view of
+        every run whose name and inode are unchanged; ``full`` re-checks
+        every run's file as well, for whole-store walks."""
+        try:
+            st = os.stat(self.root)
+        except OSError:
+            sig = None
+        else:
+            sig = (st.st_mtime_ns, st.st_ino)
+        if not full and sig == self._root_sig:
+            return
+        known = {
+            path: (seg_id, view)
+            for seg_id, seg in self._segments.items()
+            for path, view in seg.runs.items()
+        }
+        grouped: dict[tuple[str, str], dict[str, SegmentView]] = {}
+        try:
+            with os.scandir(self.root) as entries:
+                for entry in entries:
+                    name = entry.name
+                    if not (
+                        name.endswith(".bin")
+                        and name.startswith(self.segment_prefixes)
+                    ):
+                        continue
+                    hit = known.pop(entry.path, None)
+                    if hit is not None and not full and (
+                        hit[1].sig[2] == entry.inode()
+                    ):
+                        seg_id, view = hit
+                    else:
+                        view = self._live_view(Path(entry.path))
+                        if view is None:
+                            continue
+                        seg_id = self._segment_id(view)
+                    grouped.setdefault(seg_id, {})[entry.path] = view
+        except OSError:
+            pass  # no root yet, or it vanished: an empty store
+        segments = {}
+        for seg_id, runs in grouped.items():
+            old = self._segments.get(seg_id)
+            unchanged = old is not None and old.runs == runs
+            segments[seg_id] = old if unchanged else _Segment(runs)
+        self._segments = segments
+        _forget_views(known)  # runs deleted since the last listing
+        quiet = sig is None or time.time_ns() - sig[0] > _RACY_ROOT_NS
+        self._root_sig = sig if quiet else _UNSYNCED
+
+    def _fresh(
+        self, view: SegmentView, seg_id: tuple[str, str]
     ) -> SegmentView | None:
-        """The live view of one logical segment, or ``None``."""
-        return self._live_view(self._segment_path(prefix, key), expect_key)
+        """``view`` when its file is unchanged or gone — a compacted or
+        evicted run stays readable through its mapping — else the view of
+        the file now at its path. Runs are never rewritten in place, so a
+        changed file is damage and must not be read through a stale
+        mapping."""
+        try:
+            st = os.stat(view.path)
+        except OSError:
+            return view
+        if (st.st_mtime_ns, st.st_size, st.st_ino) == view.sig:
+            return view
+        fresh = self._live_view(Path(view.path))
+        if fresh is None or self._segment_id(fresh) != seg_id:
+            return None
+        return fresh
 
-    def _live_views(self) -> Iterator[tuple[Path, SegmentView]]:
-        """Flush, then yield ``(path, view)`` for every live segment — the
-        one whole-store walk that manifests, counts and merges read."""
+    def _live_views(self) -> dict[tuple[str, str], _Segment]:
+        """Flush, then a snapshot of every live logical segment, each run
+        re-checked on disk — the one whole-store walk that manifests,
+        counts and merges read."""
         self.flush()
-        for path in self._segment_files():
-            view = self._live_view(path)
-            if view is not None:
-                yield path, view
-
-    def _buffered(
-        self, prefix: str, key: str, entry_keys: Sequence[str]
-    ) -> dict:
-        """The requested entries still in the pending buffer — the
-        read-your-writes overlay on top of the on-disk segment."""
         with self._store_lock:
-            pend = self._pending.get(self._segment_path(prefix, key))
-            if pend is None:
-                return {}
-            entries = pend[3]
-            return {k: entries[k] for k in entry_keys if k in entries}
+            self._sync(full=True)
+            return {
+                seg_id: _Segment(dict(seg.runs))
+                for seg_id, seg in self._segments.items()
+            }
+
+    # -- reads ---------------------------------------------------------------
+    def _buffered(
+        self, seg_id: tuple[str, str], entry_keys: Sequence[str]
+    ) -> dict:
+        """The requested entries not yet in a run: pending, or in a batch
+        whose flush is still writing (caller holds the store lock)."""
+        out: dict = {}
+        for batch in (*self._inflight, self._pending):
+            pend = batch.get(seg_id)
+            if pend is not None:
+                entries = pend[1]
+                out.update((k, entries[k]) for k in entry_keys if k in entries)
+        return out
 
     def _get_entries(
         self,
@@ -484,30 +676,51 @@ class ArtifactStore:
         key: str,
         entry_keys: Sequence[str],
         *,
-        expect_key: str | None,
+        raw: bool = False,
     ) -> dict:
-        """entry key → raw (JSON-shaped) value for every requested key
-        present, decoding **only** the requested entries. Buffered puts
-        overlay the on-disk segment, so a deferred batch reads its own
-        writes."""
+        """entry key → value for every requested key present, decoding
+        **only** the requested entries (``raw``: their canonical JSON
+        bytes instead). Buffered puts overlay the runs, so a deferred
+        batch reads its own writes."""
+        seg_id = (prefix, key)
+        held: dict[SegmentView, list[str]] = {}
+        with self._store_lock:
+            buffered = self._buffered(seg_id, entry_keys)
+            self._sync()
+            seg = self._segments.get(seg_id)
+            if seg is not None:
+                where = seg.where
+                for k in entry_keys:
+                    view = where.get(k)
+                    if view is not None and k not in buffered:
+                        held.setdefault(view, []).append(k)
         out: dict = {}
-        view = self._view_for(prefix, key, expect_key=expect_key)
-        if view is not None:
-            for k in entry_keys:
-                value = view.get(k, _MISS)
-                if value is not _MISS:
+        for view, keys in held.items():
+            view = self._fresh(view, seg_id)
+            if view is None:
+                continue
+            for k in keys:
+                value = view.blob(k) if raw else view.get(k, _MISS)
+                if value is not None and value is not _MISS:
                     out[k] = value
-        out.update(self._buffered(prefix, key, entry_keys))
+        if raw:
+            buffered = {k: _encode_blob(v) for k, v in buffered.items()}
+        out.update(buffered)
         return out
 
-    def iter_segments(self) -> Iterator[tuple[Path, dict]]:
-        """Yield ``(path, payload)`` for every live segment, the payload
-        carrying its decoded ``entries`` — the raw material for subclass
-        manifests."""
-        for path, view in self._live_views():
-            data = dict(view.payload)
-            data["entries"] = view.entries()
-            yield path, data
+    def iter_segments(self) -> Iterator[tuple[str, dict]]:
+        """Yield ``(prefix, data)`` per live logical segment: its newest
+        run's payload plus ``entries``, every entry decoded — the raw
+        material for subclass manifests."""
+        for (prefix, _), seg in self._live_views().items():
+            data = dict(seg.ordered()[-1].payload)
+            entries = {}
+            for k, view in seg.where.items():
+                value = view.get(k, _MISS)
+                if value is not _MISS:
+                    entries[k] = value
+            data["entries"] = entries
+            yield prefix, data
 
     def stale_segment_count(self) -> int:
         """Segment files that can no longer serve reads — version-skewed
@@ -519,27 +732,21 @@ class ArtifactStore:
 
     # -- writes --------------------------------------------------------------
     def _merge_entries(
-        self,
-        prefix: str,
-        key: str,
-        payload: dict,
-        entries: Mapping,
-        *,
-        expect_key: str | None,
+        self, prefix: str, key: str, payload: Mapping, entries: Mapping
     ) -> None:
-        """Buffer ``entries`` for the segment at ``(prefix, key)``; outside
-        a :meth:`deferred` block this flushes (one read-merge-write)
-        immediately."""
+        """Buffer ``entries`` for the logical segment ``(prefix, key)``,
+        whose runs record ``payload`` plus the ``key``; outside a
+        :meth:`deferred` block this flushes (one new run) immediately."""
         if not entries:
             return
-        path = self._segment_path(prefix, key)
+        seg_id = (prefix, key)
         with self._store_lock:
-            pend = self._pending.get(path)
+            pend = self._pending.get(seg_id)
             if pend is None:
-                self._pending[path] = [prefix, key, dict(payload), dict(entries), expect_key]
+                self._pending[seg_id] = [dict(payload, key=key), dict(entries)]
             else:
-                pend[2] = dict(payload)
-                pend[3].update(entries)
+                pend[0] = dict(payload, key=key)
+                pend[1].update(entries)
             self._pending_entries += len(entries)
             flush_now = (
                 self._defer_depth == 0
@@ -549,35 +756,36 @@ class ArtifactStore:
             self.flush()
 
     def flush(self) -> None:
-        """Merge every buffered batch into its disk segment — one
-        read-merge-write per segment regardless of how many put calls
-        accumulated. A no-op with nothing pending.
+        """Write every buffered batch out as one new run per logical
+        segment, however many put calls accumulated. A no-op with nothing
+        pending.
 
-        The whole merge loop holds the store lock: two threads flushing
-        the same segment would otherwise interleave their read-merge-write
-        cycles and the last replace would drop the other's entries.
-        Blocking a ``put`` until an in-flight flush lands is also what
-        makes read-your-writes hold when another thread's flush happens to
-        carry this thread's pending batch."""
+        Nothing on disk is read, and the writes run outside the store lock:
+        the batch stays readable as in-flight until its run is in the
+        index, so read-your-writes holds while another thread flushes."""
         with self._store_lock:
             if not self._pending:
                 return
-            pending = self._pending
+            batch = self._pending
             self._pending = {}
             self._pending_entries = 0
-            for path, (prefix, key, payload, entries, expect_key) in pending.items():
-                merged = {}
-                view = self._view_for(prefix, key, expect_key=expect_key)
+            self._inflight.append(batch)
+        try:
+            for seg_id, (payload, entries) in batch.items():
+                view = self._write_run(seg_id[0], payload, entries)
                 if view is not None:
-                    merged = view.entries()
-                merged.update(entries)
-                self._write_segment(path, payload, merged)
+                    with self._store_lock:
+                        self._segments.setdefault(seg_id, _Segment()).add(view)
+        finally:
+            with self._store_lock:
+                self._inflight = [b for b in self._inflight if b is not batch]
+        self._compact_overfull(batch)
         self._maybe_evict()
 
     @contextmanager
     def deferred(self):
         """Batch puts: inside the block they buffer in memory (reads still
-        see them); the block exit flushes once per touched segment.
+        see them); the block exit flushes one run per touched segment.
 
         Exception semantics are deterministic: a **clean** exit of the
         outermost block flushes everything buffered; an **exceptional**
@@ -615,12 +823,36 @@ class ArtifactStore:
             if flush_now:
                 self.flush()
 
-    def _write_segment(self, path: Path, payload: dict, entries: dict) -> None:
-        """Atomically install the binary segment. Unwritable stores degrade
+    def _write_run(
+        self,
+        prefix: str,
+        payload: Mapping,
+        entries: Mapping,
+        *,
+        mtime_ns: int | None = None,
+    ) -> SegmentView | None:
+        """Install one immutable run named by its content digest; its view,
+        or ``None`` when the write failed or landed unreadable."""
+        data = encode_segment(payload, entries)
+        digest = hashlib.blake2b(data, digest_size=16).hexdigest()
+        path = self.root / f"{prefix}{digest}.bin"
+        if not self._write_segment(path, payload, entries, data, mtime_ns):
+            return None
+        return self._live_view(path)
+
+    def _write_segment(
+        self,
+        path: Path,
+        payload: Mapping,
+        entries: Mapping,
+        data: bytes,
+        mtime_ns: int | None = None,
+    ) -> bool:
+        """Atomically install ``data`` at ``path`` (tmp + replace), with
+        its mtime set to ``mtime_ns`` when given. Unwritable stores degrade
         to uncached, never crash the computing pass."""
         try:
             self.root.mkdir(parents=True, exist_ok=True)
-            data = encode_segment(payload, entries)
             plan = active_fault_plan()
             if plan is not None:
                 # Chaos hook: the active plan may tear/forge/skew these
@@ -632,13 +864,79 @@ class ArtifactStore:
                 f".tmp.{os.getpid()}.{threading.get_ident()}"
             )
             tmp.write_bytes(data)
+            if mtime_ns is not None:
+                os.utime(tmp, ns=(mtime_ns, mtime_ns))
             os.replace(tmp, path)
         except OSError:
+            return False
+        return True
+
+    # -- compaction ----------------------------------------------------------
+    def compact(self) -> None:
+        """Merge each logical segment's runs into exactly one run, whose
+        bytes equal :func:`encode_segment` over the segment's payload and
+        union of entries — the file one writer of them all would write."""
+        with self._compact_lock:
+            for seg in self._live_views().values():
+                runs = seg.ordered()
+                if len(runs) > 1:
+                    self._merge_runs(runs)
+
+    def _compact_overfull(self, seg_ids=None) -> None:
+        """Merge the newest runs (see :func:`_newest_tier`) of every
+        segment in ``seg_ids`` — all of them by default — that holds more
+        than :attr:`COMPACT_FAN_IN` runs."""
+        with self._compact_lock:
+            with self._store_lock:
+                if seg_ids is None:
+                    self._sync(full=True)
+                    seg_ids = list(self._segments)
+                overfull = [
+                    seg.ordered()
+                    for seg in map(self._segments.get, seg_ids)
+                    if seg is not None and len(seg.runs) > self.COMPACT_FAN_IN
+                ]
+            for runs in overfull:
+                self._merge_runs(runs[-_newest_tier(runs, self.COMPACT_FAN_IN):])
+
+    def _merge_runs(self, runs: Sequence[SegmentView]) -> None:
+        """Merge ``runs`` (oldest first, one segment's, caller holds the
+        compaction lock) into one run, then delete them.
+
+        Copies raw blob bytes, never decoding JSON; the newest run wins a
+        key held twice. The merged run takes the newest input's mtime, so
+        entry ages and oldest-first eviction stay honest. Only the runs
+        read are deleted — a run another writer installs meanwhile
+        survives — and none unless the merged run reads back whole."""
+        union: dict[str, bytes] = {}
+        for view in runs:
+            for k in view.keys():
+                blob = view.blob(k)
+                if blob is not None:
+                    union[k] = blob
+        seg_id = self._segment_id(runs[-1])
+        merged = self._write_run(
+            seg_id[0],
+            runs[-1].payload,
+            union,
+            mtime_ns=max(view.sig[0] for view in runs),
+        )
+        if merged is None or len(merged.keys()) != len(union):
             return
+        inputs = [view.path for view in runs if view.path != merged.path]
+        with self._store_lock:
+            seg = self._segments.setdefault(seg_id, _Segment())
+            for path in inputs:
+                seg.runs.pop(path, None)
+            seg.runs[merged.path] = merged
+            seg.reindex()
+        for path in inputs:
+            _unlink(path)
+        _forget_views(inputs)
 
     # -- lifecycle -----------------------------------------------------------
     def size_bytes(self) -> int:
-        """Bytes the store occupies on disk: segments and ``*.tmp.*``
+        """Bytes the store occupies on disk: runs and ``*.tmp.*``
         leftovers — everything the eviction bound must cover."""
         self.flush()
         total = 0
@@ -667,62 +965,58 @@ class ArtifactStore:
                     stale = now - p.stat().st_mtime > self.STALE_TMP_AGE_S
                 except OSError:
                     continue  # vanished mid-sweep: nothing left to do
-            if stale:
-                try:
-                    p.unlink()
-                    removed += 1
-                except OSError:
-                    pass
+            if stale and _unlink(p):
+                removed += 1
         return removed
 
     def _maybe_evict(self) -> None:
         if self.max_bytes is not None:
             self.evict()
 
+    def _unlink_runs(self, paths: Sequence[Path]) -> int:
+        """Delete run files outside compaction; the next read lists the
+        directory again. Returns how many this call removed."""
+        if not paths:
+            return 0
+        removed = sum(_unlink(p) for p in paths)
+        _forget_views(str(p) for p in paths)
+        with self._store_lock:
+            self._root_sig = _UNSYNCED
+        return removed
+
     def evict(self, max_bytes: int | None = None) -> int:
-        """Garbage-collect stale segments and tmp leftovers, then delete
-        oldest-written segments until the store fits ``max_bytes``
-        (defaults to the configured bound; ``0`` keeps nothing; ``None``
-        skips the bound pass). Returns segment files removed."""
+        """Garbage-collect stale files and tmp leftovers, merge overfull
+        segments, then delete oldest-written runs until the store fits
+        ``max_bytes`` (defaults to the configured bound; ``0`` keeps
+        nothing; ``None`` skips the bound pass). Returns files removed."""
         self.flush()
         self._sweep_stale_tmp_files()
-        removed = 0
-        stats: list[tuple[float, int, Path]] = []
+        # Version-skewed or unreadable: unreachable disk garbage
+        # regardless of any size bound.
+        removed = self._unlink_runs(
+            [p for p in self._segment_files() if self._live_view(p) is None]
+        )
+        self._compact_overfull()
+        runs: list[tuple[float, int, Path]] = []
         total = 0
-        for p in self._segment_files():
+        for p in (*self._segment_files(), *self._iter_tmp_files()):
             try:
                 st = p.stat()
             except OSError:
                 continue
-            if self._live_view(p) is None:
-                # Version-skewed or unreadable: unreachable disk garbage
-                # regardless of any size bound.
-                try:
-                    p.unlink()
-                    removed += 1
-                except OSError:
-                    pass
-                continue
-            stats.append((st.st_mtime, st.st_size, p))
-            total += st.st_size
-        for p in self._iter_tmp_files():
-            try:
-                total += p.stat().st_size  # live writers count, too
-            except OSError:
-                continue
+            total += st.st_size  # live writers' tmp files count, too
+            if p.suffix == ".bin":
+                runs.append((st.st_mtime, st.st_size, p))
         bound = self.max_bytes if max_bytes is None else max_bytes
         if bound is None or total <= bound:
             return removed
-        for _, size, path in sorted(stats):
+        doomed = []
+        for _, size, path in sorted(runs):
             if total <= bound:
                 break
-            try:
-                path.unlink()
-            except OSError:
-                continue  # lost a race with a concurrent evictor
+            doomed.append(path)
             total -= size
-            removed += 1
-        return removed
+        return removed + self._unlink_runs(doomed)
 
     def clear(self) -> None:
         # Remove only files the store owns, never the root wholesale: the
@@ -730,13 +1024,7 @@ class ArtifactStore:
         with self._store_lock:
             self._pending.clear()
             self._pending_entries = 0
-        for path in self._segment_files():
-            try:
-                path.unlink()
-            except OSError:
-                pass
+            self._segments = {}
+        self._unlink_runs(self._segment_files())
         for stale in self._iter_tmp_files():
-            try:
-                stale.unlink()
-            except OSError:
-                pass
+            _unlink(stale)

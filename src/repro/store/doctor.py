@@ -10,7 +10,8 @@ way a store file can stop serving reads:
 * ``corrupt`` — bad magic, unparseable header/meta/index (bit rot,
   foreign file under a store prefix);
 * ``version_skew`` — readable segment recorded under another store
-  version (stranded by a version bump);
+  version (stranded by a version bump), or recording no logical segment
+  key (written before stores kept runs);
 * ``forged_index`` — header parses but an index span points outside the
   body, or the span/blob prefixes disagree (per-entry misses at read
   time);
@@ -25,8 +26,9 @@ Every class is a *degradation* the stores already survive (reads miss and
 recompute); the doctor exists so an operator can see the damage and
 reclaim it deliberately. Repair quarantines bad segment files into a
 ``quarantine/`` subdirectory (out of every store's segment scan, so the
-store re-attaches clean, but recoverable by hand) and deletes the
-trash that has nothing to recover (stale tmp files).
+store re-attaches clean, but recoverable by hand), deletes the trash
+that has nothing to recover (stale tmp files), and then compacts each
+logical segment's surviving runs into one.
 """
 
 from __future__ import annotations
@@ -133,6 +135,8 @@ def _classify_binary(path: Path, version: str) -> tuple[str, str] | None:
     recorded = view.payload.get("version")
     if recorded != version:
         return "version_skew", f"segment version {recorded!r}, store wants {version!r}"
+    if not isinstance(view.payload.get("key"), str):
+        return "version_skew", "segment records no logical key (not a run)"
     for key in view.keys():
         blob = view.blob(key)
         if blob is None:
@@ -185,9 +189,9 @@ def diagnose_store(store: ArtifactStore, label: str) -> DoctorReport:
 
 def repair_store(store: ArtifactStore, report: DoctorReport) -> DoctorReport:
     """Apply ``report``'s repairs: quarantine damaged segments, delete
-    trash. Returns the report with ``repaired`` filled in; the store then
-    re-attaches clean (``diagnose_store`` finds nothing, every surviving
-    read works)."""
+    trash, compact what survives. Returns the report with ``repaired``
+    filled in; the store then re-attaches clean (``diagnose_store`` finds
+    nothing, every surviving read works)."""
     quarantine = store.root / QUARANTINE_DIRNAME
     repaired = 0
     for issue in report.issues:
@@ -205,6 +209,7 @@ def repair_store(store: ArtifactStore, report: DoctorReport) -> DoctorReport:
         except OSError:
             continue  # vanished or unmovable: the next pass re-reports it
         repaired += 1
+    store.compact()
     return DoctorReport(
         store=report.store,
         scanned=report.scanned,

@@ -146,11 +146,6 @@ class TokenizerStore(ArtifactStore):
     def _tokenizers_key(self) -> str:
         return stable_hash_hex(TEXT_VERSION)
 
-    def _tokenizers_path(self) -> Path:
-        return self._segment_path(
-            _SEGMENT_PREFIX_TOKENIZERS, self._tokenizers_key()
-        )
-
     def get_merges(self, key: str) -> list[tuple[str, str]] | None:
         """The stored merge list under ``key``, or ``None`` on a miss.
 
@@ -159,7 +154,6 @@ class TokenizerStore(ArtifactStore):
             _SEGMENT_PREFIX_TOKENIZERS,
             self._tokenizers_key(),
             [key],
-            expect_key=None,
         )
         raw = entries.get(key)
         if not isinstance(raw, list):
@@ -183,7 +177,6 @@ class TokenizerStore(ArtifactStore):
             self._tokenizers_key(),
             {"version": TEXT_VERSION},
             {key: [list(pair) for pair in merges]},
-            expect_key=None,
         )
 
 
@@ -201,12 +194,6 @@ class RenderStore(ArtifactStore):
     def _sources_key(self) -> str:
         return stable_hash_hex(TEXT_VERSION)
 
-    def _sources_path(self) -> Path:
-        return self._segment_path(_SEGMENT_PREFIX_SOURCES, self._sources_key())
-
-    def _counts_path(self, tokenizer_digest: str) -> Path:
-        return self._segment_path(_SEGMENT_PREFIX_COUNTS, tokenizer_digest)
-
     # -- sources -------------------------------------------------------------
     def get_sources(self, text_keys: Sequence[str]) -> dict[str, str]:
         """text key → concatenated source for every requested key on disk.
@@ -216,7 +203,6 @@ class RenderStore(ArtifactStore):
             _SEGMENT_PREFIX_SOURCES,
             self._sources_key(),
             text_keys,
-            expect_key=None,
         )
         return {
             key: value
@@ -230,7 +216,6 @@ class RenderStore(ArtifactStore):
             self._sources_key(),
             {"version": TEXT_VERSION},
             dict(sources),
-            expect_key=None,
         )
 
     # -- token counts --------------------------------------------------------
@@ -242,7 +227,6 @@ class RenderStore(ArtifactStore):
             _SEGMENT_PREFIX_COUNTS,
             tokenizer_digest,
             text_keys,
-            expect_key=tokenizer_digest,
         )
         out: dict[str, int] = {}
         for key, raw in entries.items():
@@ -256,9 +240,8 @@ class RenderStore(ArtifactStore):
         self._merge_entries(
             _SEGMENT_PREFIX_COUNTS,
             tokenizer_digest,
-            {"version": TEXT_VERSION, "key": tokenizer_digest},
+            {"version": TEXT_VERSION},
             dict(counts),
-            expect_key=tokenizer_digest,
         )
 
 
@@ -348,11 +331,11 @@ class ArtifactCache:
         self.flush()
         tokenizer_entries = source_entries = count_entries = 0
         count_tokenizers = 0
-        for path, data in self.renders.iter_segments():
+        for prefix, data in self.renders.iter_segments():
             n = len(data["entries"])
-            if path.name.startswith(_SEGMENT_PREFIX_TOKENIZERS):
+            if prefix == _SEGMENT_PREFIX_TOKENIZERS:
                 tokenizer_entries += n
-            elif path.name.startswith(_SEGMENT_PREFIX_SOURCES):
+            elif prefix == _SEGMENT_PREFIX_SOURCES:
                 source_entries += n
             else:
                 count_entries += n

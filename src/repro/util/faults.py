@@ -23,7 +23,7 @@ Fault kinds:
   outside the body), ``version_skew`` (payload version mangled),
   ``enospc`` (the write raises ``OSError(ENOSPC)``), and ``stale_tmp``
   (a dead-pid ``*.tmp.*`` file appears beside the segment). Each fires
-  **once** per (kind, segment) so a later rewrite can heal the store —
+  **once** per (kind, file name) so a later rewrite can heal the store —
   corruption is an event, not a curse;
 * ``worker_death:after=N`` — the process SIGKILLs itself on its N-th
   completion attempt, the crash the journal/resume path exists for;

@@ -32,6 +32,31 @@ def _isolated_response_cache(tmp_path, monkeypatch):
     reset_active_fault_plan()
 
 
+@pytest.fixture
+def run_holding():
+    """``run_holding(store, key, prefix="")``: the run file holding entry
+    ``key`` (the newest, when several runs hold it).
+
+    Stores write immutable runs named by a content digest, so a test that
+    damages, ages or deletes "the segment holding a key" targets this
+    file."""
+    from repro.store.base import _segment_view
+
+    def find(store, key, prefix=""):
+        store.flush()
+        holders = [
+            path
+            for path in store._segment_files()
+            if path.name.startswith(prefix)
+            and (view := _segment_view(path)) is not None
+            and key in view.keys()
+        ]
+        assert holders, f"no run holds {key!r}"
+        return max(holders, key=lambda path: path.stat().st_mtime_ns)
+
+    return find
+
+
 @pytest.fixture(scope="session")
 def dataset():
     """The full paper dataset pipeline (built once per test session)."""

@@ -15,6 +15,7 @@ Three contracts:
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import time
@@ -58,11 +59,14 @@ def read_segment(path):
 
 
 def write_segment(path, data):
-    """Re-encode a ``read_segment``-shaped dict as a binary segment."""
+    """Re-encode a ``read_segment``-shaped dict as a binary segment,
+    installed the way writers install files (tmp + replace)."""
     from repro.store.base import encode_segment
 
     payload = {k: v for k, v in data.items() if k != "entries"}
-    path.write_bytes(encode_segment(payload, data["entries"]))
+    staging = path.with_name(path.name + ".install")
+    staging.write_bytes(encode_segment(payload, data["entries"]))
+    os.replace(staging, path)
 
 
 @pytest.fixture()
@@ -97,22 +101,30 @@ class TestSharedBase:
             for cls in (ProfileStore, TokenizerStore, RenderStore):
                 assert getattr(cls, name) is getattr(ArtifactStore, name)
 
-    def test_profile_segments_keep_payload_shape(self, tmp_path):
+    def test_profile_segments_keep_payload_shape(self, tmp_path, run_holding):
         # The binary codec must keep recording exactly the pre-refactor
         # payload shape, so segment metadata stays forward-portable.
         from repro.gpusim import profile_corpus
-        from repro.gpusim.store import PROFILER_VERSION, device_profile_key
+        from repro.gpusim.store import (
+            PROFILER_VERSION,
+            device_profile_key,
+            program_profile_key,
+        )
 
         corpus = build_corpus(3, 2)
         device = device_for(next(iter(GPU_DATABASE.values())))
         store = ProfileStore(tmp_path / "ps")
         profile_corpus(corpus, device, store=store)
-        path = store._profiles_path(device_profile_key(device))
+        path = run_holding(
+            store, program_profile_key(corpus.programs[0]), "profiles-"
+        )
         data = read_segment(path)
         assert set(data) == {"version", "key", "device", "entries"}
         assert data["version"] == PROFILER_VERSION
         assert data["key"] == device_profile_key(device)
-        assert path.name == f"profiles-{device_profile_key(device)[:32]}.bin"
+        # Runs are named by a digest of their content.
+        digest = hashlib.blake2b(path.read_bytes(), digest_size=16).hexdigest()
+        assert path.name == f"profiles-{digest}.bin"
 
 
 class TestTokenizerStore:
@@ -128,12 +140,13 @@ class TestTokenizerStore:
         store.put_merges("k2", MERGES[:1])
         assert store.get_merges("k1") == MERGES
         assert store.get_merges("k2") == MERGES[:1]
+        store.compact()
         assert len(store._segment_files()) == 1
 
-    def test_corrupt_entry_reads_as_miss(self, tmp_path):
+    def test_corrupt_entry_reads_as_miss(self, tmp_path, run_holding):
         store = TokenizerStore(tmp_path / "ac")
         store.put_merges("good", MERGES)
-        path = store._tokenizers_path()
+        path = run_holding(store, "good")
         data = read_segment(path)
         data["entries"]["bad-shape"] = [["a", "b", "c"]]
         data["entries"]["bad-type"] = "zap"
@@ -142,18 +155,20 @@ class TestTokenizerStore:
         assert store.get_merges("bad-type") is None
         assert store.get_merges("good") == MERGES
 
-    def test_corrupt_segment_reads_as_miss_and_put_repairs(self, tmp_path):
+    def test_corrupt_segment_reads_as_miss_and_put_repairs(
+        self, tmp_path, run_holding
+    ):
         store = TokenizerStore(tmp_path / "ac")
         store.put_merges("k", MERGES)
-        store._tokenizers_path().write_text("{ not json", encoding="utf-8")
+        run_holding(store, "k").write_text("{ not json", encoding="utf-8")
         assert store.get_merges("k") is None
         store.put_merges("k", MERGES)
         assert store.get_merges("k") == MERGES
 
-    def test_version_skew_reads_as_miss(self, tmp_path):
+    def test_version_skew_reads_as_miss(self, tmp_path, run_holding):
         store = TokenizerStore(tmp_path / "ac")
         store.put_merges("k", MERGES)
-        path = store._tokenizers_path()
+        path = run_holding(store, "k")
         data = read_segment(path)
         data["version"] = "text-artifacts-v999"
         write_segment(path, data)
@@ -182,19 +197,21 @@ class TestRenderStore:
         assert store.get_token_counts("tok-b", ["k1", "k2"]) == {"k1": 99}
         assert store.get_token_counts("tok-c", ["k1"]) == {}
 
-    def test_count_segment_guards_its_tokenizer_key(self, tmp_path):
+    def test_count_segment_guards_its_tokenizer_key(
+        self, tmp_path, run_holding
+    ):
         store = RenderStore(tmp_path / "ac")
         store.put_token_counts("tok-a", {"k1": 11})
-        path = store._counts_path("tok-a")
+        path = run_holding(store, "k1")
         data = read_segment(path)
         data["key"] = "tok-other"
         write_segment(path, data)
         assert store.get_token_counts("tok-a", ["k1"]) == {}
 
-    def test_non_int_counts_read_as_misses(self, tmp_path):
+    def test_non_int_counts_read_as_misses(self, tmp_path, run_holding):
         store = RenderStore(tmp_path / "ac")
         store.put_token_counts("t", {"k1": 11})
-        path = store._counts_path("t")
+        path = run_holding(store, "k1")
         data = read_segment(path)
         data["entries"]["k2"] = "12"
         data["entries"]["k3"] = True
@@ -213,12 +230,14 @@ class TestSharedLifecycle:
         renders.put_token_counts("tok-b", {"k1": 2})
         return tokenizers, renders
 
-    def test_eviction_is_oldest_first_across_kinds(self, tmp_path):
+    def test_eviction_is_oldest_first_across_kinds(
+        self, tmp_path, run_holding
+    ):
         root = tmp_path / "ac"
         tokenizers, renders = self._populate(root)
         files = renders._segment_files()
         assert len(files) == 4
-        oldest = tokenizers._tokenizers_path()
+        oldest = run_holding(tokenizers, "k")
         past = time.time() - 3600
         os.utime(oldest, (past, past))
 

@@ -41,13 +41,13 @@ def _fill(store: DiskResponseStore, n: int, *, model: str = "test-model"):
 
 
 class TestEviction:
-    def test_oldest_segments_evicted_first(self, tmp_path):
+    def test_oldest_segments_evicted_first(self, tmp_path, run_holding):
         store = DiskResponseStore(tmp_path)
-        keys = _fill(store, 8)  # distinct prefixes: one segment per key
+        keys = _fill(store, 8)  # one put per flush: one run per key
         # Age the first half explicitly (mtime drives eviction order).
         now = time.time()
         for i, key in enumerate(keys[:4]):
-            seg = store._segment_path("responses-", key[:2])
+            seg = run_holding(store, key)
             os.utime(seg, (now - 1000 + i, now - 1000 + i))
         entry_size = store.size_bytes() // 8
         removed = store.evict(entry_size * 4)
@@ -157,12 +157,12 @@ class TestManifest:
         assert manifest.entries == 0
         assert manifest.per_source == ()
 
-    def test_provenance_counts_only_live_entries(self, tmp_path):
+    def test_provenance_counts_only_live_entries(self, tmp_path, run_holding):
         store = DiskResponseStore(tmp_path)
         keys = _fill(store, 3)
         store.record_provenance({k: "shard-x" for k in keys})
-        # Evicted or wiped entry: drop its (single-entry) segment.
-        store._segment_path("responses-", keys[0][:2]).unlink()
+        # Evicted or wiped entry: drop its (single-entry) run.
+        run_holding(store, keys[0]).unlink()
         manifest = store.manifest()
         assert dict(manifest.per_source) == {"shard-x": 2}
         assert "merged from shard-x: 2" in manifest.render()

@@ -268,7 +268,9 @@ class TestDoctorCommand:
         ]) == 0
         assert "nothing to check" in capsys.readouterr().out
 
-    def test_dry_run_detects_then_repair_heals(self, capsys, tmp_path):
+    def test_dry_run_detects_then_repair_heals(
+        self, capsys, tmp_path, run_holding
+    ):
         from repro.eval.engine import CachedResponse, DiskResponseStore
 
         store = DiskResponseStore(tmp_path / "c")
@@ -276,7 +278,7 @@ class TestDoctorCommand:
             text="Compute", input_tokens=1, output_tokens=1,
             reasoning_tokens=0, model="m",
         ))
-        seg = store._segment_path("responses-", "ab")
+        seg = run_holding(store, "ab" + "0" * 62)
         seg.write_bytes(seg.read_bytes()[:-3])
         flags = ["--cache-dir", str(tmp_path / "c"),
                  "--profile-cache", str(tmp_path / "p"),
@@ -296,7 +298,7 @@ class TestDoctorCommand:
         assert "healthy" in capsys.readouterr().out
 
     def test_cache_command_surfaces_journal_and_doctor_hint(
-        self, capsys, tmp_path
+        self, capsys, tmp_path, run_holding
     ):
         from repro.eval.engine import CachedResponse, DiskResponseStore
         from repro.eval.journal import SweepJournal
@@ -311,7 +313,7 @@ class TestDoctorCommand:
         )
         journal.record("m:item", "ab" + "0" * 62)
         journal.checkpoint()
-        seg = store._segment_path("responses-", "ab")
+        seg = run_holding(store, "ab" + "0" * 62)
         seg.write_bytes(seg.read_bytes()[:-3])
 
         assert main(["cache", "--cache-dir", str(tmp_path / "c")]) == 0

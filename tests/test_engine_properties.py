@@ -151,7 +151,7 @@ class TestBackendInvariance:
     @pytest.mark.parametrize("jobs", [1, 4])
     def test_backends_share_disk_cache_files(self, jobs, tmp_path):
         """A disk cache written by one backend is replayed verbatim by the
-        others: same file set, zero new completions."""
+        others: same compacted file set, zero new completions."""
         from repro.eval.engine import DiskResponseStore
 
         model = get_model("gpt-4o-mini")
@@ -160,6 +160,7 @@ class TestBackendInvariance:
             jobs=jobs, store=DiskResponseStore(root), backend="process"
         )
         baseline = writer.run(model, _ITEMS)
+        DiskResponseStore(root).compact()
         files = sorted(p.name for p in root.glob("responses-*.bin"))
         assert writer.stats.misses == len(_ITEMS)
         for backend in BACKENDS:
@@ -170,6 +171,7 @@ class TestBackendInvariance:
             assert run_bytes(replay) == run_bytes(baseline)
             assert reader.stats.hits == len(_ITEMS)
             assert reader.stats.completions == 0
+        DiskResponseStore(root).compact()
         assert sorted(p.name for p in root.glob("responses-*.bin")) == files
 
     def test_process_backend_mixed_warmth(self):

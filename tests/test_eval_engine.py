@@ -170,12 +170,14 @@ class TestDiskStore:
         store = DiskResponseStore(tmp_path / "cache")
         assert store.get("ff" + "0" * 62) is None
 
-    def test_corrupt_segment_is_miss_and_put_repairs(self, tmp_path):
+    def test_corrupt_segment_is_miss_and_put_repairs(
+        self, tmp_path, run_holding
+    ):
         store = DiskResponseStore(tmp_path / "cache")
         key = "cd" + "0" * 62
         value = CachedResponse("Bandwidth", 5, 1, 0)
         store.put(key, value)
-        store._segment_path("responses-", "cd").write_text(
+        run_holding(store, key).write_text(
             "{not a segment", encoding="utf-8"
         )
         assert store.get(key) is None

@@ -353,16 +353,20 @@ class TestProfileStore:
         assert len(store) == len(small_corpus.programs)
 
     def test_eviction_is_oldest_first_and_bounded(
-        self, small_corpus, tmp_path, fresh_memos
+        self, small_corpus, tmp_path, fresh_memos, run_holding
     ):
         import os
         import time
 
         store = ProfileStore(tmp_path / "ps")
+        pkey = program_profile_key(small_corpus.programs[0])
         profile_corpus(small_corpus, ALL_DEVICES[0], store=store)
-        oldest = store._profiles_path(device_profile_key(ALL_DEVICES[0]))
+        oldest = run_holding(store, pkey, "profiles-")
         profile_corpus(small_corpus, ALL_DEVICES[1], store=store)
-        newest = store._profiles_path(device_profile_key(ALL_DEVICES[1]))
+        newest = next(
+            p for p in store._segment_files()
+            if p.name.startswith("profiles-") and p != oldest
+        )
         past = time.time() - 3600
         os.utime(oldest, (past, past))
 

@@ -146,9 +146,11 @@ def _key(i: int) -> str:
 
 
 def _entry_files(root) -> dict:
+    """A store's run files once compacted: one canonical run per store."""
     from pathlib import Path
 
     root = Path(root)
+    DiskResponseStore(root).compact()
     return {p.name: p.read_bytes() for p in root.glob("responses-*.bin")}
 
 
@@ -288,7 +290,9 @@ class TestMergeCaches:
         assert retry.duplicates == 1
         assert dict(dest.manifest().per_source) == {str(good.root): 1}
 
-    def test_reinstalled_key_takes_new_source_label(self, tmp_path):
+    def test_reinstalled_key_takes_new_source_label(
+        self, tmp_path, run_holding
+    ):
         a = DiskResponseStore(tmp_path / "a")
         b = DiskResponseStore(tmp_path / "b")
         a.put(_key(0), _entry(0))
@@ -296,7 +300,7 @@ class TestMergeCaches:
         merge_caches([a.root], tmp_path / "merged")
         merged = DiskResponseStore(tmp_path / "merged")
         # Size-bound churn: the entry is evicted, then re-merged from b.
-        merged._segment_path("responses-", _key(0)[:2]).unlink()
+        run_holding(merged, _key(0)).unlink()
         merge_caches([b.root], tmp_path / "merged")
         # The stale a-label was pruned, not resurrected.
         assert merged.provenance() == {_key(0): str(b.root)}

@@ -5,8 +5,9 @@ families; this module pins the failure-mode contracts the codec promises:
 
 * a segment truncated at **any** byte boundary reads as an empty segment —
   never an exception, never a partial entry;
-* concurrent writers on one store lose no entries and leave every segment
-  valid;
+* concurrent writers on one store — threads, or processes sharing its
+  root — lose no entries and leave every run valid; compaction keeps
+  the run count within the fan-in and never drops an entry;
 * stale ``*.tmp.<pid>.<tid>`` droppings are swept and version-skewed
   segments garbage-collected;
 * the byte-count env parsers of all three stores agree on junk handling;
@@ -15,15 +16,20 @@ families; this module pins the failure-mode contracts the codec promises:
   same digest and leaves those files untouched.
 """
 
+import hashlib
 import json
 import os
 import struct
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
 from repro.eval.engine import (
     CACHE_SCHEMA_VERSION,
+    RESPONSES_SEGMENT_KEY,
     CachedResponse,
     DiskResponseStore,
     EvalEngine,
@@ -40,6 +46,9 @@ from repro.store.base import (
 )
 
 
+SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
+
+
 def _response(i: int) -> CachedResponse:
     return CachedResponse(
         text=f"Compute {i}",
@@ -51,30 +60,33 @@ def _response(i: int) -> CachedResponse:
 
 
 class TestTornWrites:
-    def test_every_truncation_boundary_reads_as_empty(self, tmp_path):
+    def test_every_truncation_boundary_reads_as_empty(
+        self, tmp_path, run_holding
+    ):
         """Atomic-replace should prevent torn segments, but a dying disk
         or filesystem bug must still degrade to a cache miss."""
         store = DiskResponseStore(tmp_path)
         keys = [f"ab{i:062x}" for i in range(3)]
-        for i, key in enumerate(keys):
-            store.put(key, _response(i))
-        seg = store._segment_path("responses-", "ab")
+        with store.deferred():  # one run holds all three
+            for i, key in enumerate(keys):
+                store.put(key, _response(i))
+        seg = run_holding(store, keys[0])
         payload = seg.read_bytes()
         assert payload.startswith(SEGMENT_MAGIC)
         for cut in range(len(payload)):
             seg.write_bytes(payload[:cut])
             for key in keys:
                 assert store.get(key) is None, f"cut={cut} served a hit"
-        # A fresh put over the torn file repairs the segment wholesale.
+        # A fresh put writes a new run that serves the key again.
         seg.write_bytes(payload[: len(payload) // 2])
         store.put(keys[0], _response(0))
         assert store.get(keys[0]) == _response(0)
 
-    def test_trailing_garbage_reads_as_empty(self, tmp_path):
+    def test_trailing_garbage_reads_as_empty(self, tmp_path, run_holding):
         store = DiskResponseStore(tmp_path)
         key = "cd" + "0" * 62
         store.put(key, _response(1))
-        seg = store._segment_path("responses-", "cd")
+        seg = run_holding(store, key)
         seg.write_bytes(seg.read_bytes() + b"\x00garbage")
         assert store.get(key) is None  # total-size check rejects the file
 
@@ -82,20 +94,19 @@ class TestTornWrites:
         """A forged index pointing past the body must not crash the mmap
         reader."""
         store = DiskResponseStore(tmp_path)
-        seg = store._segment_path("responses-", "ee")
-        seg.parent.mkdir(parents=True, exist_ok=True)
-        payload = {"version": store.version, "key": "ee"}
+        seg = tmp_path / "responses-forged.bin"
+        payload = {"version": store.version, "key": RESPONSES_SEGMENT_KEY}
         data = bytearray(encode_segment(payload, {"ee" + "0" * 62: {"x": 1}}))
         seg.write_bytes(bytes(data[:-4]) + b"\xff\xff\xff\x7f")
         assert store.get("ee" + "0" * 62) is None
 
-    def test_span_offset_past_ssize_t_is_a_miss(self, tmp_path):
+    def test_span_offset_past_ssize_t_is_a_miss(self, tmp_path, run_holding):
         """A forged u64 span offset too large for a C ssize_t must read as
         a per-entry miss, not overflow out of the reader."""
         store = DiskResponseStore(tmp_path)
         key = "ef" + "0" * 62
         store.put(key, _response(1))
-        seg = store._segment_path("responses-", "ef")
+        seg = run_holding(store, key)
         data = bytearray(seg.read_bytes())
         _, _, meta_len, _ = _SEGMENT_HEADER.unpack_from(data, 0)
         span_at = (
@@ -163,6 +174,187 @@ class TestConcurrentWriters:
         assert len(store) == 4 * 16
 
 
+#: One writer process: puts ``n`` distinct digest keys (spread like real
+#: cache keys) into one response store inside ``deferred()``, so it
+#: flushes a run every 64 puts.
+_RESPONSE_WRITER = """
+import hashlib, sys
+from repro.eval.engine import CachedResponse, DiskResponseStore
+root, worker, n = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
+store = DiskResponseStore(root)
+with store.deferred():
+    for i in range(n):
+        key = hashlib.sha256(f"{worker}-{i}".encode()).hexdigest()
+        store.put(key, CachedResponse(f"Compute {worker}-{i}", i, 1, 0, "w"))
+"""
+
+#: The same for one profile segment, flushing every 64 puts too.
+_PROFILE_WRITER = """
+import json, sys
+from repro.gpusim import default_device
+from repro.gpusim.profiler import KernelProfile
+from repro.gpusim.store import ProfileStore
+root, worker, n, blob = sys.argv[1], int(sys.argv[2]), int(sys.argv[3]), sys.argv[4]
+profile = KernelProfile.from_dict(json.loads(open(blob).read()))
+device = default_device()
+store = ProfileStore(root)
+store.DEFERRED_FLUSH_ENTRIES = 64
+with store.deferred():
+    for i in range(n):
+        store.put_profiles(device, {f"w{worker}-{i:05d}": profile})
+"""
+
+
+def _race_writers(script: str, *args: str, writers: int = 2) -> None:
+    """Run ``writers`` copies of ``script`` at once; each must succeed."""
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-c", script, args[0], str(w), *args[1:]],
+            env={"PYTHONPATH": SRC_DIR},
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        for w in range(writers)
+    ]
+    for proc in procs:
+        _, err = proc.communicate(timeout=300)
+        assert proc.returncode == 0, err
+
+
+def _run_files(root, prefix: str) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in Path(root).glob(f"{prefix}*.bin")}
+
+
+class TestCrossProcessWriters:
+    """Two processes writing one store root keep every entry: flushes
+    write new runs and compaction deletes only the runs it merged."""
+
+    N = 2000
+
+    def test_response_store_keeps_both_writers_entries(self, tmp_path):
+        root = tmp_path / "shared"
+        _race_writers(_RESPONSE_WRITER, str(root), str(self.N))
+        reference = DiskResponseStore(tmp_path / "reference")
+        with reference.deferred():
+            for worker in range(2):
+                for i in range(self.N):
+                    reference.put(
+                        hashlib.sha256(f"{worker}-{i}".encode()).hexdigest(),
+                        CachedResponse(f"Compute {worker}-{i}", i, 1, 0, "w"),
+                    )
+        fresh = DiskResponseStore(root)
+        assert len(fresh) == 2 * self.N
+        assert list(fresh.iter_entries()) == list(reference.iter_entries())
+        fresh.compact()
+        reference.compact()
+        assert _run_files(root, "responses-") == _run_files(
+            reference.root, "responses-"
+        )
+
+    def test_profile_segment_keeps_both_writers_entries(self, tmp_path):
+        from repro.gpusim import default_device, profile_corpus
+        from repro.gpusim.store import ProfileStore
+        from repro.kernels.corpus import build_corpus
+
+        device = default_device()
+        profile = next(iter(
+            profile_corpus(build_corpus(3, 2), device, store=None).values()
+        ))
+        blob = tmp_path / "profile.json"
+        blob.write_text(json.dumps(profile.to_dict()))
+        root = tmp_path / "shared"
+        _race_writers(_PROFILE_WRITER, str(root), str(self.N), str(blob))
+        keys = [f"w{w}-{i:05d}" for w in range(2) for i in range(self.N)]
+        fresh = ProfileStore(root)
+        assert fresh.get_profiles(device, keys) == dict.fromkeys(keys, profile)
+        reference = ProfileStore(tmp_path / "reference")
+        reference.put_profiles(device, dict.fromkeys(keys, profile))
+        fresh.compact()
+        assert _run_files(root, "profiles-") == _run_files(
+            reference.root, "profiles-"
+        )
+
+
+class TestRunsAndCompaction:
+    def test_per_put_runs_stay_within_the_fan_in(self, tmp_path):
+        """The serve write pattern — one run per put — never leaves more
+        than the fan-in's worth of runs, and compaction loses nothing."""
+        store = DiskResponseStore(tmp_path)
+        expected = {}
+        for i in range(1000):
+            key = f"{i:064x}"
+            store.put(key, _response(i))
+            expected[key] = json.dumps(
+                _response(i).to_dict(), sort_keys=True
+            ).encode("utf-8")
+        assert len(store._segment_files()) <= store.COMPACT_FAN_IN
+        assert dict(store.iter_entries()) == expected
+        assert dict(DiskResponseStore(tmp_path).iter_entries()) == expected
+
+    def test_compact_leaves_one_canonical_run(self, tmp_path):
+        store = DiskResponseStore(tmp_path)
+        entries = {}
+        for batch in range(5):
+            with store.deferred():
+                for i in range(batch * 7, batch * 7 + 9):  # overlapping
+                    key = f"{i:064x}"
+                    store.put(key, _response(i))
+                    entries[key] = _response(i).to_dict()
+        assert len(store._segment_files()) == 5
+        store.compact()
+        (run,) = store._segment_files()
+        payload = {"version": CACHE_SCHEMA_VERSION, "key": RESPONSES_SEGMENT_KEY}
+        assert run.read_bytes() == encode_segment(payload, entries)
+        assert DiskResponseStore(tmp_path).get(f"{0:064x}") == _response(0)
+
+    def test_compaction_racing_writers_loses_nothing(self, tmp_path):
+        """Writers (more than cores) put and read back while a compactor
+        merges their runs; a lost or unreadable entry breaks the test."""
+        store = DiskResponseStore(tmp_path)
+        n_writers, per_writer = 4, 100
+        done = threading.Event()
+        errors: list[BaseException] = []
+
+        def writer(w: int) -> None:
+            try:
+                for i in range(per_writer):
+                    n = w * per_writer + i
+                    store.put(f"{n:064x}", _response(n))
+                    assert store.get(f"{n:064x}") == _response(n)
+            except BaseException as exc:  # noqa: BLE001 - surfaced below
+                errors.append(exc)
+
+        def compactor() -> None:
+            try:
+                while not done.is_set():
+                    store.compact()
+            except BaseException as exc:  # noqa: BLE001
+                errors.append(exc)
+
+        writers = [
+            threading.Thread(target=writer, args=(w,)) for w in range(n_writers)
+        ]
+        merger = threading.Thread(target=compactor)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            merger.start()
+            for th in writers:
+                th.start()
+            for th in writers:
+                th.join(timeout=120)
+            done.set()
+            merger.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in (*writers, merger))
+        assert not errors
+        total = n_writers * per_writer
+        fresh = DiskResponseStore(tmp_path)
+        assert len(fresh) == total
+        assert all(fresh.get(f"{n:064x}") == _response(n) for n in range(total))
+
+
 class TestConcurrentReaderCorruption:
     """Truncated/forged segments installed *while readers probe them*.
 
@@ -180,14 +372,14 @@ class TestConcurrentReaderCorruption:
         staging.write_bytes(data)
         os.replace(staging, seg)
 
-    def test_probing_readers_never_raise(self, tmp_path):
+    def test_probing_readers_never_raise(self, tmp_path, run_holding):
         from repro.util.faults import _forge_index
 
         store = DiskResponseStore(tmp_path / "cache")
         keys = [f"{i:02x}" + "0" * 62 for i in range(4)]
         for i, key in enumerate(keys):
             store.put(key, _response(i))
-        seg = store._segment_path("responses-", keys[0][:2])
+        seg = run_holding(store, keys[0])
         healthy = seg.read_bytes()
 
         stop = threading.Event()
@@ -223,17 +415,19 @@ class TestConcurrentReaderCorruption:
         assert not errors
         assert DiskResponseStore(tmp_path / "cache").get(keys[0]) == _response(0)
 
-    def test_forged_segment_is_per_entry_miss_only(self, tmp_path):
+    def test_forged_segment_is_per_entry_miss_only(
+        self, tmp_path, run_holding
+    ):
         from repro.util.faults import _forge_index
 
         store = DiskResponseStore(tmp_path / "cache")
         key = "ab" + "0" * 62
         store.put(key, _response(1))
-        seg = store._segment_path("responses-", key[:2])
+        seg = run_holding(store, key)
         self._install(seg, _forge_index(seg.read_bytes()))
         fresh = DiskResponseStore(tmp_path / "cache")
         assert fresh.get(key) is None  # miss, not an exception
-        # The next put repairs the segment wholesale.
+        # The next put writes a new run that serves the key again.
         fresh.put(key, _response(2))
         assert DiskResponseStore(tmp_path / "cache").get(key) == _response(2)
 
@@ -244,12 +438,12 @@ class TestDeferredExceptionSafety:
     KeyboardInterrupt included) discards the pending buffer — except
     batches already spilled to disk by the flush interval, which stay."""
 
-    def test_clean_exit_flushes(self, tmp_path):
+    def test_clean_exit_flushes(self, tmp_path, run_holding):
         store = DiskResponseStore(tmp_path)
         with store.deferred():
             store.put("aa" + "0" * 62, _response(0))
-            assert not store._segment_path("responses-", "aa").exists()
-        assert store._segment_path("responses-", "aa").exists()
+            assert store._segment_files() == []
+        assert run_holding(store, "aa" + "0" * 62).exists()
         assert store.get("aa" + "0" * 62) == _response(0)
 
     @pytest.mark.parametrize("exc_type", [RuntimeError, KeyboardInterrupt])
@@ -265,7 +459,7 @@ class TestDeferredExceptionSafety:
         assert not store._pending
         assert store._pending_entries == 0
         assert store.get(key) is None
-        assert not store._segment_path("responses-", "aa").exists()
+        assert store._segment_files() == []
         # The store stays fully usable afterwards.
         store.put(key, _response(1))
         assert store.get(key) == _response(1)
@@ -308,7 +502,7 @@ class TestDeferredExceptionSafety:
         with store.deferred():
             with store.deferred():
                 store.put(key, _response(2))
-            assert not store._segment_path("responses-", "cc").exists()
+            assert store._segment_files() == []
         assert store.get(key) == _response(2)
 
 
@@ -336,7 +530,7 @@ class TestLifecycleSweeps:
     def test_version_skewed_segments_gced_on_evict(self, tmp_path):
         store = DiskResponseStore(tmp_path)
         store.put("ab" + "0" * 62, _response(0))
-        skewed = store._segment_path("responses-", "zz")
+        skewed = tmp_path / "responses-skewed.bin"
         skewed.write_bytes(
             encode_segment({"version": "paleolithic", "key": "zz"}, {})
         )
