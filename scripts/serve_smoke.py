@@ -9,14 +9,16 @@ End-to-end, across real processes:
    every answer is served from cache with labels matching the batch
    CLI's (``repro-paper classify`` is cross-checked for the first
    kernels);
-4. assert the server's counters report **zero** new completions;
-5. share the cache between writers: while the server computes and
+4. repeat the queries over one persistent HTTP/1.1 connection, with
+   the same checks, and assert the connection is never reopened;
+5. assert the server's counters report **zero** new completions;
+6. share the cache between writers: while the server computes and
    stores ``no-hint`` misses, a batch ``rq3 --limit N`` writes into the
    same directory from another process;
-6. assert neither writer lost the other's entries: a batch ``rq3``
+7. assert neither writer lost the other's entries: a batch ``rq3``
    replay prints ``, 0 new completions`` and a restarted server answers
    every ``no-hint`` query from cache with the same prediction;
-7. assert ``repro-paper doctor --dry-run`` finds the cache healthy.
+8. assert ``repro-paper doctor --dry-run`` finds the cache healthy.
 
 Exits non-zero with a diagnostic on any violation.
 
@@ -26,6 +28,7 @@ Run:  PYTHONPATH=src python scripts/serve_smoke.py [--limit N]
 from __future__ import annotations
 
 import argparse
+import http.client
 import json
 import re
 import subprocess
@@ -88,6 +91,38 @@ def batch_labels(cache_dir: str, limit: int) -> dict[str, str]:
         r.item_id: r.prediction.word if r.prediction else None
         for r in result.records
     }
+
+
+def check_warm(uid: str, body: dict, label: str) -> None:
+    """A warmed kernel's answer: served from cache, the batch label."""
+    if not body["cached"]:
+        raise SystemExit(f"{uid}: served cold, expected a warm hit")
+    if body["prediction"] != label:
+        raise SystemExit(
+            f"{uid}: HTTP prediction {body['prediction']!r} != "
+            f"batch CLI label {label!r}"
+        )
+
+
+def keep_alive_queries(url: str, labels: dict[str, str]) -> None:
+    """Query every warmed kernel over one persistent connection."""
+    parts = urllib.parse.urlsplit(url)
+    conn = http.client.HTTPConnection(parts.hostname, parts.port, timeout=120)
+    try:
+        sock = None
+        for uid, label in labels.items():
+            query = urllib.parse.urlencode({"uid": uid, "model": MODEL})
+            conn.request("GET", f"/v1/classify?{query}")
+            resp = conn.getresponse()
+            body = json.loads(resp.read().decode("utf-8"))
+            if resp.status != 200:
+                raise SystemExit(f"{uid}: keep-alive query got {resp.status}")
+            check_warm(uid, body, label)
+            sock = sock or conn.sock
+            if conn.sock is not sock or resp.will_close:
+                raise SystemExit(f"{uid}: keep-alive connection was closed")
+    finally:
+        conn.close()
 
 
 def stop_server(proc: subprocess.Popen) -> None:
@@ -179,13 +214,7 @@ def main() -> int:
         print(f"3) querying {len(labels)} kernels over HTTP @ {url}")
         for uid, label in labels.items():
             body = get_json(f"{url}/v1/classify", uid=uid, model=MODEL)
-            if not body["cached"]:
-                raise SystemExit(f"{uid}: served cold, expected a warm hit")
-            if body["prediction"] != label:
-                raise SystemExit(
-                    f"{uid}: HTTP prediction {body['prediction']!r} != "
-                    f"batch CLI label {label!r}"
-                )
+            check_warm(uid, body, label)
             print(f"   {uid}: {body['prediction']} (cached)")
 
         # Cross-check the single-kernel CLI on the first two kernels: its
@@ -200,26 +229,31 @@ def main() -> int:
                 )
         print("   classify CLI cross-check agrees")
 
-        print("4) checking server counters")
+        print(f"4) querying {len(labels)} kernels over one keep-alive "
+              f"connection")
+        keep_alive_queries(url, labels)
+        print("   every answer cached and equal to the batch label")
+
+        print("5) checking server counters")
         stats = get_json(f"{url}/v1/stats")
         if stats["completions"] != 0:
             raise SystemExit(
                 f"server issued {stats['completions']} new completions; "
                 "expected 0 on a warm cache"
             )
-        if stats["hits"] != len(labels):
+        if stats["hits"] != 2 * len(labels):
             raise SystemExit(
-                f"expected {len(labels)} cache hits, saw {stats['hits']}"
+                f"expected {2 * len(labels)} cache hits, saw {stats['hits']}"
             )
         print(f"   stats: {stats}")
 
-        print("5) server no-hint misses and a batch rq3 share the cache dir")
+        print("6) server no-hint misses and a batch rq3 share the cache dir")
         served = shared_writers(url, cache_dir, args.limit)
         print(f"   server stored {len(served)} no-hint answers meanwhile")
     finally:
         stop_server(proc)
 
-    print("6) neither writer lost the other's entries")
+    print("7) neither writer lost the other's entries")
     out = run_cli(
         "rq3", "--model", MODEL, "--limit", str(args.limit),
         "--cache-dir", cache_dir, "--jobs", "2",
@@ -243,7 +277,7 @@ def main() -> int:
     finally:
         stop_server(proc)
 
-    print("7) doctor --dry-run over the shared cache")
+    print("8) doctor --dry-run over the shared cache")
     doctor = subprocess.run(
         [*CLI, "doctor", "--dry-run", "--cache-dir", cache_dir],
         capture_output=True, text=True, timeout=600,
@@ -252,7 +286,8 @@ def main() -> int:
         raise SystemExit(f"doctor found damage:\n{doctor.stdout}")
     print("   healthy")
 
-    print("serve smoke: OK (warm HTTP path, 0 new completions, "
+    print("serve smoke: OK (warm HTTP path, per-request and keep-alive, "
+          "0 new completions, "
           "labels match the batch CLI, shared cache keeps both writers)")
     return 0
 

@@ -14,13 +14,24 @@ Two layers:
   429-shaped :class:`~repro.serve.resilience.LoadShedError`, and a
   request-supplied deadline (``X-Deadline-Ms``) propagates down to the
   engine's retry loop.
+  On the loop, the GPU lookup, the memoized uid → sample index and the
+  prompt build run inline: they are in-memory work, cheaper than a
+  thread hop. A warm hit leaves the loop only for store I/O (the
+  engine's lookup); a GPU's first index build (a dataset build) and a
+  miss's provider call and commit also run in worker threads.
 * :class:`PredictionServer` — a :class:`ThreadingHTTPServer` whose
   handler threads bridge into one background asyncio event loop
   (``run_coroutine_threadsafe``), keeping the engine's single-loop
-  coalescing semantics while the stdlib server deals with sockets. It
-  knows how to *drain*: :meth:`PredictionServer.drain` flips the server
-  to draining (``/healthz`` answers 503, work endpoints shed), waits for
-  in-flight requests to finish, then closes.
+  coalescing semantics while the stdlib server deals with sockets.
+  Sockets are ``TCP_NODELAY`` and every response — status line,
+  headers and body — leaves in one write, so a keep-alive response
+  never waits on Nagle for the client's delayed ACK. A handler that
+  times out cancels its classify, so the abandoned work frees its
+  admission slot; a client that disconnects mid-response is dropped
+  without a second write. The server knows how to *drain*:
+  :meth:`PredictionServer.drain` flips it to draining (``/healthz``
+  answers 503, work endpoints shed), waits for in-flight requests to
+  finish, then closes.
 
 Endpoints (all JSON):
 
@@ -140,10 +151,13 @@ class PredictionService:
         with self._lock:
             return self._providers.setdefault(model_name, chain)
 
-    def _sample_index(self, gpu: GpuSpec | None) -> dict[str, Sample]:
-        key = gpu.name if gpu is not None else None
+    def _memoized_index(self, gpu: GpuSpec | None) -> dict[str, Sample] | None:
+        """The GPU's sample index if it is already built, else ``None``."""
         with self._lock:
-            index = self._samples.get(key)
+            return self._samples.get(gpu.name if gpu is not None else None)
+
+    def _sample_index(self, gpu: GpuSpec | None) -> dict[str, Sample]:
+        index = self._memoized_index(gpu)
         if index is not None:
             return index
         if gpu is None:
@@ -152,7 +166,9 @@ class PredictionService:
             samples = scenario_samples(gpu, jobs=self.jobs)
         index = {s.uid: s for s in samples}
         with self._lock:
-            return self._samples.setdefault(key, index)
+            return self._samples.setdefault(
+                gpu.name if gpu is not None else None, index
+            )
 
     def warm(self) -> int:
         """Build the default sample index up front; returns its size."""
@@ -228,13 +244,18 @@ class PredictionService:
             )
         self._admitted += 1
         try:
+            # GPU lookup, memoized index and prompt build are in-memory
+            # work, cheaper than a thread hop; only a GPU's first index
+            # build (a dataset build) leaves the loop.
             spec: GpuSpec | None = None
             if gpu:
                 try:
-                    spec = await asyncio.to_thread(get_gpu, gpu)
+                    spec = get_gpu(gpu)
                 except KeyError as exc:
                     raise ServiceError(404, str(exc)) from None
-            index = await asyncio.to_thread(self._sample_index, spec)
+            index = self._memoized_index(spec)
+            if index is None:
+                index = await asyncio.to_thread(self._sample_index, spec)
             sample = index.get(uid)
             if sample is None:
                 raise ServiceError(
@@ -243,10 +264,8 @@ class PredictionService:
             # The batch CLI's exact prompt path (classification_items), so
             # the cache key below equals the sweep's and warm stores
             # answer it.
-            prompt = (
-                await asyncio.to_thread(
-                    build_classify_prompt, sample, variant=resolved, gpu=spec
-                )
+            prompt = build_classify_prompt(
+                sample, variant=resolved, gpu=spec
             ).text
             info: dict = {}
             response = await self.engine.complete(
@@ -299,6 +318,10 @@ class _Handler(BaseHTTPRequestHandler):
 
     server: "PredictionServer"  # type: ignore[assignment]
     protocol_version = "HTTP/1.1"
+    # Every response is one write, so there is nothing for Nagle to
+    # coalesce; with it on, a keep-alive response waits out the client's
+    # delayed ACK.
+    disable_nagle_algorithm = True
 
     # -- plumbing ------------------------------------------------------------
     def log_message(self, format: str, *args) -> None:  # noqa: A002
@@ -318,12 +341,27 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         if retry_after is not None:
             self.send_header("Retry-After", f"{max(0.0, retry_after):.3f}")
-        self.end_headers()
-        self.wfile.write(body)
+        # end_headers() would send the head as a segment of its own. Join
+        # head, blank line and body instead, so the response is one write.
+        head = getattr(self, "_headers_buffer", [])  # HTTP/0.9: no head
+        self._headers_buffer = []
+        if head:
+            head.append(b"\r\n")
+        try:
+            self.wfile.write(b"".join([*head, body]))
+        except ConnectionError:
+            # The client went away; there is nobody to send an error to.
+            self.close_connection = True
 
     def _run(self, coro) -> object:
         future = asyncio.run_coroutine_threadsafe(coro, self.server.loop)
-        return future.result(timeout=self.server.request_timeout_s)
+        try:
+            return future.result(timeout=self.server.request_timeout_s)
+        except _FutureTimeout:
+            # Cancel the abandoned classify so it releases its admission
+            # slot and in-flight key instead of running on unseen.
+            future.cancel()
+            raise
 
     def _deadline_ms(self) -> float | None:
         raw = self.headers.get("X-Deadline-Ms")

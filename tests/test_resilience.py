@@ -701,6 +701,54 @@ def test_http_queue_budget_sheds_with_retry_after(tmp_path, balanced_samples):
         server.close()
 
 
+def test_http_timeout_cancels_the_abandoned_classify(
+    tmp_path, balanced_samples
+):
+    """A 504 cancels its classify: the admission slot and in-flight key
+    come back, so a wedged provider cannot make the server shed every
+    later request with 429."""
+    samples = balanced_samples[:2]
+    store = DiskResponseStore(tmp_path / "cold-cache")   # empty: all cold
+    gated = GatedStub("pri", "o3-mini-high")
+    engine = AsyncEvalEngine(store=store)
+    service = PredictionService(engine, queue_budget=1)
+    service._providers["o3-mini-high"] = gated           # inject the double
+    service.warm()  # the 0.2 s budget is for the provider, not the index
+    server = PredictionServer(service, port=0, request_timeout_s=0.2).start()
+
+    def queue_depth_drains() -> bool:
+        deadline = time.monotonic() + 5.0
+        while time.monotonic() < deadline:
+            if _get_json(f"{server.url}/v1/stats")[1]["queue_depth"] == 0:
+                return True
+            time.sleep(0.01)
+        return False
+
+    def failed_status(uid: str) -> int:
+        with pytest.raises(urllib.error.HTTPError) as err:
+            _get_json(f"{server.url}/v1/classify?uid={uid}")
+        err.value.close()
+        return err.value.code
+
+    try:
+        assert failed_status(samples[0].uid) == 504 and gated.calls == 1
+        assert queue_depth_drains()
+
+        # A different uid is admitted (it reaches the still-wedged
+        # provider and times out too), not shed.
+        assert failed_status(samples[1].uid) == 504
+        assert gated.calls == 2 and engine.stats.shed == 0
+        assert queue_depth_drains()
+
+        # The first key is no longer in flight: asking again reaches
+        # the provider instead of joining the abandoned call.
+        assert failed_status(samples[0].uid) == 504
+        assert gated.calls == 3 and engine.stats.coalesced == 0
+        assert queue_depth_drains()
+    finally:
+        server.close()
+
+
 def test_http_malformed_bodies_return_400(resilient_serving):
     server, _, _, _ = resilient_serving
     host, port = server.server_address[0], server.port

@@ -9,8 +9,12 @@ suite never actually waits out a backoff schedule.
 from __future__ import annotations
 
 import asyncio
+import http.client
+import io
 import json
 import random
+import re
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -41,6 +45,7 @@ from repro.serve import (
     provider_family,
     resolve_provider,
 )
+from repro.serve.http import _Handler
 from repro.serve.providers import (
     WIRE_FAMILIES,
     AnthropicProvider,
@@ -605,3 +610,162 @@ def test_http_samples_listing(serving):
     listing = body["samples"]
     assert len(listing) >= 300          # the paper's balanced set
     assert all(entry["label"] in ("Compute", "Bandwidth") for entry in listing)
+
+
+# -- the socket: TCP_NODELAY, one write per response, keep-alive -------------
+
+class _RecordingWriter:
+    """Wraps a handler's ``wfile`` and logs every write it is given."""
+
+    def __init__(self, inner, writes: list[bytes]):
+        self._inner = inner
+        self._writes = writes
+
+    def write(self, data):
+        self._writes.append(bytes(data))
+        return self._inner.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+@pytest.fixture()
+def connections(monkeypatch):
+    """One record per connection the server accepts: the accepted
+    socket's ``TCP_NODELAY`` value and every ``wfile.write`` on it."""
+    accepted: list[dict] = []
+    setup = _Handler.setup
+
+    def recording_setup(self):
+        setup(self)
+        record = {
+            "nodelay": self.connection.getsockopt(
+                socket.IPPROTO_TCP, socket.TCP_NODELAY
+            ),
+            "writes": [],
+        }
+        self.wfile = _RecordingWriter(self.wfile, record["writes"])
+        accepted.append(record)
+
+    monkeypatch.setattr(_Handler, "setup", recording_setup)
+    return accepted
+
+
+_DATE_LINE = re.compile(
+    rb"Date: \w{3}, \d{2} \w{3} \d{4} \d{2}:\d{2}:\d{2} GMT"
+)
+
+
+def _split_response(write: bytes) -> tuple[list[bytes], bytes]:
+    """Head lines (Server and Date checked and dropped) and body."""
+    head, sep, body = write.partition(b"\r\n\r\n")
+    assert sep, "response head not terminated"
+    status, server, date, *rest = head.split(b"\r\n")
+    assert server == (
+        f"Server: {_Handler.server_version} {_Handler.sys_version}".encode()
+    )
+    assert _DATE_LINE.fullmatch(date), date
+    return [status, *rest], body
+
+
+def test_accepted_socket_is_tcp_nodelay(serving, connections):
+    server, _, _, _ = serving
+    assert _get_json(f"{server.url}/healthz")[0] == 200
+    assert len(connections) == 1
+    assert connections[0]["nodelay"] != 0
+
+
+def test_each_response_is_one_write_with_exact_head(serving, connections):
+    server, _, samples, _ = serving
+    status, answer = _get_json(f"{server.url}/v1/classify?uid={samples[0].uid}")
+    assert status == 200
+    (ok,) = connections[0]["writes"]
+    lines, body = _split_response(ok)
+    assert lines == [
+        b"HTTP/1.1 200 OK",
+        b"Content-Type: application/json",
+        b"Content-Length: %d" % len(body),
+    ]
+    assert body == json.dumps(answer, sort_keys=True).encode("utf-8")
+
+    # A shed request: cold key, deadline gone before the first attempt.
+    req = urllib.request.Request(
+        f"{server.url}/v1/classify?uid={samples[0].uid}&few_shot=true",
+        headers={"X-Deadline-Ms": "0.000001"},
+    )
+    with pytest.raises(urllib.error.HTTPError) as err:
+        urllib.request.urlopen(req, timeout=60)
+    with err.value:
+        assert err.value.code == 429
+        shed_body = err.value.read()
+    (shed,) = connections[1]["writes"]
+    lines, body = _split_response(shed)
+    assert lines == [
+        b"HTTP/1.1 429 Too Many Requests",
+        b"Content-Type: application/json",
+        b"Content-Length: %d" % len(body),
+        b"Retry-After: 1.000",
+    ]
+    assert body == shed_body
+    assert json.loads(body)["error"].startswith("deadline exceeded")
+
+
+def test_keep_alive_connection_serves_warm_queries(serving, connections):
+    """20 warm queries on one persistent connection: every answer is the
+    batch answer, and client and server stay on one socket."""
+    server, engine, samples, batch = serving
+    by_uid = {r.item_id: r.prediction.word for r in batch.records}
+    conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=60)
+    try:
+        sock = None
+        for i in range(20):
+            uid = samples[i % len(samples)].uid
+            conn.request("GET", f"/v1/classify?uid={uid}")
+            resp = conn.getresponse()
+            body = json.loads(resp.read().decode("utf-8"))
+            assert resp.status == 200
+            assert (body["cached"], body["prediction"]) == (True, by_uid[uid])
+            sock = sock or conn.sock
+            assert conn.sock is sock and not resp.will_close
+    finally:
+        conn.close()
+    assert len(connections) == 1
+    assert len(connections[0]["writes"]) == 20
+    assert engine.stats.completions == 0
+
+
+class _HungUpSocket:
+    """An accepted socket whose client sent a request, then hung up."""
+
+    def __init__(self, request: bytes, error: type[ConnectionError]):
+        self.request = request
+        self.error = error
+        self.sends = 0
+
+    def makefile(self, mode, bufsize=-1):
+        return io.BytesIO(self.request)
+
+    def sendall(self, data):
+        self.sends += 1
+        raise self.error("client went away")
+
+    def setsockopt(self, *args):
+        pass
+
+    def shutdown(self, how):
+        pass
+
+    def close(self):
+        pass
+
+
+@pytest.mark.parametrize("error", [BrokenPipeError, ConnectionResetError])
+def test_client_disconnect_is_one_write_and_no_traceback(
+    serving, capsys, error
+):
+    server, _, _, _ = serving
+    sock = _HungUpSocket(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n", error)
+    # The per-connection path a server thread runs, handle_error included.
+    server.process_request_thread(sock, ("127.0.0.1", 0))
+    assert sock.sends == 1
+    assert "Traceback" not in capsys.readouterr().err
