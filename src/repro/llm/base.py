@@ -21,7 +21,7 @@ from repro.llm.promptio import (
     parse_classify_query,
     parse_roofline_query,
 )
-from repro.llm.reasoner import deep_logit
+from repro.llm.reasoner import MemoStream, deep_logit
 from repro.llm.sampling import DEFAULT_TEMPERATURE, DEFAULT_TOP_P, SamplingParams, sample_response
 from repro.types import Boundedness
 from repro.util.hashing import stable_hash_hex
@@ -126,11 +126,10 @@ class LlmModel:
         # full prompt: the model's reading of the same kernel is stable
         # across prompt variants (zero-shot vs few-shot), so RQ2→RQ3 deltas
         # come from the systematic terms (context length, example shots),
-        # as in the paper.
-        code_rng = RngStream(
-            "llm", self.name, "analysis",
-            stable_hash_hex(query.source, query.kernel_name),
-        )
+        # as in the paper. Those draws are therefore the same in every GPU ×
+        # regime cell, so each is drawn once per process (MemoStream); the
+        # code digest, hashed once per query, also keys the analysis memo.
+        code_rng = MemoStream("llm", self.name, "analysis", query.code_digest)
 
         lex = lexical_logit(query, cfg, code_rng.child("lex"))
 

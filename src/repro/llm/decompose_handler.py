@@ -109,10 +109,8 @@ def _answer_step2(prompt: str, config: ModelConfig) -> str:
         if t.startswith("--") and v.lstrip("-").isdigit():
             argv_values[t[2:]] = int(v)
 
-    code_rng = RngStream(
-        "llm", config.name, "decompose-estimate",
-        stable_hash_hex(source, kernel_name),
-    )
+    code_digest = stable_hash_hex(source, kernel_name)
+    code_rng = RngStream("llm", config.name, "decompose-estimate", code_digest)
     tokens = estimate_prompt_tokens(prompt)
     # Focused sub-task: the derail probability is a fraction of the
     # holistic zero-shot read's.
@@ -134,7 +132,7 @@ def _answer_step2(prompt: str, config: ModelConfig) -> str:
 
     est = None
     if not derailed:
-        est = static_estimate(source, kernel_name, language, argv_values)
+        est = static_estimate(source, kernel_name, language, argv_values, code_digest)
 
     if est is None:
         vals = crude

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from repro.llm.config import ModelConfig
 from repro.llm.promptio import ClassifyQuery
 from repro.llm.reasoner import memoized
-from repro.util.hashing import stable_hash_hex
 from repro.util.rng import RngStream
 
 _MATH_FN_RE = re.compile(
@@ -68,10 +67,11 @@ class LexicalFeatures:
         return max(-1.5, min(1.5, s))
 
 
-def source_score(source: str) -> float:
-    """:meth:`LexicalFeatures.score` of ``source``, memoized by its digest."""
+def source_score(source: str, code_digest: str) -> float:
+    """:meth:`LexicalFeatures.score` of ``source``, memoized by the digest of
+    the code it belongs to (:attr:`ClassifyQuery.code_digest`)."""
     return memoized(
-        ("lex", stable_hash_hex(source)),
+        ("lex", code_digest),
         lambda: LexicalFeatures.extract(source).score(),
     )
 
@@ -84,12 +84,12 @@ def lexical_logit(
     """The model's surface-cue decision value (positive = Compute).
 
     Skill interpolates between the feature score and an idiosyncratic
-    per-(model, prompt) reading — a deterministic pseudo-random opinion that
-    stands in for whatever an uninformed model keys on.
+    per-(model, code) reading — a deterministic pseudo-random opinion, drawn
+    from ``rng``, that stands in for whatever an uninformed model keys on.
     """
     skill = model.heuristic_skill
     if query.has_real_examples:
         skill = min(1.0, skill + model.fewshot_skill_bonus)
-    informed = source_score(query.source)
+    informed = source_score(query.source, query.code_digest)
     idiosyncratic = rng.uniform(-0.8, 0.8)
     return skill * informed + (1.0 - skill) * idiosyncratic

@@ -22,7 +22,6 @@ from repro.analysis import StaticEstimate, analyze_kernel, find_kernel
 from repro.llm.config import ModelConfig
 from repro.llm.promptio import ClassifyQuery
 from repro.types import Language, OpClass
-from repro.util.hashing import stable_hash_hex
 from repro.util.rng import RngStream
 
 
@@ -41,18 +40,35 @@ _FAILED = DeepAnalysis(logit=0.0, raw_margin=0.0, guess_fraction=1.0, succeeded=
 # The device-independent reading of a kernel, shared across every GPU ×
 # regime cell (and every model) in the process: the static estimates here
 # and the lexical scores of :func:`repro.llm.heuristic.source_score`. Keyed
-# by code digest, never by the source text itself. Bounded the way the
-# profiler bounds its trace memo: on overflow the oldest half is dropped.
+# by code digest (:attr:`ClassifyQuery.code_digest`), never by the source
+# text itself. Bounded the way the profiler bounds its trace memo: on
+# overflow the oldest half is dropped.
 _ANALYSIS_LOCK = threading.Lock()
 _ANALYSIS_MEMO: dict[tuple, object] = {}
 _ANALYSIS_MEMO_CAP = 4096
 _MISSING = object()
 
+# The code-keyed draws (see :class:`MemoStream`), in their own map so that
+# they can never evict a kernel analysis: one entry per code stream, i.e.
+# per (model, code digest), holding that stream's children's draws. A
+# ``--model all`` sweep of the paper's kernels needs 9 × 340 entries.
+_DRAW_MEMO: dict[tuple, dict[tuple, float]] = {}
+_DRAW_MEMO_CAP = 4096
+
 
 def clear_analysis_memo() -> None:
-    """Drop every memoized kernel reading."""
+    """Drop every memoized kernel reading and code-keyed draw."""
     with _ANALYSIS_LOCK:
         _ANALYSIS_MEMO.clear()
+        _DRAW_MEMO.clear()
+
+
+def _bound(memo: dict, cap: int) -> None:
+    """Drop the oldest half of ``memo`` once it outgrows ``cap`` (caller
+    holds the lock)."""
+    if len(memo) > cap:
+        for stale in list(memo)[: cap // 2]:
+            del memo[stale]
 
 
 def memoized(key: tuple, compute: Callable[[], object]) -> object:
@@ -62,10 +78,57 @@ def memoized(key: tuple, compute: Callable[[], object]) -> object:
         value = compute()
         with _ANALYSIS_LOCK:
             _ANALYSIS_MEMO[key] = value
-            if len(_ANALYSIS_MEMO) > _ANALYSIS_MEMO_CAP:
-                for stale in list(_ANALYSIS_MEMO)[: _ANALYSIS_MEMO_CAP // 2]:
-                    del _ANALYSIS_MEMO[stale]
+            _bound(_ANALYSIS_MEMO, _ANALYSIS_MEMO_CAP)
     return value
+
+
+class MemoStream(RngStream):
+    """A code-keyed stream whose draws are served from the draw memo.
+
+    The analysis randomness of a completion is keyed by model and code
+    digest, so each child's draw (``lex``, ``attention``, ``deep``) has the
+    same value in every GPU × regime cell. It is drawn from a freshly
+    seeded generator once per process and looked up, by the child's key,
+    the draw method and its args, after that. A memoized value can stand in
+    only for the *first* draw of a throwaway stream, so each stream object
+    draws once: a second draw raises instead of repeating the value, and
+    draws other than :meth:`uniform` and :meth:`normal` are refused.
+    """
+
+    def __init__(self, *key: object, entry: tuple | None = None):
+        super().__init__(*key)
+        self._entry = self._key if entry is None else entry
+        self._drawn = False
+
+    def child(self, *subkey: object) -> "MemoStream":
+        return MemoStream(*self._key, *subkey, entry=self._entry)
+
+    @property
+    def _gen(self):
+        raise TypeError(f"{self!r} serves only memoized uniform and normal draws")
+
+    def uniform(self, low: float = 0.0, high: float = 1.0) -> float:
+        return self._draw("uniform", low, high)
+
+    def normal(self, mean: float = 0.0, std: float = 1.0) -> float:
+        return self._draw("normal", mean, std)
+
+    def _draw(self, method: str, *args: float) -> float:
+        if self._drawn:
+            raise RuntimeError(f"second draw from the memo-served {self!r}")
+        self._drawn = True
+        sub = (self._key[len(self._entry):], method, args)
+        draws = _DRAW_MEMO.get(self._entry)
+        value = _MISSING if draws is None else draws.get(sub, _MISSING)
+        if value is _MISSING:
+            value = getattr(RngStream(*self._key), method)(*args)
+            with _ANALYSIS_LOCK:
+                draws = _DRAW_MEMO.get(self._entry)
+                if draws is None:
+                    draws = _DRAW_MEMO[self._entry] = {}
+                    _bound(_DRAW_MEMO, _DRAW_MEMO_CAP)
+                draws[sub] = value
+        return value
 
 
 def static_estimate(
@@ -73,11 +136,14 @@ def static_estimate(
     kernel_name: str,
     language: Language,
     argv_values: dict[str, int],
+    code_digest: str,
 ) -> StaticEstimate | None:
     """Find the kernel by name and run the static pipeline on it, with trip
     counts resolved from ``argv_values``; None when the analysis fails.
 
-    Memoized by (code digest, language, argv params).
+    Memoized by (code digest, language, argv params). The caller passes
+    ``code_digest``, ``stable_hash_hex(source, kernel_name)``, which it has
+    already hashed to key its analysis randomness.
     """
 
     def analyze() -> StaticEstimate | None:
@@ -87,11 +153,7 @@ def static_estimate(
         except Exception:
             return None
 
-    key = (
-        stable_hash_hex(source, kernel_name),
-        language,
-        tuple(sorted(argv_values.items())),
-    )
+    key = (code_digest, language, tuple(sorted(argv_values.items())))
     return memoized(key, analyze)
 
 
@@ -102,7 +164,11 @@ def deep_logit(
 ) -> DeepAnalysis:
     """Run the static pipeline and produce a decision value."""
     estimate = static_estimate(
-        query.source, query.kernel_name, query.language, query.argv_values()
+        query.source,
+        query.kernel_name,
+        query.language,
+        query.argv_values(),
+        query.code_digest,
     )
     if estimate is None:
         return _FAILED

@@ -1,10 +1,13 @@
 """Equivalence oracle: every execution path of one small grid agrees.
 
-One seeded grid (two models × twelve RQ1 questions, 24 units) runs
-through every way the repo can evaluate it — the sequential, thread and
+One seeded grid runs through every way the repo can evaluate it — the sequential, thread and
 process backends with the response store off, cold on disk and warm on
 disk; the async engine cold and warm; and a journaled sweep resumed over
-a partially journaled store. The oracle asserts:
+a partially journaled store. The grid is two models × twenty units:
+twelve RQ1 questions and eight classification prompts (four kernels ×
+``zero-shot``/``few-shot-2`` on one GPU), so the emulated model's
+classify path and its per-process memos run on every path too (each
+process worker fills its own memo, in its own order). The oracle asserts:
 
 * one :class:`~repro.eval.runner.RunResult` digest across all paths;
 * byte-identical ``responses-*.bin`` runs across the disk stores, each
@@ -22,13 +25,18 @@ from __future__ import annotations
 
 import asyncio
 import hashlib
+from functools import lru_cache
 
 import pytest
 
+from repro.dataset import paper_dataset
 from repro.eval.engine import DiskResponseStore, EvalEngine
 from repro.eval.journal import DEFAULT_JOURNAL_NAME, SweepJournal
+from repro.eval.rq23 import classification_items
 from repro.llm import get_model
 from repro.prompts.rq1 import build_rq1_prompt, generate_rq1_questions
+from repro.roofline.hardware import get_gpu
+from repro.types import Boundedness, Language
 from repro.serve import AsyncEvalEngine
 from repro.serve.providers import EmulatedProvider
 from repro.util.faults import reset_active_fault_plan
@@ -36,10 +44,33 @@ from repro.util.retry import RetryPolicy
 
 MODELS = ("gpt-4o-mini", "o3-mini-high")
 _QUESTIONS = generate_rq1_questions(6, seed_key="equivalence-oracle")
-ITEMS = [
-    (f"q{i}", build_rq1_prompt(q, shots=2), q.truth)
-    for i, q in enumerate(_QUESTIONS)
-]
+CLASSIFY_GPU = "H100"
+CLASSIFY_VARIANTS = ("zero-shot", "few-shot-2")
+
+
+@lru_cache(maxsize=None)
+def grid_items() -> tuple:
+    """The grid's (item_id, prompt, truth) units, built on first use (the
+    classification prompts need the paper dataset)."""
+    rq1 = [
+        (f"q{i}", build_rq1_prompt(q, shots=2), q.truth)
+        for i, q in enumerate(_QUESTIONS)
+    ]
+    # One kernel per language × label.
+    balanced = paper_dataset().balanced
+    samples = [
+        next(s for s in balanced if s.language is language and s.label is label)
+        for language in Language
+        for label in Boundedness
+    ]
+    classify = [
+        (f"{variant}:{uid}", prompt, truth)
+        for variant in CLASSIFY_VARIANTS
+        for uid, prompt, truth in classification_items(
+            samples, variant=variant, gpu=get_gpu(CLASSIFY_GPU)
+        )
+    ]
+    return tuple(rq1 + classify)
 
 SYNC_BACKENDS = (("sequential", 1), ("thread", 4), ("process", 2))
 STORES = ("off", "cold", "warm")
@@ -63,13 +94,13 @@ def segment_bytes(root) -> dict[str, bytes]:
 
 
 def sync_grid(engine: EvalEngine):
-    return [engine.run(get_model(name), ITEMS) for name in MODELS]
+    return [engine.run(get_model(name), grid_items()) for name in MODELS]
 
 
 def async_grid(engine: AsyncEvalEngine):
     async def scenario():
         return [
-            await engine.run(EmulatedProvider(get_model(name)), ITEMS)
+            await engine.run(EmulatedProvider(get_model(name)), grid_items())
             for name in MODELS
         ]
 
@@ -87,13 +118,13 @@ def run_path(path: str, root):
         EvalEngine(
             store=DiskResponseStore(root),
             journal=SweepJournal(journal_path, label="partial"),
-        ).run(get_model(MODELS[0]), ITEMS)
+        ).run(get_model(MODELS[0]), grid_items())
         engine = EvalEngine(
             store=DiskResponseStore(root),
             journal=SweepJournal(journal_path, label="resume"),
         )
         results = sync_grid(engine)
-        assert engine.stats.hits == len(ITEMS)
+        assert engine.stats.hits == len(grid_items())
         return grid_digest(results), engine.stats.completions, None
     if kind == "async":
         if store_mode == "warm":
@@ -128,7 +159,7 @@ def reference(tmp_path_factory):
 
 def test_grid_has_no_duplicate_prompts():
     # Duplicates would let thread-backend units race on one key.
-    assert len({prompt for _, prompt, _ in ITEMS}) == len(ITEMS)
+    assert len({prompt for _, prompt, _ in grid_items()}) == len(grid_items())
 
 
 @pytest.mark.parametrize("path", PATHS)
@@ -139,9 +170,9 @@ def test_every_path_matches_the_reference(path, reference, tmp_path):
     if path.endswith("-warm"):
         assert completions == 0
     elif path == "journal-resume":
-        assert completions == len(ITEMS) * (len(MODELS) - 1)
+        assert completions == len(grid_items()) * (len(MODELS) - 1)
     else:
-        assert completions == len(ITEMS) * len(MODELS)
+        assert completions == len(grid_items()) * len(MODELS)
     if root is not None:
         assert ref_segments and segment_bytes(root) == ref_segments
 
@@ -179,6 +210,6 @@ def test_stats_identical_across_backends_under_faults(
     (_, _, uncached, off_retries, _), (hits, misses, _, retries, failed) = (
         expected
     )
-    assert uncached == misses == hits == len(ITEMS) * len(MODELS)
+    assert uncached == misses == hits == len(grid_items()) * len(MODELS)
     assert off_retries == retries > 0 and failed == 0
     assert counters(backend, jobs, tmp_path / backend) == expected

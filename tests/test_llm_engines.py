@@ -207,8 +207,10 @@ class TestAttentionModel:
 
 class TestAnalysisMemo:
     """The device-independent reading of a kernel (lexical score, static
-    estimate) is memoized by code digest across GPU × regime cells. The
-    memo must be invisible in the answers and must read each kernel once."""
+    estimate) and its code-keyed draws are memoized by code digest across
+    GPU × regime cells. The memos must be invisible in the answers, must
+    read each kernel and seed each code stream once, and must keep the
+    draws from evicting the readings."""
 
     MODELS = ("o3-mini-high", "gpt-4o-mini")
     GPUS = ("V100", "H100")
@@ -326,4 +328,150 @@ class TestAnalysisMemo:
         for i in range(9):
             reasoner.memoized(("k", i), lambda i=i: i)
         assert list(reasoner._ANALYSIS_MEMO) == [("k", i) for i in range(4, 9)]
+        reasoner.clear_analysis_memo()
+
+    def _grid_queries(self, monkeypatch):
+        """Run the grid on cleared memos; return (model name, parsed query)
+        for each of its completions."""
+        from repro.llm import base, reasoner
+        from repro.llm.promptio import parse_classify_query
+
+        prompts: list[tuple[str, str]] = []
+        real_complete = base.LlmModel.complete
+
+        def complete(self, prompt, **kwargs):
+            prompts.append((self.name, prompt))
+            return real_complete(self, prompt, **kwargs)
+
+        monkeypatch.setattr(base.LlmModel, "complete", complete)
+        reasoner.clear_analysis_memo()
+        self._grid()
+        return [(name, parse_classify_query(p)) for name, p in prompts]
+
+    def test_code_streams_seeded_once(self, dataset, monkeypatch):
+        """Each code-keyed stream is seeded once per (model, kernel) across
+        the 2 GPU × 2 regime grid, however many cells draw from it."""
+        from collections import Counter
+
+        import numpy as np
+
+        from repro.util.rng import derive_seed
+
+        seeds: Counter = Counter()
+        real_pcg = np.random.PCG64
+
+        def pcg64(seed=None):
+            seeds[seed] += 1
+            return real_pcg(seed)
+
+        monkeypatch.setattr(np.random, "PCG64", pcg64)
+        queries = self._grid_queries(monkeypatch)
+        assert len(queries) == 2 * 2 * 2 * 12
+
+        code = {(name, q.code_digest) for name, q in queries}
+        assert len(code) == 2 * 12
+        deep = 0
+        for name, digest in code:
+            key = ("llm", name, "analysis", digest)
+            assert seeds[derive_seed(*key, "lex")] == 1
+            assert seeds[derive_seed(*key, "attention")] == 1
+            assert seeds[derive_seed(*key, "deep")] <= 1
+            deep += seeds[derive_seed(*key, "deep")]
+        assert deep > 0
+
+    def test_clear_empties_draw_memo(self, dataset, monkeypatch):
+        """Clearing drops the draws too, so a cleared run is truly cold."""
+        from repro.llm import reasoner
+
+        self._grid_queries(monkeypatch)
+        assert reasoner._DRAW_MEMO and reasoner._ANALYSIS_MEMO
+        reasoner.clear_analysis_memo()
+        assert reasoner._DRAW_MEMO == {} and reasoner._ANALYSIS_MEMO == {}
+
+    def test_draw_overflow_keeps_analyses(self, reference, monkeypatch):
+        """The draws live in their own bounded map: overflowing it drops
+        only draws, never a kernel analysis, and changes no answer."""
+        from repro.llm import reasoner
+
+        reasoner.clear_analysis_memo()
+        self._grid()
+        analyses = dict(reasoner._ANALYSIS_MEMO)
+        assert len(reasoner._DRAW_MEMO) == 2 * 12
+
+        monkeypatch.setattr(reasoner, "_DRAW_MEMO_CAP", 4)
+        for i in range(50):
+            reasoner.MemoStream("overflow", i).child("u").uniform()
+        assert len(reasoner._DRAW_MEMO) <= 4
+        assert reasoner._ANALYSIS_MEMO == analyses
+
+        reasoner.clear_analysis_memo()
+        capped = self._grid()
+        assert len(reasoner._DRAW_MEMO) <= 4
+        assert reasoner._ANALYSIS_MEMO.keys() == analyses.keys()
+        assert capped == reference
+        assert capped.digest() == reference.digest()
+        reasoner.clear_analysis_memo()
+
+    def test_memo_stream_draws_once(self):
+        """A memoized value stands in only for a stream's first draw."""
+        from repro.llm import reasoner
+
+        reasoner.clear_analysis_memo()
+        root = reasoner.MemoStream("memo-test", 7)
+        fresh = root.child("u")
+        value = fresh.uniform(-0.8, 0.8)
+        assert value == RngStream("memo-test", 7, "u").uniform(-0.8, 0.8)
+        with pytest.raises(RuntimeError):
+            fresh.uniform(-0.8, 0.8)
+
+        served = root.child("u")  # this one is served from the memo
+        assert served.uniform(-0.8, 0.8) == value
+        with pytest.raises(RuntimeError):
+            served.normal()
+        assert reasoner._DRAW_MEMO == {
+            ("memo-test", 7): {(("u",), "uniform", (-0.8, 0.8)): value}
+        }
+        # Draws the memo cannot stand in for are refused outright.
+        with pytest.raises(TypeError):
+            root.child("b").bernoulli(0.5)
+        reasoner.clear_analysis_memo()
+
+    def test_draw_memo_under_thread_contention(self, monkeypatch):
+        """Thread-backend workers share the draw map: with more threads than
+        cores, forced switches and a tiny cap, every draw still equals a
+        fresh stream's and the map stays bounded."""
+        import sys
+        import threading
+
+        from repro.llm import reasoner
+
+        keys = [("stress", i) for i in range(40)]
+        expected = {k: RngStream(*k, "u").uniform(-0.8, 0.8) for k in keys}
+        monkeypatch.setattr(reasoner, "_DRAW_MEMO_CAP", 8)
+        reasoner.clear_analysis_memo()
+        errors: list = []
+
+        def worker(offset):
+            try:
+                for n in range(300):
+                    k = keys[(offset + 7 * n) % len(keys)]
+                    got = reasoner.MemoStream(*k).child("u").uniform(-0.8, 0.8)
+                    if got != expected[k]:
+                        errors.append((k, got))
+            except Exception as exc:  # surfaced by the assert below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(reasoner._DRAW_MEMO) <= 8
         reasoner.clear_analysis_memo()
