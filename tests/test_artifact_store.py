@@ -313,6 +313,64 @@ class TestSharedLifecycle:
         assert inside.total_bytes == after.total_bytes > 0
 
 
+class TestArtifactRootPin:
+    """The bytes one fixed workload leaves in an artifact root.
+
+    Written only through the text pipeline and the CLI, so it pins the
+    on-disk format independently of how the cache is put together."""
+
+    #: (file name, sha256) of every run after compaction.
+    GOLDEN_RUNS = {
+        "sources-721fe651fed203ca1e59edde1fbbfdac.bin":
+            "8186c2aed871151299ddbfb0acf5996ae43cdff5ca649629c11f5d5b4a433cf3",
+        "tokencounts-365d5a947008f6691c1d1a96320be2c3.bin":
+            "ffc607d4294d43eb4f9d9f54a8f05907d2bb71243ee83884a776cf4b2e7b8bf1",
+        "tokencounts-87676d660b581a177a43899bdc4dbd94.bin":
+            "cb8098f236a8a5fcfacdf33f100c018294a68a062ef6f2a9f3a017866e389e3d",
+        "tokenizers-63dbdc53dcf47c3131c18913f6326b8e.bin":
+            "742fd9a75762c505a975774b8f8407d7165bb153cec93493507889376adb2a5d",
+    }
+
+    def test_compacted_root_bytes_and_counts_are_pinned(
+        self, tmp_path, small_corpus, small_tokenizer, fresh_text_memos,
+        capsys,
+    ):
+        from repro.cli import main
+        from repro.store.text import TEXT_SEGMENT_PREFIXES
+        from repro.tokenizer.pretrained import train_corpus_tokenizer
+
+        root = tmp_path / "ac"
+        cache = ArtifactCache(root)
+        trained = train_corpus_tokenizer(sample=6, num_merges=30, cache=cache)
+        programs = list(small_corpus.programs[:5])
+        for tok in (trained, small_tokenizer):
+            program_texts(programs, tok, cache=cache)
+
+        class TextFamily(ArtifactStore):
+            version = TEXT_VERSION
+            segment_prefixes = TEXT_SEGMENT_PREFIXES
+
+        TextFamily(root).compact()
+        runs = {
+            (path.name, hashlib.sha256(path.read_bytes()).hexdigest())
+            for path in root.iterdir()
+        }
+        assert runs == set(self.GOLDEN_RUNS.items())
+
+        m = ArtifactCache(root).manifest()
+        counts = (m.tokenizer_entries, m.source_entries, m.count_entries,
+                  m.count_tokenizers)
+        assert counts == (1, 10, 10, 2)
+
+        capsys.readouterr()
+        assert main(["cache", "--artifact-cache", str(root)]) == 0
+        out = capsys.readouterr().out
+        for line in ("tokenizers: 1", "sources:    10",
+                     "counts:     10 (2 tokenizers)"):
+            assert line in out
+        assert main(["doctor", "--dry-run", "--artifact-cache", str(root)]) == 0
+
+
 class TestContentKeys:
     def test_text_key_distinguishes_programs(self, small_corpus):
         keys = {program_text_key(p) for p in small_corpus.programs}
