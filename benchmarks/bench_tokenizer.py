@@ -26,6 +26,7 @@ from __future__ import annotations
 import time
 from collections import Counter
 
+from repro import runtime
 from repro.dataset import paper_dataset
 from repro.dataset import text as text_mod
 from repro.eval import matrix as matrix_mod
@@ -33,20 +34,12 @@ from repro.eval.engine import EvalEngine
 from repro.eval.matrix import run_matrix
 from repro.gpusim import default_device, profile_corpus
 from repro.gpusim.profiler import _PROFILE_MEMO, _TRACE_MEMO
-from repro.gpusim.store import (
-    ProfileStore,
-    reset_active_profile_store,
-    set_active_profile_store,
-)
+from repro.gpusim.store import ProfileStore
 from repro.kernels.codegen import render_program
 from repro.kernels.corpus import default_corpus
 from repro.llm.registry import get_model
 from repro.roofline.hardware import GPU_DATABASE
-from repro.store.text import (
-    ArtifactCache,
-    reset_active_artifact_cache,
-    set_active_artifact_cache,
-)
+from repro.store.text import ArtifactCache
 from repro.tokenizer.bpe import BpeTokenizer, _word_to_symbols, pretokenize
 from repro.tokenizer.pretrained import (
     NUM_MERGES,
@@ -159,8 +152,7 @@ def test_text_pipeline_walltime(tmp_path):
         # CI runners, and min-wall is the standard way to strip scheduler
         # noise from a ~1s measurement (the seed side is long enough that
         # noise is proportionally negligible).
-        set_active_profile_store(None)
-        set_active_artifact_cache(None)
+        runtime.install(profile_store=None, artifact_cache=None)
         t_new_cold = float("inf")
         for _ in range(2):
             _fresh()
@@ -169,8 +161,10 @@ def test_text_pipeline_walltime(tmp_path):
             t_new_cold = min(t_new_cold, time.perf_counter() - t0)
 
         # -- cold process writing the stores -------------------------------
-        set_active_profile_store(ProfileStore(tmp_path / "profile-store"))
-        set_active_artifact_cache(ArtifactCache(tmp_path / "artifact-cache"))
+        runtime.install(
+            profile_store=ProfileStore(tmp_path / "profile-store"),
+            artifact_cache=ArtifactCache(tmp_path / "artifact-cache"),
+        )
         _fresh()
         t0 = time.perf_counter()
         ds_store_cold = paper_dataset(force_rebuild=True)
@@ -244,14 +238,12 @@ def test_text_pipeline_walltime(tmp_path):
         with_store = run_matrix(
             models, gpus, rqs=("rq2",), limit=25, engine=EvalEngine()
         ).digest()
-        set_active_profile_store(None)
-        set_active_artifact_cache(None)
+        runtime.install(profile_store=None, artifact_cache=None)
         _fresh()
         without_store = run_matrix(
             models, gpus, rqs=("rq2",), limit=25, engine=EvalEngine()
         ).digest()
         assert with_store == without_store
     finally:
-        reset_active_profile_store()
-        reset_active_artifact_cache()
+        runtime.reset()
         _fresh()

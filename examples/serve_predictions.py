@@ -91,20 +91,22 @@ def run_client(base_url: str) -> None:
 
 def self_hosted_demo() -> None:
     from repro.eval.engine import (
+        CACHE_DIR_ENV,
+        DEFAULT_CACHE_DIRNAME,
         DiskResponseStore,
         EvalEngine,
-        default_cache_dir,
     )
     from repro.eval.rq23 import classification_items
     from repro.dataset import paper_dataset
     from repro.llm import get_model
+    from repro.runtime import env_root
     from repro.serve import (
         AsyncEvalEngine,
         PredictionServer,
         PredictionService,
     )
 
-    store = DiskResponseStore(default_cache_dir())
+    store = DiskResponseStore(env_root(CACHE_DIR_ENV, DEFAULT_CACHE_DIRNAME))
     samples = list(paper_dataset().balanced)
     # Warm the store exactly how the batch CLI would (same prompts, same
     # cache keys) so the served queries below are all hits.

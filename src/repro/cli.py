@@ -39,7 +39,10 @@ trained BPE tokenizer, rendered program sources, and token counts —
 persist in a third content-addressed store (``--artifact-cache``,
 default ``$REPRO_ARTIFACT_CACHE`` or ``.repro-artifact-cache``;
 ``--artifact-cache-max-bytes`` / ``--no-artifact-cache``), so a warm
-cache trains zero tokenizers and renders zero programs.
+cache trains zero tokenizers and renders zero programs. Each command
+installs the profile store, artifact cache and ``--inject-faults`` plan
+its flags select into :mod:`repro.runtime` once; a blank store env var
+reads as unset.
 
 Distributed sweeps: ``sweep --shard I/N`` executes one deterministic shard
 of the (model × regime × GPU × kernel) grid on any machine, and
@@ -151,82 +154,78 @@ def _add_engine_flags(p: argparse.ArgumentParser) -> None:
     _add_cache_flags(p)
 
 
-def _flag_or_default(args: argparse.Namespace, attr: str, default_fn):
-    """One rule for every store flag with an env-backed default: an
-    explicit CLI value wins, otherwise the env/default resolver applies.
-    """
+def _flag_root(args: argparse.Namespace, attr: str, env: str, dirname: str):
+    """A store directory: an explicit flag wins ("" falls through like an
+    absent flag), then ``$env`` (blank reads as unset), then ``dirname``."""
+    from repro.runtime import env_root
+
     value = getattr(args, attr, None)
-    # "" falls through like None (empty dir flag); 0 does not (a zero size
-    # bound means "keep nothing", which is a real request).
-    return value if value not in (None, "") else default_fn()
+    return value if value else env_root(env, dirname)
 
 
-def _configure_stores(args: argparse.Namespace) -> None:
-    """Install the process-wide profile store and artifact cache from CLI
-    flags.
+def _flag_max_bytes(args: argparse.Namespace, attr: str, env: str):
+    """A store size bound: an explicit flag wins (0 too: a zero bound
+    means "keep nothing", a real request), then ``$env``."""
+    from repro.runtime import env_max_bytes
+
+    value = getattr(args, attr, None)
+    return value if value is not None else env_max_bytes(env)
+
+
+def _install_runtime(args: argparse.Namespace):
+    """Install the profile store, artifact cache and fault plan the flags
+    select into :mod:`repro.runtime`, and return the resulting
+    :class:`~repro.runtime.Runtime`.
 
     Every consumer downstream (dataset build, tokenizer training, matrix
-    scenarios, shard execution) picks them up via
-    :func:`repro.gpusim.store.active_profile_store` /
-    :func:`repro.store.text.active_artifact_cache` — no threading of
-    store objects through call chains.
+    scenarios, shard execution, store writes, engine retry loops) reads
+    them through :func:`repro.runtime.current` — no threading of stores
+    through call chains. Without ``--inject-faults`` any
+    ``$REPRO_FAULT_PLAN`` plan stays in effect (that is how sharded
+    workers and subprocess chaos tests inherit one). A malformed spec is a
+    usage error: print it and exit 2 like argparse.
     """
+    from repro import runtime
     from repro.gpusim.store import (
+        DEFAULT_PROFILE_CACHE_DIRNAME,
+        PROFILE_CACHE_ENV,
+        PROFILE_CACHE_MAX_BYTES_ENV,
         ProfileStore,
-        default_profile_cache_dir,
-        default_profile_cache_max_bytes,
-        set_active_profile_store,
     )
     from repro.store.text import (
+        ARTIFACT_CACHE_ENV,
+        ARTIFACT_CACHE_MAX_BYTES_ENV,
+        DEFAULT_ARTIFACT_CACHE_DIRNAME,
         ArtifactCache,
-        default_artifact_cache_dir,
-        default_artifact_cache_max_bytes,
-        set_active_artifact_cache,
     )
+    from repro.util.faults import FaultPlan
 
-    if getattr(args, "no_profile_cache", False):
-        set_active_profile_store(None)
-    else:
-        set_active_profile_store(ProfileStore(
-            _flag_or_default(args, "profile_cache", default_profile_cache_dir),
-            max_bytes=_flag_or_default(
-                args, "profile_cache_max_bytes",
-                default_profile_cache_max_bytes,
+    fields: dict = {"profile_store": None, "artifact_cache": None}
+    if not getattr(args, "no_profile_cache", False):
+        fields["profile_store"] = ProfileStore(
+            _flag_root(args, "profile_cache", PROFILE_CACHE_ENV,
+                       DEFAULT_PROFILE_CACHE_DIRNAME),
+            max_bytes=_flag_max_bytes(
+                args, "profile_cache_max_bytes", PROFILE_CACHE_MAX_BYTES_ENV
             ),
-        ))
-
-    if getattr(args, "no_artifact_cache", False):
-        set_active_artifact_cache(None)
-    else:
-        set_active_artifact_cache(ArtifactCache(
-            _flag_or_default(
-                args, "artifact_cache", default_artifact_cache_dir
+        )
+    if not getattr(args, "no_artifact_cache", False):
+        fields["artifact_cache"] = ArtifactCache(
+            _flag_root(args, "artifact_cache", ARTIFACT_CACHE_ENV,
+                       DEFAULT_ARTIFACT_CACHE_DIRNAME),
+            max_bytes=_flag_max_bytes(
+                args, "artifact_cache_max_bytes", ARTIFACT_CACHE_MAX_BYTES_ENV
             ),
-            max_bytes=_flag_or_default(
-                args, "artifact_cache_max_bytes",
-                default_artifact_cache_max_bytes,
-            ),
-        ))
-
-
-def _configure_faults(args: argparse.Namespace) -> None:
-    """Install the fault plan named by ``--inject-faults`` process-wide.
-
-    Without the flag any ``$REPRO_FAULT_PLAN`` plan stays in effect (that
-    is how sharded workers and subprocess chaos tests inherit one). A
-    malformed spec is a usage error: print it and exit 2 like argparse.
-    """
-    from repro.util.faults import FaultPlan, set_active_fault_plan
-
+        )
     spec = getattr(args, "inject_faults", None)
-    if spec is None:
-        return
-    try:
-        plan = FaultPlan.parse(spec)
-    except ValueError as exc:
-        print(f"error: --inject-faults: {exc}", file=sys.stderr)
-        raise SystemExit(2)
-    set_active_fault_plan(plan)
+    if spec is not None:
+        try:
+            fields["fault_plan"] = FaultPlan.parse(spec)
+        except ValueError as exc:
+            print(f"error: --inject-faults: {exc}", file=sys.stderr)
+            raise SystemExit(2)
+    runtime.install(**fields)
+    return runtime.current()
 
 
 def _add_stats_flags(p: argparse.ArgumentParser) -> None:
@@ -280,18 +279,17 @@ def _build_stats(args: argparse.Namespace, result):
 def _make_store(args: argparse.Namespace):
     """The response store selected by the cache flags (None = disabled)."""
     from repro.eval.engine import (
+        CACHE_DIR_ENV,
+        CACHE_MAX_BYTES_ENV,
+        DEFAULT_CACHE_DIRNAME,
         DiskResponseStore,
-        default_cache_dir,
-        default_cache_max_bytes,
     )
 
     if args.no_cache:
         return None
     return DiskResponseStore(
-        _flag_or_default(args, "cache_dir", default_cache_dir),
-        max_bytes=_flag_or_default(
-            args, "cache_max_bytes", default_cache_max_bytes
-        ),
+        _flag_root(args, "cache_dir", CACHE_DIR_ENV, DEFAULT_CACHE_DIRNAME),
+        max_bytes=_flag_max_bytes(args, "cache_max_bytes", CACHE_MAX_BYTES_ENV),
     )
 
 
@@ -309,8 +307,7 @@ def _make_engine(args: argparse.Namespace):
     from repro.eval.engine import EvalEngine
     from repro.eval.journal import DEFAULT_JOURNAL_NAME, SweepJournal
 
-    _configure_stores(args)
-    _configure_faults(args)
+    _install_runtime(args)
     store = _make_store(args)
     journal = None
     if getattr(args, "resume", False):
@@ -365,7 +362,7 @@ def _cmd_models(args: argparse.Namespace) -> int:
 def _cmd_dataset(args: argparse.Namespace) -> int:
     from repro.dataset import cell_counts, paper_dataset, save_samples
 
-    _configure_stores(args)
+    _install_runtime(args)
     ds = paper_dataset(jobs=args.jobs)
     r = ds.prune_report
     print(f"profiled: {r.total_before} ({r.cuda_before} CUDA + {r.omp_before} OMP)")
@@ -385,7 +382,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     from repro.llm import get_model, query_cost_usd
     from repro.prompts import build_classify_prompt
 
-    _configure_stores(args)
+    _install_runtime(args)
     ds = paper_dataset()
     matches = [s for s in ds.balanced if s.uid == args.uid]
     if not matches:
@@ -454,7 +451,7 @@ def _cmd_rq23(args: argparse.Namespace, few_shot: bool) -> int:
 def _cmd_rq4(args: argparse.Namespace) -> int:
     from repro.eval.rq4 import run_rq4
 
-    _configure_stores(args)
+    _install_runtime(args)
     r = run_rq4(scope=args.scope, jobs=args.jobs, backend=args.backend)
     print(f"scope:              {r.scope}")
     print(f"train/validation:   {r.train_size}/{r.validation_size}")
@@ -699,7 +696,7 @@ def _cmd_merge_caches(args: argparse.Namespace) -> int:
     except (KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _configure_stores(args)
+    _install_runtime(args)
     engine = EvalEngine(jobs=args.jobs, store=store, backend=args.backend)
     result = run_matrix(
         _select_models(args.model), gpus, rqs=_resolve_regimes(args),
@@ -715,22 +712,19 @@ def _cmd_merge_caches(args: argparse.Namespace) -> int:
 
 
 def _doctor_families(args: argparse.Namespace):
-    """(label, store) pairs for the three store families the doctor and
-    the cache manifest inspect, honouring the shared dir flags."""
-    from repro.eval.engine import DiskResponseStore, default_cache_dir
-    from repro.gpusim.store import ProfileStore, default_profile_cache_dir
-    from repro.store.text import ArtifactCache, default_artifact_cache_dir
+    """The response store, profile store and artifact cache the doctor
+    and the cache manifest inspect, honouring the shared dir flags."""
+    from repro.eval.engine import (
+        CACHE_DIR_ENV,
+        DEFAULT_CACHE_DIRNAME,
+        DiskResponseStore,
+    )
 
+    rt = _install_runtime(args)
     store = DiskResponseStore(
-        _flag_or_default(args, "cache_dir", default_cache_dir)
+        _flag_root(args, "cache_dir", CACHE_DIR_ENV, DEFAULT_CACHE_DIRNAME)
     )
-    profiles = ProfileStore(
-        _flag_or_default(args, "profile_cache", default_profile_cache_dir)
-    )
-    artifacts = ArtifactCache(
-        _flag_or_default(args, "artifact_cache", default_artifact_cache_dir)
-    )
-    return store, profiles, artifacts
+    return store, rt.profile_store, rt.artifact_cache
 
 
 def _doctor_hint(store, label: str) -> None:
@@ -758,7 +752,7 @@ def _cmd_doctor(args: argparse.Namespace) -> int:
     families = (
         ("responses", store),
         ("profiles", profiles),
-        ("artifacts", artifacts.renders),
+        ("artifacts", artifacts),
     )
     issues = 0
     first = True
@@ -849,7 +843,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         print(f"artifact cache: {artifacts.root}")
     print(artifacts.manifest().render())
     if artifacts.root.is_dir():
-        _doctor_hint(artifacts.renders, "artifacts")
+        _doctor_hint(artifacts, "artifacts")
     return 0
 
 
@@ -907,8 +901,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         RetryPolicy,
     )
 
-    _configure_stores(args)
-    _configure_faults(args)
+    _install_runtime(args)
     store = _make_store(args)
     hedge = None if args.no_hedge else HedgePolicy(delay_s=args.hedge_delay)
     try:
@@ -995,7 +988,7 @@ def _cmd_figures(args: argparse.Namespace) -> int:
     from repro.dataset import paper_dataset
     from repro.eval.figures import figure1_data, figure2_data
 
-    _configure_stores(args)
+    _install_runtime(args)
     ds = paper_dataset()
     if args.which in ("1", "both"):
         print(figure1_data(list(ds.profiled)).render_ascii())

@@ -87,8 +87,8 @@ def build_samples(
 
     The gpusim profiling runs as one batched, memoized, two-phase pass
     shared with every other consumer of this (corpus, device) pair — and,
-    when a persistent profile store is active
-    (:func:`repro.gpusim.store.active_profile_store`), served from disk
+    when the runtime holds a persistent profile store
+    (:func:`repro.runtime.current`), served from disk
     with zero IR walks in warm-store processes. Rendering and
     token-counting run the same way through the device-independent
     :func:`repro.dataset.text.program_texts` pass (memoized, and served

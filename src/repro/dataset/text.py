@@ -10,8 +10,8 @@ times. This module is that shared pass, layered like
   dead corpus frees its text and id reuse cannot alias) — the corpus and
   scenario passes share one render per program object, and the memo
   costs no digest work at all;
-* under it, the persistent render store
-  (:class:`repro.store.text.RenderStore`), addressed by the SHA-256
+* under it, the persistent artifact cache
+  (:class:`repro.store.text.ArtifactCache`), addressed by the SHA-256
   content digests of :func:`repro.store.text.program_text_key` and the
   tokenizer digest — digests are computed only when a store is attached,
   a warm artifact cache means a cold process renders and token-counts
@@ -30,8 +30,9 @@ import weakref
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
+from repro import runtime
 from repro.kernels.codegen import render_program
-from repro.store.text import active_artifact_cache, program_text_key
+from repro.store.text import program_text_key
 from repro.util.parallel import parallel_map
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -55,11 +56,6 @@ class TextArtifact:
 _TEXT_LOCK = threading.Lock()
 _SOURCE_MEMO: dict[int, tuple["weakref.ref", str]] = {}
 _COUNT_MEMO: dict[tuple[str, int], tuple["weakref.ref", int]] = {}
-
-#: Sentinel: "use the process-wide active artifact cache" (see
-#: :func:`repro.store.text.active_artifact_cache`). Pass ``cache=None``
-#: to force store-less rendering.
-_ACTIVE_CACHE = object()
 
 
 def clear_text_memos() -> None:
@@ -97,15 +93,15 @@ def rendered_sources(
     programs: Sequence["ProgramSpec"],
     *,
     jobs: int = 1,
-    cache=_ACTIVE_CACHE,
+    cache=runtime.CURRENT,
 ) -> dict[str, str]:
     """uid → concatenated source, rendering each program at most once.
 
-    Layered memo → render store → :func:`render_program`; newly rendered
+    Layered memo → artifact cache → :func:`render_program`; newly rendered
     sources are written back through both layers.
     """
-    if cache is _ACTIVE_CACHE:
-        cache = active_artifact_cache()
+    if cache is runtime.CURRENT:
+        cache = runtime.current().artifact_cache
     programs = list(programs)
     sources: dict[int, str] = {}
     missing: list[tuple[int, "ProgramSpec"]] = []
@@ -118,7 +114,7 @@ def rendered_sources(
                 missing.append((i, program))
     if cache is not None and missing:
         keys = [program_text_key(p) for _, p in missing]
-        stored = cache.renders.get_sources(keys)
+        stored = cache.get_sources(keys)
         if stored:
             rest = []
             for (i, program), key in zip(missing, keys):
@@ -151,7 +147,7 @@ def rendered_sources(
             },
         )
         if cache is not None:
-            cache.renders.put_sources(
+            cache.put_sources(
                 {
                     program_text_key(p): text
                     for (_, p), text in zip(missing, rendered)
@@ -165,7 +161,7 @@ def program_texts(
     tokenizer: "BpeTokenizer",
     *,
     jobs: int = 1,
-    cache=_ACTIVE_CACHE,
+    cache=runtime.CURRENT,
 ) -> dict[str, TextArtifact]:
     """uid → :class:`TextArtifact` for one batch of programs.
 
@@ -173,8 +169,8 @@ def program_texts(
     hoisted out of the per-device loop: every scenario GPU of a matrix
     sweep shares one render and one token count per program.
     """
-    if cache is _ACTIVE_CACHE:
-        cache = active_artifact_cache()
+    if cache is runtime.CURRENT:
+        cache = runtime.current().artifact_cache
     programs = list(programs)
     tdigest = tokenizer.digest()
     sources = rendered_sources(programs, jobs=jobs, cache=cache)
@@ -190,7 +186,7 @@ def program_texts(
                 missing.append((i, program))
     if cache is not None and missing:
         keys = [program_text_key(p) for _, p in missing]
-        stored = cache.renders.get_token_counts(tdigest, keys)
+        stored = cache.get_token_counts(tdigest, keys)
         if stored:
             rest = []
             for (i, program), key in zip(missing, keys):
@@ -223,7 +219,7 @@ def program_texts(
             },
         )
         if cache is not None:
-            cache.renders.put_token_counts(
+            cache.put_token_counts(
                 tdigest,
                 {
                     program_text_key(p): count

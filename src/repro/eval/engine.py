@@ -6,7 +6,7 @@ hot path as one engine core that every executor drives:
 
 * **Lookup → compute → commit → assemble.** Each unit derives its
   :func:`cache_key` once, looks it up in the store, computes a miss
-  (:func:`_compute`: the retry loop under the active fault plan), and
+  (:func:`_compute`: the retry loop under the runtime's fault plan), and
   commits the outcome (store write plus stats); a run is then assembled
   into records and failures with usage metered in item order.
   :class:`_EngineCore` holds the lookup and commit steps — the only code
@@ -58,8 +58,8 @@ from repro.eval.journal import SweepJournal, checkpoint_interval
 from repro.llm.base import LlmModel, LlmResponse
 from repro.llm.config import ModelConfig
 from repro.llm.pricing import Usage, UsageMeter
-from repro.store.base import ArtifactStore, SegmentView, parse_max_bytes
-from repro.util.faults import active_fault_plan
+from repro import runtime
+from repro.store.base import ArtifactStore, SegmentView
 from repro.util.hashing import stable_hash_bytes, stable_hash_u64
 from repro.util.parallel import (
     DEFAULT_BACKEND,
@@ -95,19 +95,6 @@ _RESPONSES_PREFIX = "responses-"
 #: The logical key of the response store's one segment, recorded in every
 #: run it writes.
 RESPONSES_SEGMENT_KEY = "all"
-
-
-def default_cache_dir() -> Path:
-    """Where the CLI keeps its response cache (``$REPRO_CACHE_DIR`` wins)."""
-    return Path(os.environ.get(CACHE_DIR_ENV) or DEFAULT_CACHE_DIRNAME)
-
-
-def default_cache_max_bytes() -> int | None:
-    """The CLI's cache size bound (``$REPRO_CACHE_MAX_BYTES``; ``None`` =
-    unbounded; ``0`` = keep nothing; junk warns and stays unbounded)."""
-    return parse_max_bytes(
-        os.environ.get(CACHE_MAX_BYTES_ENV), source=CACHE_MAX_BYTES_ENV
-    )
 
 
 @lru_cache(maxsize=256)
@@ -553,14 +540,14 @@ def _compute(
     Module-level over picklable args so the process backend can ship it to
     workers (the model is pickled once per shard). The caller's cache key
     seeds the retry RNG, so backoff jitter reproduces however the fan-out
-    schedules the unit, and selects its faults under the active fault plan
-    (a worker's comes from the inherited ``$REPRO_FAULT_PLAN``). In
+    schedules the unit, and selects its faults under the runtime's fault
+    plan (a worker's comes from the inherited ``$REPRO_FAULT_PLAN``). In
     ``collect`` mode an exhausted transient failure returns as a
     :class:`_FailedCompletion` marker instead of raising; anything
     non-transient still propagates — that's a bug, not weather.
     """
     key, prompt = unit
-    plan = active_fault_plan()
+    plan = runtime.current().fault_plan
     attempts = 0
 
     def attempt() -> CachedResponse:

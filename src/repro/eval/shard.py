@@ -43,6 +43,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from repro import runtime
 from repro.eval.engine import CachedResponse, DiskResponseStore, EvalEngine
 from repro.eval.matrix import grid_uids, regime_variant, scenario_samples
 from repro.eval.rq23 import classification_items
@@ -243,16 +244,14 @@ def run_shard(
     for (_, gpu_name, _), cell_uids in grouped.items():
         union = uids_by_gpu.setdefault(gpu_name, [])
         union.extend(u for u in cell_uids if u not in union)
-    from repro.gpusim.store import active_profile_store
-    from repro.store.text import active_artifact_cache
-
+    rt = runtime.current()
     cells = []
     with ExitStack() as stack:
         # Batch the whole shard's profile/artifact-store writes: one new
         # run per segment at block exit (or per flush interval) instead of
         # one per device pass. The response store batches per engine.run
         # call already.
-        for batched in (active_profile_store(), active_artifact_cache()):
+        for batched in (rt.profile_store, rt.artifact_cache):
             if batched is not None:
                 stack.enter_context(batched.deferred())
         samples_by_gpu = {

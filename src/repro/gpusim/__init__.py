@@ -31,10 +31,8 @@ from repro.gpusim.profiler import (
 from repro.gpusim.store import (
     PROFILER_VERSION,
     ProfileStore,
-    active_profile_store,
     device_profile_key,
     program_profile_key,
-    set_active_profile_store,
 )
 from repro.gpusim.timing import TimingBreakdown, estimate_time
 
@@ -61,8 +59,6 @@ __all__ = [
     "profile_programs",
     "PROFILER_VERSION",
     "ProfileStore",
-    "active_profile_store",
-    "set_active_profile_store",
     "program_profile_key",
     "device_profile_key",
     "TimingBreakdown",

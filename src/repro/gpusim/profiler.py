@@ -18,6 +18,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Mapping
 
+from repro import runtime
 from repro.gpusim.counters import ProfileCounters
 from repro.gpusim.device import DeviceModel, default_device
 from repro.gpusim.memory import (
@@ -604,12 +605,6 @@ _PROFILE_MEMO_CAP = 16
 _TRACE_MEMO: dict[str, SymbolicTrace] = {}
 _TRACE_MEMO_CAP = 4096
 
-#: Sentinel: "use the process-wide active profile store" (see
-#: :func:`repro.gpusim.store.active_profile_store`). Pass ``store=None``
-#: to force store-less profiling.
-_ACTIVE_STORE = object()
-
-
 def _install_traces(traces: Mapping[str, SymbolicTrace]) -> None:
     with _MEMO_LOCK:
         _TRACE_MEMO.update(traces)
@@ -623,7 +618,7 @@ def profile_programs(
     device: DeviceModel | None = None,
     *,
     jobs: int = 1,
-    store=_ACTIVE_STORE,
+    store=runtime.CURRENT,
 ) -> dict[str, KernelProfile]:
     """Profile each program's first kernel as one batched two-phase pass.
 
@@ -631,7 +626,7 @@ def profile_programs(
 
     * serves whole profiles from ``store`` (a
       :class:`~repro.gpusim.store.ProfileStore`; defaults to the
-      process-wide active store, ``None`` disables) — a warm store means a
+      runtime's profile store, ``None`` disables) — a warm store means a
       cold process walks **zero** kernels;
     * reuses device-independent traces across devices (memory first, then
       the store), so only programs never seen by any device pay the walk;
@@ -641,17 +636,13 @@ def profile_programs(
       once — and writes every newly computed profile/trace back to the
       store.
     """
-    from repro.gpusim.store import (
-        active_profile_store,
-        device_profile_key,
-        program_profile_key,
-    )
+    from repro.gpusim.store import device_profile_key, program_profile_key
     from repro.util.hashing import stable_hash_hex
     from repro.util.parallel import parallel_map
 
     device = device or default_device()
-    if store is _ACTIVE_STORE:
-        store = active_profile_store()
+    if store is runtime.CURRENT:
+        store = runtime.current().profile_store
     programs = list(programs)
     pkeys = [program_profile_key(p) for p in programs]
     dkey = device_profile_key(device)
@@ -721,7 +712,7 @@ def profile_corpus(
     device: DeviceModel | None = None,
     *,
     jobs: int = 1,
-    store=_ACTIVE_STORE,
+    store=runtime.CURRENT,
 ) -> dict[str, KernelProfile]:
     """Profile every program's first kernel, once, as one batched pass.
 

@@ -28,21 +28,21 @@ their own device-independent segment, so even a device never profiled
 before skips the IR walk.
 
 The segment/eviction/atomic-write machinery lives in the shared
-:class:`~repro.store.base.ArtifactStore` base (also under the tokenizer
-and render stores of :mod:`repro.store.text`); :class:`ProfileStore` is a
-thin subclass, byte-compatible with pre-refactor store directories.
+:class:`~repro.store.base.ArtifactStore` base (also under the artifact
+cache of :mod:`repro.store.text`); :class:`ProfileStore` is a thin
+subclass, byte-compatible with pre-refactor store directories. The
+process-wide store — installed by the CLI, else built from
+``$REPRO_PROFILE_CACHE`` — lives in :mod:`repro.runtime`.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import os
-import threading
 from dataclasses import dataclass
-from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from repro.store.base import ArtifactStore, memoized_object_key, parse_max_bytes
+from repro import runtime
+from repro.store.base import ArtifactStore, memoized_object_key
 from repro.util.hashing import stable_hash_hex
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (profiler imports us)
@@ -67,22 +67,6 @@ DEFAULT_PROFILE_CACHE_DIRNAME = ".repro-profile-cache"
 
 _SEGMENT_PREFIX_PROFILES = "profiles-"
 _SEGMENT_PREFIX_TRACES = "traces-"
-
-
-def default_profile_cache_dir() -> Path:
-    """Where the CLI keeps its profile store (``$REPRO_PROFILE_CACHE`` wins)."""
-    return Path(
-        os.environ.get(PROFILE_CACHE_ENV) or DEFAULT_PROFILE_CACHE_DIRNAME
-    )
-
-
-def default_profile_cache_max_bytes() -> int | None:
-    """``$REPRO_PROFILE_CACHE_MAX_BYTES`` as an int (``None`` =
-    unbounded; ``0`` = keep nothing; junk warns and stays unbounded)."""
-    return parse_max_bytes(
-        os.environ.get(PROFILE_CACHE_MAX_BYTES_ENV),
-        source=PROFILE_CACHE_MAX_BYTES_ENV,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -287,46 +271,7 @@ class ProfileStore(ArtifactStore):
         )
 
 
-# ---------------------------------------------------------------------------
-# Process-wide active store
-# ---------------------------------------------------------------------------
-
-# The profile pass sits *under* deep call chains (paper_dataset →
-# build_samples → profile_corpus), so the store is configured process-wide
-# rather than threaded through every signature: the CLI installs one per
-# invocation, the library defaults to $REPRO_PROFILE_CACHE, tests inject
-# or disable per call via profile_corpus(store=...).
-_ACTIVE_LOCK = threading.Lock()
-_active_store: ProfileStore | None = None
-_active_configured = False
-
-
 def set_active_profile_store(store: ProfileStore | None) -> None:
-    """Install (or, with ``None``, disable) the process-wide store."""
-    global _active_store, _active_configured
-    with _ACTIVE_LOCK:
-        _active_store = store
-        _active_configured = True
-
-
-def reset_active_profile_store() -> None:
-    """Forget any installed store; revert to the ``$REPRO_PROFILE_CACHE``
-    fallback (used by tests to undo :func:`set_active_profile_store`)."""
-    global _active_store, _active_configured
-    with _ACTIVE_LOCK:
-        _active_store = None
-        _active_configured = False
-
-
-def active_profile_store() -> ProfileStore | None:
-    """The process-wide store: whatever :func:`set_active_profile_store`
-    installed, else one rooted at ``$REPRO_PROFILE_CACHE`` when set, else
-    ``None`` (profiling stays purely in-memory). The env fallback is
-    re-read per call, so monkeypatched environments behave."""
-    with _ACTIVE_LOCK:
-        if _active_configured:
-            return _active_store
-    path = os.environ.get(PROFILE_CACHE_ENV, "").strip()
-    if not path:
-        return None
-    return ProfileStore(path, max_bytes=default_profile_cache_max_bytes())
+    """Install (or, with ``None``, disable) the process-wide store; see
+    :func:`repro.runtime.install`."""
+    runtime.install(profile_store=store)

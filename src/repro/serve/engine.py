@@ -50,6 +50,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+from repro import runtime
 from repro.eval.engine import (
     CachedResponse,
     CacheStats,
@@ -72,7 +73,6 @@ from repro.serve.resilience import (
     LatencyTracker,
     RateLimiter,
 )
-from repro.util.faults import active_fault_plan
 from repro.util.retry import (
     DeadlineExceeded,
     RetryPolicy,
@@ -374,7 +374,7 @@ class AsyncEvalEngine(_EngineCore):
         info: dict | None = None,
     ) -> LlmResponse:
         """Failover-chain upstream: breaker-gated candidates, hedging."""
-        plan = active_fault_plan()
+        plan = runtime.current().fault_plan
         primary_label = provider_label(chain[0])
         used: set[str] = set()
 

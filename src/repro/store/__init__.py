@@ -1,8 +1,8 @@
 """Generic content-addressed artifact stores.
 
-The repo grew three persistent caches with the same shape — the response
-cache (PR 1), the kernel-profile store (PR 4), and now the text-artifact
-stores for tokenizers and rendered sources. This package factors the
+The repo has three persistent caches with the same shape — the response
+cache, the kernel-profile store, and the text-artifact cache for
+tokenizers and rendered sources. This package factors the
 shared segment/eviction/atomic-write/manifest machinery into one
 :class:`ArtifactStore` base so every store obeys the same contract:
 
@@ -19,9 +19,10 @@ shared segment/eviction/atomic-write/manifest machinery into one
   they fit.
 
 Concrete stores: :class:`repro.gpusim.store.ProfileStore` (kernel
-profiles + symbolic traces), :class:`repro.store.text.TokenizerStore`
-(learned BPE merges), and :class:`repro.store.text.RenderStore`
-(rendered program sources + per-tokenizer token counts).
+profiles + symbolic traces) and :class:`repro.store.text.ArtifactCache`
+(learned BPE merges, rendered program sources and per-tokenizer token
+counts, one store per root). The process-wide instance of each lives in
+:mod:`repro.runtime`.
 """
 
 from repro.store.base import ArtifactStore, memoized_object_key
@@ -40,14 +41,7 @@ from repro.store.text import (
     TEXT_VERSION,
     ArtifactCache,
     ArtifactCacheManifest,
-    RenderStore,
-    TokenizerStore,
-    active_artifact_cache,
-    default_artifact_cache_dir,
-    default_artifact_cache_max_bytes,
     program_text_key,
-    reset_active_artifact_cache,
-    set_active_artifact_cache,
     tokenizer_train_key,
 )
 
@@ -66,13 +60,6 @@ __all__ = [
     "DEFAULT_ARTIFACT_CACHE_DIRNAME",
     "ArtifactCache",
     "ArtifactCacheManifest",
-    "TokenizerStore",
-    "RenderStore",
-    "active_artifact_cache",
-    "set_active_artifact_cache",
-    "reset_active_artifact_cache",
-    "default_artifact_cache_dir",
-    "default_artifact_cache_max_bytes",
     "program_text_key",
     "tokenizer_train_key",
 ]

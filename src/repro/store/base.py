@@ -73,7 +73,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
-from repro.util.faults import active_fault_plan
+from repro import runtime
 
 T = TypeVar("T")
 
@@ -853,9 +853,9 @@ class ArtifactStore:
         to uncached, never crash the computing pass."""
         try:
             self.root.mkdir(parents=True, exist_ok=True)
-            plan = active_fault_plan()
+            plan = runtime.current().fault_plan
             if plan is not None:
-                # Chaos hook: the active plan may tear/forge/skew these
+                # Chaos hook: the runtime's plan may tear/forge/skew these
                 # bytes or veto the write with ENOSPC. Still installed via
                 # tmp+replace, so injected corruption models damage that
                 # predates this process — exactly what the doctor fscks.

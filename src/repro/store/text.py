@@ -4,40 +4,39 @@ With completions replayed from the response cache and kernel profiles
 served by the profile store, a cold ``paper_dataset()`` spends nearly all
 of its remaining time *re-deriving deterministic text*: training the BPE
 tokenizer and rendering/token-counting every program. Both are pure
-functions of versioned inputs, so both persist here:
+functions of versioned inputs, so both persist in one
+:class:`ArtifactCache` (``--artifact-cache`` /
+``$REPRO_ARTIFACT_CACHE``), an :class:`~repro.store.base.ArtifactStore`
+with three segment kinds under one root and one size bound:
 
-* :class:`TokenizerStore` keeps learned BPE merge lists, keyed by SHA-256
-  over the **training-text digests** (the
-  :func:`program_text_key` of every sampled training program — each of
-  which already pins the codegen semantics via :data:`TEXT_VERSION`), the
-  merge budget, and the tokenizer version. A warm store means a cold
-  process trains **zero** tokenizers — and never renders the training
-  sample either, because the key derives from the render *inputs*, not
-  the rendered bytes.
-* :class:`RenderStore` keeps two segment kinds, mirroring the profile
-  store's trace/profile split: a tokenizer-independent **sources**
-  segment (program text key → concatenated source) and one
-  **token-count** segment per tokenizer digest (program text key → token
-  count). A 6-device matrix sweep token-counts each program once, and a
-  warm store renders and counts **nothing**.
+* **tokenizers** — learned BPE merge lists, keyed by SHA-256 over the
+  **training-text digests** (the :func:`program_text_key` of every
+  sampled training program — each of which already pins the codegen
+  semantics via :data:`TEXT_VERSION`), the merge budget, and the
+  tokenizer version. A warm cache means a cold process trains **zero**
+  tokenizers — and never renders the training sample either, because the
+  key derives from the render *inputs*, not the rendered bytes.
+* **sources** — one tokenizer-independent segment (program text key →
+  concatenated source), like the profile store's device-independent
+  traces;
+* **token counts** — one segment per tokenizer digest (program text key →
+  token count), like per-device profiles. A 6-device matrix sweep
+  token-counts each program once, and a warm cache renders and counts
+  **nothing**.
 
 Any codegen, pretokenizer, or trainer change bumps a version hashed into
 every key, so stale entries can only read as misses, never as wrong text.
-Both stores share one root directory (the **artifact cache**,
-``--artifact-cache`` / ``$REPRO_ARTIFACT_CACHE``) and one size bound;
-:class:`ArtifactCache` bundles them for configuration plumbing.
+The process-wide cache — installed by the CLI, else built from
+``$REPRO_ARTIFACT_CACHE`` — lives in :mod:`repro.runtime`.
 """
 
 from __future__ import annotations
 
-import os
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
-from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from repro.store.base import ArtifactStore, memoized_object_key, parse_max_bytes
+from repro import runtime
+from repro.store.base import ArtifactStore, memoized_object_key
 from repro.tokenizer.bpe import BPE_VERSION
 from repro.util.hashing import stable_hash_hex
 
@@ -63,29 +62,12 @@ _SEGMENT_PREFIX_TOKENIZERS = "tokenizers-"
 _SEGMENT_PREFIX_SOURCES = "sources-"
 _SEGMENT_PREFIX_COUNTS = "tokencounts-"
 
-#: Every text-artifact segment kind. Both stores list the full family so
-#: one size bound (and one ``clear``) spans the shared root.
+#: Every text-artifact segment kind.
 TEXT_SEGMENT_PREFIXES = (
     _SEGMENT_PREFIX_TOKENIZERS,
     _SEGMENT_PREFIX_SOURCES,
     _SEGMENT_PREFIX_COUNTS,
 )
-
-
-def default_artifact_cache_dir() -> Path:
-    """Where the CLI keeps its artifact cache (``$REPRO_ARTIFACT_CACHE`` wins)."""
-    return Path(
-        os.environ.get(ARTIFACT_CACHE_ENV) or DEFAULT_ARTIFACT_CACHE_DIRNAME
-    )
-
-
-def default_artifact_cache_max_bytes() -> int | None:
-    """``$REPRO_ARTIFACT_CACHE_MAX_BYTES`` as an int (``None`` =
-    unbounded; ``0`` = keep nothing; junk warns and stays unbounded)."""
-    return parse_max_bytes(
-        os.environ.get(ARTIFACT_CACHE_MAX_BYTES_ENV),
-        source=ARTIFACT_CACHE_MAX_BYTES_ENV,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +99,7 @@ def tokenizer_train_key(
     """SHA-256 content address of one corpus-tokenizer training run.
 
     Derives from the training programs' text keys rather than their
-    rendered bytes, so a warm :class:`TokenizerStore` lookup needs no
+    rendered bytes, so a warm :class:`ArtifactCache` lookup needs no
     rendering at all; :data:`BPE_VERSION` rides along so trainer semantic
     changes invalidate stored merges.
     """
@@ -130,123 +112,7 @@ def tokenizer_train_key(
 
 
 # ---------------------------------------------------------------------------
-# The stores
-# ---------------------------------------------------------------------------
-
-class TokenizerStore(ArtifactStore):
-    """Learned BPE merge lists, one segment for all trained tokenizers.
-
-    Entries are tiny (~900 merge pairs) and every consumer wants the whole
-    tokenizer, so a single segment is the natural reuse unit.
-    """
-
-    version = TEXT_VERSION
-    segment_prefixes = TEXT_SEGMENT_PREFIXES
-
-    def _tokenizers_key(self) -> str:
-        return stable_hash_hex(TEXT_VERSION)
-
-    def get_merges(self, key: str) -> list[tuple[str, str]] | None:
-        """The stored merge list under ``key``, or ``None`` on a miss.
-
-        Lazy: decodes only this tokenizer's blob, not the segment."""
-        entries = self._get_entries(
-            _SEGMENT_PREFIX_TOKENIZERS,
-            self._tokenizers_key(),
-            [key],
-        )
-        raw = entries.get(key)
-        if not isinstance(raw, list):
-            return None
-        merges: list[tuple[str, str]] = []
-        for pair in raw:
-            if (
-                not isinstance(pair, (list, tuple))
-                or len(pair) != 2
-                or not all(isinstance(s, str) for s in pair)
-            ):
-                return None  # corrupt entry == miss; the re-put repairs it
-            merges.append((pair[0], pair[1]))
-        return merges
-
-    def put_merges(
-        self, key: str, merges: Iterable[tuple[str, str]]
-    ) -> None:
-        self._merge_entries(
-            _SEGMENT_PREFIX_TOKENIZERS,
-            self._tokenizers_key(),
-            {"version": TEXT_VERSION},
-            {key: [list(pair) for pair in merges]},
-        )
-
-
-class RenderStore(ArtifactStore):
-    """Rendered program sources + per-tokenizer token counts.
-
-    Sources are tokenizer-independent (one segment, like the profile
-    store's device-independent traces); token counts hang off a tokenizer
-    digest (one segment per tokenizer, like per-device profiles).
-    """
-
-    version = TEXT_VERSION
-    segment_prefixes = TEXT_SEGMENT_PREFIXES
-
-    def _sources_key(self) -> str:
-        return stable_hash_hex(TEXT_VERSION)
-
-    # -- sources -------------------------------------------------------------
-    def get_sources(self, text_keys: Sequence[str]) -> dict[str, str]:
-        """text key → concatenated source for every requested key on disk.
-
-        Lazy: only the requested programs' source blobs decode."""
-        entries = self._get_entries(
-            _SEGMENT_PREFIX_SOURCES,
-            self._sources_key(),
-            text_keys,
-        )
-        return {
-            key: value
-            for key, value in entries.items()
-            if isinstance(value, str)
-        }
-
-    def put_sources(self, sources: Mapping[str, str]) -> None:
-        self._merge_entries(
-            _SEGMENT_PREFIX_SOURCES,
-            self._sources_key(),
-            {"version": TEXT_VERSION},
-            dict(sources),
-        )
-
-    # -- token counts --------------------------------------------------------
-    def get_token_counts(
-        self, tokenizer_digest: str, text_keys: Sequence[str]
-    ) -> dict[str, int]:
-        """text key → token count under one tokenizer digest (lazy)."""
-        entries = self._get_entries(
-            _SEGMENT_PREFIX_COUNTS,
-            tokenizer_digest,
-            text_keys,
-        )
-        out: dict[str, int] = {}
-        for key, raw in entries.items():
-            if isinstance(raw, int) and not isinstance(raw, bool):
-                out[key] = raw
-        return out
-
-    def put_token_counts(
-        self, tokenizer_digest: str, counts: Mapping[str, int]
-    ) -> None:
-        self._merge_entries(
-            _SEGMENT_PREFIX_COUNTS,
-            tokenizer_digest,
-            {"version": TEXT_VERSION},
-            dict(counts),
-        )
-
-
-# ---------------------------------------------------------------------------
-# The bundled cache + manifest
+# The cache
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -280,45 +146,109 @@ class ArtifactCacheManifest:
         return "\n".join(lines)
 
 
-class ArtifactCache:
-    """Both text stores over one root directory and one size bound.
+class ArtifactCache(ArtifactStore):
+    """Learned BPE merges, rendered program sources and per-tokenizer
+    token counts, under one root directory and one size bound.
 
-    The two stores share segment-family prefixes, so either one's
-    ``evict``/``clear`` covers the whole cache; this wrapper is the unit
-    the CLI and the process-wide plumbing configure.
+    Tokenizer entries are tiny (~900 merge pairs) and every consumer wants
+    the whole tokenizer, so all of them share one segment. Sources are
+    tokenizer-independent (one segment, like the profile store's
+    device-independent traces); token counts hang off a tokenizer digest
+    (one segment per tokenizer, like per-device profiles).
     """
 
-    def __init__(self, root: str | Path, *, max_bytes: int | None = None):
-        self.root = Path(root)
-        # Same bound semantics as ArtifactStore: None unbounded, 0 keeps
-        # nothing, negatives rejected (the member store raises).
-        self.tokenizers = TokenizerStore(root, max_bytes=max_bytes)
-        self.renders = RenderStore(root, max_bytes=max_bytes)
-        self.max_bytes = self.renders.max_bytes
+    version = TEXT_VERSION
+    segment_prefixes = TEXT_SEGMENT_PREFIXES
 
-    def size_bytes(self) -> int:
-        self.tokenizers.flush()
-        return self.renders.size_bytes()
+    def _version_key(self) -> str:
+        """The logical key of the tokenizers and the sources segments."""
+        return stable_hash_hex(TEXT_VERSION)
 
-    def flush(self) -> None:
-        self.tokenizers.flush()
-        self.renders.flush()
+    # -- tokenizers ----------------------------------------------------------
+    def get_merges(self, key: str) -> list[tuple[str, str]] | None:
+        """The stored merge list under ``key``, or ``None`` on a miss.
 
-    @contextmanager
-    def deferred(self):
-        """Batch puts on both member stores (see
-        :meth:`~repro.store.base.ArtifactStore.deferred`)."""
-        with self.tokenizers.deferred(), self.renders.deferred():
-            yield self
+        Lazy: decodes only this tokenizer's blob, not the segment."""
+        entries = self._get_entries(
+            _SEGMENT_PREFIX_TOKENIZERS,
+            self._version_key(),
+            [key],
+        )
+        raw = entries.get(key)
+        if not isinstance(raw, list):
+            return None
+        merges: list[tuple[str, str]] = []
+        for pair in raw:
+            if (
+                not isinstance(pair, (list, tuple))
+                or len(pair) != 2
+                or not all(isinstance(s, str) for s in pair)
+            ):
+                return None  # corrupt entry == miss; the re-put repairs it
+            merges.append((pair[0], pair[1]))
+        return merges
 
-    def evict(self, max_bytes: int | None = None) -> int:
-        self.tokenizers.flush()
-        return self.renders.evict(max_bytes)
+    def put_merges(
+        self, key: str, merges: Iterable[tuple[str, str]]
+    ) -> None:
+        self._merge_entries(
+            _SEGMENT_PREFIX_TOKENIZERS,
+            self._version_key(),
+            {"version": TEXT_VERSION},
+            {key: [list(pair) for pair in merges]},
+        )
 
-    def clear(self) -> None:
-        self.tokenizers.clear()
-        self.renders.clear()
+    # -- sources -------------------------------------------------------------
+    def get_sources(self, text_keys: Sequence[str]) -> dict[str, str]:
+        """text key → concatenated source for every requested key on disk.
 
+        Lazy: only the requested programs' source blobs decode."""
+        entries = self._get_entries(
+            _SEGMENT_PREFIX_SOURCES,
+            self._version_key(),
+            text_keys,
+        )
+        return {
+            key: value
+            for key, value in entries.items()
+            if isinstance(value, str)
+        }
+
+    def put_sources(self, sources: Mapping[str, str]) -> None:
+        self._merge_entries(
+            _SEGMENT_PREFIX_SOURCES,
+            self._version_key(),
+            {"version": TEXT_VERSION},
+            dict(sources),
+        )
+
+    # -- token counts --------------------------------------------------------
+    def get_token_counts(
+        self, tokenizer_digest: str, text_keys: Sequence[str]
+    ) -> dict[str, int]:
+        """text key → token count under one tokenizer digest (lazy)."""
+        entries = self._get_entries(
+            _SEGMENT_PREFIX_COUNTS,
+            tokenizer_digest,
+            text_keys,
+        )
+        out: dict[str, int] = {}
+        for key, raw in entries.items():
+            if isinstance(raw, int) and not isinstance(raw, bool):
+                out[key] = raw
+        return out
+
+    def put_token_counts(
+        self, tokenizer_digest: str, counts: Mapping[str, int]
+    ) -> None:
+        self._merge_entries(
+            _SEGMENT_PREFIX_COUNTS,
+            tokenizer_digest,
+            {"version": TEXT_VERSION},
+            dict(counts),
+        )
+
+    # -- lifecycle -----------------------------------------------------------
     def manifest(self) -> ArtifactCacheManifest:
         """Entry counts and bytes. A missing or empty directory reads as
         an empty manifest, never an error.
@@ -326,12 +256,9 @@ class ArtifactCache:
         Bytes cover *every* segment file — including corrupt or
         version-skewed ones whose entries are not counted — so the total
         matches what :meth:`size_bytes` and the eviction bound see."""
-        # The renders walk flushes only its own store: flush the
-        # tokenizer buffer too, or a deferred block undercounts it.
-        self.flush()
         tokenizer_entries = source_entries = count_entries = 0
         count_tokenizers = 0
-        for prefix, data in self.renders.iter_segments():
+        for prefix, data in self.iter_segments():
             n = len(data["entries"])
             if prefix == _SEGMENT_PREFIX_TOKENIZERS:
                 tokenizer_entries += n
@@ -347,51 +274,11 @@ class ArtifactCache:
             count_entries=count_entries,
             count_tokenizers=count_tokenizers,
             total_bytes=self.size_bytes(),
-            stale_segments=self.renders.stale_segment_count(),
+            stale_segments=self.stale_segment_count(),
         )
 
 
-# ---------------------------------------------------------------------------
-# Process-wide active cache
-# ---------------------------------------------------------------------------
-
-# Text preparation sits under deep call chains (paper_dataset →
-# build_samples → program_texts; corpus_tokenizer → train), so the cache
-# is configured process-wide rather than threaded through every
-# signature: the CLI installs one per invocation, the library defaults to
-# $REPRO_ARTIFACT_CACHE, tests inject or disable per call via
-# program_texts(cache=...).
-_ACTIVE_LOCK = threading.Lock()
-_active_cache: ArtifactCache | None = None
-_active_configured = False
-
-
 def set_active_artifact_cache(cache: ArtifactCache | None) -> None:
-    """Install (or, with ``None``, disable) the process-wide cache."""
-    global _active_cache, _active_configured
-    with _ACTIVE_LOCK:
-        _active_cache = cache
-        _active_configured = True
-
-
-def reset_active_artifact_cache() -> None:
-    """Forget any installed cache; revert to the ``$REPRO_ARTIFACT_CACHE``
-    fallback (used by tests to undo :func:`set_active_artifact_cache`)."""
-    global _active_cache, _active_configured
-    with _ACTIVE_LOCK:
-        _active_cache = None
-        _active_configured = False
-
-
-def active_artifact_cache() -> ArtifactCache | None:
-    """The process-wide cache: whatever :func:`set_active_artifact_cache`
-    installed, else one rooted at ``$REPRO_ARTIFACT_CACHE`` when set, else
-    ``None`` (text preparation stays purely in-memory). The env fallback
-    is re-read per call, so monkeypatched environments behave."""
-    with _ACTIVE_LOCK:
-        if _active_configured:
-            return _active_cache
-    path = os.environ.get(ARTIFACT_CACHE_ENV, "").strip()
-    if not path:
-        return None
-    return ArtifactCache(path, max_bytes=default_artifact_cache_max_bytes())
+    """Install (or, with ``None``, disable) the process-wide cache; see
+    :func:`repro.runtime.install`."""
+    runtime.install(artifact_cache=cache)

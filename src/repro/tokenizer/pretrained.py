@@ -11,12 +11,13 @@ puts all CUDA programs before all OMP ones, so the stride covers every
 family and both languages; the trailing ``[:sample]`` clips the one extra
 program the flooring stride can produce. The selection depends only on
 the corpus, so it is stable across processes — which is what lets learned
-merges persist in the :class:`~repro.store.text.TokenizerStore` under a
+merges persist in the :class:`~repro.store.text.ArtifactCache` under a
 content key derived from the sampled programs.
 """
 
 from __future__ import annotations
 
+from repro import runtime
 from repro.tokenizer.bpe import BpeTokenizer
 
 _PRETRAINED: BpeTokenizer | None = None
@@ -26,12 +27,6 @@ _PRETRAINED: BpeTokenizer | None = None
 #: with code tokenization by production tokenizers.
 TRAIN_SAMPLE = 40
 NUM_MERGES = 900
-
-#: Sentinel: "use the process-wide active artifact cache" (see
-#: :func:`repro.store.text.active_artifact_cache`). Pass ``cache=None``
-#: to force store-less training.
-_ACTIVE_CACHE = object()
-
 
 def training_programs(sample: int = TRAIN_SAMPLE) -> list:
     """The deterministic training sample (see module docstring)."""
@@ -48,27 +43,28 @@ def train_corpus_tokenizer(
     sample: int = TRAIN_SAMPLE,
     num_merges: int = NUM_MERGES,
     *,
-    cache=_ACTIVE_CACHE,
+    cache=runtime.CURRENT,
 ) -> BpeTokenizer:
     """Train a fresh tokenizer on a deterministic corpus sample.
 
-    When an artifact cache is active, learned merges are served from the
-    :class:`~repro.store.text.TokenizerStore` under a content key over
+    When an artifact cache is attached (by default the runtime's), learned
+    merges are served from the
+    :class:`~repro.store.text.ArtifactCache` under a content key over
     the training programs' text digests × ``num_merges`` × the tokenizer
     version — a warm store trains (and renders) nothing. On a miss, the
     training texts come through :func:`repro.dataset.text.rendered_sources`
-    (so they land in the render store for the dataset pass to reuse), the
+    (so they land in the cache for the dataset pass to reuse), the
     tokenizer trains, and the merges persist for the next cold process.
     """
     from repro.dataset.text import rendered_sources
-    from repro.store.text import active_artifact_cache, tokenizer_train_key
+    from repro.store.text import tokenizer_train_key
 
     chosen = training_programs(sample)
-    if cache is _ACTIVE_CACHE:
-        cache = active_artifact_cache()
+    if cache is runtime.CURRENT:
+        cache = runtime.current().artifact_cache
     key = tokenizer_train_key(chosen, num_merges)
     if cache is not None:
-        merges = cache.tokenizers.get_merges(key)
+        merges = cache.get_merges(key)
         if merges is not None:
             return BpeTokenizer(merges=merges)
     sources = rendered_sources(chosen, cache=cache)
@@ -76,7 +72,7 @@ def train_corpus_tokenizer(
         [sources[p.uid] for p in chosen], num_merges=num_merges
     )
     if cache is not None:
-        cache.tokenizers.put_merges(key, tokenizer.merges)
+        cache.put_merges(key, tokenizer.merges)
     return tokenizer
 
 

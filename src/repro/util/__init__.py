@@ -10,9 +10,6 @@ from repro.util.faults import (
     FAULT_PLAN_ENV,
     FaultPlan,
     FaultSpec,
-    active_fault_plan,
-    reset_active_fault_plan,
-    set_active_fault_plan,
 )
 from repro.util.hashing import stable_hash_bytes, stable_hash_hex, stable_hash_u64
 from repro.util.retry import (

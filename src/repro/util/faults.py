@@ -375,48 +375,3 @@ def _forge_index(data: bytes) -> bytes:
         return data[: len(data) // 2]  # empty index: tear instead
     forged = _SPAN.pack(1 << 40, 7)
     return data[: body_start - _SPAN.size] + forged + data[body_start:]
-
-
-# ---------------------------------------------------------------------------
-# Process-wide active plan (mirrors the active-store pattern)
-# ---------------------------------------------------------------------------
-
-_ACTIVE_LOCK = threading.Lock()
-_ACTIVE: FaultPlan | None = None
-_ACTIVE_SET = False
-_ENV_CACHE: tuple[str, FaultPlan] | None = None
-
-
-def set_active_fault_plan(plan: FaultPlan | None) -> None:
-    """Install ``plan`` process-wide; ``None`` explicitly disables faults
-    even when ``$REPRO_FAULT_PLAN`` is set."""
-    global _ACTIVE, _ACTIVE_SET
-    with _ACTIVE_LOCK:
-        _ACTIVE = plan
-        _ACTIVE_SET = True
-
-
-def reset_active_fault_plan() -> None:
-    """Drop any installed plan; the env spec (if any) applies again."""
-    global _ACTIVE, _ACTIVE_SET
-    with _ACTIVE_LOCK:
-        _ACTIVE = None
-        _ACTIVE_SET = False
-
-
-def active_fault_plan() -> FaultPlan | None:
-    """The installed plan, else one parsed from ``$REPRO_FAULT_PLAN``
-    (memoized per spec text so worker processes, which inherit the env,
-    share one plan instance and its one-shot state), else ``None``."""
-    global _ENV_CACHE
-    with _ACTIVE_LOCK:
-        if _ACTIVE_SET:
-            return _ACTIVE
-        text = os.environ.get(FAULT_PLAN_ENV, "").strip()
-        if not text:
-            return None
-        if _ENV_CACHE is not None and _ENV_CACHE[0] == text:
-            return _ENV_CACHE[1]
-        plan = FaultPlan.parse(text)
-        _ENV_CACHE = (text, plan)
-        return plan

@@ -17,19 +17,13 @@ def _isolated_response_cache(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_PROFILE_CACHE", str(tmp_path / "profile-cache"))
     monkeypatch.setenv("REPRO_ARTIFACT_CACHE", str(tmp_path / "artifact-cache"))
     monkeypatch.delenv("REPRO_FAULT_PLAN", raising=False)
-    # CLI invocations install process-global stores (and maybe a fault
+    # CLI invocations install process-wide stores (and maybe a fault
     # plan); forget them so each test sees only its own environment.
-    from repro.gpusim.store import reset_active_profile_store
-    from repro.store.text import reset_active_artifact_cache
-    from repro.util.faults import reset_active_fault_plan
+    from repro import runtime
 
-    reset_active_profile_store()
-    reset_active_artifact_cache()
-    reset_active_fault_plan()
+    runtime.reset()
     yield
-    reset_active_profile_store()
-    reset_active_artifact_cache()
-    reset_active_fault_plan()
+    runtime.reset()
 
 
 @pytest.fixture

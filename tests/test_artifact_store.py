@@ -26,18 +26,14 @@ from repro.dataset.build import build_sample, build_samples
 from repro.dataset import text as text_mod
 from repro.dataset.text import program_texts, rendered_sources
 from repro.gpusim import device_for
+from repro import runtime
 from repro.gpusim.store import ProfileStore
 from repro.kernels.corpus import build_corpus
 from repro.store.base import ArtifactStore
 from repro.store.text import (
     TEXT_VERSION,
     ArtifactCache,
-    RenderStore,
-    TokenizerStore,
-    active_artifact_cache,
     program_text_key,
-    reset_active_artifact_cache,
-    set_active_artifact_cache,
     tokenizer_train_key,
 )
 from repro.tokenizer.bpe import BpeTokenizer
@@ -93,12 +89,12 @@ def fresh_text_memos():
 
 class TestSharedBase:
     def test_every_store_shares_the_base(self):
-        for cls in (ProfileStore, TokenizerStore, RenderStore):
+        for cls in (ProfileStore, ArtifactCache):
             assert issubclass(cls, ArtifactStore)
         # The eviction/write/read machinery is inherited, not reimplemented.
         for name in ("_write_segment", "_live_views", "evict", "clear",
-                     "size_bytes"):
-            for cls in (ProfileStore, TokenizerStore, RenderStore):
+                     "size_bytes", "flush", "deferred"):
+            for cls in (ProfileStore, ArtifactCache):
                 assert getattr(cls, name) is getattr(ArtifactStore, name)
 
     def test_profile_segments_keep_payload_shape(self, tmp_path, run_holding):
@@ -128,14 +124,16 @@ class TestSharedBase:
 
 
 class TestTokenizerStore:
+    """The artifact cache's tokenizer segment."""
+
     def test_round_trip(self, tmp_path):
-        store = TokenizerStore(tmp_path / "ac")
+        store = ArtifactCache(tmp_path / "ac")
         assert store.get_merges("k") is None
         store.put_merges("k", MERGES)
         assert store.get_merges("k") == MERGES
 
     def test_multiple_keys_share_one_segment(self, tmp_path):
-        store = TokenizerStore(tmp_path / "ac")
+        store = ArtifactCache(tmp_path / "ac")
         store.put_merges("k1", MERGES)
         store.put_merges("k2", MERGES[:1])
         assert store.get_merges("k1") == MERGES
@@ -144,7 +142,7 @@ class TestTokenizerStore:
         assert len(store._segment_files()) == 1
 
     def test_corrupt_entry_reads_as_miss(self, tmp_path, run_holding):
-        store = TokenizerStore(tmp_path / "ac")
+        store = ArtifactCache(tmp_path / "ac")
         store.put_merges("good", MERGES)
         path = run_holding(store, "good")
         data = read_segment(path)
@@ -158,7 +156,7 @@ class TestTokenizerStore:
     def test_corrupt_segment_reads_as_miss_and_put_repairs(
         self, tmp_path, run_holding
     ):
-        store = TokenizerStore(tmp_path / "ac")
+        store = ArtifactCache(tmp_path / "ac")
         store.put_merges("k", MERGES)
         run_holding(store, "k").write_text("{ not json", encoding="utf-8")
         assert store.get_merges("k") is None
@@ -166,7 +164,7 @@ class TestTokenizerStore:
         assert store.get_merges("k") == MERGES
 
     def test_version_skew_reads_as_miss(self, tmp_path, run_holding):
-        store = TokenizerStore(tmp_path / "ac")
+        store = ArtifactCache(tmp_path / "ac")
         store.put_merges("k", MERGES)
         path = run_holding(store, "k")
         data = read_segment(path)
@@ -176,8 +174,10 @@ class TestTokenizerStore:
 
 
 class TestRenderStore:
+    """The artifact cache's source and token-count segments."""
+
     def test_sources_round_trip_byte_exact(self, tmp_path):
-        store = RenderStore(tmp_path / "ac")
+        store = ArtifactCache(tmp_path / "ac")
         sources = {
             "k1": "int main() {\n\treturn 0;\n}\n",
             "k2": "// weird: é \\ \" '\n\x0b",
@@ -188,7 +188,7 @@ class TestRenderStore:
         assert store.get_sources(["missing"]) == {}
 
     def test_counts_round_trip_per_tokenizer(self, tmp_path):
-        store = RenderStore(tmp_path / "ac")
+        store = ArtifactCache(tmp_path / "ac")
         store.put_token_counts("tok-a", {"k1": 11, "k2": 22})
         store.put_token_counts("tok-b", {"k1": 99})
         assert store.get_token_counts("tok-a", ["k1", "k2"]) == {
@@ -200,7 +200,7 @@ class TestRenderStore:
     def test_count_segment_guards_its_tokenizer_key(
         self, tmp_path, run_holding
     ):
-        store = RenderStore(tmp_path / "ac")
+        store = ArtifactCache(tmp_path / "ac")
         store.put_token_counts("tok-a", {"k1": 11})
         path = run_holding(store, "k1")
         data = read_segment(path)
@@ -209,7 +209,7 @@ class TestRenderStore:
         assert store.get_token_counts("tok-a", ["k1"]) == {}
 
     def test_non_int_counts_read_as_misses(self, tmp_path, run_holding):
-        store = RenderStore(tmp_path / "ac")
+        store = ArtifactCache(tmp_path / "ac")
         store.put_token_counts("t", {"k1": 11})
         path = run_holding(store, "k1")
         data = read_segment(path)
@@ -222,52 +222,51 @@ class TestRenderStore:
 class TestSharedLifecycle:
     def _populate(self, root):
         """One segment of every text kind, oldest → newest."""
-        tokenizers = TokenizerStore(root)
-        renders = RenderStore(root)
-        tokenizers.put_merges("k", MERGES)
-        renders.put_sources({"k1": "x" * 64})
-        renders.put_token_counts("tok-a", {"k1": 1})
-        renders.put_token_counts("tok-b", {"k1": 2})
-        return tokenizers, renders
+        cache = ArtifactCache(root)
+        cache.put_merges("k", MERGES)
+        cache.put_sources({"k1": "x" * 64})
+        cache.put_token_counts("tok-a", {"k1": 1})
+        cache.put_token_counts("tok-b", {"k1": 2})
+        return cache
 
     def test_eviction_is_oldest_first_across_kinds(
         self, tmp_path, run_holding
     ):
         root = tmp_path / "ac"
-        tokenizers, renders = self._populate(root)
-        files = renders._segment_files()
+        cache = self._populate(root)
+        files = cache._segment_files()
         assert len(files) == 4
-        oldest = run_holding(tokenizers, "k")
+        oldest = run_holding(cache, "k", "tokenizers-")
         past = time.time() - 3600
         os.utime(oldest, (past, past))
 
-        bound = renders.size_bytes() - 1
-        removed = renders.evict(bound)
+        bound = cache.size_bytes() - 1
+        removed = cache.evict(bound)
         assert removed >= 1
         assert not oldest.exists()  # the tokenizer segment went first
-        assert renders.size_bytes() <= bound
+        assert cache.size_bytes() <= bound
 
     def test_one_bound_spans_both_stores(self, tmp_path):
         root = tmp_path / "ac"
         cache = ArtifactCache(root, max_bytes=1)
-        cache.tokenizers.put_merges("k", MERGES)
-        cache.renders.put_sources({"k1": "y" * 256})
+        cache.put_merges("k", MERGES)
+        cache.put_sources({"k1": "y" * 256})
         # Each put re-applied the bound over the whole family.
         assert cache.size_bytes() <= 1
 
     def test_clear_spans_both_stores_and_leaves_foreign_files(self, tmp_path):
         root = tmp_path / "ac"
-        _, renders = self._populate(root)
+        cache = self._populate(root)
         foreign = root / "README.txt"
         foreign.write_text("not a segment")
-        renders.clear()
+        cache.clear()
         assert foreign.exists()
-        assert renders._segment_files() == []
+        assert cache._segment_files() == []
 
     def test_missing_root_reads_empty(self, tmp_path):
         cache = ArtifactCache(tmp_path / "never")
-        assert cache.tokenizers.get_merges("k") is None
-        assert cache.renders.get_sources(["k"]) == {}
+        assert cache.get_merges("k") is None
+        assert cache.get_sources(["k"]) == {}
         assert cache.manifest().source_entries == 0
         assert cache.evict(10) == 0
         cache.clear()  # no-op, no crash
@@ -277,14 +276,14 @@ class TestSharedLifecycle:
         # disk space the eviction bound sees — the manifest must report
         # the bytes that are actually there, not just the valid ones.
         root = tmp_path / "ac"
-        _, renders = self._populate(root)
-        for path in renders._segment_files():
+        cache = self._populate(root)
+        for path in cache._segment_files():
             data = read_segment(path)
             data["version"] = "text-artifacts-v999"
             write_segment(path, data)
         m = ArtifactCache(root).manifest()
         assert m.tokenizer_entries + m.source_entries + m.count_entries == 0
-        assert m.total_bytes == renders.size_bytes() > 0
+        assert m.total_bytes == cache.size_bytes() > 0
         assert m.stale_segments == 4  # surfaced for the cache manifest
 
     def test_manifest_counts(self, tmp_path):
@@ -306,7 +305,7 @@ class TestSharedLifecycle:
         # manifest must count it, matching the bytes it already reports.
         cache = ArtifactCache(tmp_path / "ac")
         with cache.deferred():
-            cache.tokenizers.put_merges("k", MERGES)
+            cache.put_merges("k", MERGES)
             inside = cache.manifest()
         after = cache.manifest()
         assert inside.tokenizer_entries == after.tokenizer_entries == 1
@@ -464,7 +463,7 @@ class TestTextPipeline:
         cache = ArtifactCache(tmp_path / "ac")
         train_corpus_tokenizer(sample=6, num_merges=30, cache=cache)
         chosen = training_programs(sample=6)
-        stored = cache.renders.get_sources(
+        stored = cache.get_sources(
             [program_text_key(p) for p in chosen]
         )
         assert len(stored) == len(chosen)
@@ -552,32 +551,33 @@ class TestActiveCache:
         fresh_text_memos,
     ):
         monkeypatch.setenv("REPRO_ARTIFACT_CACHE", str(tmp_path / "env-ac"))
-        assert active_artifact_cache() is not None
+        assert runtime.current().artifact_cache is not None
         program_texts(
             list(small_corpus.programs[:2]), small_tokenizer
-        )  # default: active cache
+        )  # default: the runtime's cache
         manifest = ArtifactCache(tmp_path / "env-ac").manifest()
         assert manifest.source_entries == 2
         assert manifest.count_entries == 2
 
     def test_empty_env_means_no_cache(self, monkeypatch):
         monkeypatch.setenv("REPRO_ARTIFACT_CACHE", "")
-        assert active_artifact_cache() is None
+        assert runtime.current().artifact_cache is None
 
     def test_set_active_overrides_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_ARTIFACT_CACHE", str(tmp_path / "ignored"))
-        set_active_artifact_cache(None)
+        runtime.install(artifact_cache=None)
         try:
-            assert active_artifact_cache() is None
+            assert runtime.current().artifact_cache is None
         finally:
-            reset_active_artifact_cache()
+            runtime.reset()
+        assert runtime.current().artifact_cache.root == tmp_path / "ignored"
 
     def test_env_max_bytes_parsed(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_ARTIFACT_CACHE", str(tmp_path / "ac"))
         monkeypatch.setenv("REPRO_ARTIFACT_CACHE_MAX_BYTES", "4096")
-        cache = active_artifact_cache()
+        cache = runtime.current().artifact_cache
         assert cache is not None
         assert cache.max_bytes == 4096
         monkeypatch.setenv("REPRO_ARTIFACT_CACHE_MAX_BYTES", "junk")
         with pytest.warns(RuntimeWarning, match="size bound"):
-            assert active_artifact_cache().max_bytes is None
+            assert runtime.current().artifact_cache.max_bytes is None

@@ -16,11 +16,11 @@ from repro.eval.engine import (
     CachedResponse,
     DiskResponseStore,
     EvalEngine,
-    default_cache_max_bytes,
 )
 from repro.eval.runner import run_queries
 from repro.llm import get_model
 from repro.prompts.rq1 import build_rq1_prompt, generate_rq1_questions
+from repro.runtime import env_max_bytes
 
 
 def _response(i: int, model: str = "test-model") -> CachedResponse:
@@ -204,12 +204,12 @@ class TestRecordModelTag:
 class TestEnvDefaults:
     def test_env_bound_parsed(self, monkeypatch):
         monkeypatch.setenv(CACHE_MAX_BYTES_ENV, "12345")
-        assert default_cache_max_bytes() == 12345
+        assert env_max_bytes(CACHE_MAX_BYTES_ENV) == 12345
 
     @pytest.mark.parametrize("raw", ["", "  "])
     def test_env_bound_blank_means_unbounded(self, monkeypatch, raw):
         monkeypatch.setenv(CACHE_MAX_BYTES_ENV, raw)
-        assert default_cache_max_bytes() is None
+        assert env_max_bytes(CACHE_MAX_BYTES_ENV) is None
 
     @pytest.mark.parametrize("raw", ["banana", "1GB", "-3"])
     def test_env_bound_warns_on_junk(self, monkeypatch, raw):
@@ -217,11 +217,11 @@ class TestEnvDefaults:
         # unbounded but must say so.
         monkeypatch.setenv(CACHE_MAX_BYTES_ENV, raw)
         with pytest.warns(RuntimeWarning, match="size bound"):
-            assert default_cache_max_bytes() is None
+            assert env_max_bytes(CACHE_MAX_BYTES_ENV) is None
 
     def test_env_bound_zero_parses_as_zero(self, monkeypatch):
         monkeypatch.setenv(CACHE_MAX_BYTES_ENV, "0")
-        assert default_cache_max_bytes() == 0
+        assert env_max_bytes(CACHE_MAX_BYTES_ENV) == 0
 
 
 class TestCacheCli:

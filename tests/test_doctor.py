@@ -10,6 +10,7 @@ re-attaches clean and every surviving read works.
 
 import pytest
 
+from repro import runtime
 from repro.eval.engine import CachedResponse, DiskResponseStore
 from repro.store.doctor import (
     QUARANTINE_DIRNAME,
@@ -17,7 +18,7 @@ from repro.store.doctor import (
     doctor_store,
     quiet_attach,
 )
-from repro.util.faults import FaultPlan, set_active_fault_plan
+from repro.util.faults import FaultPlan
 
 
 def _response(i: int) -> CachedResponse:
@@ -60,9 +61,9 @@ class TestDiagnosis:
     def test_each_injector_class_detected_without_modification(
         self, tmp_path, kind
     ):
-        set_active_fault_plan(FaultPlan.parse(f"seed=9;{kind}:rate=1"))
+        runtime.install(fault_plan=FaultPlan.parse(f"seed=9;{kind}:rate=1"))
         store = _populated(tmp_path)
-        set_active_fault_plan(None)
+        runtime.install(fault_plan=None)
         before = _snapshot(store.root)
 
         with quiet_attach():
@@ -74,9 +75,9 @@ class TestDiagnosis:
         assert _snapshot(store.root) == before
 
     def test_enospc_degrades_to_no_segment(self, tmp_path):
-        set_active_fault_plan(FaultPlan.parse("enospc:rate=1"))
+        runtime.install(fault_plan=FaultPlan.parse("enospc:rate=1"))
         store = _populated(tmp_path)
-        set_active_fault_plan(None)
+        runtime.install(fault_plan=None)
         # The injected ENOSPC vetoed every write; nothing durable, and a
         # store with no files is trivially healthy.
         assert diagnose_store(store, "responses").healthy
@@ -103,9 +104,11 @@ class TestDiagnosis:
 
 class TestRepair:
     def test_repair_quarantines_and_store_reattaches_clean(self, tmp_path):
-        set_active_fault_plan(FaultPlan.parse("seed=9;torn_write:rate=1"))
+        runtime.install(
+            fault_plan=FaultPlan.parse("seed=9;torn_write:rate=1")
+        )
         store = _populated(tmp_path)
-        set_active_fault_plan(None)
+        runtime.install(fault_plan=None)
         report = doctor_store(store, "responses", repair=True)
         assert report.repaired == len(report.issues) > 0
         quarantine = store.root / QUARANTINE_DIRNAME

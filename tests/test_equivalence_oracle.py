@@ -29,6 +29,7 @@ from functools import lru_cache
 
 import pytest
 
+from repro import runtime
 from repro.dataset import paper_dataset
 from repro.eval.engine import DiskResponseStore, EvalEngine
 from repro.eval.journal import DEFAULT_JOURNAL_NAME, SweepJournal
@@ -39,7 +40,6 @@ from repro.roofline.hardware import get_gpu
 from repro.types import Boundedness, Language
 from repro.serve import AsyncEvalEngine
 from repro.serve.providers import EmulatedProvider
-from repro.util.faults import reset_active_fault_plan
 from repro.util.retry import RetryPolicy
 
 MODELS = ("gpt-4o-mini", "o3-mini-high")
@@ -183,7 +183,7 @@ def test_stats_identical_across_backends_under_faults(
 ):
     # Process workers inherit the plan through the environment.
     monkeypatch.setenv("REPRO_FAULT_PLAN", FAULT_PLAN)
-    reset_active_fault_plan()
+    runtime.reset()
 
     def counters(backend, jobs, root):
         def engine_for(store):

@@ -27,6 +27,7 @@ from pathlib import Path
 
 import pytest
 
+from repro import runtime
 from repro.eval.engine import (
     DiskResponseStore,
     EvalEngine,
@@ -40,9 +41,6 @@ from repro.util.faults import (
     FaultPlan,
     FaultSpec,
     InjectedFault,
-    active_fault_plan,
-    reset_active_fault_plan,
-    set_active_fault_plan,
 )
 from repro.util.retry import RetryPolicy, TransientError, retry_call
 
@@ -172,12 +170,12 @@ class TestFaultPlanParsing:
 
     def test_env_plan_memoized_per_spec(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULT_PLAN", "seed=5;torn_write:rate=1")
-        reset_active_fault_plan()
-        assert active_fault_plan() is active_fault_plan()
-        set_active_fault_plan(None)  # explicit off beats the env
-        assert active_fault_plan() is None
-        reset_active_fault_plan()
-        assert active_fault_plan() is not None
+        runtime.reset()
+        assert runtime.current().fault_plan is runtime.current().fault_plan
+        runtime.install(fault_plan=None)  # explicit off beats the env
+        assert runtime.current().fault_plan is None
+        runtime.reset()
+        assert runtime.current().fault_plan is not None
 
 
 class TestCollectMode:
@@ -188,8 +186,8 @@ class TestCollectMode:
             EvalEngine(failure_mode="explode")
 
     def test_fail_fast_propagates_exhausted_units(self, balanced_samples):
-        set_active_fault_plan(
-            FaultPlan.parse("provider_error:rate=1,attempts=99")
+        runtime.install(
+            fault_plan=FaultPlan.parse("provider_error:rate=1,attempts=99")
         )
         engine = EvalEngine(retry=RetryPolicy(max_attempts=2, base_delay_s=0))
         with pytest.raises(InjectedFault):
@@ -206,7 +204,7 @@ class TestCollectMode:
         plan_spec = "seed=11;provider_error:rate=0.3,attempts=99"
         # Process workers inherit the plan through the environment.
         monkeypatch.setenv("REPRO_FAULT_PLAN", plan_spec)
-        reset_active_fault_plan()
+        runtime.reset()
         items = classify_items(balanced_samples, 16)
         model = get_model("gpt-4o-mini")
 
@@ -234,8 +232,10 @@ class TestCollectMode:
     def test_collect_failures_survive_to_json_and_render(
         self, balanced_samples
     ):
-        set_active_fault_plan(
-            FaultPlan.parse("seed=2;provider_error:rate=0.4,attempts=99")
+        runtime.install(
+            fault_plan=FaultPlan.parse(
+                "seed=2;provider_error:rate=0.4,attempts=99"
+            )
         )
         engine = EvalEngine(
             failure_mode="collect",
@@ -261,8 +261,8 @@ class TestCollectMode:
         assert "failures" not in plain.to_json()
 
     def test_max_failures_aborts_exactly_at_threshold(self, balanced_samples):
-        set_active_fault_plan(
-            FaultPlan.parse("provider_error:rate=1,attempts=99")
+        runtime.install(
+            fault_plan=FaultPlan.parse("provider_error:rate=1,attempts=99")
         )
         engine = EvalEngine(
             backend="sequential",
@@ -287,8 +287,10 @@ class TestCollectMode:
         items = classify_items(balanced_samples, 8)
         model = get_model("gpt-4o-mini")
         baseline = EvalEngine().run(model, items)
-        set_active_fault_plan(
-            FaultPlan.parse("seed=4;provider_error:rate=0.5,attempts=1")
+        runtime.install(
+            fault_plan=FaultPlan.parse(
+                "seed=4;provider_error:rate=0.5,attempts=1"
+            )
         )
         engine = EvalEngine(
             retry=RetryPolicy(max_attempts=3, base_delay_s=0.0)

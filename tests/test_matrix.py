@@ -169,11 +169,8 @@ class TestRunMatrix:
         come from a fresh walk, a cold store pass, or a warm store."""
         from repro.eval import matrix as matrix_mod
         from repro.gpusim.profiler import _PROFILE_MEMO, _TRACE_MEMO
-        from repro.gpusim.store import (
-            ProfileStore,
-            reset_active_profile_store,
-            set_active_profile_store,
-        )
+        from repro import runtime
+        from repro.gpusim.store import ProfileStore
 
         models = [get_model("o3-mini-high")]
         gpus = [get_gpu("V100"), get_gpu("2080")]
@@ -185,13 +182,13 @@ class TestRunMatrix:
             return run_matrix(models, gpus, rqs=("rq2",), limit=8)
 
         try:
-            set_active_profile_store(None)
+            runtime.install(profile_store=None)
             bare = fresh_run()
-            set_active_profile_store(ProfileStore(tmp_path / "ps"))
+            runtime.install(profile_store=ProfileStore(tmp_path / "ps"))
             cold = fresh_run()
             warm = fresh_run()
         finally:
-            reset_active_profile_store()
+            runtime.reset()
         assert cold == bare and warm == bare
         assert cold.digest() == bare.digest()
         assert warm.digest() == bare.digest()

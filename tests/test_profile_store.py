@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import runtime
 from repro.gpusim import (
     PROFILER_VERSION,
     ProfileStore,
@@ -38,7 +39,6 @@ from repro.gpusim.profiler import (
     _Walker,
     KernelProfile,
 )
-from repro.gpusim.store import active_profile_store, set_active_profile_store
 from repro.gpusim.timing import estimate_time
 from repro.kernels.corpus import build_corpus
 from repro.kernels.ir import (
@@ -422,7 +422,7 @@ class TestProfileStore:
 class TestActiveStore:
     def test_env_var_activates_store(self, small_corpus, tmp_path, monkeypatch, fresh_memos):
         monkeypatch.setenv("REPRO_PROFILE_CACHE", str(tmp_path / "env-store"))
-        store = active_profile_store()
+        store = runtime.current().profile_store
         assert store is not None
         profile_corpus(small_corpus, ALL_DEVICES[0])  # default: active store
         assert len(ProfileStore(tmp_path / "env-store")) == len(
@@ -431,17 +431,16 @@ class TestActiveStore:
 
     def test_empty_env_means_no_store(self, monkeypatch):
         monkeypatch.setenv("REPRO_PROFILE_CACHE", "")
-        assert active_profile_store() is None
+        assert runtime.current().profile_store is None
 
     def test_set_active_overrides_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_PROFILE_CACHE", str(tmp_path / "ignored"))
-        set_active_profile_store(None)
+        runtime.install(profile_store=None)
         try:
-            assert active_profile_store() is None
+            assert runtime.current().profile_store is None
         finally:
-            from repro.gpusim.store import reset_active_profile_store
-
-            reset_active_profile_store()
+            runtime.reset()
+        assert runtime.current().profile_store.root == tmp_path / "ignored"
 
 
 class TestStoreInvisibleToResults:

@@ -21,6 +21,7 @@ from pathlib import Path
 
 import pytest
 
+from repro import runtime
 from repro.eval.engine import DiskResponseStore, EvalEngine
 from repro.eval.rq23 import classification_items
 from repro.llm.registry import get_model
@@ -39,12 +40,7 @@ from repro.serve import (
     resolve_provider,
 )
 from repro.serve.resilience import CLOSED, HALF_OPEN, OPEN
-from repro.util.faults import (
-    FaultPlan,
-    InjectedFault,
-    reset_active_fault_plan,
-    set_active_fault_plan,
-)
+from repro.util.faults import FaultPlan, InjectedFault
 from repro.util.retry import DeadlineExceeded, TransientError
 from repro.util.retry import call_with_retry as util_call_with_retry
 
@@ -101,13 +97,13 @@ def fault_plan():
 
     def install(spec: str) -> FaultPlan:
         plan = FaultPlan.parse(spec)
-        set_active_fault_plan(plan)
+        runtime.install(fault_plan=plan)
         installed.append(plan)
         return plan
 
     yield install
     if installed:
-        reset_active_fault_plan()
+        runtime.reset()
 
 
 # -- circuit breaker (virtual clock) -----------------------------------------

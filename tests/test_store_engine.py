@@ -543,24 +543,21 @@ class TestLifecycleSweeps:
 
 
 class TestSizeEnvParsers:
-    """One contract, three parsers: the response cache, the profile store,
-    and the artifact cache must agree on how byte bounds parse."""
+    """One parser, three bounds: the response cache, the profile store,
+    and the artifact cache read their byte bounds the same way."""
 
     CASES = [
-        ("repro.eval.engine", "default_cache_max_bytes",
-         "REPRO_CACHE_MAX_BYTES"),
-        ("repro.gpusim.store", "default_profile_cache_max_bytes",
-         "REPRO_PROFILE_CACHE_MAX_BYTES"),
-        ("repro.store.text", "default_artifact_cache_max_bytes",
-         "REPRO_ARTIFACT_CACHE_MAX_BYTES"),
+        "REPRO_CACHE_MAX_BYTES",
+        "REPRO_PROFILE_CACHE_MAX_BYTES",
+        "REPRO_ARTIFACT_CACHE_MAX_BYTES",
     ]
 
-    @pytest.fixture(params=CASES, ids=[c[2] for c in CASES])
+    @pytest.fixture(params=CASES, ids=CASES)
     def parser(self, request, monkeypatch):
-        import importlib
+        from repro.runtime import env_max_bytes
 
-        module, fn, env = request.param
-        return getattr(importlib.import_module(module), fn), env, monkeypatch
+        env = request.param
+        return (lambda: env_max_bytes(env)), env, monkeypatch
 
     def test_valid_integer(self, parser):
         fn, env, monkeypatch = parser
