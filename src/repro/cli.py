@@ -174,8 +174,8 @@ def _flag_max_bytes(args: argparse.Namespace, attr: str, env: str):
 
 def _install_runtime(args: argparse.Namespace):
     """Install the profile store, artifact cache and fault plan the flags
-    select into :mod:`repro.runtime`, and return the resulting
-    :class:`~repro.runtime.Runtime`.
+    select into :mod:`repro.runtime`, and return
+    :func:`repro.runtime.current`.
 
     Every consumer downstream (dataset build, tokenizer training, matrix
     scenarios, shard execution, store writes, engine retry loops) reads

@@ -10,8 +10,10 @@ place that holds them:
 * :func:`install` sets fields explicitly — the CLI installs what its flags
   select, and ``None`` turns a field off even when its env var is set;
   :func:`reset` forgets every installed field;
-* :func:`current` returns each field's installed value, else the value
-  built from that field's environment variables, else ``None``.
+* ``current().<field>`` returns that field's installed value, else the
+  value built from that field's environment variables, else ``None``.
+  Each field is resolved when it is read, so a field's env vars are
+  parsed only when that field is used.
 
 An env-built value is memoized per field on that field's own env text:
 every caller in a process shares one store instance (so a ``deferred()``
@@ -24,47 +26,39 @@ explicitly.
 
 from __future__ import annotations
 
-import dataclasses
-import functools
 import os
 import threading
-from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
+
+from repro.util.faults import FAULT_PLAN_ENV, FaultPlan
 
 if TYPE_CHECKING:  # pragma: no cover - the stores import this module
     from repro.gpusim.store import ProfileStore
     from repro.store.text import ArtifactCache
-    from repro.util.faults import FaultPlan
 
 #: Default for ``store=`` / ``cache=`` parameters: "use the runtime's
 #: current value". Pass ``None`` to run without a store.
 CURRENT = object()
 
-
-@dataclass(frozen=True)
-class Runtime:
-    """One snapshot of the process-wide values."""
-
-    profile_store: "ProfileStore | None"
-    artifact_cache: "ArtifactCache | None"
-    fault_plan: "FaultPlan | None"
-
-
-_FIELDS = frozenset(f.name for f in dataclasses.fields(Runtime))
+_FIELDS = frozenset(("profile_store", "artifact_cache", "fault_plan"))
 _LOCK = threading.Lock()
 _INSTALLED: dict[str, object] = {}
 #: field → (the env text it was built from, the value built).
 _ENV_BUILT: dict[str, tuple[tuple[str | None, ...], object]] = {}
 
 
+def env_text(env: str) -> str | None:
+    """``$env``, or ``None`` when it is unset or blank."""
+    text = os.environ.get(env)
+    return text if text and text.strip() else None
+
+
 def env_root(env: str, default: str | None = None) -> Path | None:
     """The directory ``$env`` names; unset or blank reads as ``default``
     (``None``: no directory)."""
-    text = os.environ.get(env, "")
-    if text.strip():
-        return Path(text)
-    return None if default is None else Path(default)
+    text = env_text(env) or default
+    return None if text is None else Path(text)
 
 
 def env_max_bytes(env: str) -> int | None:
@@ -75,43 +69,70 @@ def env_max_bytes(env: str) -> int | None:
     return parse_max_bytes(os.environ.get(env), source=env)
 
 
-@functools.cache
-def _env_fields() -> dict[str, tuple[tuple[str, ...], Callable]]:
-    """field → (the env vars it is built from, its factory). Resolved on
-    first use: the modules that define them import this one."""
-    from repro.gpusim.store import (
-        PROFILE_CACHE_ENV,
-        PROFILE_CACHE_MAX_BYTES_ENV,
-        ProfileStore,
-    )
-    from repro.store.text import (
-        ARTIFACT_CACHE_ENV,
-        ARTIFACT_CACHE_MAX_BYTES_ENV,
-        ArtifactCache,
-    )
-    from repro.util.faults import FAULT_PLAN_ENV, FaultPlan
-
-    return {
-        "profile_store": (
-            (PROFILE_CACHE_ENV, PROFILE_CACHE_MAX_BYTES_ENV), ProfileStore
-        ),
-        "artifact_cache": (
-            (ARTIFACT_CACHE_ENV, ARTIFACT_CACHE_MAX_BYTES_ENV), ArtifactCache
-        ),
-        "fault_plan": ((FAULT_PLAN_ENV,), FaultPlan.parse),
-    }
+def _env_store(cls: Callable, root_env: str, bound_env: str):
+    """A ``cls`` store rooted at ``$root_env`` and bounded by
+    ``$bound_env``; ``None`` while ``$root_env`` is unset or blank."""
+    root = env_root(root_env)
+    return None if root is None else cls(root, max_bytes=env_max_bytes(bound_env))
 
 
-def _from_env(names: tuple[str, ...], factory: Callable) -> object:
-    """A plan parsed from ``$names[0]``, or a store rooted there and
-    bounded by ``$names[1]``; ``None`` while ``$names[0]`` is unset or
-    blank."""
-    text = os.environ.get(names[0], "")
-    if not text.strip():
-        return None
-    if len(names) == 1:
-        return factory(text)
-    return factory(Path(text), max_bytes=env_max_bytes(names[1]))
+def _env_fault_plan() -> FaultPlan | None:
+    """The plan ``$REPRO_FAULT_PLAN`` spells; ``None`` while it is unset
+    or blank."""
+    text = env_text(FAULT_PLAN_ENV)
+    return None if text is None else FaultPlan.parse(text)
+
+
+def _resolve(field: str, envs: tuple[str, ...], build: Callable[[], object]):
+    """``field``'s installed value, else ``build()``'s value, rebuilt only
+    when the text of ``envs`` changes."""
+    with _LOCK:
+        if field in _INSTALLED:
+            return _INSTALLED[field]
+        text = tuple(map(os.environ.get, envs))
+        built = _ENV_BUILT.get(field)
+        if built is None or built[0] != text:
+            built = _ENV_BUILT[field] = (text, build())
+        return built[1]
+
+
+class Runtime:
+    """The process-wide values; each attribute is resolved when read."""
+
+    __slots__ = ()
+
+    @property
+    def profile_store(self) -> "ProfileStore | None":
+        from repro.gpusim.store import (
+            PROFILE_CACHE_ENV as root,
+            PROFILE_CACHE_MAX_BYTES_ENV as bound,
+            ProfileStore,
+        )
+
+        return _resolve(
+            "profile_store", (root, bound),
+            lambda: _env_store(ProfileStore, root, bound),
+        )
+
+    @property
+    def artifact_cache(self) -> "ArtifactCache | None":
+        from repro.store.text import (
+            ARTIFACT_CACHE_ENV as root,
+            ARTIFACT_CACHE_MAX_BYTES_ENV as bound,
+            ArtifactCache,
+        )
+
+        return _resolve(
+            "artifact_cache", (root, bound),
+            lambda: _env_store(ArtifactCache, root, bound),
+        )
+
+    @property
+    def fault_plan(self) -> FaultPlan | None:
+        return _resolve("fault_plan", (FAULT_PLAN_ENV,), _env_fault_plan)
+
+
+_CURRENT = Runtime()
 
 
 def install(**fields) -> None:
@@ -131,17 +152,6 @@ def reset() -> None:
 
 
 def current() -> Runtime:
-    """Each field's installed value, else its env-built value."""
-    fields = _env_fields()
-    values = {}
-    with _LOCK:
-        for name, (names, factory) in fields.items():
-            if name in _INSTALLED:
-                values[name] = _INSTALLED[name]
-                continue
-            text = tuple(os.environ.get(n) for n in names)
-            built = _ENV_BUILT.get(name)
-            if built is None or built[0] != text:
-                built = _ENV_BUILT[name] = (text, _from_env(names, factory))
-            values[name] = built[1]
-    return Runtime(**values)
+    """The runtime; read one field from it, e.g.
+    ``current().profile_store``."""
+    return _CURRENT

@@ -20,7 +20,6 @@ from repro.eval.engine import (
 from repro.eval.runner import run_queries
 from repro.llm import get_model
 from repro.prompts.rq1 import build_rq1_prompt, generate_rq1_questions
-from repro.runtime import env_max_bytes
 
 
 def _response(i: int, model: str = "test-model") -> CachedResponse:
@@ -201,15 +200,22 @@ class TestRecordModelTag:
         assert r.model == ""
 
 
+def _cli_bound() -> int | None:
+    """The size bound of the response store the CLI builds from its env."""
+    from repro import cli
+
+    return cli._make_store(cli.build_parser().parse_args(["rq2"])).max_bytes
+
+
 class TestEnvDefaults:
     def test_env_bound_parsed(self, monkeypatch):
         monkeypatch.setenv(CACHE_MAX_BYTES_ENV, "12345")
-        assert env_max_bytes(CACHE_MAX_BYTES_ENV) == 12345
+        assert _cli_bound() == 12345
 
     @pytest.mark.parametrize("raw", ["", "  "])
     def test_env_bound_blank_means_unbounded(self, monkeypatch, raw):
         monkeypatch.setenv(CACHE_MAX_BYTES_ENV, raw)
-        assert env_max_bytes(CACHE_MAX_BYTES_ENV) is None
+        assert _cli_bound() is None
 
     @pytest.mark.parametrize("raw", ["banana", "1GB", "-3"])
     def test_env_bound_warns_on_junk(self, monkeypatch, raw):
@@ -217,11 +223,11 @@ class TestEnvDefaults:
         # unbounded but must say so.
         monkeypatch.setenv(CACHE_MAX_BYTES_ENV, raw)
         with pytest.warns(RuntimeWarning, match="size bound"):
-            assert env_max_bytes(CACHE_MAX_BYTES_ENV) is None
+            assert _cli_bound() is None
 
     def test_env_bound_zero_parses_as_zero(self, monkeypatch):
         monkeypatch.setenv(CACHE_MAX_BYTES_ENV, "0")
-        assert env_max_bytes(CACHE_MAX_BYTES_ENV) == 0
+        assert _cli_bound() == 0
 
 
 class TestCacheCli:

@@ -9,6 +9,9 @@ Contracts:
 * **Installed beats env.** :func:`repro.runtime.install` overrides a
   field (``None`` turns it off), :func:`repro.runtime.reset` restores the
   env fallback, and the ``set_active_*`` forwards install the same way.
+* **One field at a time.** Reading one field parses only that field's
+  env vars: a malformed ``$REPRO_FAULT_PLAN`` never breaks a store
+  lookup, nor ``repro-paper cache``.
 * **Blank is unset.** A blank store env var means "no directory" to the
   library and "the default directory" to the CLI, never a directory named
   by whitespace.
@@ -71,6 +74,18 @@ class TestEnvBuiltValues:
         assert rt.fault_plan is plan
         assert rt.profile_store is not store
         assert rt.profile_store.root == tmp_path / "other"
+
+    def test_a_bad_fault_plan_breaks_only_the_fault_plan(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setenv("REPRO_FAULT_PLAN", "junk")
+        rt = runtime.current()
+        assert rt.profile_store.root == tmp_path / "profile-cache"
+        assert rt.artifact_cache.root == tmp_path / "artifact-cache"
+        with pytest.raises(ValueError):
+            rt.fault_plan
+        assert main(["cache"]) == 0
+        assert "profile store:" in capsys.readouterr().out
 
     def test_concurrent_lookups_share_one_instance(self, tmp_path):
         stores: list[int] = []

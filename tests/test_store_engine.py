@@ -543,21 +543,41 @@ class TestLifecycleSweeps:
 
 
 class TestSizeEnvParsers:
-    """One parser, three bounds: the response cache, the profile store,
-    and the artifact cache read their byte bounds the same way."""
+    """One contract, three bounds: the response cache, the profile store,
+    and the artifact cache each read their byte bound from their own env
+    var, through the CLI and (for the runtime's stores) the library."""
 
     CASES = [
-        "REPRO_CACHE_MAX_BYTES",
-        "REPRO_PROFILE_CACHE_MAX_BYTES",
-        "REPRO_ARTIFACT_CACHE_MAX_BYTES",
+        ("REPRO_CACHE_MAX_BYTES", "cli"),
+        ("REPRO_PROFILE_CACHE_MAX_BYTES", "cli"),
+        ("REPRO_PROFILE_CACHE_MAX_BYTES", "library"),
+        ("REPRO_ARTIFACT_CACHE_MAX_BYTES", "cli"),
+        ("REPRO_ARTIFACT_CACHE_MAX_BYTES", "library"),
     ]
 
-    @pytest.fixture(params=CASES, ids=CASES)
-    def parser(self, request, monkeypatch):
-        from repro.runtime import env_max_bytes
+    @staticmethod
+    def _bound(env: str, path: str):
+        """The bound the store ``env`` governs ends up with, built the way
+        ``path`` builds it."""
+        from repro import cli, runtime
 
-        env = request.param
-        return (lambda: env_max_bytes(env)), env, monkeypatch
+        if path == "cli":
+            args = cli.build_parser().parse_args(["rq2"])
+            if env == "REPRO_CACHE_MAX_BYTES":
+                return cli._make_store(args).max_bytes
+            cli._install_runtime(args)
+        rt = runtime.current()
+        if env == "REPRO_PROFILE_CACHE_MAX_BYTES":
+            return rt.profile_store.max_bytes
+        return rt.artifact_cache.max_bytes
+
+    @pytest.fixture(
+        params=CASES,
+        ids=[env if path == "cli" else f"{env}-{path}" for env, path in CASES],
+    )
+    def parser(self, request, monkeypatch):
+        env, path = request.param
+        return (lambda: self._bound(env, path)), env, monkeypatch
 
     def test_valid_integer(self, parser):
         fn, env, monkeypatch = parser
