@@ -108,7 +108,7 @@ def test_coalescing_collapses_identical_bursts():
 
 def test_warm_store_replay_and_http_latency(tmp_path, balanced):
     samples = balanced[:SLICE]
-    items = classification_items(samples, few_shot=False)
+    items = classification_items(samples, variant="zero-shot")
     model = get_model(MODEL)
 
     store = DiskResponseStore(tmp_path / "serve-cache")

@@ -8,9 +8,9 @@ prompting in zero-shot style with reasoning models".
 
 from __future__ import annotations
 
+from repro.eval.rq23 import classification_items
 from repro.eval.runner import run_queries
 from repro.llm import all_models
-from repro.prompts import build_classify_prompt
 from repro.util.tables import format_table
 
 #: Table 1 column 3 (April 2025 pricing).
@@ -28,14 +28,8 @@ PAPER_PRICING = {
 
 
 def _run(balanced):
-    items0 = [
-        (s.uid, build_classify_prompt(s, few_shot=False).text, s.label)
-        for s in balanced
-    ]
-    items3 = [
-        (s.uid, build_classify_prompt(s, few_shot=True).text, s.label)
-        for s in balanced
-    ]
+    items0 = classification_items(balanced, variant="zero-shot")
+    items3 = classification_items(balanced, variant="few-shot-2")
     out = {}
     for model in all_models():
         zero = run_queries(model, items0)

@@ -21,7 +21,7 @@ print()
 
 # 2. Build the paper's Figure 4 prompt: hardware specs, launch geometry,
 #    command line, and the program's concatenated source code.
-prompt = build_classify_prompt(sample, few_shot=False)
+prompt = build_classify_prompt(sample, variant="zero-shot")
 print(f"prompt:    {len(prompt.text)} characters")
 print("--- prompt head ---")
 print("\n".join(prompt.text.split("\n")[:12]))

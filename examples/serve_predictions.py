@@ -75,7 +75,7 @@ def run_client(base_url: str) -> None:
     with ThreadPoolExecutor(max_workers=BURST) as pool:
         futures = [
             pool.submit(get, f"{base_url}/v1/classify",
-                        uid=picks[0], model=MODEL, few_shot="true")
+                        uid=picks[0], model=MODEL, variant="few-shot-2")
             for _ in range(BURST)
         ]
         answers = {f.result()["prediction"] for f in futures}
@@ -111,7 +111,7 @@ def self_hosted_demo() -> None:
     # Warm the store exactly how the batch CLI would (same prompts, same
     # cache keys) so the served queries below are all hits.
     EvalEngine(jobs=4, store=store).run(
-        get_model(MODEL), classification_items(samples, few_shot=False)
+        get_model(MODEL), classification_items(samples, variant="zero-shot")
     )
     print(f"warmed cache: {len(store)} responses @ {store.root}\n")
 

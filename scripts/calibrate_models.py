@@ -96,8 +96,10 @@ def calibrate(cfg: ModelConfig, prompts0, prompts3, truths, rounds: int = 2) -> 
 def main() -> int:
     ds = paper_dataset()
     truths = [s.label for s in ds.balanced]
-    prompts0 = [build_classify_prompt(s, few_shot=False) for s in ds.balanced]
-    prompts3 = [build_classify_prompt(s, few_shot=True) for s in ds.balanced]
+    prompts0 = [build_classify_prompt(s) for s in ds.balanced]
+    prompts3 = [
+        build_classify_prompt(s, variant="few-shot-2") for s in ds.balanced
+    ]
 
     for cfg in ALL_CONFIGS:
         tuned = calibrate(cfg, prompts0, prompts3, truths)

@@ -80,7 +80,7 @@ def batch_labels(cache_dir: str, limit: int) -> dict[str, str]:
     samples = list(paper_dataset().balanced)[:limit]
     engine = EvalEngine(store=DiskResponseStore(cache_dir))
     result = engine.run(
-        get_model(MODEL), classification_items(samples, few_shot=False)
+        get_model(MODEL), classification_items(samples, variant="zero-shot")
     )
     if engine.stats.completions != 0:
         raise SystemExit(

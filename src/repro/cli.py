@@ -245,18 +245,47 @@ def _add_stats_flags(p: argparse.ArgumentParser) -> None:
                    help="CI confidence level (default 0.95)")
 
 
-def _add_regime_flags(p: argparse.ArgumentParser) -> None:
+def _non_negative_int(text: str) -> int:
+    """argparse type for counts such as ``--limit``: a negative value is a
+    usage error, not a silent slice from the end."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer, got {text!r}"
+        ) from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def _add_limit_flag(p: argparse.ArgumentParser, unit: str) -> None:
+    p.add_argument("--limit", type=_non_negative_int, default=0,
+                   help=f"evaluate only the first N {unit} (default 0 = all)")
+
+
+def _add_grid_flags(p: argparse.ArgumentParser) -> None:
+    """The (model × regime × GPU × kernel) grid selection of the matrix
+    commands."""
+    p.add_argument("--model", default="all",
+                   help="model name or 'all' (default)")
+    p.add_argument("--gpus", default="all",
+                   help="comma-separated GPU names (substring match) or "
+                        "'all' (default)")
     p.add_argument("--rq", choices=("rq2", "rq3", "both"), default="rq2",
                    help="classification regime(s) to sweep (default rq2)")
     p.add_argument("--variants", default="",
                    help="comma-separated extra prompt-variant regimes to "
                         "sweep alongside --rq (e.g. no-hint,problem-hint,"
                         "few-shot-4); see 'repro-paper variants'")
+    _add_limit_flag(p, "kernels per device")
 
 
 def _resolve_regimes(args: argparse.Namespace) -> tuple[str, ...]:
     """Compose the regime axis from ``--rq`` plus ``--variants``."""
-    regimes = list(("rq2", "rq3") if args.rq == "both" else (args.rq,))
+    from repro.eval.rq23 import MATRIX_RQS
+
+    regimes = list(MATRIX_RQS if args.rq == "both" else (args.rq,))
     for label in (getattr(args, "variants", "") or "").split(","):
         label = label.strip()
         if label and label not in regimes:
@@ -379,6 +408,7 @@ def _cmd_dataset(args: argparse.Namespace) -> int:
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     from repro.dataset import paper_dataset
+    from repro.eval.rq23 import regime_variant
     from repro.llm import get_model, query_cost_usd
     from repro.prompts import build_classify_prompt
 
@@ -392,12 +422,13 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         return 2
     sample = matches[0]
     model = get_model(args.model)
-    prompt = build_classify_prompt(sample, few_shot=args.few_shot)
+    variant = regime_variant("rq3" if args.few_shot else "rq2")
+    prompt = build_classify_prompt(sample, variant=variant)
     response = model.complete(prompt.text)
     pred = response.boundedness()
     print(f"program:    {sample.uid}")
     print(f"kernel:     {sample.kernel_name}")
-    print(f"model:      {model.name} ({'few-shot' if args.few_shot else 'zero-shot'})")
+    print(f"model:      {model.name} ({variant.name})")
     print(f"prediction: {pred.word}")
     print(f"truth:      {sample.label.word}")
     print(f"correct:    {pred == sample.label}")
@@ -411,6 +442,47 @@ def _select_models(name: str):
     if name == "all":
         return all_models()
     return [get_model(name)]
+
+
+def _limited_samples(args: argparse.Namespace) -> list:
+    """The balanced dataset, cut to its first ``--limit`` samples."""
+    from repro.dataset import paper_dataset
+
+    samples = list(paper_dataset(jobs=args.jobs).balanced)
+    return samples[: args.limit] if args.limit else samples
+
+
+class _UsageError(Exception):
+    """A bad selection on the command line: :func:`main` prints it and
+    returns 2."""
+
+
+def _run_grid(args: argparse.Namespace, engine=None):
+    """Run the matrix grid the ``_add_grid_flags`` flags select; return
+    the result and the engine it ran on.
+
+    The engine is built from the engine flags (once the GPU selection
+    resolves) unless one is given. A bad model, GPU or regime selection
+    raises :class:`_UsageError`.
+    """
+    from repro.eval.matrix import run_matrix
+    from repro.roofline.hardware import resolve_gpus
+
+    try:
+        gpus = resolve_gpus(args.gpus)
+        models = _select_models(args.model)
+    except (KeyError, ValueError) as exc:
+        raise _UsageError(exc) from None
+    if engine is None:
+        engine = _make_engine(args)
+    try:
+        result = run_matrix(
+            models, gpus, rqs=_resolve_regimes(args), limit=args.limit,
+            engine=engine,
+        )
+    except (KeyError, ValueError) as exc:
+        raise _UsageError(exc) from None
+    return result, engine
 
 
 def _cmd_rq1(args: argparse.Namespace) -> int:
@@ -428,21 +500,23 @@ def _cmd_rq1(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_rq23(args: argparse.Namespace, few_shot: bool) -> int:
-    from repro.dataset import paper_dataset
-    from repro.eval.rq23 import run_classification
+#: Table titles (and --help text) of the ``rq2``/``rq3`` subcommands.
+_RQ23_TITLES = {"rq2": "RQ2 (zero-shot)", "rq3": "RQ3 (two-shot)"}
+
+
+def _cmd_rq23(args: argparse.Namespace) -> int:
+    from repro.eval.rq23 import regime_variant, run_classification
     from repro.util.tables import format_table
 
     engine = _make_engine(args)
-    samples = list(paper_dataset(jobs=args.jobs).balanced)
-    if args.limit:
-        samples = samples[: args.limit]
+    samples = _limited_samples(args)
+    variant = regime_variant(args.command)
     rows = []
     for model in _select_models(args.model):
-        r = run_classification(model, samples, few_shot=few_shot, engine=engine)
+        r = run_classification(model, samples, variant=variant, engine=engine)
         m = r.metrics
         rows.append([model.name, m.accuracy, m.macro_f1, m.mcc])
-    title = f"{'RQ3 (two-shot)' if few_shot else 'RQ2 (zero-shot)'} over {len(samples)} samples"
+    title = f"{_RQ23_TITLES[args.command]} over {len(samples)} samples"
     print(format_table(["Model", "Acc", "F1", "MCC"], rows, title=title))
     _report_cache(engine)
     return 0
@@ -463,15 +537,12 @@ def _cmd_rq4(args: argparse.Namespace) -> int:
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
-    from repro.dataset import paper_dataset
     from repro.eval.decompose import run_decompose_experiment
     from repro.eval.rq23 import run_rq2
     from repro.util.tables import format_table
 
     engine = _make_engine(args)
-    samples = list(paper_dataset(jobs=args.jobs).balanced)
-    if args.limit:
-        samples = samples[: args.limit]
+    samples = _limited_samples(args)
     rows = []
     for model in _select_models(args.model):
         rq2 = run_rq2(model, samples, engine=engine).metrics
@@ -487,13 +558,10 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def _cmd_table1(args: argparse.Namespace) -> int:
-    from repro.dataset import paper_dataset
     from repro.eval.table1 import build_table1
 
     engine = _make_engine(args)
-    samples = list(paper_dataset(jobs=args.jobs).balanced)
-    if args.limit:
-        samples = samples[: args.limit]
+    samples = _limited_samples(args)
     models = _select_models(args.model)
     table = build_table1(
         samples, models=models, num_rooflines=args.rooflines, engine=engine
@@ -504,26 +572,7 @@ def _cmd_table1(args: argparse.Namespace) -> int:
 
 
 def _cmd_matrix(args: argparse.Namespace) -> int:
-    from repro.eval.matrix import run_matrix
-    from repro.roofline.hardware import resolve_gpus
-
-    try:
-        gpus = resolve_gpus(args.gpus)
-    except (KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    engine = _make_engine(args)
-    try:
-        result = run_matrix(
-            _select_models(args.model),
-            gpus,
-            rqs=_resolve_regimes(args),
-            limit=args.limit,
-            engine=engine,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    result, engine = _run_grid(args)
     print(result.render(flip_limit=args.flip_limit))
     if getattr(args, "stats", False):
         print()
@@ -534,26 +583,8 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     from repro.eval.export import write_report
-    from repro.eval.matrix import run_matrix
-    from repro.roofline.hardware import resolve_gpus
 
-    try:
-        gpus = resolve_gpus(args.gpus)
-    except (KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    engine = _make_engine(args)
-    try:
-        result = run_matrix(
-            _select_models(args.model),
-            gpus,
-            rqs=_resolve_regimes(args),
-            limit=args.limit,
-            engine=engine,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    result, engine = _run_grid(args)
     report = _build_stats(args, result)
     print(report.render())
     if args.out:
@@ -563,48 +594,30 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
-    from repro.dataset import paper_dataset
     from repro.eval.export import write_report
-    from repro.eval.matrix import regime_variant, run_matrix
-    from repro.eval.rq23 import classification_items
+    from repro.eval.rq23 import classification_items, regime_variant
     from repro.eval.runner import run_queries
-    from repro.roofline.hardware import resolve_gpus
 
     engine = _make_engine(args)
-    try:
-        if args.kind == "run":
+    if args.kind == "run":
+        try:
             models = _select_models(args.model)
-            if len(models) != 1:
-                print("error: 'export run' needs one --model, not 'all'",
-                      file=sys.stderr)
-                return 2
-            samples = list(paper_dataset(jobs=args.jobs).balanced)
-            if args.limit:
-                samples = samples[: args.limit]
             regime = _resolve_regimes(args)
+            if len(models) != 1:
+                raise _UsageError("'export run' needs one --model, not 'all'")
             if len(regime) != 1:
-                print("error: 'export run' takes a single regime",
-                      file=sys.stderr)
-                return 2
+                raise _UsageError("'export run' takes a single regime")
             items = classification_items(
-                samples, variant=regime_variant(regime[0])
+                _limited_samples(args), variant=regime_variant(regime[0])
             )
             report = run_queries(models[0], items, engine=engine)
-        else:
-            gpus = resolve_gpus(args.gpus)
-            matrix = run_matrix(
-                _select_models(args.model),
-                gpus,
-                rqs=_resolve_regimes(args),
-                limit=args.limit,
-                engine=engine,
-            )
-            report = (
-                _build_stats(args, matrix) if args.kind == "stats" else matrix
-            )
-    except (KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        except (KeyError, ValueError) as exc:
+            raise _UsageError(exc) from None
+    else:
+        matrix, _ = _run_grid(args, engine)
+        report = (
+            _build_stats(args, matrix) if args.kind == "stats" else matrix
+        )
     print(f"wrote {write_report(report, args.out)} "
           f"(digest {report.digest()[:12]}…)")
     _report_cache(engine)
@@ -612,7 +625,8 @@ def _cmd_export(args: argparse.Namespace) -> int:
 
 
 def _cmd_variants(args: argparse.Namespace) -> int:
-    from repro.prompts import all_variants
+    from repro.eval.rq23 import REGIME_VARIANTS
+    from repro.prompts import MAX_FEW_SHOT, all_variants
     from repro.util.tables import format_table
 
     rows = []
@@ -628,8 +642,9 @@ def _cmd_variants(args: argparse.Namespace) -> int:
         rows,
         title="Registered prompt variants (regimes for matrix/sweep/stats)",
     ))
-    print("\nAny few-shot-K (K <= 8) resolves on demand; rq2/rq3 alias "
-          "zero-shot/few-shot-2.")
+    print(f"\nAny few-shot-K (K <= {MAX_FEW_SHOT}) resolves on demand; "
+          f"{'/'.join(REGIME_VARIANTS)} alias "
+          f"{'/'.join(REGIME_VARIANTS.values())}.")
     return 0
 
 
@@ -688,20 +703,9 @@ def _cmd_merge_caches(args: argparse.Namespace) -> int:
     if not args.report:
         return 0
 
-    from repro.eval.matrix import run_matrix
-    from repro.roofline.hardware import resolve_gpus
-
-    try:
-        gpus = resolve_gpus(args.gpus)
-    except (KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     _install_runtime(args)
     engine = EvalEngine(jobs=args.jobs, store=store, backend=args.backend)
-    result = run_matrix(
-        _select_models(args.model), gpus, rqs=_resolve_regimes(args),
-        limit=args.limit, engine=engine,
-    )
+    result, _ = _run_grid(args, engine)
     print()
     print(result.render())
     _report_cache(engine)
@@ -1027,12 +1031,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rooflines", type=int, default=240)
     _add_engine_flags(p)
 
-    for name, help_text in (("rq2", "RQ2: zero-shot classification"),
-                            ("rq3", "RQ3: two-shot classification")):
-        p = sub.add_parser(name, help=help_text)
+    for name, title in _RQ23_TITLES.items():
+        p = sub.add_parser(name, help=f"{title} classification")
         p.add_argument("--model", default="all")
-        p.add_argument("--limit", type=int, default=0,
-                       help="evaluate only the first N samples")
+        _add_limit_flag(p, "samples")
         _add_engine_flags(p)
 
     from repro.util.parallel import BACKENDS, DEFAULT_BACKEND
@@ -1047,14 +1049,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="question-decomposition extension")
     p.add_argument("--model", default="all")
-    p.add_argument("--limit", type=int, default=0)
+    _add_limit_flag(p, "samples")
     _add_engine_flags(p)
 
     p = sub.add_parser("table1", help="regenerate the paper's full Table 1")
     p.add_argument("--model", default="all")
     p.add_argument("--rooflines", type=int, default=240)
-    p.add_argument("--limit", type=int, default=0,
-                   help="evaluate only the first N samples")
+    _add_limit_flag(p, "samples")
     p.add_argument("--markdown", action="store_true",
                    help="emit a markdown table instead of ASCII")
     _add_engine_flags(p)
@@ -1063,13 +1064,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="hardware scenario matrix: sweep models × "
                             "regimes over several GPUs and report label "
                             "flips")
-    p.add_argument("--model", default="all")
-    p.add_argument("--gpus", default="all",
-                   help="comma-separated GPU names (substring match) or "
-                        "'all' (default)")
-    _add_regime_flags(p)
-    p.add_argument("--limit", type=int, default=0,
-                   help="evaluate only the first N kernels per device")
+    _add_grid_flags(p)
     p.add_argument("--flip-limit", type=int, default=20,
                    help="max label-flip rows to print (default 20)")
     p.add_argument("--stats", action="store_true",
@@ -1081,13 +1076,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stats",
                        help="statistical significance report over the "
                             "matrix grid (Wilcoxon, A12, bootstrap CIs)")
-    p.add_argument("--model", default="all")
-    p.add_argument("--gpus", default="all",
-                   help="comma-separated GPU names (substring match) or "
-                        "'all' (default)")
-    _add_regime_flags(p)
-    p.add_argument("--limit", type=int, default=0,
-                   help="evaluate only the first N kernels per device")
+    _add_grid_flags(p)
     p.add_argument("--out", default=None,
                    help="also write the report as JSON to this file")
     _add_stats_flags(p)
@@ -1097,15 +1086,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write a run / matrix / stats result as JSON "
                             "through the shared Reportable writer")
     p.add_argument("kind", choices=("run", "matrix", "stats"),
-                   help="which result type to compute and export")
+                   help="which result type to compute and export ('run' "
+                        "needs one --model and one regime)")
     p.add_argument("--out", required=True, help="destination JSON file")
-    p.add_argument("--model", default="all",
-                   help="model selection ('run' needs exactly one)")
-    p.add_argument("--gpus", default="all",
-                   help="GPU selection for matrix/stats exports")
-    _add_regime_flags(p)
-    p.add_argument("--limit", type=int, default=0,
-                   help="evaluate only the first N kernels")
+    _add_grid_flags(p)
     _add_stats_flags(p)
     _add_engine_flags(p)
 
@@ -1115,13 +1099,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep",
                        help="matrix sweep, optionally one shard of a "
                             "distributed plan (--shard I/N)")
-    p.add_argument("--model", default="all")
-    p.add_argument("--gpus", default="all",
-                   help="comma-separated GPU names (substring match) or "
-                        "'all' (default)")
-    _add_regime_flags(p)
-    p.add_argument("--limit", type=int, default=0,
-                   help="evaluate only the first N kernels per device")
+    _add_grid_flags(p)
     p.add_argument("--shard", default="0/1",
                    help="execute shard I of a deterministic N-shard plan "
                         "(e.g. 1/3); the default 0/1 runs the whole grid "
@@ -1144,10 +1122,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", action="store_true",
                    help="after merging, replay the sweep grid from the "
                         "merged cache and print the matrix report")
-    p.add_argument("--model", default="all")
-    p.add_argument("--gpus", default="all")
-    _add_regime_flags(p)
-    p.add_argument("--limit", type=int, default=0)
+    _add_grid_flags(p)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--backend", choices=BACKENDS, default=DEFAULT_BACKEND)
     _add_store_flags(p)
@@ -1289,8 +1264,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         "dataset": _cmd_dataset,
         "classify": _cmd_classify,
         "rq1": _cmd_rq1,
-        "rq2": lambda a: _cmd_rq23(a, few_shot=False),
-        "rq3": lambda a: _cmd_rq23(a, few_shot=True),
+        "rq2": _cmd_rq23,
+        "rq3": _cmd_rq23,
         "rq4": _cmd_rq4,
         "decompose": _cmd_decompose,
         "table1": _cmd_table1,
@@ -1308,6 +1283,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     _install_sigterm_handler()
     try:
         return handlers[args.command](args)
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except KeyboardInterrupt:
         print("\ninterrupted — unflushed store buffers were discarded (by "
               "design); journaled completions are durable. Re-run with "

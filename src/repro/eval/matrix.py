@@ -26,7 +26,7 @@ RQ3 (two-shot) regimes — plus any registered
 :class:`~repro.prompts.variants.PromptVariant` name as an extra
 prompt-ablation regime (``no-hint``, ``problem-hint``, ``few-shot-k``…):
 a regime label is either an RQ alias or a variant name, and
-:func:`regime_variant` resolves both onto the prompt layer.
+:func:`repro.eval.rq23.regime_variant` resolves both onto the prompt layer.
 """
 
 from __future__ import annotations
@@ -39,42 +39,17 @@ from typing import Sequence
 from repro.dataset import Sample, paper_dataset
 from repro.dataset.build import build_sample
 from repro.eval.engine import EvalEngine
-from repro.eval.rq23 import classification_items
+from repro.eval.rq23 import classification_items, regime_variant
 from repro.eval.runner import RunResult, run_queries
 from repro.gpusim import device_for
 from repro.kernels.corpus import default_corpus
 from repro.llm.base import LlmModel
 from repro.llm.registry import all_models
-from repro.prompts import PromptVariant, all_variants, get_variant
 from repro.roofline.hardware import GPU_DATABASE, GpuSpec, short_gpu_name
 from repro.tokenizer import corpus_tokenizer
 from repro.types import Boundedness
 from repro.util.parallel import DEFAULT_BACKEND, parallel_map
 from repro.util.tables import format_table
-
-#: The paper's classification regimes (device-dependent truth), as RQ
-#: aliases for the two seed prompt variants.
-MATRIX_RQS = ("rq2", "rq3")
-
-#: RQ alias → seed prompt-variant name.
-REGIME_VARIANTS = {"rq2": "zero-shot", "rq3": "few-shot-2"}
-
-
-def regime_variant(label: str) -> PromptVariant:
-    """Resolve a matrix regime label onto its prompt variant.
-
-    A label is either an RQ alias (``rq2``/``rq3``) or a registered
-    :class:`PromptVariant` name; anything else raises ``ValueError`` with
-    the valid choices.
-    """
-    try:
-        return get_variant(REGIME_VARIANTS.get(label, label))
-    except KeyError:
-        names = tuple(v.name for v in all_variants())
-        raise ValueError(
-            f"unknown matrix regime {label!r}; choose an RQ alias from "
-            f"{MATRIX_RQS} or a prompt variant from {names}"
-        ) from None
 
 #: Memoized device-specific sample sets, keyed by (gpu spec, uid subset).
 #: Keyed by the frozen spec itself (like :func:`repro.gpusim.device_for`),
@@ -139,8 +114,11 @@ def grid_uids(limit: int = 0, *, jobs: int = 1) -> tuple[str, ...]:
 
     The same subset is used on every device (keeping flips well-defined)
     and by every shard of a distributed sweep (keeping shard plans and
-    cache contents aligned with the single-machine run).
+    cache contents aligned with the single-machine run). A negative
+    ``limit`` raises ``ValueError``.
     """
+    if limit < 0:
+        raise ValueError(f"limit must be >= 0, got {limit}")
     balanced = paper_dataset(jobs=jobs).balanced
     uids = tuple(s.uid for s in balanced)
     return uids[:limit] if limit else uids

@@ -42,7 +42,7 @@ class Rq4Result:
 
 
 def _prompts_labels(samples: list[Sample]) -> tuple[list[str], list[Boundedness]]:
-    prompts = [build_classify_prompt(s, few_shot=False).text for s in samples]
+    prompts = [build_classify_prompt(s).text for s in samples]
     labels = [s.label for s in samples]
     return prompts, labels
 

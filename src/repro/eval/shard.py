@@ -45,8 +45,8 @@ from typing import Iterable, Sequence
 
 from repro import runtime
 from repro.eval.engine import CachedResponse, DiskResponseStore, EvalEngine
-from repro.eval.matrix import grid_uids, regime_variant, scenario_samples
-from repro.eval.rq23 import classification_items
+from repro.eval.matrix import grid_uids, scenario_samples
+from repro.eval.rq23 import classification_items, regime_variant
 from repro.llm.base import LlmModel
 from repro.roofline.hardware import GpuSpec, short_gpu_name
 from repro.util.parallel import round_robin_partition

@@ -20,7 +20,6 @@ from repro.prompts.variants import (
     few_shot_variant,
     get_variant,
     register_variant,
-    variant_for_few_shot,
 )
 from repro.prompts.rq1 import (
     NUM_ROOFLINES,
@@ -51,7 +50,6 @@ __all__ = [
     "few_shot_variant",
     "get_variant",
     "register_variant",
-    "variant_for_few_shot",
     "RooflineQuestion",
     "build_rq1_prompt",
     "generate_question",

@@ -6,8 +6,8 @@ bullet list, launch geometry, command line, and the program's concatenated
 source. Which example block (and optional hint) precedes the task is
 decided by a :class:`~repro.prompts.variants.PromptVariant` — ``zero-shot``
 is the RQ2 form, ``few-shot-2`` the RQ3 form, and further registered
-variants span the prompt-ablation axis. The deprecated ``few_shot`` boolean
-still maps onto the two seed variants with unchanged prompt bytes.
+variants span the prompt-ablation axis. The variant is the only way to
+name a prompt form.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.dataset.records import Sample
-from repro.prompts.variants import PromptVariant, get_variant, variant_for_few_shot
+from repro.prompts.variants import ZERO_SHOT, PromptVariant, get_variant
 from repro.roofline.hardware import GpuSpec, default_gpu
 
 SYSTEM_HEADER = """You are a GPU performance analysis expert that classifies kernels into
@@ -41,30 +41,18 @@ class ClassifyPrompt:
     sample_uid: str
     variant: PromptVariant
 
-    @property
-    def few_shot(self) -> bool:
-        """Deprecated boolean view: does the prompt carry real examples?"""
-        return self.variant.few_shot
-
 
 def build_classify_prompt(
     sample: Sample,
     *,
-    few_shot: bool | None = None,
-    variant: str | PromptVariant | None = None,
+    variant: str | PromptVariant = ZERO_SHOT,
     gpu: GpuSpec | None = None,
 ) -> ClassifyPrompt:
     """Assemble the Figure 4 prompt for one dataset sample.
 
-    ``variant`` names a registered :class:`PromptVariant` (``zero-shot`` is
-    the RQ2 form, ``few-shot-2`` the RQ3 form). The deprecated ``few_shot``
-    boolean maps onto those two seed variants; passing both is an error.
-    Omitting both builds the zero-shot prompt.
+    ``variant`` names a registered :class:`PromptVariant` (``zero-shot``,
+    the default, is the RQ2 form; ``few-shot-2`` the RQ3 form).
     """
-    if few_shot is not None and variant is not None:
-        raise ValueError("pass either few_shot (deprecated) or variant, not both")
-    if variant is None:
-        variant = variant_for_few_shot(bool(few_shot))
     resolved = get_variant(variant)
     gpu = gpu or default_gpu()
     lang = sample.language.display

@@ -1,17 +1,14 @@
 """First-class prompt variants for the classification experiments.
 
 The paper compares exactly two prompt forms — RQ2's zero-shot prompt with
-pseudo-code examples and RQ3's two-shot prompt with real code examples —
-which the seed code expressed as a ``few_shot`` boolean. That boolean
-cannot express a prompt-*ablation* axis (how much does the example block,
-the hint, or the shot count actually matter?), so prompts are now described
-by a :class:`PromptVariant` and collected in a process-wide registry:
+pseudo-code examples and RQ3's two-shot prompt with real code examples.
+To also span a prompt-*ablation* axis (how much does the example block,
+the hint, or the shot count actually matter?), every prompt form is a
+named :class:`PromptVariant`, collected in a process-wide registry:
 
-* ``zero-shot`` — the RQ2 form (pseudo-code examples). Byte-identical to
-  the seed ``few_shot=False`` prompt, so existing response-cache entries
-  keep replaying.
+* ``zero-shot`` — the RQ2 form (pseudo-code examples).
 * ``few-shot-2`` — the RQ3 form (two real code examples in the queried
-  language). Byte-identical to the seed ``few_shot=True`` prompt.
+  language).
 * ``no-hint`` — the bare task statement with no example block at all.
 * ``problem-hint`` — pseudo-code examples plus an explicit roofline
   reasoning hint (estimate AI, compare against the balance point).
@@ -19,10 +16,12 @@ by a :class:`PromptVariant` and collected in a process-wide registry:
   ``few-shot-1`` / ``few-shot-4``; shots are drawn from held-out program
   variants that never enter the evaluation dataset).
 
-The registry is append-only and name-keyed; :func:`get_variant` resolves
-names (materialising ``few-shot-K`` on demand) and
-:func:`variant_for_few_shot` maps the deprecated boolean onto the two seed
-variants.
+Response caches are keyed on prompt bytes, so the two seed variants'
+bytes never change (golden digests in tests/test_prompt_variants.py pin
+them) and existing caches keep replaying. Which variant answers which
+research question is :data:`repro.eval.rq23.REGIME_VARIANTS`. The
+registry is append-only and name-keyed; :func:`get_variant` resolves
+names (materialising ``few-shot-K`` on demand).
 """
 
 from __future__ import annotations
@@ -85,12 +84,6 @@ class PromptVariant:
                 f"shots={self.shots} is only meaningful with examples='real'"
             )
 
-    @property
-    def few_shot(self) -> bool:
-        """Whether this variant carries real code examples (the RQ3 sense
-        of the deprecated boolean)."""
-        return self.examples == "real"
-
     def examples_block(self, language: Language) -> str:
         """The example section for one queried language ("" = no block)."""
         if self.examples == "pseudo":
@@ -105,9 +98,8 @@ def few_shot_variant(shots: int) -> PromptVariant:
     return PromptVariant(name=f"few-shot-{shots}", examples="real", shots=shots)
 
 
-#: The two seed variants — byte-for-byte the prompts the ``few_shot``
-#: boolean used to build, which is what keeps pre-registry response caches
-#: warm (pinned by golden digests in tests/test_prompt_variants.py).
+#: The two seed variants (the paper's RQ2 and RQ3 forms); their prompt
+#: bytes are pinned, which keeps existing response caches warm.
 ZERO_SHOT = PromptVariant(name="zero-shot", examples="pseudo")
 FEW_SHOT_2 = few_shot_variant(2)
 
@@ -160,8 +152,3 @@ def get_variant(name: str | PromptVariant) -> PromptVariant:
 def all_variants() -> tuple[PromptVariant, ...]:
     """Every registered variant, in registration order."""
     return tuple(_REGISTRY.values())
-
-
-def variant_for_few_shot(few_shot: bool) -> PromptVariant:
-    """Map the deprecated ``few_shot`` boolean onto its seed variant."""
-    return FEW_SHOT_2 if few_shot else ZERO_SHOT

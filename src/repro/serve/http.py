@@ -42,7 +42,10 @@ Endpoints (all JSON):
 * ``GET /v1/stats`` — engine counters (hits/misses/coalesced/retries,
   failover/hedge/shed totals, queue depth, per-provider breaker states).
 * ``GET|POST /v1/classify`` — one prediction. Query params (GET) or a
-  JSON body (POST): ``uid`` (required), ``model``, ``few_shot``, ``gpu``.
+  JSON body (POST): ``uid`` (required), ``model``, ``variant`` (any
+  registered prompt variant, default ``zero-shot``), ``gpu``. ``variant``
+  is the only prompt-form parameter: a request carrying the removed
+  ``few_shot`` answers 400 naming the variants to use instead.
   Optional ``X-Deadline-Ms`` header: the caller's end-to-end budget.
 
 Failure statuses: 429 + ``Retry-After`` when shed (queue over budget or
@@ -64,13 +67,10 @@ from urllib.parse import parse_qs, urlsplit
 
 from repro.dataset import Sample, paper_dataset
 from repro.eval.matrix import scenario_samples
+from repro.eval.rq23 import REGIME_VARIANTS
 from repro.llm.pricing import query_cost_usd
 from repro.llm.registry import MODEL_NAMES
-from repro.prompts import (
-    build_classify_prompt,
-    get_variant,
-    variant_for_few_shot,
-)
+from repro.prompts import ZERO_SHOT, build_classify_prompt, get_variant
 from repro.roofline.hardware import GpuSpec, get_gpu
 from repro.serve.engine import AsyncEvalEngine, ProviderChain
 from repro.serve.providers import resolve_provider
@@ -205,8 +205,7 @@ class PredictionService:
         uid: str,
         *,
         model: str = DEFAULT_MODEL,
-        few_shot: bool = False,
-        variant: str | None = None,
+        variant: str = ZERO_SHOT.name,
         gpu: str | None = None,
         deadline_ms: float | None = None,
     ) -> dict:
@@ -216,17 +215,10 @@ class PredictionService:
         instant; an admission over ``queue_budget`` sheds immediately
         rather than queueing work the deadline would strand.
         """
-        if variant is not None and few_shot:
-            raise ServiceError(
-                400, "pass either few_shot (deprecated) or variant, not both"
-            )
-        if variant is not None:
-            try:
-                resolved = get_variant(variant)
-            except KeyError as exc:
-                raise ServiceError(404, str(exc)) from None
-        else:
-            resolved = variant_for_few_shot(few_shot)
+        try:
+            resolved = get_variant(variant)
+        except KeyError as exc:
+            raise ServiceError(404, str(exc)) from None
         chain = self.provider(model)
         primary = chain[0] if isinstance(chain, tuple) else chain
         deadline = None
@@ -280,7 +272,6 @@ class PredictionService:
                 "model": primary.name,
                 "gpu": spec.name if spec is not None else None,
                 "variant": resolved.name,
-                "few_shot": resolved.few_shot,
                 "prediction": prediction,
                 "truth": sample.label.word,
                 "correct": prediction == sample.label.word,
@@ -298,19 +289,6 @@ class PredictionService:
             }
         finally:
             self._admitted -= 1
-
-
-def _parse_bool(value: str | bool | None, name: str) -> bool:
-    if value is None:
-        return False
-    if isinstance(value, bool):
-        return value
-    lowered = str(value).strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("", "0", "false", "no", "off"):
-        return False
-    raise ServiceError(400, f"bad boolean for {name!r}: {value!r}")
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -407,16 +385,18 @@ class _Handler(BaseHTTPRequestHandler):
             params = {
                 k: v[-1] for k, v in parse_qs(split.query).items()
             }
+        if "few_shot" in params:
+            instead = (f"variant={v}" for v in REGIME_VARIANTS.values())
+            raise ServiceError(
+                400, f"few_shot was removed; pass {' or '.join(instead)}"
+            )
         uid = params.get("uid")
         if not uid:
             raise ServiceError(400, "missing required parameter 'uid'")
         return {
             "uid": str(uid),
             "model": str(params.get("model") or DEFAULT_MODEL),
-            "few_shot": _parse_bool(params.get("few_shot"), "few_shot"),
-            "variant": (
-                str(params["variant"]) if params.get("variant") else None
-            ),
+            "variant": str(params.get("variant") or ZERO_SHOT.name),
             "gpu": str(params["gpu"]) if params.get("gpu") else None,
             "deadline_ms": self._deadline_ms(),
         }

@@ -22,7 +22,7 @@ from repro.prompts import build_classify_prompt
 @pytest.fixture(scope="module")
 def rq2_metrics(dataset):
     truths = [s.label for s in dataset.balanced]
-    prompts = [build_classify_prompt(s, few_shot=False).text for s in dataset.balanced]
+    prompts = [build_classify_prompt(s).text for s in dataset.balanced]
     out = {}
     for name in PAPER_TABLE1:
         model = get_model(name)
@@ -34,7 +34,8 @@ def rq2_metrics(dataset):
 @pytest.fixture(scope="module")
 def rq3_metrics(dataset):
     truths = [s.label for s in dataset.balanced]
-    prompts = [build_classify_prompt(s, few_shot=True).text for s in dataset.balanced]
+    prompts = [build_classify_prompt(s, variant="few-shot-2").text
+               for s in dataset.balanced]
     out = {}
     for name in PAPER_TABLE1:
         model = get_model(name)

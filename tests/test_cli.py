@@ -46,6 +46,21 @@ class TestCommands:
         assert f"program:    {uid}" in out
         assert "prediction:" in out
 
+    def test_classify_few_shot_is_the_rq3_prompt(self, capsys, dataset):
+        from repro.eval.engine import EvalEngine
+        from repro.eval.rq23 import run_rq3
+        from repro.llm import get_model
+
+        sample = dataset.balanced[0]
+        rc = main(["classify", sample.uid, "--few-shot"])
+        out = capsys.readouterr().out
+        assert "model:      o3-mini-high (few-shot-2)" in out
+        (record,) = run_rq3(
+            get_model("o3-mini-high"), [sample], engine=EvalEngine(store=None)
+        ).run.records
+        assert f"prediction: {record.prediction.word}" in out
+        assert rc == (0 if record.correct else 1)
+
     def test_classify_unknown_uid(self, capsys, dataset):
         assert main(["classify", "cuda/zzz-v99"]) == 2
         assert "error" in capsys.readouterr().err
@@ -97,12 +112,53 @@ class TestCommands:
         assert main(["matrix", "--gpus", "tpu-v5", "--limit", "4"]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["matrix", "stats", "export"])
+    def test_grid_unknown_model_exits_2(self, capsys, tmp_path, command):
+        argv = [command, "--model", "gpt-9", "--gpus", "v100", "--limit", "4"]
+        if command == "export":
+            argv[1:1] = ["matrix", "--out", str(tmp_path / "m.json")]
+        assert main(argv) == 2
+        assert "unknown model" in capsys.readouterr().err
+
     def test_backend_flag_on_rq_commands(self, capsys, dataset):
         assert main([
             "rq2", "--model", "o3-mini", "--limit", "8",
             "--backend", "sequential",
         ]) == 0
         assert "8 samples" in capsys.readouterr().out
+
+
+#: Each subcommand taking ``--limit``, with its required arguments.
+LIMITED_COMMANDS = {
+    "rq2": ["rq2"],
+    "rq3": ["rq3"],
+    "decompose": ["decompose"],
+    "table1": ["table1"],
+    "matrix": ["matrix", "--gpus", "v100"],
+    "stats": ["stats", "--gpus", "v100"],
+    "export": ["export", "run", "--out", "{tmp}/run.json"],
+    "sweep": ["sweep", "--gpus", "v100"],
+    "merge-caches": ["merge-caches", "{tmp}/a", "--into", "{tmp}/b",
+                     "--report", "--gpus", "v100"],
+}
+
+
+class TestLimitFlag:
+    @pytest.mark.parametrize("command", sorted(LIMITED_COMMANDS))
+    def test_negative_limit_is_a_usage_error(self, capsys, tmp_path, command):
+        argv = [a.format(tmp=tmp_path) for a in LIMITED_COMMANDS[command]]
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--model", "o3-mini-high", "--limit", "-5"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --limit: must be >= 0, got -5" in err
+        assert "Traceback" not in err
+
+    def test_limit_must_be_an_integer(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["rq2", "--limit", "ten"])
+        assert excinfo.value.code == 2
+        assert "expected an integer" in capsys.readouterr().err
 
 
 class TestShardedSweepCli:

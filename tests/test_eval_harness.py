@@ -16,6 +16,7 @@ from repro.eval import (
     run_rq3,
 )
 from repro.llm import get_model
+from repro.prompts import FEW_SHOT_2, ZERO_SHOT
 from repro.types import Boundedness, OpClass
 
 
@@ -59,7 +60,7 @@ class TestRq23Runners:
         r2 = run_rq2(model, balanced_samples[:30])
         r3 = run_rq3(model, balanced_samples[:30])
         assert r2.metrics.n == 30
-        assert not r2.few_shot and r3.few_shot
+        assert r2.variant is ZERO_SHOT and r3.variant is FEW_SHOT_2
 
 
 class TestHyperparams:

@@ -197,8 +197,10 @@ class TestAttentionModel:
         model = get_model("o1-mini-2024-09-12")
         flips_to_better = 0
         for s in balanced_samples[:60]:
-            p2 = model.complete(build_classify_prompt(s, few_shot=False).text)
-            p3 = model.complete(build_classify_prompt(s, few_shot=True).text)
+            p2 = model.complete(build_classify_prompt(s).text)
+            p3 = model.complete(
+                build_classify_prompt(s, variant="few-shot-2").text
+            )
             # no strict per-sample assertion possible at the response level,
             # but the pair must be deterministic
             assert p2.text in ("Compute", "Bandwidth")

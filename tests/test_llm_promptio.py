@@ -87,12 +87,12 @@ class TestClassifyPrompts:
         assert "['Compute', 'Bandwidth']" in p.text
 
     def test_zero_shot_uses_pseudo_examples(self, balanced_samples):
-        p = build_classify_prompt(balanced_samples[0], few_shot=False)
+        p = build_classify_prompt(balanced_samples[0])
         assert "load_data(large_array)" in p.text
 
     def test_few_shot_uses_real_examples(self, balanced_samples):
         s = balanced_samples[0]
-        p = build_classify_prompt(s, few_shot=True)
+        p = build_classify_prompt(s, variant="few-shot-2")
         assert "load_data(large_array)" not in p.text
         assert f"Kernel Source Code ({s.language.display})" in p.text
 
@@ -112,8 +112,10 @@ class TestClassifyPrompts:
 
     def test_parse_detects_real_examples(self, balanced_samples):
         s = balanced_samples[0]
-        q0 = parse_classify_query(build_classify_prompt(s, few_shot=False).text)
-        q3 = parse_classify_query(build_classify_prompt(s, few_shot=True).text)
+        q0 = parse_classify_query(build_classify_prompt(s).text)
+        q3 = parse_classify_query(
+            build_classify_prompt(s, variant="few-shot-2").text
+        )
         assert not q0.has_real_examples
         assert q3.has_real_examples
 

@@ -10,11 +10,12 @@ exact assertions, not tolerances.
 import pytest
 
 from repro.eval.matrix import (
-    MATRIX_RQS,
+    grid_uids,
     label_flips,
     run_matrix,
     scenario_samples,
 )
+from repro.eval.rq23 import MATRIX_RQS
 from repro.llm import get_model
 from repro.roofline.hardware import (
     GPU_DATABASE,
@@ -206,6 +207,12 @@ class TestRunMatrix:
         with pytest.raises(ValueError):
             run_matrix([get_model("o1")], [get_gpu("V100")], rqs=("rq1",))
         assert MATRIX_RQS == ("rq2", "rq3")
+
+    def test_negative_limit_rejected(self):
+        with pytest.raises(ValueError, match="limit must be >= 0"):
+            grid_uids(-330)
+        with pytest.raises(ValueError, match="limit must be >= 0"):
+            run_matrix([get_model("o1")], [get_gpu("V100")], limit=-335)
 
 
 class TestGpuSelection:

@@ -11,9 +11,16 @@ import hashlib
 
 import pytest
 
-from repro.eval.engine import cache_key
-from repro.eval.matrix import REGIME_VARIANTS, regime_variant, run_matrix
-from repro.eval.rq23 import classification_items
+from repro.eval import matrix, rq23
+from repro.eval.engine import EvalEngine, cache_key
+from repro.eval.matrix import run_matrix
+from repro.eval.rq23 import (
+    REGIME_VARIANTS,
+    classification_items,
+    regime_variant,
+    run_rq2,
+    run_rq3,
+)
 from repro.llm import get_model
 from repro.llm.registry import get_config
 from repro.prompts import (
@@ -29,7 +36,6 @@ from repro.prompts import (
     get_variant,
     real_example_sequence,
     register_variant,
-    variant_for_few_shot,
 )
 from repro.prompts.variants import PROBLEM_HINT_BLOCK
 from repro.roofline.hardware import get_gpu
@@ -92,17 +98,6 @@ class TestGoldenByteCompatibility:
         key = cache_key(get_config(GOLDEN_CONFIG), prompt.text)
         assert key == GOLDEN_CACHE_KEY[variant]
 
-    @pytest.mark.parametrize("few_shot", [False, True])
-    def test_deprecated_few_shot_alias_is_byte_identical(
-        self, golden_sample, few_shot
-    ):
-        via_flag = build_classify_prompt(golden_sample, few_shot=few_shot)
-        name = "few-shot-2" if few_shot else "zero-shot"
-        via_variant = build_classify_prompt(golden_sample, variant=name)
-        assert via_flag.text == via_variant.text
-        assert via_flag.variant == via_variant.variant
-        assert via_flag.few_shot is few_shot
-
     def test_matrix_digest_pinned(self, dataset):
         result = run_matrix(
             [get_model(GOLDEN_CONFIG)],
@@ -128,8 +123,7 @@ class TestRegistry:
 
     def test_dynamic_few_shot_k(self):
         v = get_variant("few-shot-3")
-        assert v.shots == 3
-        assert v.few_shot
+        assert (v.examples, v.shots) == ("real", 3)
         assert get_variant(f"few-shot-{MAX_FEW_SHOT}").shots == MAX_FEW_SHOT
 
     def test_unknown_variant_raises(self):
@@ -146,10 +140,6 @@ class TestRegistry:
         clash = PromptVariant("zero-shot", "none")
         with pytest.raises(ValueError):
             register_variant(clash)
-
-    def test_variant_for_few_shot(self):
-        assert variant_for_few_shot(False) is ZERO_SHOT
-        assert variant_for_few_shot(True) is FEW_SHOT_2
 
     def test_invalid_definitions_rejected(self):
         with pytest.raises(ValueError):
@@ -202,18 +192,14 @@ class TestAblationVariants:
         with pytest.raises(ValueError):
             real_example_sequence(lang, 0)
 
-    def test_both_args_rejected(self, golden_sample):
-        with pytest.raises(ValueError):
-            build_classify_prompt(
-                golden_sample, few_shot=True, variant="zero-shot"
-            )
-
 
 class TestRegimeAxis:
     def test_rq_aliases(self):
         assert REGIME_VARIANTS == {"rq2": "zero-shot", "rq3": "few-shot-2"}
         assert regime_variant("rq2") is ZERO_SHOT
         assert regime_variant("rq3") is FEW_SHOT_2
+        # The matrix module resolves regimes through this same table.
+        assert matrix.regime_variant is regime_variant
 
     def test_variant_names_pass_through(self):
         assert regime_variant("no-hint") is NO_HINT
@@ -232,10 +218,20 @@ class TestRegimeAxis:
                 limit=2,
             )
 
-    def test_classification_items_variant_path(self, dataset):
+    def test_classification_items_variant_path(self, dataset, monkeypatch):
+        """run_rq2/run_rq3 query exactly the work units of their variant."""
         samples = dataset.balanced[:3]
-        legacy = classification_items(samples, few_shot=False)
-        modern = classification_items(samples, variant="zero-shot")
-        assert legacy == modern
-        with pytest.raises(ValueError):
-            classification_items(samples, few_shot=True, variant="no-hint")
+        built = []
+        real_run_queries = rq23.run_queries
+
+        def spy(model, items, **kwargs):
+            built.append(items)
+            return real_run_queries(model, items, **kwargs)
+
+        monkeypatch.setattr(rq23, "run_queries", spy)
+        model = get_model(GOLDEN_CONFIG)
+        for run, name in ((run_rq2, "zero-shot"), (run_rq3, "few-shot-2")):
+            built.clear()
+            result = run(model, samples, engine=EvalEngine(store=None))
+            assert built == [classification_items(samples, variant=name)]
+            assert result.variant is get_variant(name)

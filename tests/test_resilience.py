@@ -541,7 +541,7 @@ def test_warm_store_bytes_identical_under_resilient_chain(
     a warm store through a failover chain with hedging enabled makes 0
     completions and leaves every cache byte untouched."""
     samples = balanced_samples[:6]
-    items = classification_items(samples, few_shot=False)
+    items = classification_items(samples, variant="zero-shot")
     store = DiskResponseStore(tmp_path / "cache")
     model = get_model("o3-mini-high")
     batch = EvalEngine(store=store).run(model, items)
@@ -602,7 +602,7 @@ def resilient_serving(tmp_path, balanced_samples):
     store = DiskResponseStore(tmp_path / "serve-cache")
     model = get_model("o3-mini-high")
     EvalEngine(store=store).run(
-        model, classification_items(samples, few_shot=False)
+        model, classification_items(samples, variant="zero-shot")
     )
     engine = AsyncEvalEngine(store=store)
     service = PredictionService(
@@ -646,7 +646,7 @@ def test_http_deadline_header(resilient_serving):
     with pytest.raises(urllib.error.HTTPError) as err:
         _get_json(
             f"{server.url}/v1/classify?uid={samples[0].uid}"
-            f"&few_shot=true",
+            f"&variant=few-shot-2",
             headers={"X-Deadline-Ms": "0.000001"},
         )
     assert err.value.code == 429

@@ -27,7 +27,7 @@ from repro.eval.engine import (
     MemoryResponseStore,
     cache_key,
 )
-from repro.eval.rq23 import classification_items
+from repro.eval.rq23 import classification_items, regime_variant, run_rq3
 from repro.llm.base import LlmResponse
 from repro.llm.pricing import Usage
 from repro.llm.registry import get_model
@@ -411,14 +411,15 @@ def test_run_rejects_empty_items():
 
 # -- parity with the sync engine --------------------------------------------
 
-@pytest.mark.parametrize("few_shot", [False, True])
+@pytest.mark.parametrize("rq3", [False, True])
 def test_async_run_matches_sync_engine_bit_for_bit(
-    tmp_path, balanced_samples, few_shot
+    tmp_path, balanced_samples, rq3
 ):
     """The acceptance pin: same grid → identical RunResult digest and
     byte-identical cache directories, at any concurrency."""
     samples = balanced_samples[:12]
-    items = classification_items(samples, few_shot=few_shot)
+    variant = regime_variant("rq3" if rq3 else "rq2")
+    items = classification_items(samples, variant=variant)
     model = get_model("o3-mini-high")
 
     sync_store = DiskResponseStore(tmp_path / "sync-cache")
@@ -452,7 +453,7 @@ def test_async_run_matches_sync_engine_bit_for_bit(
 def test_wire_provider_run_matches_sync_engine(balanced_samples):
     """Parity holds through the wire codecs too, not just the direct shim."""
     samples = balanced_samples[:6]
-    items = classification_items(samples, few_shot=False)
+    items = classification_items(samples, variant="zero-shot")
     model = get_model("gemini-2.0-flash-001")
 
     sync_result = EvalEngine(store=MemoryResponseStore()).run(model, items)
@@ -486,7 +487,7 @@ def serving(tmp_path, balanced_samples):
     store = DiskResponseStore(tmp_path / "serve-cache")
     model = get_model("o3-mini-high")
     batch = EvalEngine(store=store).run(
-        model, classification_items(samples, few_shot=False)
+        model, classification_items(samples, variant="zero-shot")
     )
     engine = AsyncEvalEngine(store=store)
     service = PredictionService(engine)
@@ -544,22 +545,67 @@ def test_http_warm_queries_make_zero_completions(serving):
 def test_http_post_and_cold_query(serving):
     server, engine, samples, _ = serving
     # A regime the warm-up never ran (few-shot) must complete upstream.
-    status, body = _post_json(
-        f"{server.url}/v1/classify",
-        {"uid": samples[0].uid, "model": "o3-mini-high", "few_shot": True},
-    )
+    query = {"uid": samples[0].uid, "model": "o3-mini-high",
+             "variant": "few-shot-2"}
+    status, body = _post_json(f"{server.url}/v1/classify", query)
     assert status == 200
     assert body["cached"] is False
-    assert body["few_shot"] is True
+    assert body["variant"] == "few-shot-2"
     assert engine.stats.completions == 1
     # ... and is cached for the next identical query.
-    status, again = _post_json(
-        f"{server.url}/v1/classify",
-        {"uid": samples[0].uid, "model": "o3-mini-high", "few_shot": True},
-    )
+    status, again = _post_json(f"{server.url}/v1/classify", query)
     assert again["cached"] is True
     assert again["prediction"] == body["prediction"]
     assert engine.stats.completions == 1
+
+
+@pytest.mark.parametrize("send", ["get", "post"])
+@pytest.mark.parametrize("value", ["true", "false"])
+def test_http_few_shot_answers_400_naming_variant(
+    serving, monkeypatch, send, value
+):
+    """``few_shot`` is gone from /v1/classify: any request carrying it is
+    refused before admission, pointing at ``variant``."""
+    server, engine, samples, _ = serving
+    service = server.service
+    admitted = []
+    classify = service.classify
+    monkeypatch.setattr(
+        service, "classify",
+        lambda *a, **kw: admitted.append(kw) or classify(*a, **kw),
+    )
+    total = engine.stats.total
+    url = f"{server.url}/v1/classify"
+    with pytest.raises(urllib.error.HTTPError) as err:
+        if send == "get":
+            _get_json(f"{url}?uid={samples[0].uid}&few_shot={value}")
+        else:
+            _post_json(url, {"uid": samples[0].uid,
+                             "few_shot": value == "true"})
+    with err.value:
+        assert err.value.code == 400
+        error = json.loads(err.value.read())["error"]
+    assert "variant=zero-shot" in error and "variant=few-shot-2" in error
+    assert admitted == []
+    assert engine.stats.total == total
+    assert service.stats()["queue_depth"] == 0
+
+
+def test_http_variant_matches_batch_rq3(serving):
+    """``variant=few-shot-2`` answers what the batch RQ3 run answers, and
+    the response names its form only through ``variant``."""
+    server, _, samples, _ = serving
+    batch = run_rq3(get_model("o3-mini-high"), samples,
+                    engine=EvalEngine(store=MemoryResponseStore()))
+    for record in batch.run.records:
+        status, body = _get_json(
+            f"{server.url}/v1/classify?uid={record.item_id}"
+            "&variant=few-shot-2"
+        )
+        assert status == 200
+        assert body["prediction"] == record.prediction.word
+        assert body["variant"] == "few-shot-2"
+        assert "few_shot" not in body
 
 
 class HeldKeyStore(MemoryResponseStore):
@@ -584,7 +630,7 @@ def test_cached_flag_is_this_requests_provenance(balanced_samples):
     hit, miss = balanced_samples[:2]
     model = get_model("gpt-4o-mini")
     store = HeldKeyStore()
-    (item,) = classification_items([hit], few_shot=False)
+    (item,) = classification_items([hit], variant="zero-shot")
     EvalEngine(store=store).run(model, [item])
     store.held_key = cache_key(model.config, item[1])
     engine = AsyncEvalEngine(store=store)
@@ -690,7 +736,7 @@ def test_each_response_is_one_write_with_exact_head(serving, connections):
 
     # A shed request: cold key, deadline gone before the first attempt.
     req = urllib.request.Request(
-        f"{server.url}/v1/classify?uid={samples[0].uid}&few_shot=true",
+        f"{server.url}/v1/classify?uid={samples[0].uid}&variant=few-shot-2",
         headers={"X-Deadline-Ms": "0.000001"},
     )
     with pytest.raises(urllib.error.HTTPError) as err:

@@ -421,6 +421,13 @@ class TestRunShardValidation:
                 shard_index=0, num_shards=2, rqs=("rq1",),
             )
 
+    def test_negative_limit_rejected(self):
+        with pytest.raises(ValueError, match="limit must be >= 0"):
+            run_shard(
+                [get_model("o1")], [get_gpu("V100")],
+                shard_index=0, num_shards=2, limit=-335,
+            )
+
     def test_empty_axes_rejected(self):
         with pytest.raises(ValueError):
             run_shard([], [get_gpu("V100")], shard_index=0, num_shards=1)
