@@ -1,16 +1,18 @@
-"""CI chaos test: SIGKILL a sweep mid-run, resume, match the control.
+"""CI chaos test: SIGKILL a sweep mid-run, re-run it, match the control.
 
 End-to-end, across real processes:
 
 1. run a control sweep into its own cache and record the report;
 2. run the same grid under a deterministic fault plan that injects
    recoverable provider errors AND SIGKILLs the process after a fixed
-   number of completion attempts (``worker_death``), journaling with a
-   tight checkpoint interval — the run dies mid-sweep, repeatedly;
-3. resume with ``--resume`` until the sweep completes, asserting every
-   crash was the injected SIGKILL and every journaled unit is served as
-   a cache hit (zero re-issued completions for journaled units);
-4. assert the final resumed report is byte-identical to the control's;
+   number of completion attempts (``worker_death``) — the run dies
+   mid-sweep, repeatedly. The grid is large enough that the response
+   store's 64-put spill lands before each kill;
+3. re-run the same command until the sweep completes, asserting every
+   crash was the injected SIGKILL, the cached entry count never shrinks
+   across one, and every entry cached before the final run is served as
+   a hit (zero re-issued completions for spilled units);
+4. assert the final report is byte-identical to the control's;
 5. separately, corrupt a store via segment-fault injection and assert
    ``repro-paper doctor --dry-run`` detects it (exit 1), ``doctor``
    repairs it (exit 0), and a second dry run comes back healthy.
@@ -33,7 +35,7 @@ from pathlib import Path
 
 MODEL = "o3-mini-high"
 CLI = [sys.executable, "-m", "repro.cli"]
-CHAOS_PLAN = "seed=1;provider_error:rate=0.3,attempts=1;worker_death:after=5"
+CHAOS_PLAN = "seed=1;provider_error:rate=0.3,attempts=1;worker_death:after=100"
 MAX_RESUMES = 25
 
 
@@ -54,12 +56,11 @@ def report_of(stdout: str) -> str:
     )
 
 
-def journal_len(cache_dir: Path) -> int:
+def cached_entries(cache_dir: Path) -> int:
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-    from repro.eval.journal import DEFAULT_JOURNAL_NAME, SweepJournal
+    from repro.eval.engine import DiskResponseStore
 
-    path = cache_dir / DEFAULT_JOURNAL_NAME
-    return len(SweepJournal(path)) if path.is_file() else 0
+    return len(DiskResponseStore(cache_dir)) if cache_dir.is_dir() else 0
 
 
 def sweep_args(cache_dir: Path, limit: int) -> list[str]:
@@ -69,7 +70,7 @@ def sweep_args(cache_dir: Path, limit: int) -> list[str]:
     ]
 
 
-def chaos_resume_cycle(work: Path, env: dict, limit: int) -> None:
+def chaos_rerun_cycle(work: Path, env: dict, limit: int) -> None:
     control = run_cli(sweep_args(work / "control-cache", limit), env)
     if control.returncode != 0:
         fail(f"control sweep rc={control.returncode}:\n{control.stderr}")
@@ -80,19 +81,18 @@ def chaos_resume_cycle(work: Path, env: dict, limit: int) -> None:
     crashes = 0
     final = None
     for attempt in range(MAX_RESUMES):
-        journaled_before = journal_len(chaos_cache)
+        cached_before = cached_entries(chaos_cache)
         proc = run_cli(
-            [*sweep_args(chaos_cache, limit), "--resume",
-             "--inject-faults", CHAOS_PLAN],
-            {**env, "REPRO_JOURNAL_INTERVAL": "2"},
+            [*sweep_args(chaos_cache, limit), "--inject-faults", CHAOS_PLAN],
+            env,
         )
         if proc.returncode == -signal.SIGKILL:
             crashes += 1
-            after = journal_len(chaos_cache)
-            if after < journaled_before:
-                fail(f"journal shrank across a crash: {journaled_before} -> {after}")
+            after = cached_entries(chaos_cache)
+            if after < cached_before:
+                fail(f"cache shrank across a crash: {cached_before} -> {after}")
             print(f"  crash {crashes}: SIGKILL mid-sweep, "
-                  f"{after} unit(s) journaled", flush=True)
+                  f"{after} unit(s) cached", flush=True)
             continue
         if proc.returncode != 0:
             fail(f"chaos sweep rc={proc.returncode} (wanted 0 or SIGKILL):\n"
@@ -101,22 +101,22 @@ def chaos_resume_cycle(work: Path, env: dict, limit: int) -> None:
         if not stats:
             fail(f"no cache summary in:\n{proc.stdout}")
         hits = int(stats.group(1))
-        if hits < journaled_before:
-            fail(f"journaled units were re-issued: {journaled_before} "
-                 f"journaled but only {hits} hits")
+        if hits < cached_before:
+            fail(f"cached units were re-issued: {cached_before} "
+                 f"cached but only {hits} hits")
         final = proc
         break
     else:
-        fail(f"sweep never completed within {MAX_RESUMES} resumes")
+        fail(f"sweep never completed within {MAX_RESUMES} re-runs")
 
     if crashes == 0:
         fail("the fault plan never killed the sweep — nothing was tested")
     if report_of(final.stdout) != report_of(control.stdout):
-        fail("resumed report differs from control:\n"
+        fail("re-run report differs from control:\n"
              f"--- control ---\n{control.stdout}\n"
-             f"--- resumed ---\n{final.stdout}")
+             f"--- re-run ---\n{final.stdout}")
     print(f"chaos sweep survived {crashes} SIGKILLs; "
-          "resumed report is byte-identical to control", flush=True)
+          "re-run report is byte-identical to control", flush=True)
 
 
 def doctor_cycle(work: Path, env: dict) -> None:
@@ -153,7 +153,7 @@ def doctor_cycle(work: Path, env: dict) -> None:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--limit", type=int, default=12,
+    parser.add_argument("--limit", type=int, default=200,
                         help="kernels per device in the chaos grid")
     parser.add_argument("--workdir", default=None,
                         help="scratch directory (default: a fresh tempdir)")
@@ -168,7 +168,7 @@ def main() -> int:
     env.pop("REPRO_FAULT_PLAN", None)
     env.pop("REPRO_CACHE_DIR", None)
 
-    chaos_resume_cycle(work, env, opts.limit)
+    chaos_rerun_cycle(work, env, opts.limit)
     doctor_cycle(work, env)
     print("chaos smoke PASSED")
     return 0

@@ -22,7 +22,7 @@ Installed as ``repro-paper``; every subcommand is also reachable via
     repro-paper cache --wipe
     repro-paper doctor --dry-run
     repro-paper serve --port 8077 --warm
-    repro-paper sweep --gpus all --resume --failure-mode collect
+    repro-paper sweep --gpus all --failure-mode collect --max-failures 20
 
 Experiment commands accept ``--jobs`` (workers; 0 = all cores) and
 ``--backend`` (``thread`` default; ``process`` sidesteps the GIL for cold
@@ -51,12 +51,13 @@ report is byte-identical to a single-machine run.
 
 Fault tolerance: experiment commands take ``--failure-mode collect`` (record
 units that exhaust their retries instead of aborting; bound with
-``--max-failures``), ``--resume`` (journal completed units into the cache
-dir and skip them on the next run — Ctrl-C/SIGTERM checkpoint the journal
-and exit 130), and ``--inject-faults SPEC`` (a seeded, deterministic fault
-plan for chaos testing; also ``$REPRO_FAULT_PLAN``). ``repro-paper
-doctor`` fscks all three stores and quarantines damage (``--dry-run``
-reports only).
+``--max-failures``) and ``--inject-faults SPEC`` (a seeded, deterministic
+fault plan for chaos testing; also ``$REPRO_FAULT_PLAN``). A sweep that
+dies part-way resumes by re-running the same command: the response cache
+keeps every run it spilled (one per 64 completions), and the re-run
+replays those as hits. Ctrl-C/SIGTERM exit 130. ``repro-paper doctor``
+fscks all three stores and quarantines damage (``--dry-run`` reports
+only).
 
 Matrix regimes are prompt variants: ``--rq rq2|rq3|both`` selects the two
 seed regimes and ``--variants name,…`` appends ablation variants
@@ -84,7 +85,8 @@ def _add_store_flags(p: argparse.ArgumentParser) -> None:
                    help="persistent kernel-profile store directory "
                         "(default: $REPRO_PROFILE_CACHE or "
                         f"{DEFAULT_PROFILE_CACHE_DIRNAME})")
-    p.add_argument("--profile-cache-max-bytes", type=int, default=None,
+    p.add_argument("--profile-cache-max-bytes", type=_non_negative_int,
+                   default=None,
                    help="size-bound the profile store, evicting oldest "
                         "segments (default: $REPRO_PROFILE_CACHE_MAX_BYTES "
                         "or unbounded)")
@@ -95,7 +97,8 @@ def _add_store_flags(p: argparse.ArgumentParser) -> None:
                         "tokenizers, rendered sources, token counts "
                         "(default: $REPRO_ARTIFACT_CACHE or "
                         f"{DEFAULT_ARTIFACT_CACHE_DIRNAME})")
-    p.add_argument("--artifact-cache-max-bytes", type=int, default=None,
+    p.add_argument("--artifact-cache-max-bytes", type=_non_negative_int,
+                   default=None,
                    help="size-bound the artifact cache, evicting oldest "
                         "segments (default: $REPRO_ARTIFACT_CACHE_MAX_BYTES "
                         "or unbounded)")
@@ -110,7 +113,8 @@ def _add_cache_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--cache-dir", default=None,
                    help="response cache directory (default: $REPRO_CACHE_DIR "
                         f"or {DEFAULT_CACHE_DIRNAME})")
-    p.add_argument("--cache-max-bytes", type=int, default=None,
+    p.add_argument("--cache-max-bytes", type=_non_negative_int,
+                   default=None,
                    help="size-bound the cache, evicting oldest entries "
                         "(default: $REPRO_CACHE_MAX_BYTES or unbounded)")
     p.add_argument("--no-cache", action="store_true",
@@ -134,10 +138,6 @@ def _add_fault_flags(p: argparse.ArgumentParser) -> None:
                         "'seed=7;provider_error:rate=0.25,attempts=2;"
                         "torn_write:rate=0.5' (default: $REPRO_FAULT_PLAN "
                         "if set)")
-    p.add_argument("--resume", action="store_true",
-                   help="journal completed units to the response cache and "
-                        "skip units an earlier interrupted run already "
-                        "journaled")
 
 
 def _add_engine_flags(p: argparse.ArgumentParser) -> None:
@@ -246,8 +246,9 @@ def _add_stats_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _non_negative_int(text: str) -> int:
-    """argparse type for counts such as ``--limit``: a negative value is a
-    usage error, not a silent slice from the end."""
+    """argparse type for counts and byte bounds (``--limit``,
+    ``--*max-bytes``): a negative value is a usage error, not a silent
+    slice from the end or an empty store."""
     try:
         value = int(text)
     except ValueError:
@@ -322,31 +323,11 @@ def _make_store(args: argparse.Namespace):
     )
 
 
-def _sweep_label(args: argparse.Namespace) -> str:
-    """A stable human-readable label for the journal header line."""
-    bits = [getattr(args, "command", "run")]
-    for attr in ("model", "gpus", "rq", "variants", "limit", "shard"):
-        value = getattr(args, attr, None)
-        if value:
-            bits.append(f"{attr}={value}")
-    return " ".join(bits)
-
-
 def _make_engine(args: argparse.Namespace):
     from repro.eval.engine import EvalEngine
-    from repro.eval.journal import DEFAULT_JOURNAL_NAME, SweepJournal
 
     _install_runtime(args)
     store = _make_store(args)
-    journal = None
-    if getattr(args, "resume", False):
-        if store is None:
-            print("error: --resume journals into the response cache; "
-                  "drop --no-cache", file=sys.stderr)
-            raise SystemExit(2)
-        journal = SweepJournal(
-            store.root / DEFAULT_JOURNAL_NAME, label=_sweep_label(args)
-        )
     try:
         return EvalEngine(
             jobs=args.jobs,
@@ -354,7 +335,6 @@ def _make_engine(args: argparse.Namespace):
             backend=args.backend,
             failure_mode=getattr(args, "failure_mode", "fail_fast"),
             max_failures=getattr(args, "max_failures", None),
-            journal=journal,
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -778,8 +758,6 @@ def _cmd_doctor(args: argparse.Namespace) -> int:
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
-    from repro.eval.journal import DEFAULT_JOURNAL_NAME, SweepJournal
-
     store, profiles, artifacts = _doctor_families(args)
     if args.wipe:
         if not store.root.is_dir():
@@ -814,9 +792,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
             print(f"evicted {removed} segments @ {store.root}")
         print(f"cache dir: {store.root}")
         print(store.manifest().render())
-        journal = SweepJournal.stats_at(store.root / DEFAULT_JOURNAL_NAME)
-        if journal is not None:
-            print(f"journal:   {journal.render()}")
         snapshot = store.root / SERVE_STATS_NAME
         if snapshot.is_file():
             try:
@@ -1116,7 +1091,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "no conflicting entries")
     p.add_argument("sources", nargs="+", help="shard cache directories")
     p.add_argument("--into", required=True, help="destination cache directory")
-    p.add_argument("--cache-max-bytes", type=int, default=None,
+    p.add_argument("--cache-max-bytes", type=_non_negative_int,
+                   default=None,
                    help="size-bound the merged store, evicting oldest "
                         "entries after the union")
     p.add_argument("--report", action="store_true",
@@ -1131,18 +1107,21 @@ def build_parser() -> argparse.ArgumentParser:
                                      "cache, the kernel-profile store, and "
                                      "the text-artifact cache")
     p.add_argument("--cache-dir", default=None)
-    p.add_argument("--max-bytes", type=int, default=None,
+    p.add_argument("--max-bytes", type=_non_negative_int,
+                   default=None,
                    help="evict oldest entries until the cache fits this size")
     p.add_argument("--profile-cache", default=None,
                    help="kernel-profile store directory (default: "
                         "$REPRO_PROFILE_CACHE or .repro-profile-cache)")
-    p.add_argument("--profile-max-bytes", type=int, default=None,
+    p.add_argument("--profile-max-bytes", type=_non_negative_int,
+                   default=None,
                    help="evict oldest profile segments until the store "
                         "fits this size")
     p.add_argument("--artifact-cache", default=None,
                    help="text-artifact store directory (default: "
                         "$REPRO_ARTIFACT_CACHE or .repro-artifact-cache)")
-    p.add_argument("--artifact-max-bytes", type=int, default=None,
+    p.add_argument("--artifact-max-bytes", type=_non_negative_int,
+                   default=None,
                    help="evict oldest artifact segments until the store "
                         "fits this size")
     p.add_argument("--wipe", action="store_true",
@@ -1238,9 +1217,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _install_sigterm_handler() -> None:
     """Convert SIGTERM into KeyboardInterrupt so an orchestrator's kill
-    gets the same graceful shutdown as Ctrl-C: pending store buffers are
-    discarded (the durability contract), the journal checkpoint in the
-    engine's ``finally`` runs, and ``main`` exits 130 with a resume hint.
+    gets the same graceful shutdown as Ctrl-C: the pending store buffer
+    is discarded (the durability contract), runs spilled before the
+    signal stay cached, and ``main`` exits 130 with a re-run hint.
     """
     import signal
     import threading
@@ -1288,8 +1267,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except KeyboardInterrupt:
         print("\ninterrupted — unflushed store buffers were discarded (by "
-              "design); journaled completions are durable. Re-run with "
-              "--resume to skip them.", file=sys.stderr)
+              "design); runs flushed before the interrupt are cached. "
+              "Re-run the same command to replay them.", file=sys.stderr)
         return 130
 
 

@@ -54,7 +54,6 @@ from functools import lru_cache, partial
 from pathlib import Path
 from typing import Protocol, Sequence
 
-from repro.eval.journal import SweepJournal, checkpoint_interval
 from repro.llm.base import LlmModel, LlmResponse
 from repro.llm.config import ModelConfig
 from repro.llm.pricing import Usage, UsageMeter
@@ -278,8 +277,9 @@ class DiskResponseStore(ArtifactStore):
     segment_prefixes = (_RESPONSES_PREFIX,)
 
     #: Inside ``deferred()`` (one engine sweep), write pending entries out
-    #: as a run every this many puts, so a crash mid-sweep loses at most
-    #: one interval of warmth.
+    #: as a run every this many puts. This spill is the sweep's checkpoint:
+    #: a crash mid-sweep loses at most one interval of completions, and
+    #: re-running the same command replays every spilled unit as a hit.
     DEFERRED_FLUSH_ENTRIES = 64
 
     def _live_view(self, path: Path) -> SegmentView | None:
@@ -644,10 +644,12 @@ class EvalEngine(_EngineCore):
     ``"collect"`` records it as a
     :class:`~repro.eval.runner.FailedUnit` on the result and keeps going,
     aborting with :class:`MaxFailuresExceeded` once ``max_failures``
-    units have failed. Attaching a ``journal``
-    (:class:`~repro.eval.journal.SweepJournal`) makes :meth:`run`
-    checkpoint completed units after each flushed chunk and skip
-    journaled units on a resumed sweep.
+    units have failed.
+
+    Resuming an interrupted sweep is a plain re-run over the same store:
+    the store spills a run every
+    :attr:`DiskResponseStore.DEFERRED_FLUSH_ENTRIES` puts inside
+    :meth:`run`, and every spilled unit replays as a hit.
     """
 
     def __init__(
@@ -659,7 +661,6 @@ class EvalEngine(_EngineCore):
         retry: RetryPolicy | None = None,
         failure_mode: str = "fail_fast",
         max_failures: int | None = None,
-        journal: SweepJournal | None = None,
     ) -> None:
         self.jobs = resolve_jobs(jobs)
         self.store = store
@@ -669,7 +670,6 @@ class EvalEngine(_EngineCore):
         if max_failures is not None and max_failures < 1:
             raise ValueError(f"max_failures must be >= 1, got {max_failures}")
         self.max_failures = max_failures
-        self.journal = journal
         self.stats = CacheStats()
 
     # -- single completion ---------------------------------------------------
@@ -716,72 +716,16 @@ class EvalEngine(_EngineCore):
         Drop-in replacement for the old sequential loop in
         :mod:`repro.eval.runner`: identical records in identical order, and
         usage metered in item order so cost floats sum identically at any
-        ``jobs`` and any backend — and at any crash/resume boundary: a
-        journaled run that resumes mid-sweep assembles the same result as
+        ``jobs`` and any backend — and across a crash: a re-run that
+        replays the units spilled before it assembles the same result as
         an uninterrupted one.
         """
         items = list(items)
         if not items:
             raise ValueError("no items to run")
         with self._batched():
-            responses = self._run_units(model, items, temperature, top_p)
+            responses = self._fan_out(model, items, temperature, top_p)
         return _assemble(model, items, responses)
-
-    def _run_units(
-        self,
-        model: LlmModel,
-        items: Sequence[tuple[str, str, object]],
-        temperature: float | None,
-        top_p: float | None,
-    ) -> list:
-        """All items' responses (or failure markers), journal-aware.
-
-        Without a journal this is one fan-out. With one, journaled units
-        are served straight from the store, and the rest run in chunks of
-        :func:`~repro.eval.journal.checkpoint_interval` units — each chunk
-        is flushed to the store *before* its units are journaled, so the
-        journal never claims a completion a crash could discard. The
-        ``finally`` checkpoint is the graceful-shutdown path: an interrupt
-        (or a :class:`MaxFailuresExceeded` abort) still journals every
-        flushed chunk, so ``--resume`` loses nothing already completed.
-        """
-        if self.journal is None or self.store is None:
-            return self._fan_out(model, items, temperature, top_p)
-        keys = [
-            cache_key(model.config, prompt, temperature, top_p)
-            for (_, prompt, _) in items
-        ]
-        out: list = [None] * len(items)
-        todo: list[int] = []
-        for i, key in enumerate(keys):
-            if self.journal.completed(key):
-                cached = self._lookup(key)
-                if cached is not None:
-                    # Journaled + durable: skip without re-issuing.
-                    out[i] = cached.to_response(model.name)
-                    continue
-                # Journaled but evicted from the store: recompute (the
-                # journal is an optimization, never an authority).
-            todo.append(i)
-        step = checkpoint_interval()
-        try:
-            for lo in range(0, len(todo), step):
-                chunk = todo[lo : lo + step]
-                results = self._fan_out(
-                    model, [items[i] for i in chunk], temperature, top_p
-                )
-                for i, response in zip(chunk, results):
-                    out[i] = response
-                flush = getattr(self.store, "flush", None)
-                if flush is not None:
-                    flush()  # durable before journaled
-                for i, response in zip(chunk, results):
-                    if not isinstance(response, _FailedCompletion):
-                        self.journal.record(f"{model.name}:{items[i][0]}", keys[i])
-                self.journal.checkpoint()
-        finally:
-            self.journal.checkpoint()
-        return out
 
     def _fan_out(
         self,

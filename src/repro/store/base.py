@@ -115,6 +115,17 @@ def memoized_object_key(
 # Size-bound parsing (shared by every store's env override)
 # ---------------------------------------------------------------------------
 
+def _checked_bound(max_bytes: int | None) -> int | None:
+    """``max_bytes`` if it is a valid explicit store bound; a negative
+    bound raises instead of evicting everything."""
+    if max_bytes is not None and max_bytes < 0:
+        raise ValueError(
+            f"max_bytes must be >= 0 or None, got {max_bytes} "
+            "(0 keeps nothing; None is unbounded)"
+        )
+    return max_bytes
+
+
 def parse_max_bytes(raw: object, *, source: str = "") -> int | None:
     """Parse a store size bound.
 
@@ -510,12 +521,7 @@ class ArtifactStore:
 
     def __init__(self, root: str | Path, *, max_bytes: int | None = None):
         self.root = Path(root)
-        if max_bytes is not None and max_bytes < 0:
-            raise ValueError(
-                f"max_bytes must be >= 0 or None, got {max_bytes} "
-                "(0 keeps nothing; None is unbounded)"
-            )
-        self.max_bytes = max_bytes
+        self.max_bytes = _checked_bound(max_bytes)
         self._store_lock = threading.RLock()
         self._compact_lock = threading.RLock()
         # (prefix, key) → [payload, entries]: the buffer, and the batches
@@ -988,7 +994,9 @@ class ArtifactStore:
         """Garbage-collect stale files and tmp leftovers, merge overfull
         segments, then delete oldest-written runs until the store fits
         ``max_bytes`` (defaults to the configured bound; ``0`` keeps
-        nothing; ``None`` skips the bound pass). Returns files removed."""
+        nothing; ``None`` skips the bound pass; negative raises
+        ``ValueError``). Returns files removed."""
+        _checked_bound(max_bytes)
         self.flush()
         self._sweep_stale_tmp_files()
         # Version-skewed or unreadable: unreachable disk garbage

@@ -26,7 +26,8 @@ Fault kinds:
   **once** per (kind, file name) so a later rewrite can heal the store —
   corruption is an event, not a curse;
 * ``worker_death:after=N`` — the process SIGKILLs itself on its N-th
-  completion attempt, the crash the journal/resume path exists for;
+  completion attempt: the crash drill for re-running a sweep over the
+  runs its store spilled;
 * serving faults, raised inside the async engine's per-candidate retry
   loop — ``provider_brownout:provider=L,after=K,attempts=N`` (a sustained
   window: matching attempts K+1..K+N against provider label ``L`` all

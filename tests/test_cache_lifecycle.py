@@ -92,9 +92,14 @@ class TestEviction:
         assert len(store) == 0
         with pytest.raises(ValueError):
             DiskResponseStore(tmp_path / "neg", max_bytes=-5)
-        # evict(0) follows the constructor's convention.
+        # evict() follows the constructor's convention: a negative bound
+        # raises instead of reading as "over any bound" and emptying the
+        # store, and 0 keeps nothing.
         unbounded = DiskResponseStore(tmp_path / "ub")
         _fill(unbounded, 2)
+        with pytest.raises(ValueError, match="max_bytes must be >= 0"):
+            unbounded.evict(-1)
+        assert len(unbounded) == 2
         assert unbounded.evict(0) == 2
         assert len(unbounded) == 0
 

@@ -161,6 +161,74 @@ class TestLimitFlag:
         assert "expected an integer" in capsys.readouterr().err
 
 
+#: Every store size-bound flag, keyed "command flag", with the command
+#: pointed at the response store ``{tmp}/c``.
+_CACHE = ["cache", "--cache-dir", "{tmp}/c"]
+_RQ2 = ["rq2", "--limit", "1", "--cache-dir", "{tmp}/c"]
+_MERGE = ["merge-caches", "{tmp}/shard", "--into", "{tmp}/c"]
+MAX_BYTES_FLAGS = {
+    "cache --max-bytes": _CACHE,
+    "cache --profile-max-bytes": _CACHE,
+    "cache --artifact-max-bytes": _CACHE,
+    "rq2 --cache-max-bytes": _RQ2,
+    "rq2 --profile-cache-max-bytes": _RQ2,
+    "rq2 --artifact-cache-max-bytes": _RQ2,
+    "merge-caches --cache-max-bytes": _MERGE,
+}
+
+
+def _store_files(root):
+    return {
+        path.relative_to(root): path.read_bytes()
+        for path in sorted(root.rglob("*"))
+        if path.is_file()
+    }
+
+
+class TestMaxBytesFlags:
+    @pytest.fixture
+    def stores(self, tmp_path):
+        """A populated response, profile and artifact store under
+        ``tmp_path/{c,p,a}``."""
+        from repro.eval.engine import CachedResponse, DiskResponseStore
+        from repro.gpusim import default_device, profile_corpus
+        from repro.gpusim.store import ProfileStore
+        from repro.kernels.corpus import build_corpus
+        from repro.store.text import ArtifactCache
+
+        DiskResponseStore(tmp_path / "c").put("ab" + "0" * 62, CachedResponse(
+            text="Compute", input_tokens=1, output_tokens=1,
+            reasoning_tokens=0, model="m",
+        ))
+        profile_corpus(
+            build_corpus(3, 2), default_device(),
+            store=ProfileStore(tmp_path / "p"),
+        )
+        ArtifactCache(tmp_path / "a").put_sources({"k1": "x" * 64})
+        return tmp_path
+
+    @pytest.mark.parametrize("case", sorted(MAX_BYTES_FLAGS))
+    def test_negative_bound_is_a_usage_error(self, capsys, stores, case):
+        argv = MAX_BYTES_FLAGS[case]
+        flag = case.split()[-1]
+        dirs = {name: stores / name for name in "cpa"}
+        before = {name: _store_files(root) for name, root in dirs.items()}
+        assert all(before.values())
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                *(a.format(tmp=stores) for a in argv),
+                "--profile-cache", str(dirs["p"]),
+                "--artifact-cache", str(dirs["a"]),
+                flag, "-1",
+            ])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: must be >= 0, got -1" in err
+        assert "Traceback" not in err
+        # No store lost an entry.
+        assert {n: _store_files(r) for n, r in dirs.items()} == before
+
+
 class TestShardedSweepCli:
     def test_sweep_defaults_to_whole_grid(self):
         args = build_parser().parse_args(["sweep"])
@@ -286,12 +354,14 @@ class TestFaultFlags:
                   "--inject-faults", "frobnicate:rate=1"])
         assert "provider_error" in capsys.readouterr().err
 
-    def test_resume_requires_the_cache(self, capsys):
+    def test_resume_flag_is_rejected(self, capsys):
+        # Resuming is re-running the same command; the old flag fails
+        # loudly instead of being silently accepted.
         with pytest.raises(SystemExit) as excinfo:
-            main(["rq2", "--model", "gpt-4o-mini", "--limit", "1",
-                  "--no-cache", "--resume"])
+            main(["sweep", "--model", "gpt-4o-mini", "--gpus", "v100",
+                  "--limit", "1", "--resume"])
         assert excinfo.value.code == 2
-        assert "--no-cache" in capsys.readouterr().err
+        assert "unrecognized arguments: --resume" in capsys.readouterr().err
 
     def test_collect_mode_reports_failed_units(self, capsys, dataset):
         assert main([
@@ -302,16 +372,27 @@ class TestFaultFlags:
         out = capsys.readouterr().out
         assert " failed" in out  # the cache summary books the failures
 
-    def test_resume_journals_and_skips(self, capsys, tmp_path, dataset):
+    def test_rerun_replays_the_cached_units(self, capsys, tmp_path, dataset):
         argv = ["rq2", "--model", "gpt-4o-mini", "--limit", "3",
-                "--cache-dir", str(tmp_path / "c"), "--resume"]
+                "--cache-dir", str(tmp_path / "c")]
         assert main(argv) == 0
         first = capsys.readouterr().out
         assert "3 misses" in first
         assert main(argv) == 0
         again = capsys.readouterr().out
         assert "3 hits, 0 misses" in again
-        assert (tmp_path / "c" / "sweep-journal.jsonl").is_file()
+        assert again.split("cache:")[0] == first.split("cache:")[0]
+        # The response store is the only state a re-run needs.
+        assert [p.name for p in (tmp_path / "c").iterdir()
+                if not p.name.startswith("responses-")] == []
+
+
+#: A sweep journal as older versions left it beside the response cache.
+LEGACY_JOURNAL = "sweep-journal.jsonl"
+LEGACY_JOURNAL_TEXT = (
+    '{"journal": "repro-journal-v1", "sweep": "sweep"}\n'
+    '{"key": "ab' + "0" * 62 + '", "unit": "m:item"}\n'
+)
 
 
 class TestDoctorCommand:
@@ -353,27 +434,43 @@ class TestDoctorCommand:
         assert main(["doctor", "--dry-run", *flags]) == 0
         assert "healthy" in capsys.readouterr().out
 
-    def test_cache_command_surfaces_journal_and_doctor_hint(
+    def test_cache_command_surfaces_doctor_hint(
         self, capsys, tmp_path, run_holding
     ):
         from repro.eval.engine import CachedResponse, DiskResponseStore
-        from repro.eval.journal import SweepJournal
 
         store = DiskResponseStore(tmp_path / "c")
         store.put("ab" + "0" * 62, CachedResponse(
             text="Compute", input_tokens=1, output_tokens=1,
             reasoning_tokens=0, model="m",
         ))
-        journal = SweepJournal(
-            tmp_path / "c" / "sweep-journal.jsonl", label="sweep"
-        )
-        journal.record("m:item", "ab" + "0" * 62)
-        journal.checkpoint()
+        (tmp_path / "c" / LEGACY_JOURNAL).write_text(LEGACY_JOURNAL_TEXT)
         seg = run_holding(store, "ab" + "0" * 62)
         seg.write_bytes(seg.read_bytes()[:-3])
 
         assert main(["cache", "--cache-dir", str(tmp_path / "c")]) == 0
         out = capsys.readouterr().out
-        assert "journal:   1 journaled unit(s)" in out
+        assert "journal" not in out  # a leftover sweep journal is ignored
         assert "1 torn_write" in out
         assert "repro-paper doctor" in out
+
+    def test_leftover_sweep_journal_is_ignored(self, capsys, tmp_path):
+        from repro.eval.engine import CachedResponse, DiskResponseStore
+
+        store = DiskResponseStore(tmp_path / "c")
+        response = CachedResponse(
+            text="Compute", input_tokens=1, output_tokens=1,
+            reasoning_tokens=0, model="m",
+        )
+        store.put("ab" + "0" * 62, response)
+        journal = tmp_path / "c" / LEGACY_JOURNAL
+        journal.write_text(LEGACY_JOURNAL_TEXT)
+        flags = ["--cache-dir", str(tmp_path / "c"),
+                 "--profile-cache", str(tmp_path / "p"),
+                 "--artifact-cache", str(tmp_path / "a")]
+
+        assert main(["doctor", "--dry-run", *flags]) == 0
+        assert "healthy" in capsys.readouterr().out
+        assert main(["doctor", *flags]) == 0
+        assert journal.read_text() == LEGACY_JOURNAL_TEXT
+        assert DiskResponseStore(tmp_path / "c").get("ab" + "0" * 62) == response

@@ -2,8 +2,9 @@
 
 One seeded grid runs through every way the repo can evaluate it — the sequential, thread and
 process backends with the response store off, cold on disk and warm on
-disk; the async engine cold and warm; and a journaled sweep resumed over
-a partially journaled store. The grid is two models × twenty units:
+disk; the async engine cold and warm; and a re-run of the whole grid
+over a store holding only the first model's units. The grid is two
+models × twenty units:
 twelve RQ1 questions and eight classification prompts (four kernels ×
 ``zero-shot``/``few-shot-2`` on one GPU), so the emulated model's
 classify path and its per-process memos run on every path too (each
@@ -32,7 +33,6 @@ import pytest
 from repro import runtime
 from repro.dataset import paper_dataset
 from repro.eval.engine import DiskResponseStore, EvalEngine
-from repro.eval.journal import DEFAULT_JOURNAL_NAME, SweepJournal
 from repro.eval.rq23 import classification_items
 from repro.llm import get_model
 from repro.prompts.rq1 import build_rq1_prompt, generate_rq1_questions
@@ -76,7 +76,7 @@ SYNC_BACKENDS = (("sequential", 1), ("thread", 4), ("process", 2))
 STORES = ("off", "cold", "warm")
 PATHS = [
     f"{backend}-{store}" for backend, _ in SYNC_BACKENDS for store in STORES
-] + ["async-cold", "async-warm", "journal-resume"]
+] + ["async-cold", "async-warm", "partial-rerun"]
 
 FAULT_PLAN = "seed=11;provider_error:rate=0.3,attempts=1"
 
@@ -110,22 +110,17 @@ def async_grid(engine: AsyncEvalEngine):
 def run_path(path: str, root):
     """(grid digest, new completions, the store's root or None)."""
     kind, _, store_mode = path.partition("-")
-    if kind == "journal":
-        # A first sweep journals only the first model's units; the resumed
-        # sweep over the same store serves those through the journal and
-        # computes the rest.
-        journal_path = root / DEFAULT_JOURNAL_NAME
-        EvalEngine(
-            store=DiskResponseStore(root),
-            journal=SweepJournal(journal_path, label="partial"),
-        ).run(get_model(MODELS[0]), grid_items())
-        engine = EvalEngine(
-            store=DiskResponseStore(root),
-            journal=SweepJournal(journal_path, label="resume"),
+    if kind == "partial":
+        # A sweep that stopped after the first model's units; re-running
+        # the whole grid over its store serves those as hits and computes
+        # the rest.
+        EvalEngine(store=DiskResponseStore(root)).run(
+            get_model(MODELS[0]), grid_items()
         )
+        engine = EvalEngine(store=DiskResponseStore(root))
         results = sync_grid(engine)
         assert engine.stats.hits == len(grid_items())
-        return grid_digest(results), engine.stats.completions, None
+        return grid_digest(results), engine.stats.completions, root
     if kind == "async":
         if store_mode == "warm":
             async_grid(AsyncEvalEngine(store=DiskResponseStore(root)))
@@ -169,7 +164,7 @@ def test_every_path_matches_the_reference(path, reference, tmp_path):
     assert digest == ref_digest
     if path.endswith("-warm"):
         assert completions == 0
-    elif path == "journal-resume":
+    elif path == "partial-rerun":
         assert completions == len(grid_items()) * (len(MODELS) - 1)
     else:
         assert completions == len(grid_items()) * len(MODELS)

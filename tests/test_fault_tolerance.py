@@ -1,4 +1,4 @@
-"""Fault-tolerant sweeps: retry, fault injection, journal, kill-and-resume.
+"""Fault-tolerant sweeps: retry, fault injection, crash and re-run.
 
 Pins the robustness contracts:
 
@@ -11,10 +11,10 @@ Pins the robustness contracts:
 * ``failure_mode="collect"`` records exhausted units as
   :class:`~repro.eval.runner.FailedUnit` entries (excluded from records
   and usage), and ``max_failures`` aborts exactly at the threshold;
-* the sweep journal survives torn tails, records exactly once per key,
-  and lets a resumed engine skip journaled units with zero re-issued
-  completions;
-* a sweep SIGKILLed mid-run resumes to a byte-identical report.
+* the runs a sweep spilled before it aborted survive in the store, and a
+  re-run serves exactly those units as hits;
+* a sweep SIGKILLed mid-run, re-run with the same command, prints a
+  byte-identical report.
 """
 
 import os
@@ -34,7 +34,6 @@ from repro.eval.engine import (
     MaxFailuresExceeded,
     resolve_failure_mode,
 )
-from repro.eval.journal import DEFAULT_JOURNAL_NAME, JOURNAL_VERSION, SweepJournal
 from repro.llm import get_model
 from repro.prompts import build_classify_prompt
 from repro.util.faults import (
@@ -301,125 +300,24 @@ class TestCollectMode:
         assert engine.stats.failed == 0
 
 
-class TestSweepJournal:
-    def test_record_checkpoint_reload(self, tmp_path):
-        path = tmp_path / DEFAULT_JOURNAL_NAME
-        journal = SweepJournal(path, label="test sweep")
-        journal.record("m:unit-1", "a" * 64)
-        journal.record("m:unit-2", "b" * 64)
-        journal.record("m:unit-1", "a" * 64)  # dedup by key
-        assert len(journal) == 2
-        assert not path.exists()  # durable only after checkpoint
-        journal.checkpoint()
-        reloaded = SweepJournal(path)
-        assert len(reloaded) == 2
-        assert reloaded.completed("a" * 64)
-        assert not reloaded.completed("c" * 64)
-        stats = reloaded.stats()
-        assert stats.entries == 2
-        assert stats.sweeps == 1
-        assert "2 journaled unit(s)" in stats.render()
-
-    def test_torn_tail_is_ignored(self, tmp_path):
-        path = tmp_path / DEFAULT_JOURNAL_NAME
-        journal = SweepJournal(path)
-        journal.record("m:u1", "a" * 64)
-        journal.record("m:u2", "b" * 64)
-        journal.checkpoint()
-        with open(path, "a", encoding="utf-8") as f:
-            f.write('{"unit": "m:u3", "ke')  # crash mid-append
-        reloaded = SweepJournal(path)
-        assert len(reloaded) == 2
-
-    def test_foreign_journal_version_is_distrusted(self, tmp_path):
-        path = tmp_path / DEFAULT_JOURNAL_NAME
-        journal = SweepJournal(path, label="old")
-        journal.record("m:u1", "a" * 64)
-        journal.checkpoint()
-        with open(path, "a", encoding="utf-8") as f:
-            f.write('{"journal": "repro-journal-v99", "sweep": "new"}\n')
-        assert JOURNAL_VERSION != "repro-journal-v99"
-        assert len(SweepJournal(path)) == 0
-
-    def test_stats_at_missing_path_is_none(self, tmp_path):
-        assert SweepJournal.stats_at(tmp_path / "nope.jsonl") is None
-
-    def test_checkpoint_interval_env(self, monkeypatch):
-        from repro.eval.journal import (
-            DEFAULT_CHECKPOINT_INTERVAL,
-            checkpoint_interval,
-        )
-
-        monkeypatch.delenv("REPRO_JOURNAL_INTERVAL", raising=False)
-        assert checkpoint_interval() == DEFAULT_CHECKPOINT_INTERVAL
-        monkeypatch.setenv("REPRO_JOURNAL_INTERVAL", "2")
-        assert checkpoint_interval() == 2
-        monkeypatch.setenv("REPRO_JOURNAL_INTERVAL", "junk")
-        assert checkpoint_interval() == DEFAULT_CHECKPOINT_INTERVAL
-
-
-class TestJournaledEngine:
-    def test_resume_skips_journaled_units_with_zero_completions(
-        self, tmp_path, balanced_samples
-    ):
-        items = classify_items(balanced_samples, 10)
-        model = get_model("gpt-4o-mini")
-        root = tmp_path / "cache"
-        path = root / DEFAULT_JOURNAL_NAME
-
-        store = DiskResponseStore(root)
-        first = EvalEngine(
-            store=store, journal=SweepJournal(path, label="first")
-        ).run(model, items)
-        assert len(SweepJournal(path)) == len(items)
-
-        resumed_store = DiskResponseStore(root)
-        engine = EvalEngine(
-            store=resumed_store, journal=SweepJournal(path, label="resume")
-        )
-        resumed = engine.run(model, items)
-        assert resumed == first
-        assert resumed.digest() == first.digest()
-        assert engine.stats.hits == len(items)
-        assert engine.stats.completions == 0
-
-    def test_journaled_but_evicted_entries_recompute(
-        self, tmp_path, balanced_samples
-    ):
-        items = classify_items(balanced_samples, 4)
-        model = get_model("gpt-4o-mini")
-        root = tmp_path / "cache"
-        path = root / DEFAULT_JOURNAL_NAME
-        store = DiskResponseStore(root)
-        baseline = EvalEngine(
-            store=store, journal=SweepJournal(path, label="first")
-        ).run(model, items)
-        store.clear()  # the journal now over-claims
-        engine = EvalEngine(
-            store=DiskResponseStore(root),
-            journal=SweepJournal(path, label="retry"),
-        )
-        assert engine.run(model, items) == baseline
-        assert engine.stats.misses == len(items)
-
-    def test_interrupted_sweep_checkpoints_the_flushed_chunks(
+class TestRerunAfterCrash:
+    def test_interrupted_sweep_keeps_spilled_runs(
         self, tmp_path, balanced_samples, monkeypatch
     ):
-        monkeypatch.setenv("REPRO_JOURNAL_INTERVAL", "2")
+        monkeypatch.setattr(DiskResponseStore, "DEFERRED_FLUSH_ENTRIES", 2)
         items = classify_items(balanced_samples, 10)
+        model = get_model("gpt-4o-mini")
+        reference = EvalEngine(store=None).run(model, items)
         root = tmp_path / "cache"
-        path = root / DEFAULT_JOURNAL_NAME
         engine = EvalEngine(
             store=DiskResponseStore(root),
-            journal=SweepJournal(path, label="crashy"),
             backend="sequential",
             failure_mode="collect",
             max_failures=1,
             retry=RetryPolicy(max_attempts=1),
         )
 
-        model = get_model("gpt-4o-mini")
-        completed_before_fault = 4
+        completed_before_fault = 5
         calls = {"n": 0}
         original = type(model).complete
 
@@ -431,49 +329,52 @@ class TestJournaledEngine:
                 self, prompt, temperature=temperature, top_p=top_p
             )
 
-        monkeypatch.setattr(type(model), "complete", flaky)
-        with pytest.raises(MaxFailuresExceeded):
-            engine.run(model, items)
-        # The finally-checkpoint journaled every flushed chunk (2 chunks
-        # of 2 units) even though the run aborted.
-        assert len(SweepJournal(path)) == completed_before_fault
+        with monkeypatch.context() as patch:
+            patch.setattr(type(model), "complete", flaky)
+            with pytest.raises(MaxFailuresExceeded):
+                engine.run(model, items)
+        # Two spills of 2 puts reached disk before the abort; the fifth
+        # completion was still buffered and is discarded with the run.
+        assert len(DiskResponseStore(root)) == 4
+
+        rerun = EvalEngine(store=DiskResponseStore(root))
+        assert rerun.run(model, items) == reference
+        assert (rerun.stats.hits, rerun.stats.misses) == (4, len(items) - 4)
 
 
-class TestKillAndResume:
+class TestKillAndRerun:
     @pytest.mark.slow
-    def test_sigkill_mid_sweep_resumes_byte_identical(self, tmp_path):
+    def test_sigkill_mid_sweep_reruns_byte_identical(self, tmp_path):
         env = {
             **os.environ,
             "PYTHONPATH": SRC_DIR,
             "REPRO_PROFILE_CACHE": str(tmp_path / "profile-cache"),
             "REPRO_ARTIFACT_CACHE": str(tmp_path / "artifact-cache"),
-            "REPRO_JOURNAL_INTERVAL": "2",
             "REPRO_CACHE_DIR": str(tmp_path / "control-cache"),
         }
         env.pop("REPRO_FAULT_PLAN", None)
+        # Enough units that the store's 64-put spill lands before the
+        # injected SIGKILL on the 100th completion attempt.
+        units = 200
         argv = [
             sys.executable, "-m", "repro.cli", "rq2",
-            "--model", "gpt-4o-mini", "--limit", "12",
+            "--model", "gpt-4o-mini", "--limit", str(units),
         ]
         control = subprocess.run(
             argv, capture_output=True, text=True, env=env, check=True
         )
 
-        crash_env = {**env, "REPRO_CACHE_DIR": str(tmp_path / "crash-cache")}
+        crash_root = tmp_path / "crash-cache"
+        crash_env = {**env, "REPRO_CACHE_DIR": str(crash_root)}
         crashed = subprocess.run(
-            [*argv, "--resume",
-             "--inject-faults", "seed=1;worker_death:after=6"],
+            [*argv, "--inject-faults", "seed=1;worker_death:after=100"],
             capture_output=True, text=True, env=crash_env,
         )
         assert crashed.returncode == -signal.SIGKILL
+        cached = len(DiskResponseStore(crash_root))
 
-        journal_path = Path(crash_env["REPRO_CACHE_DIR"]) / DEFAULT_JOURNAL_NAME
-        journaled = len(SweepJournal(journal_path))
-        assert 0 < journaled < 12  # died mid-sweep, after some checkpoints
-
-        resumed = subprocess.run(
-            [*argv, "--resume"],
-            capture_output=True, text=True, env=crash_env, check=True,
+        rerun = subprocess.run(
+            argv, capture_output=True, text=True, env=crash_env, check=True,
         )
 
         def report(text):
@@ -482,10 +383,11 @@ class TestKillAndResume:
                 if not line.startswith("cache:")
             )
 
-        assert report(resumed.stdout) == report(control.stdout)
-        stats = re.search(r"cache: (\d+) hits, (\d+) misses", resumed.stdout)
+        assert report(rerun.stdout) == report(control.stdout)
+        stats = re.search(r"cache: (\d+) hits, (\d+) misses", rerun.stdout)
         hits, misses = int(stats.group(1)), int(stats.group(2))
-        # Zero re-issued completions for journaled units: each is a pure
-        # store hit, and only the unjournaled remainder recomputes.
-        assert hits == journaled
-        assert misses == 12 - journaled
+        # Every unit spilled before the kill is a pure store hit; only
+        # the rest recomputes.
+        assert hits == cached
+        assert 0 < hits < units
+        assert misses == units - hits
