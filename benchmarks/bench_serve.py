@@ -10,15 +10,16 @@ Two load-bearing claims of ``repro.serve``:
 * **Warm stores serve without models.** Against a response store warmed
   by the batch engine, the async engine replays a classification grid
   with zero new completions and a digest identical to the sync engine's
-  — the bench times that replay and the HTTP round-trip on top of it.
+  — the bench times that replay and the HTTP round-trip on top of it,
+  over one keep-alive connection.
 """
 
 from __future__ import annotations
 
 import asyncio
+import http.client
 import json
 import time
-import urllib.request
 
 from repro.eval.engine import (
     DiskResponseStore,
@@ -125,24 +126,28 @@ def test_warm_store_replay_and_http_latency(tmp_path, balanced):
     assert engine.stats.completions == 0
     assert engine.stats.hits == len(items)
 
-    # HTTP round-trips against the same warm store.
+    # HTTP round-trips against the same warm store, on one keep-alive
+    # connection as real clients (and perfbench's load generator) use.
     http_engine = AsyncEvalEngine(store=store)
     server = PredictionServer(
         PredictionService(http_engine), port=0
     ).start()
+    conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=60)
     try:
         uids = [s.uid for s in samples]
+        sock = None
         t0 = time.perf_counter()
         for i in range(HTTP_REPS):
             uid = uids[i % len(uids)]
-            with urllib.request.urlopen(
-                f"{server.url}/v1/classify?uid={uid}&model={MODEL}",
-                timeout=60,
-            ) as resp:
-                body = json.loads(resp.read().decode("utf-8"))
+            conn.request("GET", f"/v1/classify?uid={uid}&model={MODEL}")
+            resp = conn.getresponse()
+            body = json.loads(resp.read().decode("utf-8"))
             assert body["cached"] is True
+            sock = sock or conn.sock
+            assert conn.sock is sock, "the keep-alive socket was reopened"
         t_http = (time.perf_counter() - t0) / HTTP_REPS
     finally:
+        conn.close()
         server.close()
     assert http_engine.stats.completions == 0
 

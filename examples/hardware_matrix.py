@@ -45,8 +45,10 @@ print(f"\n{len(flipped)} of {SLICE} kernels change class V100 -> H100, e.g.:")
 for uid in flipped[:5]:
     print(f"  {uid}: {v100[uid].value} -> {h100[uid].value}")
 
-# Sweep the grid with one shared engine; the process backend makes the cold
-# pass scale with cores (the emulated models are pure-Python CPU work).
+# Sweep the grid with one shared engine on the process backend. Each cell
+# opens a fresh pool whose workers redo the per-kernel analysis, so on a
+# small host this is slower than the thread default; `sweep --shard` plus
+# `merge-caches` is the multi-process path that pays.
 engine = EvalEngine(jobs=0, backend="process")
 result = run_matrix(models, gpus, rqs=("rq2",), limit=SLICE, engine=engine)
 print()

@@ -25,9 +25,11 @@ Installed as ``repro-paper``; every subcommand is also reachable via
     repro-paper sweep --gpus all --failure-mode collect --max-failures 20
 
 Experiment commands accept ``--jobs`` (workers; 0 = all cores) and
-``--backend`` (``thread`` default; ``process`` sidesteps the GIL for cold
-sweeps), and share a content-addressed response cache (``--cache-dir``,
-default ``$REPRO_CACHE_DIR`` or ``.repro-cache``; size-bound it with
+``--backend`` (``thread`` default; ``process`` opens a fresh worker pool
+per call, and on a 2-vCPU host is slower than the default — the
+multi-process path is ``sweep --shard`` plus ``merge-caches``), and
+share a content-addressed response cache (``--cache-dir``, default
+``$REPRO_CACHE_DIR`` or ``.repro-cache``; size-bound it with
 ``--cache-max-bytes``, disable with ``--no-cache``), so a repeated run
 replays memoized completions instead of re-querying the models. Kernel
 profiling persists the same way in a content-addressed profile store
@@ -73,6 +75,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Sequence
 
@@ -147,9 +150,11 @@ def _add_engine_flags(p: argparse.ArgumentParser) -> None:
                    help="workers for (model, item) work units "
                         "(0 = all cores; default 1)")
     p.add_argument("--backend", choices=BACKENDS, default=DEFAULT_BACKEND,
-                   help="executor backend: threads share memory (best warm); "
-                        "processes sidestep the GIL (best cold); "
-                        f"default {DEFAULT_BACKEND}")
+                   help="executor backend: threads share memory; "
+                        "processes open a fresh pool per call and redo "
+                        "per-kernel analysis in every cell (slower on 2 "
+                        "vCPUs; for many cores use sweep --shard and "
+                        f"merge-caches); default {DEFAULT_BACKEND}")
     _add_fault_flags(p)
     _add_cache_flags(p)
 
@@ -926,9 +931,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     # SIGTERM means *drain*: stop taking work, let in-flight requests
     # finish (bounded by --drain-timeout), exit 0 — the contract the CI
     # chaos job asserts. Ctrl-C/SIGINT keeps the fast-close path. The
-    # serve loop runs on background threads so this main thread is free
-    # to wait on the event (a handler can't join the serve thread from
-    # inside `serve_forever` without deadlocking).
+    # server's event loop runs on a background thread, so this main
+    # thread is free to wait on the event and then drain or close it.
     stop = threading.Event()
     drain_requested = threading.Event()
 
@@ -1261,7 +1265,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     }
     _install_sigterm_handler()
     try:
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early (`| head`): exit as a SIGPIPE'd
+        # tool would, and point stdout at devnull so the interpreter's
+        # final flush stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

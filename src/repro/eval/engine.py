@@ -19,9 +19,8 @@ hot path as one engine core that every executor drives:
   backend (:mod:`repro.util.parallel`) with deterministic,
   submission-order results. The sequential and thread backends run each
   unit's lookup → compute → commit as one task; the process backend
-  (which sidesteps the GIL for cold sweeps of the pure-Python emulated
-  models) looks units up and commits them in the parent and ships only
-  the misses' compute to workers, so any :class:`ResponseStore` works
+  looks units up and commits them in the parent and ships only the
+  misses' compute to workers, so any :class:`ResponseStore` works
   unchanged.
 * Completions are memoized in a content-addressed store. Keys are
   :func:`cache_key` digests over the *full* model capability profile, the
@@ -630,8 +629,9 @@ class EvalEngine(_EngineCore):
     prompts across experiments.
 
     ``backend`` picks the executor for :meth:`run`'s fan-out: ``"thread"``
-    (default; best for warm caches and IO), ``"process"`` (cold CPU-bound
-    sweeps scale with cores), or ``"sequential"``. Only the compute step
+    (default), ``"process"`` (a fresh pool per run, whose workers redo
+    per-kernel analysis; slower than the default on a 2-vCPU host, see
+    :mod:`repro.util.parallel`), or ``"sequential"``. Only the compute step
     ever crosses a process boundary: lookups and commits run in this
     process, so results, cache contents and every stats counter are
     identical across backends.

@@ -14,7 +14,7 @@ pieces compose bottom-up:
   of the sync engine: same cache keys, byte-identical results, plus
   in-flight request coalescing, provider failover chains, and hedged
   requests.
-* :mod:`repro.serve.http` — the stdlib HTTP front end behind
+* :mod:`repro.serve.http` — the asyncio HTTP front end behind
   ``repro-paper serve``: admission control, request deadlines, graceful
   drain.
 """

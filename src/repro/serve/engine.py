@@ -186,11 +186,9 @@ class AsyncEvalEngine(_EngineCore):
 
     def breaker_snapshots(self) -> dict[str, dict]:
         """Read-only breaker states for ``/v1/stats`` and the manifest."""
-        # list() first: handler threads read this while the loop may be
-        # registering a new label, and a live dict view could see it.
         return {
             label: self._breakers[label].snapshot()
-            for label in sorted(list(self._breakers))
+            for label in sorted(self._breakers)
         }
 
     async def cancel_inflight(self) -> int:

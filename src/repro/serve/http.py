@@ -1,4 +1,4 @@
-"""Stdlib HTTP front end answering roofline-classification queries.
+"""One-event-loop HTTP front end answering roofline-classification queries.
 
 Two layers:
 
@@ -13,22 +13,18 @@ Two layers:
   ``queue_budget`` classifications in flight, the rest shed with a
   429-shaped :class:`~repro.serve.resilience.LoadShedError`, and a
   request-supplied deadline (``X-Deadline-Ms``) propagates down to the
-  engine's retry loop.
-  On the loop, the GPU lookup, the memoized uid → sample index and the
-  prompt build run inline: they are in-memory work, cheaper than a
-  thread hop. A warm hit leaves the loop only for store I/O (the
-  engine's lookup); a GPU's first index build (a dataset build) and a
-  miss's provider call and commit also run in worker threads.
-* :class:`PredictionServer` — a :class:`ThreadingHTTPServer` whose
-  handler threads bridge into one background asyncio event loop
-  (``run_coroutine_threadsafe``), keeping the engine's single-loop
-  coalescing semantics while the stdlib server deals with sockets.
-  Sockets are ``TCP_NODELAY`` and every response — status line,
-  headers and body — leaves in one write, so a keep-alive response
-  never waits on Nagle for the client's delayed ACK. A handler that
-  times out cancels its classify, so the abandoned work frees its
-  admission slot; a client that disconnects mid-response is dropped
-  without a second write. The server knows how to *drain*:
+  engine's retry loop. A warm hit leaves the event loop only for store
+  I/O; a GPU's first index build (a dataset build) and a miss's provider
+  call and commit also run in worker threads.
+* :class:`PredictionServer` — an :func:`asyncio.start_server` front end
+  on the same loop, which runs in one background thread. Each connection
+  is one coroutine: read a head (64 KiB at most) and a ``Content-Length``
+  body, route, answer with one write to a ``TCP_NODELAY`` socket, and
+  loop while the connection is keep-alive. A request never changes
+  thread except for the ``to_thread`` work above. A request that
+  outlives ``request_timeout_s`` answers 504 and cancels its classify,
+  so the abandoned work frees its admission slot; a client that hangs
+  up is dropped without a second write. The server knows how to *drain*:
   :meth:`PredictionServer.drain` flips it to draining (``/healthz``
   answers 503, work endpoints shed), waits for in-flight requests to
   finish, then closes.
@@ -50,21 +46,28 @@ Endpoints (all JSON):
 
 Failure statuses: 429 + ``Retry-After`` when shed (queue over budget or
 deadline expired), 503 + ``Retry-After`` when every provider breaker is
-open or upstream retries exhausted, 504 when the handler-side wait times
-out.
+open or upstream retries exhausted, 504 when ``request_timeout_s`` runs
+out. A request that cannot be served on its connection answers 400, 414,
+431, 501 or 505 with ``Connection: close``. Every error body is JSON.
 """
 
 from __future__ import annotations
 
 import asyncio
+import http.client
+import io
 import json
+import math
+import socket
+import sys
 import threading
 import time
-from concurrent.futures import TimeoutError as _FutureTimeout
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from email.utils import formatdate
+from http import HTTPStatus
 from typing import Sequence
 from urllib.parse import parse_qs, urlsplit
 
+from repro import __version__
 from repro.dataset import Sample, paper_dataset
 from repro.eval.matrix import scenario_samples
 from repro.eval.rq23 import REGIME_VARIANTS
@@ -79,6 +82,9 @@ from repro.util.retry import DeadlineExceeded, TransientError
 
 #: The paper's headline model — the default for unqualified queries.
 DEFAULT_MODEL = "o3-mini-high"
+
+#: The ``Server`` header of every response.
+SERVER_TOKEN = f"repro-serve/{__version__}"
 
 
 class ServiceError(Exception):
@@ -97,9 +103,9 @@ class PredictionService:
 
     Sample indices and provider chains are built lazily and memoized:
     the first query against a GPU pays its (profile-store-backed) dataset
-    build, later ones are dictionary lookups. Memo access is locked —
-    handler threads funnel work onto one event loop, but the blocking
-    builds run in ``to_thread`` workers.
+    build in a worker thread, later ones are dictionary lookups. The
+    memos are read and written only on the event loop (and by
+    :meth:`warm`, before serving starts), so they need no lock.
 
     ``provider_family`` may be a comma-separated failover chain
     (``"emulated,wire"``): the first family is primary, the rest are
@@ -127,56 +133,48 @@ class PredictionService:
         self.jobs = jobs
         self.queue_budget = queue_budget
         self._admitted = 0  # event-loop-confined in-flight gauge
-        self._lock = threading.Lock()
         self._providers: dict[str, ProviderChain] = {}
         # gpu key (None = the paper's default target) → uid → sample
         self._samples: dict[str | None, dict[str, Sample]] = {}
 
     # -- lazy indices --------------------------------------------------------
     def provider(self, model_name: str) -> ProviderChain:
-        with self._lock:
-            chain = self._providers.get(model_name)
-        if chain is not None:
-            return chain
-        try:
-            chain = resolve_provider(
-                model_name,
-                family=self.provider_family,
-                fallbacks=self.fallback_families,
-            )
-        except KeyError:
-            raise ServiceError(
-                404, f"unknown model {model_name!r}; see /v1/models"
-            ) from None
-        with self._lock:
-            return self._providers.setdefault(model_name, chain)
+        if model_name not in self._providers:
+            try:
+                self._providers[model_name] = resolve_provider(
+                    model_name,
+                    family=self.provider_family,
+                    fallbacks=self.fallback_families,
+                )
+            except KeyError:
+                raise ServiceError(
+                    404, f"unknown model {model_name!r}; see /v1/models"
+                ) from None
+        return self._providers[model_name]
 
-    def _memoized_index(self, gpu: GpuSpec | None) -> dict[str, Sample] | None:
-        """The GPU's sample index if it is already built, else ``None``."""
-        with self._lock:
-            return self._samples.get(gpu.name if gpu is not None else None)
-
-    def _sample_index(self, gpu: GpuSpec | None) -> dict[str, Sample]:
-        index = self._memoized_index(gpu)
-        if index is not None:
-            return index
+    def _build_index(self, gpu: GpuSpec | None) -> dict[str, Sample]:
+        """One GPU's uid → sample index: a (blocking) dataset build."""
         if gpu is None:
             samples: Sequence[Sample] = paper_dataset(jobs=self.jobs).balanced
         else:
             samples = scenario_samples(gpu, jobs=self.jobs)
-        index = {s.uid: s for s in samples}
-        with self._lock:
-            return self._samples.setdefault(
-                gpu.name if gpu is not None else None, index
-            )
+        return {s.uid: s for s in samples}
+
+    async def _sample_index(self, gpu: GpuSpec | None) -> dict[str, Sample]:
+        key = gpu.name if gpu is not None else None
+        if key not in self._samples:
+            built = await asyncio.to_thread(self._build_index, gpu)
+            # A concurrent first query may have installed it meanwhile.
+            self._samples.setdefault(key, built)
+        return self._samples[key]
 
     def warm(self) -> int:
-        """Build the default sample index up front; returns its size."""
-        return len(self._sample_index(None))
+        """Build the default sample index before serving; returns its size."""
+        return len(self._samples.setdefault(None, self._build_index(None)))
 
     # -- queries -------------------------------------------------------------
-    def sample_listing(self) -> list[dict]:
-        index = self._sample_index(None)
+    async def sample_listing(self) -> list[dict]:
+        index = await self._sample_index(None)
         return [
             {"uid": uid, "label": sample.label.word}
             for uid, sample in sorted(index.items())
@@ -245,10 +243,7 @@ class PredictionService:
                     spec = get_gpu(gpu)
                 except KeyError as exc:
                     raise ServiceError(404, str(exc)) from None
-            index = self._memoized_index(spec)
-            if index is None:
-                index = await asyncio.to_thread(self._sample_index, spec)
-            sample = index.get(uid)
+            sample = (await self._sample_index(spec)).get(uid)
             if sample is None:
                 raise ServiceError(
                     404, f"unknown sample uid {uid!r}; see /v1/samples"
@@ -291,203 +286,109 @@ class PredictionService:
             self._admitted -= 1
 
 
-class _Handler(BaseHTTPRequestHandler):
-    """Routes HTTP requests onto the service's event loop."""
+def _response(
+    status: int, payload: dict | list, retry_after: float | None = None,
+    *, close: bool = False,
+) -> bytes:
+    """One whole response — status line, headers, blank line, body."""
+    body = json.dumps(payload, sort_keys=True).encode("utf-8")
+    head = [
+        f"HTTP/1.1 {status} {HTTPStatus(status).phrase}",
+        f"Server: {SERVER_TOKEN}",
+        f"Date: {formatdate(usegmt=True)}",
+        "Content-Type: application/json",
+        f"Content-Length: {len(body)}",
+    ]
+    if retry_after is not None:
+        head.append(f"Retry-After: {max(0.0, retry_after):.3f}")
+    if close:
+        head.append("Connection: close")
+    return "\r\n".join([*head, "", ""]).encode("latin-1") + body
 
-    server: "PredictionServer"  # type: ignore[assignment]
-    protocol_version = "HTTP/1.1"
-    # Every response is one write, so there is nothing for Nagle to
-    # coalesce; with it on, a keep-alive response waits out the client's
-    # delayed ACK.
-    disable_nagle_algorithm = True
 
-    # -- plumbing ------------------------------------------------------------
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        if self.server.verbose:
-            super().log_message(format, *args)
+def _deadline_ms(headers) -> float | None:
+    raw = headers.get("X-Deadline-Ms")
+    if raw is None:
+        return None
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    # nan fails this test but would pass `value <= 0`, and a nan budget
+    # times out every attempt, opening the provider breakers.
+    if not 0 < value < math.inf:
+        raise ServiceError(
+            400, f"X-Deadline-Ms must be a finite number > 0, got {raw!r}"
+        )
+    return value
 
-    def _send_json(
-        self,
-        status: int,
-        payload: dict | list,
-        *,
-        retry_after: float | None = None,
-    ) -> None:
-        body = json.dumps(payload, sort_keys=True).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        if retry_after is not None:
-            self.send_header("Retry-After", f"{max(0.0, retry_after):.3f}")
-        # end_headers() would send the head as a segment of its own. Join
-        # head, blank line and body instead, so the response is one write.
-        head = getattr(self, "_headers_buffer", [])  # HTTP/0.9: no head
-        self._headers_buffer = []
-        if head:
-            head.append(b"\r\n")
+
+def _classify_params(method: str, query: str, headers, body: bytes) -> dict:
+    if method == "POST":
         try:
-            self.wfile.write(b"".join([*head, body]))
-        except ConnectionError:
-            # The client went away; there is nobody to send an error to.
-            self.close_connection = True
-
-    def _run(self, coro) -> object:
-        future = asyncio.run_coroutine_threadsafe(coro, self.server.loop)
-        try:
-            return future.result(timeout=self.server.request_timeout_s)
-        except _FutureTimeout:
-            # Cancel the abandoned classify so it releases its admission
-            # slot and in-flight key instead of running on unseen.
-            future.cancel()
-            raise
-
-    def _deadline_ms(self) -> float | None:
-        raw = self.headers.get("X-Deadline-Ms")
-        if raw is None:
-            return None
-        try:
-            value = float(raw.strip())
+            params = json.loads(body.decode("utf-8") or "{}")
         except ValueError:
-            raise ServiceError(
-                400, f"X-Deadline-Ms must be a number, got {raw!r}"
-            ) from None
-        if value <= 0:
-            raise ServiceError(400, f"X-Deadline-Ms must be > 0, got {raw!r}")
-        return value
-
-    def _classify_params(self) -> dict:
-        split = urlsplit(self.path)
-        if self.command == "POST":
-            raw_length = self.headers.get("Content-Length")
-            if raw_length is None:
-                length = 0  # body-less POST: same as an empty object
-            else:
-                try:
-                    length = int(raw_length.strip())
-                except ValueError:
-                    raise ServiceError(
-                        400,
-                        f"Content-Length must be an integer, "
-                        f"got {raw_length!r}",
-                    ) from None
-                if length < 0:
-                    raise ServiceError(
-                        400, f"Content-Length must be >= 0, got {raw_length!r}"
-                    )
-            raw = self.rfile.read(length) if length else b"{}"
-            try:
-                params = json.loads(raw.decode("utf-8") or "{}")
-            except ValueError:
-                raise ServiceError(400, "request body is not valid JSON")
-            if not isinstance(params, dict):
-                raise ServiceError(400, "request body must be a JSON object")
-        else:
-            params = {
-                k: v[-1] for k, v in parse_qs(split.query).items()
-            }
-        if "few_shot" in params:
-            instead = (f"variant={v}" for v in REGIME_VARIANTS.values())
-            raise ServiceError(
-                400, f"few_shot was removed; pass {' or '.join(instead)}"
-            )
-        uid = params.get("uid")
-        if not uid:
-            raise ServiceError(400, "missing required parameter 'uid'")
-        return {
-            "uid": str(uid),
-            "model": str(params.get("model") or DEFAULT_MODEL),
-            "variant": str(params.get("variant") or ZERO_SHOT.name),
-            "gpu": str(params["gpu"]) if params.get("gpu") else None,
-            "deadline_ms": self._deadline_ms(),
-        }
-
-    # -- routes --------------------------------------------------------------
-    def _route(self) -> None:
-        service = self.server.service
-        path = urlsplit(self.path).path.rstrip("/") or "/"
-        try:
-            draining = self.server.draining.is_set()
-            if path == "/healthz":
-                if draining:
-                    self._send_json(503, {"status": "draining"})
-                else:
-                    self._send_json(200, {"status": "ok"})
-            elif path == "/v1/models" and self.command == "GET":
-                self._send_json(200, {"models": list(MODEL_NAMES)})
-            elif path == "/v1/samples" and self.command == "GET":
-                self._send_json(200, {"samples": service.sample_listing()})
-            elif path == "/v1/stats" and self.command == "GET":
-                payload = service.stats()
-                payload["draining"] = draining
-                self._send_json(200, payload)
-            elif path == "/v1/classify":
-                if draining:
-                    raise ServiceError(
-                        503, "server is draining", retry_after=1.0
-                    )
-                self.server._track_active(+1)
-                try:
-                    params = self._classify_params()
-                    result = self._run(service.classify(**params))
-                    self._send_json(200, result)  # type: ignore[arg-type]
-                finally:
-                    self.server._track_active(-1)
-            else:
-                raise ServiceError(404, f"no such endpoint: {path}")
-        except ServiceError as exc:
-            self._send_json(
-                exc.status, {"error": str(exc)}, retry_after=exc.retry_after
-            )
-        except LoadShedError as exc:
-            self._send_json(
-                429, {"error": str(exc)}, retry_after=exc.retry_after
-            )
-        except DeadlineExceeded as exc:
-            # The request's own budget ran out: shed-shaped, not a fault.
-            service.engine.stats._bump("shed")
-            self._send_json(
-                429, {"error": f"deadline exceeded: {exc}"}, retry_after=1.0
-            )
-        except AllProvidersUnavailable as exc:
-            self._send_json(
-                503, {"error": str(exc)}, retry_after=exc.retry_after
-            )
-        except TransientError as exc:
-            self._send_json(
-                503,
-                {"error": f"upstream unavailable: "
-                          f"{type(exc).__name__}: {exc}"},
-                retry_after=1.0,
-            )
-        except _FutureTimeout:
-            self._send_json(504, {"error": "request timed out"})
-        except asyncio.CancelledError:
-            # close()/drain() cancelled the in-flight work under us.
-            self._send_json(
-                503, {"error": "server shutting down"}, retry_after=1.0
-            )
-        except Exception as exc:  # pragma: no cover - defensive
-            self._send_json(500, {"error": f"{type(exc).__name__}: {exc}"})
-
-    def do_GET(self) -> None:  # noqa: N802
-        self._route()
-
-    def do_POST(self) -> None:  # noqa: N802
-        self._route()
+            raise ServiceError(400, "request body is not valid JSON")
+        if not isinstance(params, dict):
+            raise ServiceError(400, "request body must be a JSON object")
+    else:
+        params = {k: v[-1] for k, v in parse_qs(query).items()}
+    if "few_shot" in params:
+        instead = (f"variant={v}" for v in REGIME_VARIANTS.values())
+        raise ServiceError(
+            400, f"few_shot was removed; pass {' or '.join(instead)}"
+        )
+    uid = params.get("uid")
+    if not uid:
+        raise ServiceError(400, "missing required parameter 'uid'")
+    return {
+        "uid": str(uid),
+        "model": str(params.get("model") or DEFAULT_MODEL),
+        "variant": str(params.get("variant") or ZERO_SHOT.name),
+        "gpu": str(params["gpu"]) if params.get("gpu") else None,
+        "deadline_ms": _deadline_ms(headers),
+    }
 
 
-class PredictionServer(ThreadingHTTPServer):
-    """The serving process: stdlib HTTP threads + one asyncio loop.
+def _parse_head(line: str, fields: bytes) -> tuple:
+    """``(method, target, headers, body length, keep-alive)`` of one
+    request head; ``ServiceError`` when it cannot be served."""
+    words = line.split()
+    if len(words) != 3 or not words[2].startswith("HTTP/"):
+        raise ServiceError(400, f"bad request line {line!r}")
+    method, target, version = words
+    if version not in ("HTTP/1.0", "HTTP/1.1"):
+        raise ServiceError(505, f"unsupported HTTP version {version!r}")
+    if method not in ("GET", "POST"):
+        raise ServiceError(501, f"unsupported method {method!r}")
+    try:
+        headers = http.client.parse_headers(io.BytesIO(fields))
+    except http.client.HTTPException as exc:
+        raise ServiceError(431, f"bad request headers: {exc}") from None
+    raw = headers.get("Content-Length", "0")  # none: an empty body
+    try:
+        length = int(raw)
+    except ValueError:
+        length = -1
+    if length < 0:
+        raise ServiceError(
+            400, f"Content-Length must be an integer >= 0, got {raw!r}"
+        )
+    keep_alive = version == "HTTP/1.1" and (
+        "close" not in headers.get("Connection", "").lower()
+    )
+    return method, target, headers, length, keep_alive
 
-    ``port=0`` binds an ephemeral port (tests); :attr:`port` reports the
-    real one. :meth:`start` spins up the loop and server threads and
-    returns (tests drive requests, then :meth:`close`);
-    :meth:`serve_forever` is inherited for blocking use. :meth:`drain`
-    is the graceful path: flip to draining, let in-flight work finish
-    (bounded), then close.
+
+class PredictionServer:
+    """The serving process: one asyncio loop in a background thread.
+
+    The socket is bound at construction (``port=0`` binds an ephemeral
+    port; :attr:`port` reports the real one). :meth:`start` runs the
+    loop and returns (tests drive requests, then :meth:`close`).
+    :meth:`drain` is the graceful path: flip to draining, let in-flight
+    work finish (bounded), then close.
     """
-
-    daemon_threads = True
 
     def __init__(
         self,
@@ -498,51 +399,177 @@ class PredictionServer(ThreadingHTTPServer):
         request_timeout_s: float = 300.0,
         verbose: bool = False,
     ) -> None:
-        super().__init__((host, port), _Handler)
         self.service = service
         self.request_timeout_s = request_timeout_s
         self.verbose = verbose
         self.draining = threading.Event()
         self.loop = asyncio.new_event_loop()
-        self._loop_thread = threading.Thread(
-            target=self.loop.run_forever, name="repro-serve-loop", daemon=True
+        self._sock = socket.create_server((host, port))
+        self._address = self._sock.getsockname()[:2]
+        self._thread = threading.Thread(
+            target=self._run_loop, name="repro-serve-loop", daemon=True
         )
-        self._serve_thread: threading.Thread | None = None
+        self._stop = asyncio.Event()
+        # /v1/classify requests being answered. Written only on the loop;
+        # drain() polls it from its own thread.
         self._active = 0
-        self._active_lock = threading.Lock()
-        self._closed = False
 
     @property
     def port(self) -> int:
-        return self.server_address[1]
+        return self._address[1]
 
     @property
     def url(self) -> str:
-        return f"http://{self.server_address[0]}:{self.port}"
-
-    def _track_active(self, delta: int) -> None:
-        with self._active_lock:
-            self._active += delta
-
-    def active_requests(self) -> int:
-        with self._active_lock:
-            return self._active
+        return f"http://{self._address[0]}:{self.port}"
 
     def start(self) -> "PredictionServer":
-        """Run the loop and accept requests in background threads."""
-        if not self._loop_thread.is_alive():
-            self._loop_thread.start()
-        self._serve_thread = threading.Thread(
-            target=self.serve_forever, name="repro-serve-http", daemon=True
-        )
-        self._serve_thread.start()
+        """Run the loop, and with it the server, in a background thread."""
+        self._thread.start()
         return self
 
-    def serve_forever(self, poll_interval: float = 0.5) -> None:
-        if not self._loop_thread.is_alive():
-            self._loop_thread.start()
-        super().serve_forever(poll_interval)
+    def _run_loop(self) -> None:
+        self.loop.run_until_complete(self._serve())
 
+    async def _serve(self) -> None:
+        # The StreamReader's default 64 KiB limit bounds a request head.
+        server = await asyncio.start_server(self._connection, sock=self._sock)
+        await self._stop.wait()
+        server.close()
+        # Cancel pending work: the coalesced futures first (waiters
+        # shield the owner, so an abandoned in-flight call would pin its
+        # requests forever), then every still-running task — connection
+        # coroutines, and classify work parked inside a wedged provider,
+        # which never finishes on its own.
+        await self.service.engine.cancel_inflight()
+        tasks = asyncio.all_tasks() - {asyncio.current_task()}
+        for task in tasks:
+            task.cancel()
+        await asyncio.gather(*tasks, return_exceptions=True)
+        await asyncio.sleep(0)  # let the closed transports release sockets
+
+    # -- one connection ------------------------------------------------------
+    async def _connection(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        # Each response is one write: with Nagle on, a keep-alive response
+        # would wait out the client's delayed ACK.
+        writer.get_extra_info("socket").setsockopt(
+            socket.IPPROTO_TCP, socket.TCP_NODELAY, 1
+        )
+        try:
+            while await self._exchange(reader, writer):
+                pass
+        except (ConnectionError, EOFError, asyncio.CancelledError):
+            # The client went away, or close() cancelled this coroutine.
+            # End normally either way: on Python 3.11 and 3.12, asyncio
+            # logs a connection task that ends cancelled as an error.
+            pass
+        finally:
+            writer.close()
+
+    async def _exchange(self, reader, writer) -> bool:
+        """Answer one request; whether the connection stays open."""
+        try:
+            head = await reader.readuntil(b"\r\n\r\n")
+        except asyncio.LimitOverrunError as exc:
+            line_fits = b"\r\n" in await reader.read(exc.consumed)
+            return self._refuse(writer, "-", ServiceError(
+                431 if line_fits else 414, "request head over 64 KiB"
+            ))
+        request_line, _, fields = head.lstrip(b"\r\n").partition(b"\r\n")
+        line = request_line.decode("iso-8859-1")
+        try:
+            method, target, headers, length, keep_alive = _parse_head(
+                line, fields
+            )
+        except ServiceError as exc:
+            return self._refuse(writer, line, exc)
+        body = await reader.readexactly(length) if length else b""
+        try:
+            status, payload, retry_after = await self._route(
+                method, target, headers, body
+            )
+        except asyncio.CancelledError:
+            # close() cancelled the in-flight work under us.
+            return self._refuse(writer, line, ServiceError(
+                503, "server shutting down", retry_after=1.0
+            ))
+        self._log(writer, line, status)
+        writer.write(_response(status, payload, retry_after))
+        await writer.drain()
+        return keep_alive
+
+    def _refuse(self, writer, line: str, exc: ServiceError) -> bool:
+        """Answer ``exc`` and mark the connection for closing."""
+        self._log(writer, line, exc.status)
+        writer.write(_response(
+            exc.status, {"error": str(exc)}, exc.retry_after, close=True
+        ))
+        return False
+
+    def _log(self, writer, line: str, status: int) -> None:
+        if self.verbose:
+            host = (writer.get_extra_info("peername") or ("-",))[0]
+            stamp = time.strftime("%d/%b/%Y %H:%M:%S")
+            print(f'{host} - - [{stamp}] "{line}" {status} -', file=sys.stderr)
+
+    # -- routes --------------------------------------------------------------
+    async def _route(
+        self, method: str, target: str, headers, body: bytes
+    ) -> tuple[int, dict | list, float | None]:
+        """``(status, payload, retry_after)`` for one parsed request."""
+        service = self.service
+        split = urlsplit(target)
+        path = split.path.rstrip("/") or "/"
+        draining = self.draining.is_set()
+        try:
+            if path == "/healthz" and draining:
+                return 503, {"status": "draining"}, None
+            if path == "/healthz":
+                return 200, {"status": "ok"}, None
+            if path == "/v1/models" and method == "GET":
+                return 200, {"models": list(MODEL_NAMES)}, None
+            if path == "/v1/samples" and method == "GET":
+                return 200, {"samples": await service.sample_listing()}, None
+            if path == "/v1/stats" and method == "GET":
+                return 200, service.stats() | {"draining": draining}, None
+            if path == "/v1/classify":
+                if draining:
+                    raise ServiceError(
+                        503, "server is draining", retry_after=1.0
+                    )
+                self._active += 1
+                try:
+                    params = _classify_params(
+                        method, split.query, headers, body
+                    )
+                    result = await asyncio.wait_for(
+                        service.classify(**params), self.request_timeout_s
+                    )
+                    return 200, result, None
+                finally:
+                    self._active -= 1
+            raise ServiceError(404, f"no such endpoint: {path}")
+        except ServiceError as exc:
+            return exc.status, {"error": str(exc)}, exc.retry_after
+        except LoadShedError as exc:
+            return 429, {"error": str(exc)}, exc.retry_after
+        except DeadlineExceeded as exc:
+            # The request's own budget ran out: shed-shaped, not a fault.
+            service.engine.stats._bump("shed")
+            return 429, {"error": f"deadline exceeded: {exc}"}, 1.0
+        except AllProvidersUnavailable as exc:
+            return 503, {"error": str(exc)}, exc.retry_after
+        except TransientError as exc:
+            return 503, {
+                "error": f"upstream unavailable: {type(exc).__name__}: {exc}"
+            }, 1.0
+        except asyncio.TimeoutError:
+            return 504, {"error": "request timed out"}, None
+        except Exception as exc:  # pragma: no cover - defensive
+            return 500, {"error": f"{type(exc).__name__}: {exc}"}, None
+
+    # -- lifecycle -----------------------------------------------------------
     def drain(self, timeout: float = 10.0) -> bool:
         """Stop taking work, let in-flight requests finish, then close.
 
@@ -553,12 +580,9 @@ class PredictionServer(ThreadingHTTPServer):
         """
         self.draining.set()
         deadline = time.monotonic() + timeout
-        clean = True
-        while self.active_requests() > 0:
-            if time.monotonic() >= deadline:
-                clean = False
-                break
+        while self._active > 0 and time.monotonic() < deadline:
             time.sleep(0.02)
+        clean = self._active == 0
         self.close()
         return clean
 
@@ -566,33 +590,9 @@ class PredictionServer(ThreadingHTTPServer):
         """Stop accepting, cancel pending work, stop the loop, release
         the socket. Idempotent — the drain path and the CLI's ``finally``
         may both call it."""
-        if self._closed:
-            return
-        self._closed = True
         self.draining.set()
-        self.shutdown()
-        if self._serve_thread is not None:
-            self._serve_thread.join(timeout=5.0)
-        if self._loop_thread.is_alive():
-            # Cancel pending work *on the loop* first: the coalesced
-            # futures (waiters shield the owner, so an abandoned
-            # in-flight call would pin its handler threads forever) and
-            # then every still-running task — a classify coroutine
-            # parked inside a wedged provider never finishes on its own.
-            async def _cancel_pending():
-                await self.service.engine.cancel_inflight()
-                current = asyncio.current_task()
-                for task in asyncio.all_tasks():
-                    if task is not current:
-                        task.cancel()
-
-            try:
-                asyncio.run_coroutine_threadsafe(
-                    _cancel_pending(), self.loop
-                ).result(timeout=2.0)
-            except Exception:  # pragma: no cover - best-effort shutdown
-                pass
-            self.loop.call_soon_threadsafe(self.loop.stop)
-            self._loop_thread.join(timeout=5.0)
+        if self._thread.is_alive():
+            self.loop.call_soon_threadsafe(self._stop.set)
+            self._thread.join(timeout=10.0)
         self.loop.close()
-        self.server_close()
+        self._sock.close()

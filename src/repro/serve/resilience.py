@@ -23,8 +23,8 @@ weather; this module is for the failures retry makes worse:
 
 Everything here is event-loop-confined by design: the serving engine
 mutates breakers and trackers only between awaits on its single loop, so
-none of it takes locks. Handler threads observe state through
-:meth:`CircuitBreaker.snapshot`, which only reads.
+none of it takes locks. ``/v1/stats`` reads state, on the same loop,
+through :meth:`CircuitBreaker.snapshot`.
 """
 
 from __future__ import annotations

@@ -5,13 +5,16 @@ work across one of three backends:
 
 * ``"sequential"`` — a plain loop; the reference semantics.
 * ``"thread"`` — a :class:`~concurrent.futures.ThreadPoolExecutor`; no
-  pickling, shared read-only state. Right for cached/IO-bound paths, but
-  the emulated models are pure-Python CPU work, so the GIL caps cold-sweep
-  speedup.
-* ``"process"`` — a :class:`~concurrent.futures.ProcessPoolExecutor`;
-  sidesteps the GIL so cold sweeps scale with cores. The mapped function
-  and its items must be picklable (module-level functions / ``partial``
-  over picklable args), and per-shard pickling is the overhead to amortise.
+  pickling, shared read-only state. The emulated models are pure-Python
+  CPU work, so the GIL caps cold-sweep speedup.
+* ``"process"`` — a :class:`~concurrent.futures.ProcessPoolExecutor`.
+  Every :func:`parallel_map` call opens a fresh pool, so its workers
+  start with empty per-process memos and redo the per-kernel analysis in
+  every matrix cell; on a 2-vCPU host a cold 6-GPU × both-regime matrix
+  with the stores off takes 1.5–2× as long with ``process --jobs 2`` as
+  with ``thread --jobs 1``. The multi-process path that pays is
+  ``sweep --shard`` plus ``merge-caches``. The mapped function and its items must be
+  picklable (module-level functions / ``partial`` over picklable args).
 
 Whatever the backend and worker count, results always come back in
 submission order, so any execution plan yields byte-identical downstream
@@ -39,7 +42,7 @@ MAX_JOBS = 64
 BACKENDS = ("sequential", "thread", "process")
 
 #: Default backend: threads keep the no-pickling semantics the repo grew
-#: up with; pass ``backend="process"`` for cold CPU-bound sweeps.
+#: up with, and beat ``"process"`` on small hosts (see the module doc).
 DEFAULT_BACKEND = "thread"
 
 

@@ -1,5 +1,9 @@
 """Tests for the command-line interface."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -474,3 +478,18 @@ class TestDoctorCommand:
         assert main(["doctor", *flags]) == 0
         assert journal.read_text() == LEGACY_JOURNAL_TEXT
         assert DiskResponseStore(tmp_path / "c").get("ab" + "0" * 62) == response
+
+
+def test_closed_stdout_exits_141_without_traceback():
+    """`repro-paper variants | true`: the reader is gone before the first
+    write. The CLI exits 141 (128 + SIGPIPE) with no traceback."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "variants"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={"PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+    )
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 141, err.decode()
+    assert b"Traceback" not in err and b"Exception" not in err

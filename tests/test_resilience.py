@@ -630,29 +630,43 @@ def test_http_stats_surface_resilience_fields(resilient_serving):
     assert stats["queue_budget"] == 2 and stats["draining"] is False
 
 
-def test_http_deadline_header(resilient_serving):
+@pytest.mark.parametrize("non_finite", ["nan", "inf", "-inf"])
+def test_http_deadline_header(resilient_serving, non_finite):
     server, engine, _, samples = resilient_serving
-    # Malformed deadline: 400 before any work.
-    with pytest.raises(urllib.error.HTTPError) as err:
-        _get_json(f"{server.url}/v1/classify?uid={samples[0].uid}",
-                  headers={"X-Deadline-Ms": "soon"})
-    assert err.value.code == 400
-    with pytest.raises(urllib.error.HTTPError) as err:
-        _get_json(f"{server.url}/v1/classify?uid={samples[0].uid}",
-                  headers={"X-Deadline-Ms": "-5"})
-    assert err.value.code == 400
+
+    def failed(query: str, deadline: str) -> urllib.error.HTTPError:
+        with pytest.raises(urllib.error.HTTPError) as err:
+            _get_json(f"{server.url}/v1/classify?{query}",
+                      headers={"X-Deadline-Ms": deadline})
+        err.value.close()
+        return err.value
+
+    # Malformed deadlines: 400 before any work. A non-finite one must not
+    # reach the engine: `nan <= 0` is false, and a nan budget times out
+    # every attempt, opening the provider breaker for every caller.
+    cold = f"uid={samples[0].uid}&variant=few-shot-2"
+    for deadline in ("soon", "-5", non_finite):
+        assert failed(cold, deadline).code == 400
+    assert engine.stats.total == 0
     # A cold query whose budget is gone before the first attempt: shed
     # with 429 + Retry-After, and nothing reached a provider.
-    with pytest.raises(urllib.error.HTTPError) as err:
-        _get_json(
-            f"{server.url}/v1/classify?uid={samples[0].uid}"
-            f"&variant=few-shot-2",
-            headers={"X-Deadline-Ms": "0.000001"},
-        )
-    assert err.value.code == 429
-    assert float(err.value.headers["Retry-After"]) > 0
+    shed = failed(cold, "0.000001")
+    assert shed.code == 429
+    assert float(shed.headers["Retry-After"]) > 0
     assert engine.stats.shed == 1
     assert engine.stats.completions == 0
+    # Warm and cold queries after all that still answer 200, and the
+    # provider breakers are closed.
+    status, body = _get_json(f"{server.url}/v1/classify?uid={samples[0].uid}")
+    assert status == 200 and body["cached"] is True
+    status, body = _get_json(
+        f"{server.url}/v1/classify?uid={samples[1].uid}&variant=few-shot-2",
+        headers={"X-Deadline-Ms": "60000"},
+    )
+    assert status == 200 and body["cached"] is False
+    breakers = _get_json(f"{server.url}/v1/stats")[1]["breakers"]
+    assert breakers
+    assert {b["state"] for b in breakers.values()} == {CLOSED}
 
 
 def test_http_queue_budget_sheds_with_retry_after(tmp_path, balanced_samples):
@@ -747,7 +761,7 @@ def test_http_timeout_cancels_the_abandoned_classify(
 
 def test_http_malformed_bodies_return_400(resilient_serving):
     server, _, _, _ = resilient_serving
-    host, port = server.server_address[0], server.port
+    host, port = "127.0.0.1", server.port
 
     def raw_post(body: bytes | None, content_length: str | None):
         conn = http.client.HTTPConnection(host, port, timeout=30)
@@ -788,12 +802,14 @@ def test_http_drain_flips_health_and_sheds_work(resilient_serving):
     server.draining.set()
     with pytest.raises(urllib.error.HTTPError) as err:
         _get_json(f"{server.url}/healthz")
-    assert err.value.code == 503
-    assert json.loads(err.value.read().decode())["status"] == "draining"
+    with err.value:
+        assert err.value.code == 503
+        assert json.loads(err.value.read().decode())["status"] == "draining"
     with pytest.raises(urllib.error.HTTPError) as err:
         _get_json(f"{server.url}/v1/classify?uid={samples[0].uid}")
-    assert err.value.code == 503
-    assert err.value.headers["Retry-After"] is not None
+    with err.value:
+        assert err.value.code == 503
+        assert err.value.headers["Retry-After"] is not None
     status, stats = _get_json(f"{server.url}/v1/stats")
     assert status == 200 and stats["draining"] is True
     assert server.drain(timeout=2.0) is True     # nothing in flight: clean
@@ -833,7 +849,11 @@ def test_http_close_with_inflight_does_not_hang(tmp_path, balanced_samples):
     t.join(timeout=10.0)
     assert not t.is_alive()
     # The stranded request surfaced an error, not a hang.
-    assert isinstance(outcome.get("result"), Exception)
+    error = outcome.get("result")
+    assert isinstance(error, Exception)
+    if isinstance(error, urllib.error.HTTPError):
+        with error:
+            assert error.code == 503
 
 
 # -- the example client honors Retry-After -----------------------------------

@@ -10,14 +10,16 @@ from __future__ import annotations
 
 import asyncio
 import http.client
-import io
 import json
+import logging
 import random
 import re
 import socket
+import struct
 import threading
 import urllib.error
 import urllib.request
+from http import HTTPStatus
 
 import pytest
 
@@ -45,7 +47,7 @@ from repro.serve import (
     provider_family,
     resolve_provider,
 )
-from repro.serve.http import _Handler
+from repro.serve.http import SERVER_TOKEN
 from repro.serve.providers import (
     WIRE_FAMILIES,
     AnthropicProvider,
@@ -505,18 +507,16 @@ def test_http_health_models_and_errors(serving):
     status, body = _get_json(f"{server.url}/v1/models")
     assert status == 200 and "o3-mini-high" in body["models"]
 
-    with pytest.raises(urllib.error.HTTPError) as err:
-        _get_json(f"{server.url}/v1/nope")
-    assert err.value.code == 404
-    with pytest.raises(urllib.error.HTTPError) as err:
-        _get_json(f"{server.url}/v1/classify")   # missing uid
-    assert err.value.code == 400
-    with pytest.raises(urllib.error.HTTPError) as err:
-        _get_json(f"{server.url}/v1/classify?uid=no/such-kernel")
-    assert err.value.code == 404
-    with pytest.raises(urllib.error.HTTPError) as err:
-        _get_json(f"{server.url}/v1/classify?uid=x&model=made-up-model")
-    assert err.value.code == 404
+    for path, code in [
+        ("/v1/nope", 404),
+        ("/v1/classify", 400),   # missing uid
+        ("/v1/classify?uid=no/such-kernel", 404),
+        ("/v1/classify?uid=x&model=made-up-model", 404),
+    ]:
+        with pytest.raises(urllib.error.HTTPError) as err:
+            _get_json(f"{server.url}{path}")
+        with err.value:
+            assert err.value.code == code
 
 
 def test_http_warm_queries_make_zero_completions(serving):
@@ -660,40 +660,29 @@ def test_http_samples_listing(serving):
 
 # -- the socket: TCP_NODELAY, one write per response, keep-alive -------------
 
-class _RecordingWriter:
-    """Wraps a handler's ``wfile`` and logs every write it is given."""
-
-    def __init__(self, inner, writes: list[bytes]):
-        self._inner = inner
-        self._writes = writes
-
-    def write(self, data):
-        self._writes.append(bytes(data))
-        return self._inner.write(data)
-
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
-
-
 @pytest.fixture()
 def connections(monkeypatch):
-    """One record per connection the server accepts: the accepted
-    socket's ``TCP_NODELAY`` value and every ``wfile.write`` on it."""
+    """One record per connection the server writes to: the accepted
+    socket's ``TCP_NODELAY`` value and every ``StreamWriter.write`` on
+    it, in the order the server made them."""
     accepted: list[dict] = []
-    setup = _Handler.setup
+    write = asyncio.StreamWriter.write
 
-    def recording_setup(self):
-        setup(self)
-        record = {
-            "nodelay": self.connection.getsockopt(
-                socket.IPPROTO_TCP, socket.TCP_NODELAY
-            ),
-            "writes": [],
-        }
-        self.wfile = _RecordingWriter(self.wfile, record["writes"])
-        accepted.append(record)
+    def recording_write(self, data):
+        record = vars(self).get("recorded")
+        if record is None:
+            try:
+                nodelay = self.get_extra_info("socket").getsockopt(
+                    socket.IPPROTO_TCP, socket.TCP_NODELAY
+                )
+            except OSError:
+                nodelay = None  # the client already hung up
+            record = self.recorded = {"nodelay": nodelay, "writes": []}
+            accepted.append(record)
+        record["writes"].append(bytes(data))
+        return write(self, data)
 
-    monkeypatch.setattr(_Handler, "setup", recording_setup)
+    monkeypatch.setattr(asyncio.StreamWriter, "write", recording_write)
     return accepted
 
 
@@ -707,9 +696,7 @@ def _split_response(write: bytes) -> tuple[list[bytes], bytes]:
     head, sep, body = write.partition(b"\r\n\r\n")
     assert sep, "response head not terminated"
     status, server, date, *rest = head.split(b"\r\n")
-    assert server == (
-        f"Server: {_Handler.server_version} {_Handler.sys_version}".encode()
-    )
+    assert server == f"Server: {SERVER_TOKEN}".encode()
     assert _DATE_LINE.fullmatch(date), date
     return [status, *rest], body
 
@@ -780,38 +767,130 @@ def test_keep_alive_connection_serves_warm_queries(serving, connections):
     assert engine.stats.completions == 0
 
 
-class _HungUpSocket:
-    """An accepted socket whose client sent a request, then hung up."""
-
-    def __init__(self, request: bytes, error: type[ConnectionError]):
-        self.request = request
-        self.error = error
-        self.sends = 0
-
-    def makefile(self, mode, bufsize=-1):
-        return io.BytesIO(self.request)
-
-    def sendall(self, data):
-        self.sends += 1
-        raise self.error("client went away")
-
-    def setsockopt(self, *args):
-        pass
-
-    def shutdown(self, how):
-        pass
-
-    def close(self):
-        pass
+def _read_responses(data: bytes) -> list[tuple[bytes, list[bytes], dict]]:
+    """Split raw response bytes into (status line, other head lines,
+    JSON body) triples, using each response's Content-Length."""
+    out = []
+    while data:
+        head, sep, data = data.partition(b"\r\n\r\n")
+        assert sep, "response head not terminated"
+        status, *lines = head.split(b"\r\n")
+        (length,) = [
+            int(line.split(b":")[1]) for line in lines
+            if line.lower().startswith(b"content-length:")
+        ]
+        out.append((status, lines, json.loads(data[:length])))
+        data = data[length:]
+    return out
 
 
-@pytest.mark.parametrize("error", [BrokenPipeError, ConnectionResetError])
-def test_client_disconnect_is_one_write_and_no_traceback(
-    serving, capsys, error
+def _raw(server, request: bytes, timeout: float = 30.0) -> bytes:
+    """Send raw bytes on one socket; return all the server sends until
+    it closes the connection."""
+    with socket.create_connection(
+        ("127.0.0.1", server.port), timeout=timeout
+    ) as sock:
+        sock.sendall(request)
+        chunks = []
+        while chunk := sock.recv(1 << 16):
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def test_pipelined_requests_are_answered_in_order(serving):
+    """Three requests in one send — a POST with a body, then two GETs —
+    answered in order on one socket; the last asks to close."""
+    server, _, samples, batch = serving
+    body = json.dumps({"uid": samples[0].uid}).encode()
+    answers = _read_responses(_raw(server, b"".join([
+        b"POST /v1/classify HTTP/1.1\r\nHost: x\r\n",
+        b"Content-Length: %d\r\n\r\n" % len(body), body,
+        b"GET /v1/models HTTP/1.1\r\nHost: x\r\n\r\n",
+        b"GET /healthz HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n",
+    ])))
+    assert [status for status, _, _ in answers] == [b"HTTP/1.1 200 OK"] * 3
+    classify, models, health = [payload for _, _, payload in answers]
+    by_uid = {r.item_id: r.prediction.word for r in batch.records}
+    assert classify["uid"] == samples[0].uid and classify["cached"] is True
+    assert classify["prediction"] == by_uid[samples[0].uid]
+    assert "o3-mini-high" in models["models"]
+    assert health == {"status": "ok"}
+
+
+@pytest.mark.parametrize("version, extra, closes", [
+    ("HTTP/1.1", "", False),
+    ("HTTP/1.1", "Connection: close\r\n", True),
+    ("HTTP/1.0", "", True),
+])
+def test_connection_close_and_http10_close_after_the_response(
+    serving, version, extra, closes
 ):
     server, _, _, _ = serving
-    sock = _HungUpSocket(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n", error)
-    # The per-connection path a server thread runs, handle_error included.
-    server.process_request_thread(sock, ("127.0.0.1", 0))
-    assert sock.sends == 1
+    request = f"GET /healthz {version}\r\nHost: x\r\n{extra}\r\n".encode()
+    with socket.create_connection(("127.0.0.1", server.port)) as sock:
+        sock.settimeout(30.0)
+        sock.sendall(request)
+        reply = sock.makefile("rb")
+        assert reply.readline() == b"HTTP/1.1 200 OK\r\n"
+        length = 0
+        while (line := reply.readline()) != b"\r\n":
+            if line.lower().startswith(b"content-length:"):
+                length = int(line.split(b":")[1])
+        assert json.loads(reply.read(length)) == {"status": "ok"}
+        if closes:
+            assert reply.read() == b""      # EOF: the server closed
+        else:
+            sock.settimeout(0.2)            # keep-alive: nothing more
+            with pytest.raises(TimeoutError):
+                sock.recv(1)
+        reply.close()
+
+
+@pytest.mark.parametrize("request_bytes, status", [
+    (b"GARBAGE\r\n\r\n", 400),
+    (b"GET /healthz FTP/1.1\r\n\r\n", 400),
+    (b"GET /healthz HTTP/2.0\r\n\r\n", 505),
+    (b"PUT /healthz HTTP/1.1\r\n\r\n", 501),
+    (b"GET /healthz HTTP/1.1\r\nX-Pad: " + b"a" * (1 << 16) + b"\r\n\r\n",
+     431),
+    (b"GET /" + b"a" * (1 << 16) + b" HTTP/1.1\r\n\r\n", 414),
+], ids=["request-line", "not-http", "version", "method",
+        "head-too-large", "request-line-too-long"])
+def test_unservable_requests_answer_json_and_close(
+    serving, request_bytes, status
+):
+    """Requests the server cannot parse or serve get a JSON error, then
+    the connection closes (the next bytes could not be framed)."""
+    server, _, _, _ = serving
+    (answer,) = _read_responses(_raw(server, request_bytes))
+    status_line, lines, body = answer
+    phrase = HTTPStatus(status).phrase
+    assert status_line == f"HTTP/1.1 {status} {phrase}".encode()
+    assert b"Connection: close" in lines
+    assert isinstance(body["error"], str) and body["error"]
+    assert _get_json(f"{server.url}/healthz")[0] == 200
+
+
+@pytest.mark.parametrize("hangup", ["close", "reset"])
+def test_client_hangup_is_at_most_one_write_and_no_traceback(
+    serving, connections, capsys, caplog, hangup
+):
+    """A client that sends a request and hangs up — closing, or
+    aborting with a RST — gets at most the one response write, and the
+    server logs nothing and keeps serving."""
+    server, _, samples, _ = serving
+    sock = socket.create_connection(("127.0.0.1", server.port))
+    if hangup == "reset":
+        sock.setsockopt(
+            socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+        )
+    sock.sendall(
+        f"GET /v1/classify?uid={samples[0].uid} HTTP/1.1\r\n"
+        f"Host: x\r\n\r\n".encode()
+    )
+    sock.close()
+    assert _get_json(f"{server.url}/healthz")[0] == 200
+    server.close()   # waits every connection coroutine out
+    assert all(len(c["writes"]) <= 1 for c in connections)
     assert "Traceback" not in capsys.readouterr().err
+    assert [r for r in caplog.records if r.levelno >= logging.ERROR] == []
