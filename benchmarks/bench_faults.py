@@ -31,7 +31,7 @@ MAX_RETRY_US = 50.0
 
 
 def _sweep(store):
-    engine = EvalEngine(jobs=JOBS, store=store, backend="thread")
+    engine = EvalEngine(jobs=JOBS, store=store)
     t0 = time.perf_counter()
     result = run_matrix(
         [get_model(MODEL)],

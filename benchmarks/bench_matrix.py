@@ -1,13 +1,12 @@
-"""E-matrix — hardware-matrix sweep: process-pool vs thread-pool cold time.
+"""E-matrix — hardware-matrix sweep: plain loop vs thread pool, cold and warm.
 
 The emulated models are pure-Python CPU work, so a cold sweep is
-GIL-bound under threads; the process backend shards it across cores. This
-bench runs one cold 2-GPU matrix slice per backend (fresh stores, so every
-completion is computed) and a warm thread replay, and records wall time.
-On a multi-core host the process backend should approach cores× over
-sequential while threads stay near 1×; on a single-core host the two
-backends tie (minus pool overhead), which the table makes visible rather
-than asserting away.
+GIL-bound under threads (``sweep --shard`` plus ``merge-caches`` is the
+multi-process path). This bench runs one cold 2-GPU matrix slice on the
+plain loop and on a thread pool (fresh stores, so every completion is
+computed), then a warm thread replay, and records wall time. Threads stay
+near 1× over the loop, which the table makes visible rather than
+asserting away; every plan must agree byte for byte.
 """
 
 from __future__ import annotations
@@ -28,8 +27,8 @@ SLICE = 60
 JOBS = max(4, os.cpu_count() or 1)
 
 
-def _sweep(backend: str, jobs: int, store=None):
-    engine = EvalEngine(jobs=jobs, store=store, backend=backend)
+def _sweep(jobs: int, store=None):
+    engine = EvalEngine(jobs=jobs, store=store)
     t0 = time.perf_counter()
     result = run_matrix(
         [get_model(n) for n in MODELS],
@@ -49,18 +48,15 @@ def test_matrix_backend_walltime(dataset):
                rqs=("rq2",), limit=1)
 
     clear_analysis_memo()
-    baseline, t_seq = _sweep("sequential", 1)
-    clear_analysis_memo()
-    threads, t_thread = _sweep("thread", JOBS)
+    baseline, t_seq = _sweep(1)
     store = MemoryResponseStore()
     clear_analysis_memo()
-    procs, t_proc = _sweep("process", JOBS, store=store)
-    warm, t_warm = _sweep("thread", JOBS, store=store)
+    threads, t_thread = _sweep(JOBS, store=store)
+    warm, t_warm = _sweep(JOBS, store=store)
 
     rows = [
         ["sequential cold", 1, f"{t_seq:.3f}", f"{t_seq / t_seq:.2f}x"],
         ["thread cold", JOBS, f"{t_thread:.3f}", f"{t_seq / t_thread:.2f}x"],
-        ["process cold", JOBS, f"{t_proc:.3f}", f"{t_seq / t_proc:.2f}x"],
         ["thread warm", JOBS, f"{t_warm:.3f}", f"{t_seq / t_warm:.2f}x"],
     ]
     print()
@@ -74,7 +70,6 @@ def test_matrix_backend_walltime(dataset):
 
     # Whatever the hardware, every plan must agree byte-for-byte.
     assert threads == baseline
-    assert procs == baseline
     assert warm == baseline
     # The warm replay is pure cache lookups: it must beat the cold sweep.
-    assert t_warm < t_proc or t_warm < t_thread
+    assert t_warm < t_thread

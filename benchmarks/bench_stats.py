@@ -40,7 +40,7 @@ MAX_STATS_SECONDS = 2.0
 
 
 def _sweep(store):
-    engine = EvalEngine(jobs=JOBS, store=store, backend="thread")
+    engine = EvalEngine(jobs=JOBS, store=store)
     t0 = time.perf_counter()
     result = run_matrix(
         [get_model(n) for n in MODELS],

@@ -7,7 +7,7 @@ between those rooflines, and checks which models track the flip (predict
 the device-specific truth on both GPUs) rather than answering from the
 code alone. Equivalent CLI::
 
-    repro-paper matrix --gpus v100,h100 --model all --jobs 4 --backend process
+    repro-paper matrix --gpus v100,h100 --model all --jobs 4
 
 Run:  python examples/hardware_matrix.py
 """
@@ -45,11 +45,10 @@ print(f"\n{len(flipped)} of {SLICE} kernels change class V100 -> H100, e.g.:")
 for uid in flipped[:5]:
     print(f"  {uid}: {v100[uid].value} -> {h100[uid].value}")
 
-# Sweep the grid with one shared engine on the process backend. Each cell
-# opens a fresh pool whose workers redo the per-kernel analysis, so on a
-# small host this is slower than the thread default; `sweep --shard` plus
-# `merge-caches` is the multi-process path that pays.
-engine = EvalEngine(jobs=0, backend="process")
+# Sweep the grid with one shared engine on a thread pool over every core.
+# The pool shares the per-kernel analysis memos, so each kernel is read
+# once; `sweep --shard` plus `merge-caches` is the multi-process path.
+engine = EvalEngine(jobs=0)
 result = run_matrix(models, gpus, rqs=("rq2",), limit=SLICE, engine=engine)
 print()
 print(result.render(flip_limit=10))

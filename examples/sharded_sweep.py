@@ -73,4 +73,4 @@ with tempfile.TemporaryDirectory() as tmp:
     print(f"\nreplay: {warm.stats.summary()}")
     assert warm.stats.completions == 0
     print(f"sweep digest: {result.digest()[:16]}…  "
-          "(same value on any worker count, backend, or shard plan)")
+          "(same value on any worker count or shard plan)")

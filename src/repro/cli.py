@@ -11,7 +11,7 @@ Installed as ``repro-paper``; every subcommand is also reachable via
     repro-paper rq4 --scope cuda
     repro-paper decompose --model o1 --limit 50
     repro-paper table1 --jobs 8
-    repro-paper matrix --gpus all --jobs 4 --backend process
+    repro-paper matrix --gpus all --jobs 4
     repro-paper matrix --gpus v100,h100 --rq both --stats
     repro-paper stats --gpus v100,h100 --rq both --stats-seed 7
     repro-paper variants
@@ -24,10 +24,9 @@ Installed as ``repro-paper``; every subcommand is also reachable via
     repro-paper serve --port 8077 --warm
     repro-paper sweep --gpus all --failure-mode collect --max-failures 20
 
-Experiment commands accept ``--jobs`` (workers; 0 = all cores) and
-``--backend`` (``thread`` default; ``process`` opens a fresh worker pool
-per call, and on a 2-vCPU host is slower than the default — the
-multi-process path is ``sweep --shard`` plus ``merge-caches``), and
+Experiment commands accept ``--jobs`` (workers; 0 = all cores): one job
+runs the plain loop, more run a thread pool in this process — the
+multi-process path is ``sweep --shard`` plus ``merge-caches``. They
 share a content-addressed response cache (``--cache-dir``, default
 ``$REPRO_CACHE_DIR`` or ``.repro-cache``; size-bound it with
 ``--cache-max-bytes``, disable with ``--no-cache``), so a repeated run
@@ -144,17 +143,10 @@ def _add_fault_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_engine_flags(p: argparse.ArgumentParser) -> None:
-    from repro.util.parallel import BACKENDS, DEFAULT_BACKEND
-
     p.add_argument("--jobs", type=int, default=1,
-                   help="workers for (model, item) work units "
-                        "(0 = all cores; default 1)")
-    p.add_argument("--backend", choices=BACKENDS, default=DEFAULT_BACKEND,
-                   help="executor backend: threads share memory; "
-                        "processes open a fresh pool per call and redo "
-                        "per-kernel analysis in every cell (slower on 2 "
-                        "vCPUs; for many cores use sweep --shard and "
-                        f"merge-caches); default {DEFAULT_BACKEND}")
+                   help="threads for (model, item) work units (0 = all "
+                        "cores; default 1, the plain loop; for many cores "
+                        "use sweep --shard and merge-caches)")
     _add_fault_flags(p)
     _add_cache_flags(p)
 
@@ -240,7 +232,8 @@ def _add_stats_flags(p: argparse.ArgumentParser) -> None:
                    help="seed for the bootstrap resampling streams "
                         f"(default {DEFAULT_STATS_SEED}; same seed = "
                         "same report digest)")
-    p.add_argument("--resamples", type=int, default=DEFAULT_RESAMPLES,
+    p.add_argument("--resamples", type=_positive_int,
+                   default=DEFAULT_RESAMPLES,
                    help="bootstrap resamples per (cell, metric) CI "
                         f"(default {DEFAULT_RESAMPLES})")
     p.add_argument("--ci-method", choices=("bca", "percentile"),
@@ -250,19 +243,38 @@ def _add_stats_flags(p: argparse.ArgumentParser) -> None:
                    help="CI confidence level (default 0.95)")
 
 
-def _non_negative_int(text: str) -> int:
-    """argparse type for counts and byte bounds (``--limit``,
-    ``--*max-bytes``): a negative value is a usage error, not a silent
-    slice from the end or an empty store."""
+def _int_in(text: str, low: int, high: int | None = None) -> int:
+    """``text`` as an integer in ``[low, high]``, else an argparse usage
+    error naming the bound."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected an integer, got {text!r}"
         ) from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+    if high is not None and value > high:
+        raise argparse.ArgumentTypeError(f"must be <= {high}, got {value}")
     return value
+
+
+def _non_negative_int(text: str) -> int:
+    """argparse type for counts and byte bounds (``--limit``,
+    ``--*max-bytes``): a negative value is a usage error, not a silent
+    slice from the end or an empty store."""
+    return _int_in(text, 0)
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for sizes that must admit at least one (attempts,
+    burst, concurrency, queue budget, resamples)."""
+    return _int_in(text, 1)
+
+
+def _port(text: str) -> int:
+    """argparse type for a TCP port; 0 picks an ephemeral one."""
+    return _int_in(text, 0, 65535)
 
 
 def _add_limit_flag(p: argparse.ArgumentParser, unit: str) -> None:
@@ -302,13 +314,16 @@ def _resolve_regimes(args: argparse.Namespace) -> tuple[str, ...]:
 def _build_stats(args: argparse.Namespace, result):
     from repro.analysis.stats import build_stats_report
 
-    return build_stats_report(
-        result,
-        seed=args.stats_seed,
-        n_resamples=args.resamples,
-        confidence=args.confidence,
-        ci_method=args.ci_method,
-    )
+    try:
+        return build_stats_report(
+            result,
+            seed=args.stats_seed,
+            n_resamples=args.resamples,
+            confidence=args.confidence,
+            ci_method=args.ci_method,
+        )
+    except ValueError as exc:  # e.g. a --confidence outside (0, 1)
+        raise _UsageError(exc) from None
 
 
 def _make_store(args: argparse.Namespace):
@@ -337,7 +352,6 @@ def _make_engine(args: argparse.Namespace):
         return EvalEngine(
             jobs=args.jobs,
             store=store,
-            backend=args.backend,
             failure_mode=getattr(args, "failure_mode", "fail_fast"),
             max_failures=getattr(args, "max_failures", None),
         )
@@ -394,9 +408,13 @@ def _cmd_dataset(args: argparse.Namespace) -> int:
 def _cmd_classify(args: argparse.Namespace) -> int:
     from repro.dataset import paper_dataset
     from repro.eval.rq23 import regime_variant
-    from repro.llm import get_model, query_cost_usd
+    from repro.llm import query_cost_usd
     from repro.prompts import build_classify_prompt
 
+    models = _select_models(args.model)
+    if len(models) != 1:
+        raise _UsageError("classify needs one --model, not 'all'")
+    model = models[0]
     _install_runtime(args)
     ds = paper_dataset()
     matches = [s for s in ds.balanced if s.uid == args.uid]
@@ -406,7 +424,6 @@ def _cmd_classify(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     sample = matches[0]
-    model = get_model(args.model)
     variant = regime_variant("rq3" if args.few_shot else "rq2")
     prompt = build_classify_prompt(sample, variant=variant)
     response = model.complete(prompt.text)
@@ -422,11 +439,16 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _select_models(name: str):
+    """``--model``: one zoo model, or every one for ``all``. An unknown
+    name raises :class:`_UsageError`."""
     from repro.llm import all_models, get_model
 
     if name == "all":
         return all_models()
-    return [get_model(name)]
+    try:
+        return [get_model(name)]
+    except KeyError as exc:
+        raise _UsageError(exc.args[0]) from None
 
 
 def _limited_samples(args: argparse.Namespace) -> list:
@@ -453,9 +475,9 @@ def _run_grid(args: argparse.Namespace, engine=None):
     from repro.eval.matrix import run_matrix
     from repro.roofline.hardware import resolve_gpus
 
+    models = _select_models(args.model)
     try:
         gpus = resolve_gpus(args.gpus)
-        models = _select_models(args.model)
     except (KeyError, ValueError) as exc:
         raise _UsageError(exc) from None
     if engine is None:
@@ -474,9 +496,10 @@ def _cmd_rq1(args: argparse.Namespace) -> int:
     from repro.eval.rq1 import run_rq1
     from repro.util.tables import format_table
 
+    models = _select_models(args.model)
     engine = _make_engine(args)
     rows = []
-    for model in _select_models(args.model):
+    for model in models:
         r = run_rq1(model, num_rooflines=args.rooflines, engine=engine)
         rows.append([model.name, r.best_accuracy, r.best_accuracy_cot])
     print(format_table(["Model", "RQ1 Acc", "RQ1 CoT Acc"], rows,
@@ -493,11 +516,12 @@ def _cmd_rq23(args: argparse.Namespace) -> int:
     from repro.eval.rq23 import regime_variant, run_classification
     from repro.util.tables import format_table
 
+    models = _select_models(args.model)
     engine = _make_engine(args)
     samples = _limited_samples(args)
     variant = regime_variant(args.command)
     rows = []
-    for model in _select_models(args.model):
+    for model in models:
         r = run_classification(model, samples, variant=variant, engine=engine)
         m = r.metrics
         rows.append([model.name, m.accuracy, m.macro_f1, m.mcc])
@@ -511,7 +535,7 @@ def _cmd_rq4(args: argparse.Namespace) -> int:
     from repro.eval.rq4 import run_rq4
 
     _install_runtime(args)
-    r = run_rq4(scope=args.scope, jobs=args.jobs, backend=args.backend)
+    r = run_rq4(scope=args.scope, jobs=args.jobs)
     print(f"scope:              {r.scope}")
     print(f"train/validation:   {r.train_size}/{r.validation_size}")
     print(f"validation acc:     {r.validation_metrics.accuracy:.2f}")
@@ -526,10 +550,11 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     from repro.eval.rq23 import run_rq2
     from repro.util.tables import format_table
 
+    models = _select_models(args.model)
     engine = _make_engine(args)
     samples = _limited_samples(args)
     rows = []
-    for model in _select_models(args.model):
+    for model in models:
         rq2 = run_rq2(model, samples, engine=engine).metrics
         dec = run_decompose_experiment(model, samples, engine=engine).metrics()
         rows.append([model.name, rq2.accuracy, dec.accuracy,
@@ -545,9 +570,9 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 def _cmd_table1(args: argparse.Namespace) -> int:
     from repro.eval.table1 import build_table1
 
+    models = _select_models(args.model)
     engine = _make_engine(args)
     samples = _limited_samples(args)
-    models = _select_models(args.model)
     table = build_table1(
         samples, models=models, num_rooflines=args.rooflines, engine=engine
     )
@@ -689,7 +714,7 @@ def _cmd_merge_caches(args: argparse.Namespace) -> int:
         return 0
 
     _install_runtime(args)
-    engine = EvalEngine(jobs=args.jobs, store=store, backend=args.backend)
+    engine = EvalEngine(jobs=args.jobs, store=store)
     result, _ = _run_grid(args, engine)
     print()
     print(result.render())
@@ -1016,14 +1041,10 @@ def build_parser() -> argparse.ArgumentParser:
         _add_limit_flag(p, "samples")
         _add_engine_flags(p)
 
-    from repro.util.parallel import BACKENDS, DEFAULT_BACKEND
-
     p = sub.add_parser("rq4", help="RQ4: fine-tuning study")
     p.add_argument("--scope", choices=("all", "cuda", "omp"), default="all")
     p.add_argument("--jobs", type=int, default=1,
                    help="workers for validation inference")
-    p.add_argument("--backend", choices=BACKENDS, default=DEFAULT_BACKEND,
-                   help="executor backend for validation inference")
     _add_store_flags(p)
 
     p = sub.add_parser("decompose", help="question-decomposition extension")
@@ -1104,7 +1125,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "merged cache and print the matrix report")
     _add_grid_flags(p)
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--backend", choices=BACKENDS, default=DEFAULT_BACKEND)
     _add_store_flags(p)
 
     p = sub.add_parser("cache", help="inspect, bound, or wipe the response "
@@ -1155,7 +1175,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "the warm response/profile/artifact stores")
     p.add_argument("--host", default="127.0.0.1",
                    help="bind address (default 127.0.0.1)")
-    p.add_argument("--port", type=int, default=8077,
+    p.add_argument("--port", type=_port, default=8077,
                    help="bind port; 0 picks an ephemeral port (default 8077)")
     p.add_argument("--provider-family", default="emulated",
                    help="completion path, or a comma-separated failover "
@@ -1166,7 +1186,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "'emulated,wire' fails over from the zoo to the "
                         "wire adapters when the primary's breaker opens "
                         "(default emulated)")
-    p.add_argument("--retries", type=int, default=4,
+    p.add_argument("--retries", type=_positive_int, default=4,
                    help="max attempts per upstream completion (default 4)")
     p.add_argument("--attempt-timeout", type=float, default=None,
                    help="per-attempt deadline in seconds, jittered "
@@ -1174,9 +1194,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rate-limit", type=float, default=None,
                    help="max upstream completions/s, token-bucket "
                         "(default: unlimited)")
-    p.add_argument("--burst", type=int, default=8,
+    p.add_argument("--burst", type=_positive_int, default=8,
                    help="rate-limit burst size (default 8)")
-    p.add_argument("--max-concurrency", type=int, default=64,
+    p.add_argument("--max-concurrency", type=_positive_int, default=64,
                    help="max in-flight completions per batch (default 64)")
     p.add_argument("--breaker-window", type=int, default=16,
                    help="circuit-breaker sliding window of attempt outcomes "
@@ -1193,7 +1213,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "p95 latency)")
     p.add_argument("--no-hedge", action="store_true",
                    help="never issue hedged backup requests")
-    p.add_argument("--queue-budget", type=int, default=64,
+    p.add_argument("--queue-budget", type=_positive_int, default=64,
                    help="max classifications in flight before shedding "
                         "with 429 + Retry-After (default 64)")
     p.add_argument("--drain-timeout", type=float, default=10.0,

@@ -143,11 +143,7 @@ def run_decompose_experiment(
         )
         return pred, recorder.usages
 
-    # Each chain completes through the shared engine (cache reads/writes and
-    # stats must stay in this process), so a process-backend engine clamps
-    # to threads here; sequential stays sequential.
-    backend = "thread" if engine.backend == "process" else engine.backend
-    pairs = parallel_map(one, list(samples), jobs=engine.jobs, backend=backend)
+    pairs = parallel_map(one, list(samples), jobs=engine.jobs)
     meter = UsageMeter(model.config)
     for _, usages in pairs:
         for usage in usages:

@@ -5,23 +5,21 @@ build a prompt, get one completion, parse one word. This module owns that
 hot path as one engine core that every executor drives:
 
 * **Lookup → compute → commit → assemble.** Each unit derives its
-  :func:`cache_key` once, looks it up in the store, computes a miss
-  (:func:`_compute`: the retry loop under the runtime's fault plan), and
-  commits the outcome (store write plus stats); a run is then assembled
-  into records and failures with usage metered in item order.
-  :class:`_EngineCore` holds the lookup and commit steps — the only code
-  that touches the response store or moves the unit counters — and both
-  :class:`EvalEngine` and :class:`repro.serve.engine.AsyncEvalEngine`
-  build on it, so every execution path yields the same
-  :class:`~repro.eval.runner.RunResult`, cache bytes and
-  :class:`CacheStats`.
-* **Executors only schedule.** :class:`EvalEngine` fans units over a
-  backend (:mod:`repro.util.parallel`) with deterministic,
-  submission-order results. The sequential and thread backends run each
-  unit's lookup → compute → commit as one task; the process backend
-  looks units up and commits them in the parent and ships only the
-  misses' compute to workers, so any :class:`ResponseStore` works
-  unchanged.
+  :func:`cache_key` once, looks it up in the store, computes a miss (the
+  retry loop under the runtime's fault plan, booking each re-attempt as
+  it happens), and commits the outcome (store write plus stats); a run
+  is then assembled into records and failures with usage metered in
+  item order. :class:`_EngineCore` holds the lookup and commit steps —
+  the only code that touches the response store or moves the unit
+  counters — and both :class:`EvalEngine` and
+  :class:`repro.serve.engine.AsyncEvalEngine` build on it, so every
+  execution path yields the same :class:`~repro.eval.runner.RunResult`,
+  cache bytes and :class:`CacheStats`.
+* **Executors only schedule.** :class:`EvalEngine` runs each unit's
+  lookup → compute → commit as one task of
+  :func:`~repro.util.parallel.parallel_map`: the plain loop at
+  ``jobs=1``, a thread pool above, with deterministic, submission-order
+  results either way.
 * Completions are memoized in a content-addressed store. Keys are
   :func:`cache_key` digests over the *full* model capability profile, the
   prompt text, and the sampling parameters, so any calibration change or
@@ -59,12 +57,7 @@ from repro.llm.pricing import Usage, UsageMeter
 from repro import runtime
 from repro.store.base import ArtifactStore, SegmentView
 from repro.util.hashing import stable_hash_bytes, stable_hash_u64
-from repro.util.parallel import (
-    DEFAULT_BACKEND,
-    parallel_map,
-    resolve_backend,
-    resolve_jobs,
-)
+from repro.util.parallel import parallel_map, resolve_jobs
 from repro.util.retry import RetryPolicy, TransientError, retry_call
 
 #: Bump when the cached-response record layout changes *incompatibly*.
@@ -519,58 +512,11 @@ class MaxFailuresExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class _FailedCompletion:
-    """Picklable marker a collect-mode unit yields instead of a response."""
+    """The marker a collect-mode unit yields instead of a response."""
 
     error_type: str
     error: str
     attempts: int
-
-
-def _compute(
-    model: LlmModel,
-    temperature: float | None,
-    top_p: float | None,
-    policy: RetryPolicy,
-    collect: bool,
-    unit: tuple[str, str],
-) -> tuple[CachedResponse | _FailedCompletion, int]:
-    """Compute one ``(key, prompt)`` unit: ``(outcome, retries)``.
-
-    Module-level over picklable args so the process backend can ship it to
-    workers (the model is pickled once per shard). The caller's cache key
-    seeds the retry RNG, so backoff jitter reproduces however the fan-out
-    schedules the unit, and selects its faults under the runtime's fault
-    plan (a worker's comes from the inherited ``$REPRO_FAULT_PLAN``). In
-    ``collect`` mode an exhausted transient failure returns as a
-    :class:`_FailedCompletion` marker instead of raising; anything
-    non-transient still propagates — that's a bug, not weather.
-    """
-    key, prompt = unit
-    plan = runtime.current().fault_plan
-    attempts = 0
-
-    def attempt() -> CachedResponse:
-        nonlocal attempts
-        attempts += 1
-        if plan is not None:
-            plan.completion_fault(key, attempts - 1)
-        response = model.complete(prompt, temperature=temperature, top_p=top_p)
-        return CachedResponse.from_response(response)
-
-    rng = random.Random(stable_hash_u64("retry", key))
-    try:
-        outcome = retry_call(attempt, policy=policy, rng=rng)
-    except TransientError as exc:
-        if not collect:
-            raise
-        outcome = _FailedCompletion(type(exc).__name__, str(exc), attempts)
-    return outcome, attempts - 1
-
-
-def _as_response(outcome, model_name: str) -> LlmResponse | _FailedCompletion:
-    if isinstance(outcome, _FailedCompletion):
-        return outcome
-    return outcome.to_response(model_name)
 
 
 class _EngineCore:
@@ -591,15 +537,10 @@ class _EngineCore:
         return cached
 
     def _commit(
-        self,
-        key: str,
-        outcome: CachedResponse | _FailedCompletion,
-        retries: int = 0,
+        self, key: str, outcome: CachedResponse | _FailedCompletion
     ) -> CachedResponse | _FailedCompletion:
         """Book one computed unit and store its response; returns it.
         An exhausted unit raises at the ``max_failures`` threshold."""
-        if retries:
-            self.stats._bump("retries", retries)
         if isinstance(outcome, _FailedCompletion):
             failed = self.stats._bump("failed")
             if self.max_failures is not None and failed >= self.max_failures:
@@ -628,17 +569,17 @@ class EvalEngine(_EngineCore):
     :attr:`stats` describe the sweep and its store amortises repeated
     prompts across experiments.
 
-    ``backend`` picks the executor for :meth:`run`'s fan-out: ``"thread"``
-    (default), ``"process"`` (a fresh pool per run, whose workers redo
-    per-kernel analysis; slower than the default on a 2-vCPU host, see
-    :mod:`repro.util.parallel`), or ``"sequential"``. Only the compute step
-    ever crosses a process boundary: lookups and commits run in this
-    process, so results, cache contents and every stats counter are
-    identical across backends.
+    ``jobs`` is the only executor setting: :meth:`run` fans units over
+    the plain loop at ``jobs=1`` and a thread pool above it; results,
+    cache contents and every stats counter are identical at any value.
+    The ``backend`` keyword and attribute exist only for the benchmark
+    harness in ``perfbench/``, which still passes and reads
+    ``"thread"``; any other value raises :class:`ValueError`.
 
     Fault tolerance: every completion attempt runs under ``retry`` (a
     :class:`~repro.util.retry.RetryPolicy`; jitter RNG seeded per unit
-    from its cache key, so retried sweeps reproduce). ``failure_mode``
+    from its cache key, so retried sweeps reproduce), and each re-attempt
+    is booked in ``stats.retries`` as it happens. ``failure_mode``
     decides what happens when a unit *exhausts* its retries —
     ``"fail_fast"`` (default) propagates and cancels the fan-out,
     ``"collect"`` records it as a
@@ -657,14 +598,19 @@ class EvalEngine(_EngineCore):
         *,
         jobs: int = 1,
         store: ResponseStore | None = None,
-        backend: str = DEFAULT_BACKEND,
+        backend: str = "thread",
         retry: RetryPolicy | None = None,
         failure_mode: str = "fail_fast",
         max_failures: int | None = None,
     ) -> None:
         self.jobs = resolve_jobs(jobs)
         self.store = store
-        self.backend = resolve_backend(backend)
+        if backend != "thread":
+            raise ValueError(
+                f"unknown executor backend {backend!r}; --jobs alone sets "
+                "parallelism"
+            )
+        self.backend = backend
         self.retry = retry if retry is not None else DEFAULT_RETRY_POLICY
         self.failure_mode = resolve_failure_mode(failure_mode)
         if max_failures is not None and max_failures < 1:
@@ -692,15 +638,46 @@ class EvalEngine(_EngineCore):
         collect: bool,
         prompt: str,
     ) -> LlmResponse | _FailedCompletion:
-        """Lookup → compute → commit for one unit, in this thread."""
+        """Lookup → compute → commit for one unit, in this thread.
+
+        A miss runs the retry loop under the runtime's fault plan, booking
+        each re-attempt as it happens. The cache key seeds the retry RNG,
+        so backoff jitter reproduces however the fan-out schedules the
+        unit, and selects the unit's faults. In ``collect`` mode an
+        exhausted transient failure commits as a :class:`_FailedCompletion`
+        marker instead of raising; anything non-transient still
+        propagates — that's a bug, not weather.
+        """
         key = cache_key(model.config, prompt, temperature, top_p)
         outcome = self._lookup(key)
         if outcome is None:
-            computed = _compute(
-                model, temperature, top_p, self.retry, collect, (key, prompt)
-            )
-            outcome = self._commit(key, *computed)
-        return _as_response(outcome, model.name)
+            plan = runtime.current().fault_plan
+            attempts = 0
+
+            def attempt() -> CachedResponse:
+                nonlocal attempts
+                attempts += 1
+                if plan is not None:
+                    plan.completion_fault(key, attempts - 1)
+                return CachedResponse.from_response(
+                    model.complete(prompt, temperature=temperature, top_p=top_p)
+                )
+
+            try:
+                outcome = retry_call(
+                    attempt,
+                    policy=self.retry,
+                    rng=random.Random(stable_hash_u64("retry", key)),
+                    on_retry=lambda _attempt, _exc: self.stats._bump("retries"),
+                )
+            except TransientError as exc:
+                if not collect:
+                    raise
+                outcome = _FailedCompletion(type(exc).__name__, str(exc), attempts)
+            self._commit(key, outcome)
+        if isinstance(outcome, _FailedCompletion):
+            return outcome
+        return outcome.to_response(model.name)
 
     # -- batched evaluation --------------------------------------------------
     def run(
@@ -716,54 +693,22 @@ class EvalEngine(_EngineCore):
         Drop-in replacement for the old sequential loop in
         :mod:`repro.eval.runner`: identical records in identical order, and
         usage metered in item order so cost floats sum identically at any
-        ``jobs`` and any backend — and across a crash: a re-run that
+        ``jobs`` — and across a crash: a re-run that
         replays the units spilled before it assembles the same result as
         an uninterrupted one.
         """
         items = list(items)
         if not items:
             raise ValueError("no items to run")
-        with self._batched():
-            responses = self._fan_out(model, items, temperature, top_p)
-        return _assemble(model, items, responses)
-
-    def _fan_out(
-        self,
-        model: LlmModel,
-        items: Sequence[tuple[str, str, object]],
-        temperature: float | None,
-        top_p: float | None,
-    ) -> list:
-        """Every unit's response (or failure marker), in item order.
-
-        Sequential and thread backends run each unit's lookup → compute →
-        commit as one task (one ``get`` per unit in item order, one ``put``
-        after its compute). The process backend looks every unit up here,
-        ships only the misses' compute to workers, and commits here in
-        submission order.
-        """
-        collect = self.failure_mode == "collect"
-        prompts = [prompt for _, prompt, _ in items]
-        if self.backend != "process" or self.jobs <= 1 or len(items) <= 1:
-            unit = partial(self._unit, model, temperature, top_p, collect)
-            return parallel_map(
-                unit, prompts, jobs=self.jobs, backend=self.backend
-            )
-        keys = [
-            cache_key(model.config, prompt, temperature, top_p)
-            for prompt in prompts
-        ]
-        outcomes = [self._lookup(key) for key in keys]
-        misses = [i for i, outcome in enumerate(outcomes) if outcome is None]
-        computed = parallel_map(
-            partial(_compute, model, temperature, top_p, self.retry, collect),
-            [(keys[i], prompts[i]) for i in misses],
-            jobs=self.jobs,
-            backend="process",
+        unit = partial(
+            self._unit, model, temperature, top_p,
+            self.failure_mode == "collect",
         )
-        for i, (outcome, retries) in zip(misses, computed):
-            outcomes[i] = self._commit(keys[i], outcome, retries)
-        return [_as_response(outcome, model.name) for outcome in outcomes]
+        with self._batched():
+            responses = parallel_map(
+                unit, [prompt for _, prompt, _ in items], jobs=self.jobs
+            )
+        return _assemble(model, items, responses)
 
 
 def _assemble(model, items: Sequence[tuple[str, str, object]], responses):

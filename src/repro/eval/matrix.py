@@ -48,7 +48,7 @@ from repro.llm.registry import all_models
 from repro.roofline.hardware import GPU_DATABASE, GpuSpec, short_gpu_name
 from repro.tokenizer import corpus_tokenizer
 from repro.types import Boundedness
-from repro.util.parallel import DEFAULT_BACKEND, parallel_map
+from repro.util.parallel import parallel_map
 from repro.util.tables import format_table
 
 #: Memoized device-specific sample sets, keyed by (gpu spec, uid subset).
@@ -242,8 +242,8 @@ class MatrixResult:
     def digest(self) -> str:
         """SHA-256 over the whole sweep (axes, per-cell run digests, flips).
 
-        Two sweeps of the same grid — whatever the worker count, backend,
-        or shard/merge plan that produced their caches — must agree on
+        Two sweeps of the same grid — whatever the worker count or
+        shard/merge plan that produced their caches — must agree on
         this value; CI and the shard benchmark assert exactly that.
         """
         payload = repr((
@@ -398,13 +398,12 @@ def run_matrix(
     limit: int = 0,
     engine: EvalEngine | None = None,
     jobs: int = 1,
-    backend: str = DEFAULT_BACKEND,
 ) -> MatrixResult:
     """Sweep the full (model × regime × GPU) grid.
 
     One engine spans every cell, so warm caches replay the whole matrix and
-    ``engine.stats`` describe the sweep; pass ``backend="process"`` for a
-    cold sweep that scales with cores. ``rqs`` entries are regime labels —
+    ``engine.stats`` describe the sweep; ``sweep --shard`` plus
+    ``merge-caches`` spreads a cold sweep over processes. ``rqs`` entries are regime labels —
     RQ aliases or prompt-variant names (see :func:`regime_variant`).
     ``limit`` truncates the kernel subset *before* profiling — only the
     first N balanced kernels are profiled per device, and the same kernels
@@ -417,7 +416,7 @@ def run_matrix(
         raise ValueError(f"duplicate matrix regimes in {tuple(rqs)}")
     if not gpus:
         raise ValueError("no GPUs selected")
-    engine = engine or EvalEngine(jobs=jobs, backend=backend)
+    engine = engine or EvalEngine(jobs=jobs)
 
     uids = grid_uids(limit, jobs=engine.jobs) if limit else None
 

@@ -20,7 +20,6 @@ from repro.llm.finetune import (
 )
 from repro.prompts import build_classify_prompt
 from repro.types import Boundedness, Language
-from repro.util.parallel import DEFAULT_BACKEND
 
 
 @dataclass(frozen=True)
@@ -53,11 +52,10 @@ def run_rq4(
     scope: str = "all",
     config: FineTuneConfig | None = None,
     jobs: int = 1,
-    backend: str = DEFAULT_BACKEND,
 ) -> Rq4Result:
     """Fine-tune and evaluate; ``scope`` restricts to one language.
 
-    Training is inherently sequential SGD; ``jobs``/``backend`` parallelise
+    Training is inherently sequential SGD; ``jobs`` parallelises
     the validation inference pass (and a cold-start dataset build).
     """
     ds = dataset or paper_dataset(jobs=jobs)
@@ -77,7 +75,7 @@ def run_rq4(
 
     clf = FineTunedClassifier(config, seed_key=f"finetune-{scope}")
     history = clf.train(train_prompts, train_labels)
-    predictions = clf.predict_many(val_prompts, jobs=jobs, backend=backend)
+    predictions = clf.predict_many(val_prompts, jobs=jobs)
 
     entropy = prediction_entropy(predictions)
     collapsed_to = predictions[0] if len(set(predictions)) == 1 else None
@@ -92,25 +90,17 @@ def run_rq4(
     )
 
 
-def _rq4_scope(dataset: PaperDataset, scope: str) -> Rq4Result:
-    """Module-level so the process backend can pickle the work unit."""
-    return run_rq4(dataset, scope=scope)
-
-
 def run_rq4_all_scopes(
-    dataset: PaperDataset | None = None, *, jobs: int = 1, backend: str = DEFAULT_BACKEND
+    dataset: PaperDataset | None = None, *, jobs: int = 1
 ) -> list[Rq4Result]:
     """The paper's three fine-tune runs: full dataset, CUDA-only, OMP-only.
 
     The three scopes are independent fine-tunes, so they shard across the
-    pool (each keeps its own deterministic seed stream); the SGD loops are
-    pure CPU, so ``backend="process"`` runs them truly concurrently.
+    pool (each keeps its own deterministic seed stream).
     """
-    from functools import partial
-
     from repro.util.parallel import parallel_map
 
     ds = dataset or paper_dataset(jobs=jobs)
     return parallel_map(
-        partial(_rq4_scope, ds), ("all", "cuda", "omp"), jobs=jobs, backend=backend
+        lambda scope: run_rq4(ds, scope=scope), ("all", "cuda", "omp"), jobs=jobs
     )

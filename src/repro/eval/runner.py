@@ -17,7 +17,6 @@ from repro.eval.engine import EvalEngine, ResponseStore
 from repro.eval.metrics import MetricReport
 from repro.llm.base import LlmModel
 from repro.types import Boundedness
-from repro.util.parallel import DEFAULT_BACKEND
 
 
 @dataclass(frozen=True)
@@ -158,16 +157,15 @@ def run_queries(
     temperature: float | None = None,
     top_p: float | None = None,
     jobs: int = 1,
-    backend: str = DEFAULT_BACKEND,
     cache: ResponseStore | None = None,
     engine: EvalEngine | None = None,
 ) -> RunResult:
     """Evaluate ``items`` of (item_id, prompt, truth) against one model.
 
-    ``jobs``/``backend``/``cache`` configure a throwaway engine; pass
-    ``engine`` instead to share a pool and hit/miss stats across calls.
-    Results are identical at any worker count and on any backend.
+    ``jobs``/``cache`` configure a throwaway engine; pass ``engine``
+    instead to share a pool and hit/miss stats across calls. Results are
+    identical at any worker count.
     """
     if engine is None:
-        engine = EvalEngine(jobs=jobs, store=cache, backend=backend)
+        engine = EvalEngine(jobs=jobs, store=cache)
     return engine.run(model, items, temperature=temperature, top_p=top_p)

@@ -139,16 +139,12 @@ class FineTunedClassifier:
         )
 
     def predict_many(
-        self, prompts: list[str], *, jobs: int = 1, backend: str = "thread"
+        self, prompts: list[str], *, jobs: int = 1
     ) -> list[Boundedness]:
-        """Predict every prompt; inference is read-only, so it fans out.
-
-        ``self.predict`` is a bound method of a picklable classifier, so the
-        process backend works too (weights ship once per shard).
-        """
+        """Predict every prompt; inference is read-only, so it fans out."""
         from repro.util.parallel import parallel_map
 
-        return parallel_map(self.predict, prompts, jobs=jobs, backend=backend)
+        return parallel_map(self.predict, prompts, jobs=jobs)
 
 
 def prediction_entropy(predictions: list[Boundedness]) -> float:

@@ -63,6 +63,7 @@ import sys
 import threading
 import time
 from email.utils import formatdate
+from functools import partial
 from http import HTTPStatus
 from typing import Sequence
 from urllib.parse import parse_qs, urlsplit
@@ -102,9 +103,9 @@ class PredictionService:
     """The serving application: samples + providers + async engine.
 
     Sample indices and provider chains are built lazily and memoized:
-    the first query against a GPU pays its (profile-store-backed) dataset
-    build in a worker thread, later ones are dictionary lookups. The
-    memos are read and written only on the event loop (and by
+    the first queries against a GPU share one (profile-store-backed)
+    dataset build in a worker thread, later ones are dictionary lookups.
+    The memos are read and written only on the event loop (and by
     :meth:`warm`, before serving starts), so they need no lock.
 
     ``provider_family`` may be a comma-separated failover chain
@@ -136,6 +137,8 @@ class PredictionService:
         self._providers: dict[str, ProviderChain] = {}
         # gpu key (None = the paper's default target) → uid → sample
         self._samples: dict[str | None, dict[str, Sample]] = {}
+        # gpu key → the one in-flight build of its index
+        self._building: dict[str | None, asyncio.Task] = {}
 
     # -- lazy indices --------------------------------------------------------
     def provider(self, model_name: str) -> ProviderChain:
@@ -161,12 +164,29 @@ class PredictionService:
         return {s.uid: s for s in samples}
 
     async def _sample_index(self, gpu: GpuSpec | None) -> dict[str, Sample]:
+        """The GPU's index; concurrent first queries share one build.
+
+        The build is shielded, so a waiter cancelled by its 504 leaves it
+        running for the others. A finished build installs its index; a
+        failed one is forgotten, so the next query builds again.
+        """
         key = gpu.name if gpu is not None else None
-        if key not in self._samples:
-            built = await asyncio.to_thread(self._build_index, gpu)
-            # A concurrent first query may have installed it meanwhile.
-            self._samples.setdefault(key, built)
-        return self._samples[key]
+        index = self._samples.get(key)
+        if index is not None:
+            return index
+        build = self._building.get(key)
+        if build is None:
+            build = asyncio.create_task(
+                asyncio.to_thread(self._build_index, gpu)
+            )
+            self._building[key] = build
+            build.add_done_callback(partial(self._install_index, key))
+        return await asyncio.shield(build)
+
+    def _install_index(self, key: str | None, build: asyncio.Task) -> None:
+        del self._building[key]
+        if not build.cancelled() and build.exception() is None:
+            self._samples.setdefault(key, build.result())
 
     def warm(self) -> int:
         """Build the default sample index before serving; returns its size."""

@@ -1,35 +1,22 @@
-"""Deterministic fan-out over pluggable executor backends.
+"""Deterministic in-process fan-out.
 
-Every sweep in the repo funnels through :func:`parallel_map`, which shards
-work across one of three backends:
+Every sweep in the repo funnels through :func:`parallel_map`: ``jobs <= 1``
+(or a single item) runs the plain loop, the reference semantics; more jobs
+shard the items over a :class:`~concurrent.futures.ThreadPoolExecutor`
+that shares the process's memos and read-only state. The emulated models
+are pure-Python CPU work, so the GIL caps cold-sweep speedup. The
+multi-process path is ``sweep --shard I/N`` plus ``merge-caches``: each
+shard is its own process over its own cache, and the merged cache replays
+byte-identically to a single-machine run.
 
-* ``"sequential"`` — a plain loop; the reference semantics.
-* ``"thread"`` — a :class:`~concurrent.futures.ThreadPoolExecutor`; no
-  pickling, shared read-only state. The emulated models are pure-Python
-  CPU work, so the GIL caps cold-sweep speedup.
-* ``"process"`` — a :class:`~concurrent.futures.ProcessPoolExecutor`.
-  Every :func:`parallel_map` call opens a fresh pool, so its workers
-  start with empty per-process memos and redo the per-kernel analysis in
-  every matrix cell; on a 2-vCPU host a cold 6-GPU × both-regime matrix
-  with the stores off takes 1.5–2× as long with ``process --jobs 2`` as
-  with ``thread --jobs 1``. The multi-process path that pays is
-  ``sweep --shard`` plus ``merge-caches``. The mapped function and its items must be
-  picklable (module-level functions / ``partial`` over picklable args).
-
-Whatever the backend and worker count, results always come back in
-submission order, so any execution plan yields byte-identical downstream
-artefacts.
+Whatever the worker count, results always come back in submission order,
+so any execution plan yields byte-identical downstream artefacts.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import (
-    FIRST_EXCEPTION,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    wait,
-)
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from typing import Callable, Iterable, Sequence, TypeVar
 
 T = TypeVar("T")
@@ -38,29 +25,12 @@ R = TypeVar("R")
 #: Hard ceiling on worker threads (beyond this the GIL is the bottleneck).
 MAX_JOBS = 64
 
-#: The recognised executor backends, in "cheapest first" order.
-BACKENDS = ("sequential", "thread", "process")
-
-#: Default backend: threads keep the no-pickling semantics the repo grew
-#: up with, and beat ``"process"`` on small hosts (see the module doc).
-DEFAULT_BACKEND = "thread"
-
 
 def resolve_jobs(jobs: int) -> int:
     """Normalise a ``--jobs`` value: 0 or negative means "all cores"."""
     if jobs <= 0:
         jobs = os.cpu_count() or 1
     return max(1, min(int(jobs), MAX_JOBS))
-
-
-def resolve_backend(backend: str) -> str:
-    """Validate and normalise an executor-backend name."""
-    name = str(backend).strip().lower()
-    if name not in BACKENDS:
-        raise ValueError(
-            f"unknown executor backend {backend!r}; choose from {BACKENDS}"
-        )
-    return name
 
 
 def round_robin_partition(seq: Sequence[T], buckets: int) -> list[list[T]]:
@@ -79,25 +49,20 @@ def round_robin_partition(seq: Sequence[T], buckets: int) -> list[list[T]]:
 
 def _shards(seq: Sequence[T], jobs: int) -> list[Sequence[T]]:
     """Contiguous chunks — a handful per worker, so the pool amortises
-    scheduling (and, for processes, pickling) over many items while still
-    load-balancing uneven work units."""
+    scheduling over many items while still load-balancing uneven work
+    units."""
     chunk = max(1, len(seq) // (jobs * 4))
     return [seq[i : i + chunk] for i in range(0, len(seq), chunk)]
 
 
 def _apply_shard(fn: Callable[[T], R], shard: Sequence[T]) -> list[R]:
-    """Module-level so the process backend can pickle (fn, shard) pairs."""
     return [fn(x) for x in shard]
 
 
 def parallel_map(
-    fn: Callable[[T], R],
-    items: Iterable[T],
-    *,
-    jobs: int = 1,
-    backend: str = DEFAULT_BACKEND,
+    fn: Callable[[T], R], items: Iterable[T], *, jobs: int = 1
 ) -> list[R]:
-    """Apply ``fn`` to every item, fanning out across ``jobs`` workers.
+    """Apply ``fn`` to every item, fanning out across ``jobs`` threads.
 
     Results are returned in input order. Failure is **fail-fast**: the
     moment any shard raises, every not-yet-started shard is cancelled and
@@ -105,19 +70,15 @@ def parallel_map(
     shard's time instead of burning workers on doomed shards. (Shards
     already running when the failure lands finish their in-flight work;
     executors cannot preempt them.) ``jobs <= 1`` (or a single item)
-    always degrades to the sequential loop, whatever the backend. With
-    ``backend="process"``, ``fn`` and the items must be picklable; each
-    shard pickles ``fn`` once.
+    always degrades to the sequential loop.
     """
     seq: Sequence[T] = items if isinstance(items, (list, tuple)) else list(items)
     jobs = resolve_jobs(jobs)
-    backend = resolve_backend(backend)
-    if jobs <= 1 or len(seq) <= 1 or backend == "sequential":
+    if jobs <= 1 or len(seq) <= 1:
         return [fn(x) for x in seq]
     jobs = min(jobs, len(seq))
     shards = _shards(seq, jobs)
-    pool_cls = ProcessPoolExecutor if backend == "process" else ThreadPoolExecutor
-    with pool_cls(max_workers=jobs) as pool:
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
         futures = [pool.submit(_apply_shard, fn, shard) for shard in shards]
         wait(futures, return_when=FIRST_EXCEPTION)
         failed = next(

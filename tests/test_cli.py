@@ -24,6 +24,34 @@ class TestParser:
         assert args.limit == 0
 
 
+#: Each subcommand that took ``--backend``, with its required arguments.
+BACKEND_COMMANDS = {
+    "rq1": ["rq1"],
+    "rq2": ["rq2"],
+    "rq3": ["rq3"],
+    "rq4": ["rq4"],
+    "decompose": ["decompose"],
+    "table1": ["table1"],
+    "matrix": ["matrix"],
+    "stats": ["stats"],
+    "export": ["export", "matrix", "--out", "{tmp}/m.json"],
+    "sweep": ["sweep"],
+    "merge-caches": ["merge-caches", "{tmp}/a", "--into", "{tmp}/b"],
+}
+
+#: Each subcommand taking ``--model`` that the grid tests above do not
+#: cover, with its required arguments.
+MODEL_COMMANDS = {
+    "rq1": ["rq1"],
+    "rq2": ["rq2"],
+    "rq3": ["rq3"],
+    "classify": ["classify", "cuda/saxpy-v1"],
+    "decompose": ["decompose"],
+    "table1": ["table1"],
+    "sweep": ["sweep", "--shard", "1/2", "--cache-dir", "{tmp}/c"],
+}
+
+
 class TestCommands:
     def test_models(self, capsys):
         assert main(["models"]) == 0
@@ -106,11 +134,22 @@ class TestCommands:
         assert "V100" in out and "H100" in out
 
     def test_matrix_process_backend(self, capsys, dataset):
-        assert main([
+        """``--backend`` is rejected: ``--jobs`` alone picks the loop or a
+        thread pool, and both print the same table."""
+        argv = [
             "matrix", "--model", "gpt-4o-mini", "--gpus", "rtx 3080",
-            "--limit", "8", "--jobs", "2", "--backend", "process",
-        ]) == 0
-        assert "RTX 3080" in capsys.readouterr().out
+            "--limit", "8", "--no-cache",
+        ]
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--jobs", "2", "--backend", "process"])
+        assert excinfo.value.code == 2
+        capsys.readouterr()
+        tables = []
+        for jobs in ("1", "2"):
+            assert main([*argv, "--jobs", jobs]) == 0
+            tables.append(capsys.readouterr().out)
+        assert "RTX 3080" in tables[0]
+        assert tables[0] == tables[1]
 
     def test_matrix_unknown_gpu(self, capsys, dataset):
         assert main(["matrix", "--gpus", "tpu-v5", "--limit", "4"]) == 2
@@ -124,12 +163,26 @@ class TestCommands:
         assert main(argv) == 2
         assert "unknown model" in capsys.readouterr().err
 
-    def test_backend_flag_on_rq_commands(self, capsys, dataset):
-        assert main([
-            "rq2", "--model", "o3-mini", "--limit", "8",
-            "--backend", "sequential",
-        ]) == 0
-        assert "8 samples" in capsys.readouterr().out
+    def test_backend_flag_on_rq_commands(self, capsys, tmp_path):
+        """Every command that took ``--backend`` now rejects it as an
+        unrecognized argument, whatever its value."""
+        for command, argv in sorted(BACKEND_COMMANDS.items()):
+            with pytest.raises(SystemExit) as excinfo:
+                build_parser().parse_args([
+                    *(a.format(tmp=tmp_path) for a in argv),
+                    "--backend", "thread",
+                ])
+            assert excinfo.value.code == 2, command
+            err = capsys.readouterr().err
+            assert "unrecognized arguments: --backend thread" in err, command
+
+    @pytest.mark.parametrize("command", sorted(MODEL_COMMANDS))
+    def test_unknown_model_exits_2(self, capsys, tmp_path, command):
+        argv = [a.format(tmp=tmp_path) for a in MODEL_COMMANDS[command]]
+        assert main([*argv, "--model", "nosuch"]) == 2
+        err = capsys.readouterr().err
+        assert "error: unknown model 'nosuch'" in err
+        assert "Traceback" not in err
 
 
 #: Each subcommand taking ``--limit``, with its required arguments.
@@ -233,6 +286,52 @@ class TestMaxBytesFlags:
         assert {n: _store_files(r) for n, r in dirs.items()} == before
 
 
+#: Numeric flags that must admit at least one (or a valid port), keyed
+#: "command flag value", with the rest of each command line.
+NUMERIC_FLAGS = {
+    "serve --retries 0": ["serve"],
+    "serve --burst 0": ["serve", "--rate-limit", "5"],
+    "serve --max-concurrency 0": ["serve"],
+    "serve --queue-budget 0": ["serve"],
+    "serve --port 70000": ["serve"],
+    "serve --port -1": ["serve"],
+    "stats --resamples 0": ["stats"],
+    "matrix --resamples 0": ["matrix"],
+}
+
+
+class TestNumericFlags:
+    @pytest.mark.parametrize("case", sorted(NUMERIC_FLAGS))
+    def test_out_of_range_is_a_usage_error(self, capsys, case):
+        _, flag, value = case.split()
+        with pytest.raises(SystemExit) as excinfo:
+            main([*NUMERIC_FLAGS[case], f"{flag}={value}"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: must be " in err
+        assert "Traceback" not in err
+
+    def test_in_range_values_parse(self):
+        args = build_parser().parse_args([
+            "serve", "--retries", "1", "--burst", "1", "--port", "0",
+            "--max-concurrency", "1", "--queue-budget", "1",
+        ])
+        assert (args.retries, args.burst, args.port) == (1, 1, 0)
+        assert (args.max_concurrency, args.queue_budget) == (1, 1)
+        assert build_parser().parse_args(
+            ["serve", "--port", "65535"]
+        ).port == 65535
+
+    def test_confidence_outside_unit_interval(self, capsys, dataset):
+        assert main([
+            "stats", "--model", "o3-mini", "--gpus", "v100", "--limit", "4",
+            "--no-cache", "--confidence", "1.5",
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "error: confidence must lie in (0, 1), got 1.5" in err
+        assert "Traceback" not in err
+
+
 class TestShardedSweepCli:
     def test_sweep_defaults_to_whole_grid(self):
         args = build_parser().parse_args(["sweep"])
@@ -332,12 +431,6 @@ class TestShardedSweepCli:
 
 
 class TestFaultFlags:
-    def test_unknown_backend_exits_2_listing_choices(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            build_parser().parse_args(["rq2", "--backend", "bogus"])
-        assert excinfo.value.code == 2
-        assert "thread" in capsys.readouterr().err
-
     def test_unknown_failure_mode_exits_2_listing_choices(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args(["rq2", "--failure-mode", "explode"])

@@ -2,7 +2,7 @@
 
 Seeded corpus + seeded (deterministic) models must yield byte-identical
 ``RunResult`` artefacts no matter how the work is executed: any worker
-count, any executor backend (sequential/thread/process), any submission
+count (the plain loop at one job, a thread pool above), any submission
 shuffle, cold or warm cache, memory or disk store.
 """
 
@@ -14,7 +14,6 @@ from repro.eval.engine import EvalEngine, MemoryResponseStore
 from repro.eval.runner import run_queries
 from repro.llm import MODEL_NAMES, get_model
 from repro.prompts.rq1 import build_rq1_prompt, generate_rq1_questions
-from repro.util.parallel import BACKENDS
 from repro.util.rng import RngStream
 
 #: One shared seeded workload: RQ1 questions are corpus-free and cheap.
@@ -108,64 +107,57 @@ class TestParallelismInvariance:
 
 
 class TestBackendInvariance:
-    """``thread``/``process``/``sequential`` are pure execution details."""
+    """The executor — the plain loop at ``jobs=1``, a thread pool above —
+    is a pure execution detail."""
 
     @settings(max_examples=10, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(
         model_name=st.sampled_from(MODEL_NAMES),
-        backend=st.sampled_from(BACKENDS),
         jobs=st.integers(min_value=1, max_value=6),
     )
-    def test_backend_never_changes_result(self, model_name, backend, jobs):
+    def test_backend_never_changes_result(self, model_name, jobs):
         model = get_model(model_name)
         baseline = run_queries(model, _ITEMS)
-        result = run_queries(model, _ITEMS, jobs=jobs, backend=backend)
+        result = run_queries(model, _ITEMS, jobs=jobs)
         assert run_bytes(result) == run_bytes(baseline)
 
     @settings(max_examples=8, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(
-        backend=st.sampled_from(BACKENDS),
         cold_jobs=st.integers(min_value=1, max_value=6),
         warm_jobs=st.integers(min_value=1, max_value=6),
     )
-    def test_backend_cache_contents_identical(self, backend, cold_jobs, warm_jobs):
-        """Every backend writes the same key → response mapping, and warm
-        replays stay byte-identical across backends."""
+    def test_backend_cache_contents_identical(self, cold_jobs, warm_jobs):
+        """Every worker count writes the same key → response mapping, and
+        warm replays stay byte-identical across worker counts."""
         model = get_model("o3-mini-high")
         reference = MemoryResponseStore()
         baseline = run_queries(model, _ITEMS, jobs=1, cache=reference)
         store = MemoryResponseStore()
-        cold = run_queries(
-            model, _ITEMS, jobs=cold_jobs, backend=backend, cache=store
-        )
+        cold = run_queries(model, _ITEMS, jobs=cold_jobs, cache=store)
         assert store._data == reference._data
-        warm = run_queries(
-            model, _ITEMS, jobs=warm_jobs, backend=backend, cache=store
-        )
+        warm = run_queries(model, _ITEMS, jobs=warm_jobs, cache=store)
         assert store._data == reference._data
         assert run_bytes(cold) == run_bytes(baseline)
         assert run_bytes(warm) == run_bytes(baseline)
 
     @pytest.mark.parametrize("jobs", [1, 4])
     def test_backends_share_disk_cache_files(self, jobs, tmp_path):
-        """A disk cache written by one backend is replayed verbatim by the
-        others: same compacted file set, zero new completions."""
+        """A disk cache written at one worker count is replayed verbatim at
+        every other: same compacted file set, zero new completions."""
         from repro.eval.engine import DiskResponseStore
 
         model = get_model("gpt-4o-mini")
         root = tmp_path / "store"
-        writer = EvalEngine(
-            jobs=jobs, store=DiskResponseStore(root), backend="process"
-        )
+        writer = EvalEngine(jobs=jobs, store=DiskResponseStore(root))
         baseline = writer.run(model, _ITEMS)
         DiskResponseStore(root).compact()
         files = sorted(p.name for p in root.glob("responses-*.bin"))
         assert writer.stats.misses == len(_ITEMS)
-        for backend in BACKENDS:
+        for reader_jobs in (1, 4):
             reader = EvalEngine(
-                jobs=jobs, store=DiskResponseStore(root), backend=backend
+                jobs=reader_jobs, store=DiskResponseStore(root)
             )
             replay = reader.run(model, _ITEMS)
             assert run_bytes(replay) == run_bytes(baseline)
@@ -174,24 +166,15 @@ class TestBackendInvariance:
         DiskResponseStore(root).compact()
         assert sorted(p.name for p in root.glob("responses-*.bin")) == files
 
-    def test_process_backend_mixed_warmth(self):
-        """A half-warm store: hits come from the parent, misses from the
-        workers, stitched back in submission order."""
-        model = get_model("o1")
-        store = MemoryResponseStore()
-        half = list(_ITEMS[::2])
-        run_queries(model, half, jobs=1, cache=store)
-        engine = EvalEngine(jobs=4, store=store, backend="process")
-        result = engine.run(model, _ITEMS)
-        assert run_bytes(result) == run_bytes(run_queries(model, _ITEMS))
-        assert engine.stats.hits == len(half)
-        assert engine.stats.misses == len(_ITEMS) - len(half)
-
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            EvalEngine(backend="fibers")
-        with pytest.raises(ValueError):
-            run_queries(get_model("o1"), _ITEMS, backend="gpu")
+        """``backend`` accepts only the constant ``"thread"`` the benchmark
+        harness passes and reads."""
+        assert EvalEngine(backend="thread").backend == "thread"
+        for name in ("process", "sequential", "fibers"):
+            with pytest.raises(ValueError):
+                EvalEngine(backend=name)
+        with pytest.raises(TypeError):
+            run_queries(get_model("o1"), _ITEMS, backend="thread")
 
 
 class TestSeededPipelineDeterminism:

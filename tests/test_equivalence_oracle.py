@@ -1,14 +1,14 @@
 """Equivalence oracle: every execution path of one small grid agrees.
 
-One seeded grid runs through every way the repo can evaluate it — the sequential, thread and
-process backends with the response store off, cold on disk and warm on
-disk; the async engine cold and warm; and a re-run of the whole grid
-over a store holding only the first model's units. The grid is two
-models × twenty units:
-twelve RQ1 questions and eight classification prompts (four kernels ×
+One seeded grid runs through every way the repo can evaluate it — the
+sync engine's plain loop (``jobs=1``) and thread pool (``jobs=4``) with
+the response store off, cold on disk and warm on disk; the async engine
+cold and warm; and a re-run of the whole grid over a store holding only
+the first model's units. The grid is two models × twenty units: twelve
+RQ1 questions and eight classification prompts (four kernels ×
 ``zero-shot``/``few-shot-2`` on one GPU), so the emulated model's
-classify path and its per-process memos run on every path too (each
-process worker fills its own memo, in its own order). The oracle asserts:
+classify path and its per-process memos run on every path too. The
+oracle asserts:
 
 * one :class:`~repro.eval.runner.RunResult` digest across all paths;
 * byte-identical ``responses-*.bin`` runs across the disk stores, each
@@ -16,7 +16,7 @@ process worker fills its own memo, in its own order). The oracle asserts:
   between paths; the compacted bytes may not);
 * zero completions on every warm path;
 * identical ``hits``/``misses``/``uncached``/``retries``/``failed``
-  across the three sync backends under an injected fault plan.
+  across the sync executors under an injected fault plan.
 
 This is the safety net for the engine core: any path that drifts from
 the shared lookup → compute → commit → assemble pipeline fails here.
@@ -40,6 +40,7 @@ from repro.roofline.hardware import get_gpu
 from repro.types import Boundedness, Language
 from repro.serve import AsyncEvalEngine
 from repro.serve.providers import EmulatedProvider
+from repro.util.faults import FaultPlan
 from repro.util.retry import RetryPolicy
 
 MODELS = ("gpt-4o-mini", "o3-mini-high")
@@ -72,10 +73,11 @@ def grid_items() -> tuple:
     ]
     return tuple(rq1 + classify)
 
-SYNC_BACKENDS = (("sequential", 1), ("thread", 4), ("process", 2))
+#: The sync engine's executors: label → the ``jobs`` that selects it.
+SYNC_EXECUTORS = (("sequential", 1), ("thread", 4))
 STORES = ("off", "cold", "warm")
 PATHS = [
-    f"{backend}-{store}" for backend, _ in SYNC_BACKENDS for store in STORES
+    f"{executor}-{store}" for executor, _ in SYNC_EXECUTORS for store in STORES
 ] + ["async-cold", "async-warm", "partial-rerun"]
 
 FAULT_PLAN = "seed=11;provider_error:rate=0.3,attempts=1"
@@ -127,10 +129,10 @@ def run_path(path: str, root):
         engine = AsyncEvalEngine(store=DiskResponseStore(root))
         results = async_grid(engine)
         return grid_digest(results), engine.stats.completions, root
-    jobs = dict(SYNC_BACKENDS)[kind]
+    jobs = dict(SYNC_EXECUTORS)[kind]
 
     def engine_for(store):
-        return EvalEngine(jobs=jobs, backend=kind, store=store)
+        return EvalEngine(jobs=jobs, store=store)
 
     if store_mode == "off":
         engine = engine_for(None)
@@ -153,7 +155,7 @@ def reference(tmp_path_factory):
 
 
 def test_grid_has_no_duplicate_prompts():
-    # Duplicates would let thread-backend units race on one key.
+    # Duplicates would let thread-pool units race on one key.
     assert len({prompt for _, prompt, _ in grid_items()}) == len(grid_items())
 
 
@@ -172,19 +174,16 @@ def test_every_path_matches_the_reference(path, reference, tmp_path):
         assert ref_segments and segment_bytes(root) == ref_segments
 
 
-@pytest.mark.parametrize("backend,jobs", SYNC_BACKENDS)
+@pytest.mark.parametrize("executor,jobs", SYNC_EXECUTORS)
 def test_stats_identical_across_backends_under_faults(
-    backend, jobs, tmp_path, monkeypatch
+    executor, jobs, tmp_path
 ):
-    # Process workers inherit the plan through the environment.
-    monkeypatch.setenv("REPRO_FAULT_PLAN", FAULT_PLAN)
-    runtime.reset()
+    runtime.install(fault_plan=FaultPlan.parse(FAULT_PLAN))
 
-    def counters(backend, jobs, root):
+    def counters(jobs, root):
         def engine_for(store):
             return EvalEngine(
                 jobs=jobs,
-                backend=backend,
                 store=store,
                 retry=RetryPolicy(max_attempts=3, base_delay_s=0.0),
             )
@@ -201,10 +200,10 @@ def test_stats_identical_across_backends_under_faults(
             for s in (off.stats, on.stats)
         ]
 
-    expected = counters("sequential", 1, tmp_path / "reference")
+    expected = counters(1, tmp_path / "reference")
     (_, _, uncached, off_retries, _), (hits, misses, _, retries, failed) = (
         expected
     )
     assert uncached == misses == hits == len(grid_items()) * len(MODELS)
     assert off_retries == retries > 0 and failed == 0
-    assert counters(backend, jobs, tmp_path / backend) == expected
+    assert counters(jobs, tmp_path / executor) == expected

@@ -29,6 +29,7 @@ import pytest
 
 from repro import runtime
 from repro.eval.engine import (
+    FAILURE_MODES,
     DiskResponseStore,
     EvalEngine,
     MaxFailuresExceeded,
@@ -194,23 +195,21 @@ class TestCollectMode:
                 get_model("gpt-4o-mini"), classify_items(balanced_samples, 3)
             )
 
-    @pytest.mark.parametrize("backend,jobs", [
-        ("sequential", 1), ("thread", 4), ("process", 2),
+    @pytest.mark.parametrize("jobs", [
+        pytest.param(1, id="sequential-1"), pytest.param(4, id="thread-4"),
     ])
     def test_collect_records_failures_deterministically(
-        self, balanced_samples, backend, jobs, monkeypatch
+        self, balanced_samples, jobs
     ):
-        plan_spec = "seed=11;provider_error:rate=0.3,attempts=99"
-        # Process workers inherit the plan through the environment.
-        monkeypatch.setenv("REPRO_FAULT_PLAN", plan_spec)
-        runtime.reset()
+        runtime.install(fault_plan=FaultPlan.parse(
+            "seed=11;provider_error:rate=0.3,attempts=99"
+        ))
         items = classify_items(balanced_samples, 16)
         model = get_model("gpt-4o-mini")
 
         def run_once():
             engine = EvalEngine(
                 jobs=jobs,
-                backend=backend,
                 failure_mode="collect",
                 retry=RetryPolicy(max_attempts=2, base_delay_s=0.0),
             )
@@ -222,11 +221,33 @@ class TestCollectMode:
         assert len(first.records) + len(first.failures) == len(items)
         assert first.digest() == second.digest()
         assert stats.failed == len(first.failures)
-        # One counted retry per exhausted unit, on every backend.
+        # One counted retry per exhausted unit, at every worker count.
         assert stats.retries == len(first.failures)
         recorded = {r.item_id for r in first.records}
         assert all(f.item_id not in recorded for f in first.failures)
         assert "failed" in stats.summary()
+
+    @pytest.mark.parametrize("failure_mode", FAILURE_MODES)
+    def test_exhausted_unit_books_its_retries(
+        self, balanced_samples, failure_mode
+    ):
+        """Both failure modes book an exhausted unit's re-attempts as they
+        happen: a fail-fast unit counts its retries before it raises."""
+        runtime.install(
+            fault_plan=FaultPlan.parse("provider_error:rate=1.0,attempts=99")
+        )
+        engine = EvalEngine(
+            retry=RetryPolicy(max_attempts=3, base_delay_s=0),
+            failure_mode=failure_mode,
+        )
+        # One unit: a fail-fast run stops at it, a collect run records it.
+        items = classify_items(balanced_samples, 1)
+        if failure_mode == "fail_fast":
+            with pytest.raises(InjectedFault):
+                engine.run(get_model("gpt-4o-mini"), items)
+        else:
+            assert len(engine.run(get_model("gpt-4o-mini"), items).failures) == 1
+        assert engine.stats.retries == 2
 
     def test_collect_failures_survive_to_json_and_render(
         self, balanced_samples
@@ -264,7 +285,6 @@ class TestCollectMode:
             fault_plan=FaultPlan.parse("provider_error:rate=1,attempts=99")
         )
         engine = EvalEngine(
-            backend="sequential",
             failure_mode="collect",
             max_failures=3,
             retry=RetryPolicy(max_attempts=1),
@@ -311,7 +331,6 @@ class TestRerunAfterCrash:
         root = tmp_path / "cache"
         engine = EvalEngine(
             store=DiskResponseStore(root),
-            backend="sequential",
             failure_mode="collect",
             max_failures=1,
             retry=RetryPolicy(max_attempts=1),

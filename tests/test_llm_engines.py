@@ -439,7 +439,7 @@ class TestAnalysisMemo:
         reasoner.clear_analysis_memo()
 
     def test_draw_memo_under_thread_contention(self, monkeypatch):
-        """Thread-backend workers share the draw map: with more threads than
+        """Thread-pool workers share the draw map: with more threads than
         cores, forced switches and a tiny cap, every draw still equals a
         fresh stream's and the map stays bounded."""
         import sys

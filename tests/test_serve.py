@@ -649,6 +649,72 @@ def test_cached_flag_is_this_requests_provenance(balanced_samples):
     assert engine.stats.completions == 1
 
 
+def _counting_builds(service, fail_first=False, gate=None):
+    """Wrap ``service._build_index``: count the builds, optionally fail
+    the first one, and optionally hold each build until ``gate`` opens."""
+    real = service._build_index
+    calls = []
+
+    def build(gpu):
+        calls.append(gpu)
+        if gate is not None:
+            assert gate.wait(timeout=30)
+        if fail_first and len(calls) == 1:
+            raise OSError("profile store unreadable")
+        return real(gpu)
+
+    service._build_index = build
+    return calls
+
+
+def test_concurrent_first_queries_share_one_index_build(balanced_samples):
+    uid = balanced_samples[0].uid
+    service = PredictionService(AsyncEvalEngine(store=MemoryResponseStore()))
+    calls = _counting_builds(service)
+
+    async def scenario():
+        return await asyncio.gather(*(
+            service.classify(uid, gpu="v100") for _ in range(3)
+        ))
+
+    answers = asyncio.run(scenario())
+    assert len(calls) == 1
+    assert len({a["prediction"] for a in answers}) == 1
+
+
+def test_index_build_survives_a_cancelled_waiter_and_forgets_a_failure(
+    balanced_samples,
+):
+    uid = balanced_samples[0].uid
+    service = PredictionService(AsyncEvalEngine(store=MemoryResponseStore()))
+    gate = threading.Event()
+    calls = _counting_builds(service, fail_first=True, gate=gate)
+
+    async def scenario():
+        # A failed build answers its waiter and is not memoized.
+        first = asyncio.ensure_future(service.classify(uid, gpu="v100"))
+        await asyncio.sleep(0)
+        gate.set()
+        with pytest.raises(OSError):
+            await first
+        # A waiter cancelled mid-build (a 504) leaves the build running
+        # for the next query, which joins it instead of starting another.
+        gate.clear()
+        cancelled = asyncio.ensure_future(service.classify(uid, gpu="v100"))
+        await asyncio.sleep(0)
+        cancelled.cancel()
+        joined = asyncio.ensure_future(service.classify(uid, gpu="v100"))
+        await asyncio.sleep(0)
+        gate.set()
+        with pytest.raises(asyncio.CancelledError):
+            await cancelled
+        return await joined
+
+    answer = asyncio.run(scenario())
+    assert len(calls) == 2
+    assert answer["uid"] == uid
+
+
 def test_http_samples_listing(serving):
     server, _, _, _ = serving
     status, body = _get_json(f"{server.url}/v1/samples")

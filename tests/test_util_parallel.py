@@ -15,7 +15,6 @@ import pytest
 from repro.util.parallel import (
     MAX_JOBS,
     parallel_map,
-    resolve_backend,
     resolve_jobs,
     round_robin_partition,
 )
@@ -29,16 +28,23 @@ class TestBasics:
         ]
 
     def test_sequential_backend_and_single_job_degrade(self):
-        items = [3, 1, 2]
-        for kwargs in ({"jobs": 1}, {"backend": "sequential", "jobs": 8}):
-            assert parallel_map(lambda x: -x, items, **kwargs) == [-3, -1, -2]
+        """One job, or one item at any job count, runs the plain loop in
+        the calling thread."""
+        caller = threading.get_ident()
+        for items, jobs in (([3, 1, 2], 1), ([3], 8)):
+            seen = []
+
+            def fn(x):
+                seen.append(threading.get_ident())
+                return -x
+
+            assert parallel_map(fn, items, jobs=jobs) == [-x for x in items]
+            assert set(seen) == {caller}
 
     def test_resolvers(self):
         assert resolve_jobs(0) >= 1
+        assert resolve_jobs(-3) == resolve_jobs(0)
         assert resolve_jobs(10**6) == MAX_JOBS
-        assert resolve_backend("THREAD ") == "thread"
-        with pytest.raises(ValueError):
-            resolve_backend("fibers")
 
     def test_round_robin_partition(self):
         assert round_robin_partition([1, 2, 3, 4, 5], 2) == [[1, 3, 5], [2, 4]]
