@@ -431,6 +431,16 @@ class TestShardedSweepCli:
 
 
 class TestFaultFlags:
+    def test_unknown_backend_exits_2_listing_choices(self, capsys):
+        # There is no backend to choose any more: any ``--backend`` value
+        # exits 2 as an unrecognized argument, not as a bad choice.
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["rq2", "--backend", "bogus"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --backend bogus" in err
+        assert "invalid choice" not in err
+
     def test_unknown_failure_mode_exits_2_listing_choices(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args(["rq2", "--failure-mode", "explode"])
