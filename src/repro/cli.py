@@ -910,24 +910,29 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         RetryPolicy,
     )
 
-    _install_runtime(args)
-    store = _make_store(args)
-    hedge = None if args.no_hedge else HedgePolicy(delay_s=args.hedge_delay)
+    # Every policy checks its own domain; an out-of-domain flag value is
+    # a usage error, raised before any store opens.
     try:
+        hedge = (
+            None if args.no_hedge else HedgePolicy(delay_s=args.hedge_delay)
+        )
         breaker = BreakerPolicy(
             window=args.breaker_window,
             threshold=args.breaker_threshold,
             cooldown_s=args.breaker_cooldown,
         )
+        retry = RetryPolicy(
+            max_attempts=args.retries,
+            timeout_s=args.attempt_timeout,
+        )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(2)
+    _install_runtime(args)
+    store = _make_store(args)
     engine = AsyncEvalEngine(
         store=store,
-        retry=RetryPolicy(
-            max_attempts=args.retries,
-            timeout_s=args.attempt_timeout,
-        ),
+        retry=retry,
         limiter=RateLimiter(args.rate_limit, burst=args.burst),
         max_concurrency=args.max_concurrency,
         breaker=breaker,
@@ -1032,7 +1037,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rq1", help="RQ1: explicit roofline arithmetic")
     p.add_argument("--model", default="all")
-    p.add_argument("--rooflines", type=int, default=240)
+    p.add_argument("--rooflines", type=_positive_int, default=240)
     _add_engine_flags(p)
 
     for name, title in _RQ23_TITLES.items():
@@ -1054,7 +1059,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table1", help="regenerate the paper's full Table 1")
     p.add_argument("--model", default="all")
-    p.add_argument("--rooflines", type=int, default=240)
+    p.add_argument("--rooflines", type=_positive_int, default=240)
     _add_limit_flag(p, "samples")
     p.add_argument("--markdown", action="store_true",
                    help="emit a markdown table instead of ASCII")

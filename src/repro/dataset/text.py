@@ -11,11 +11,14 @@ times. This module is that shared pass, layered like
   scenario passes share one render per program object, and the memo
   costs no digest work at all;
 * under it, the persistent artifact cache
-  (:class:`repro.store.text.ArtifactCache`), addressed by the SHA-256
-  content digests of :func:`repro.store.text.program_text_key` and the
-  tokenizer digest — digests are computed only when a store is attached,
-  a warm artifact cache means a cold process renders and token-counts
-  **zero** programs, and a stale entry can only read as a miss;
+  (:class:`repro.store.text.ArtifactCache`), addressed by
+  :func:`repro.store.text.program_text_key` and the tokenizer digest. A
+  corpus program's text key is one short hash of the generator digest
+  and its uid: the generator's code (codegen included) and the uid fix
+  its source, and any edit to that code changes the digest. Any other
+  program's key walks its spec tree. So a stale entry can only read as a
+  miss, and a warm artifact cache means a cold process renders and
+  token-counts **zero** programs;
 * misses fan out over ``jobs`` worker threads and write back through
   both layers.
 

@@ -589,9 +589,9 @@ def profile_first_kernel(
 
 # Profiling is deterministic in (program, device), so a batch of programs
 # needs exactly one pass per device; every experiment that re-derives
-# samples shares it. Batches are memoized by *content digest* — SHA-256
-# over (program IR, launch, argv, uid) and the device parameters — so two
-# structurally equal corpora share one pass, the memo layers over the
+# samples shares it. Batches are memoized by the programs' store keys
+# (:func:`repro.gpusim.store.program_profile_key`) and the device digest,
+# so two builds of one corpus share one pass, the memo layers over the
 # persistent profile store (same key discipline), and no id()-reuse
 # hazards exist. The memo is a small LRU: each entry is a ~749-profile
 # dict, and six scenario devices plus the default fit comfortably.

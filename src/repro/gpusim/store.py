@@ -5,19 +5,22 @@ processes; this module does the same for the other cold-path cost — the
 ``ncu``-style per-kernel profiles of :mod:`repro.gpusim.profiler`. Every
 profile is addressed by SHA-256 over
 
-* the **program digest** — kernel IR, launch geometry, argv bindings, and
-  the program uid (the uid keys the deterministic noise draws, so two
+* the **program digest** — for a program
+  :func:`~repro.kernels.corpus.build_corpus` returned, the generator
+  digest and the uid (the generator's code and the uid fix the program);
+  for any other program, its kernel IR, launch geometry, argv bindings,
+  and uid. The uid keys the deterministic noise draws, so two
   IR-identical programs with different uids profile differently and must
-  never share an entry),
+  never share an entry,
 * the **device digest** — every :class:`~repro.roofline.hardware.GpuSpec`
   field plus every :class:`~repro.gpusim.device.DeviceModel` simulation
   parameter, and
 * :data:`PROFILER_VERSION`, bumped whenever walker/finalize semantics
   change.
 
-Any IR edit, recalibration, or profiler change therefore invalidates
-exactly the affected entries; a stale entry can only ever read as a miss,
-never as a wrong profile.
+Any generator or IR edit, recalibration, or profiler change therefore
+invalidates the affected entries; a stale entry can only ever read as a
+miss, never as a wrong profile.
 
 Storage is segment-per-device rather than file-per-entry: one profile
 pass reads and writes whole device batches, and a single packed binary
@@ -42,6 +45,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from repro import runtime
+from repro.kernels.corpus import generated_program_key
 from repro.store.base import ArtifactStore, memoized_object_key
 from repro.util.hashing import stable_hash_hex
 
@@ -73,22 +77,29 @@ _SEGMENT_PREFIX_TRACES = "traces-"
 # Content digests
 # ---------------------------------------------------------------------------
 
-# Digests are memoized per object identity (the corpus and the per-spec
+# Device digests are memoized per object identity (the per-spec
 # DeviceModels are long-lived shared instances) via the shared
 # weakref-evicting helper in repro.store.base.
-_PROGRAM_KEYS: dict[int, tuple] = {}
 _DEVICE_KEYS: dict[int, tuple] = {}
 
 
 def program_profile_key(program: "ProgramSpec") -> str:
     """SHA-256 content address of one program's profiling inputs.
 
-    Covers the first kernel's IR, launch geometry, and binding expressions
-    (via the deterministic ``repr`` of the frozen dataclass tree), the
-    command line, the program uid (it keys the noise streams), and the
-    profiler version.
+    A program :func:`~repro.kernels.corpus.build_corpus` returned is keyed
+    by the profiler version, the generator digest and its uid
+    (:func:`~repro.kernels.corpus.generated_program_key`): the generator's
+    code fixes its IR, launch and command line, so any generator edit
+    changes every such key. Any other program is keyed by its first
+    kernel's IR, launch geometry and binding expressions (via the
+    deterministic ``repr`` of the frozen dataclass tree), the command
+    line, the program uid (it keys the noise streams), and the profiler
+    version.
     """
-    return memoized_object_key(program, _PROGRAM_KEYS, _compute_program_key)
+    key = generated_program_key(program, PROFILER_VERSION)
+    if key is not None:
+        return key
+    return _compute_program_key(program)
 
 
 def _compute_program_key(program: "ProgramSpec") -> str:

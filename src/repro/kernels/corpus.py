@@ -5,15 +5,30 @@ The paper builds and profiles 446 CUDA and 303 OpenMP-offload programs
 families in deterministic registration order, cycling variants until the
 target counts are met — families therefore get 4-5 CUDA variants and 3-4 OMP
 variants each, mirroring HeCBench's uneven per-benchmark coverage.
+
+Every program :func:`build_corpus` returns is a pure function of its
+``(family, variant, language)`` — which its uid names — and of the
+generator's code. So the stores address such a program by
+:func:`generated_program_key`: one SHA-256 over a store version, the
+:func:`generator_digest` (numpy's version and the bytes of every module
+the generator runs, hashed once per process) and the uid, instead of a
+``repr`` walk of its spec tree. Any edit to the generator changes the
+digest, so every key changes with it and a stale entry can only read as
+a miss.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
+from pathlib import Path
 
-from repro.kernels.families import FamilySpec, families_for
+import numpy
+
+from repro.kernels.families import families_for, get_family
 from repro.kernels.program import ProgramSpec
 from repro.types import Language
+from repro.util.hashing import stable_hash_hex
 
 #: Paper §2.1 corpus sizes.
 DEFAULT_CUDA_COUNT = 446
@@ -86,6 +101,7 @@ def build_corpus(
     if len(uids) != len(set(uids)):
         dupes = sorted({u for u in uids if uids.count(u) > 1})
         raise RuntimeError(f"duplicate program uids in corpus: {dupes[:5]}")
+    _register(programs)
     return Corpus(programs=tuple(programs))
 
 
@@ -98,3 +114,97 @@ def default_corpus() -> Corpus:
     if _default_corpus is None:
         _default_corpus = build_corpus()
     return _default_corpus
+
+
+# ---------------------------------------------------------------------------
+# Generator keys
+# ---------------------------------------------------------------------------
+
+#: The ``repro`` package directory: the root the generator's files are
+#: listed from.
+_PACKAGE_ROOT = Path(__file__).resolve().parent.parent
+
+#: The modules outside ``kernels/`` that the generator runs, relative to
+#: the package root: the package inits it passes through, the RNG streams
+#: and the hashing under them, and the shared enums.
+_GENERATOR_MODULES = (
+    "__init__.py",
+    "types.py",
+    "util/__init__.py",
+    "util/hashing.py",
+    "util/rng.py",
+)
+
+#: id(program) → weakref, for every program :func:`build_corpus` returned
+#: that is still alive. Dict operations are atomic, and a weakref
+#: callback runs before its object's id can be reused.
+_GENERATED: dict[int, "weakref.ref[ProgramSpec]"] = {}
+
+_DIGEST: str | None = None
+
+
+def generator_files(root: Path | None = None) -> list[Path]:
+    """Every source file the corpus generator runs, codegen included, in
+    the order :func:`generator_digest` hashes them."""
+    root = _PACKAGE_ROOT if root is None else Path(root)
+    kernels = sorted(
+        (root / "kernels").rglob("*.py"),
+        key=lambda path: path.relative_to(root).as_posix(),
+    )
+    return [root / name for name in _GENERATOR_MODULES] + kernels
+
+
+def generator_digest(root: Path | None = None) -> str:
+    """SHA-256 over numpy's version (its ``PCG64`` streams draw every
+    variant) and the relative path and bytes of every file of
+    :func:`generator_files`.
+
+    Computed once per process for the installed package; pass ``root``
+    to digest another copy of the sources (uncached).
+    """
+    global _DIGEST
+    if root is None and _DIGEST is not None:
+        return _DIGEST
+    base = _PACKAGE_ROOT if root is None else Path(root)
+    digest = stable_hash_hex(
+        numpy.__version__,
+        [
+            (path.relative_to(base).as_posix(), path.read_bytes())
+            for path in generator_files(base)
+        ],
+    )
+    if root is None:
+        _DIGEST = digest
+    return digest
+
+
+def _register(programs: list[ProgramSpec]) -> None:
+    """Mark ``programs`` as generated. A program whose family builder
+    lives outside ``repro.kernels`` (a family registered by user code) is
+    not: :func:`generator_digest` does not hash that code."""
+    for program in programs:
+        if not get_family(program.family).build.__module__.startswith(
+            "repro.kernels."
+        ):
+            continue
+        ident = id(program)
+        # The dict rides in as a default arg: at interpreter shutdown
+        # module globals are torn down before late weakref callbacks fire.
+        _GENERATED[ident] = weakref.ref(
+            program,
+            lambda _ref, ident=ident, live=_GENERATED: live.pop(ident, None),
+        )
+
+
+def generated_program_key(program: ProgramSpec, version: str) -> str | None:
+    """``program``'s store key under ``version`` if :func:`build_corpus`
+    returned this very object, else ``None``.
+
+    A copy (``dataclasses.replace``, a pickle round trip) or a hand-built
+    spec is not registered, so its caller falls back to a key over the
+    spec's own content.
+    """
+    ref = _GENERATED.get(id(program))
+    if ref is None or ref() is not program:
+        return None
+    return stable_hash_hex(version, generator_digest(), program.uid)

@@ -24,8 +24,10 @@ with three segment kinds under one root and one size bound:
   token-counts each program once, and a warm cache renders and counts
   **nothing**.
 
-Any codegen, pretokenizer, or trainer change bumps a version hashed into
-every key, so stale entries can only read as misses, never as wrong text.
+A corpus program's text key hashes the generator digest, so any
+generator or codegen edit changes it; any pretokenizer or trainer change
+bumps a version hashed into every key. Stale entries can only read as
+misses, never as wrong text.
 The process-wide cache — installed by the CLI, else built from
 ``$REPRO_ARTIFACT_CACHE`` — lives in :mod:`repro.runtime`.
 """
@@ -36,7 +38,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from repro import runtime
-from repro.store.base import ArtifactStore, memoized_object_key
+from repro.kernels.corpus import generated_program_key
+from repro.store.base import ArtifactStore
 from repro.tokenizer.bpe import BPE_VERSION
 from repro.util.hashing import stable_hash_hex
 
@@ -74,19 +77,24 @@ TEXT_SEGMENT_PREFIXES = (
 # Content digests
 # ---------------------------------------------------------------------------
 
-_PROGRAM_TEXT_KEYS: dict[int, tuple] = {}
-
-
 def program_text_key(program: "ProgramSpec") -> str:
     """SHA-256 content address of one program's *rendering* inputs.
 
-    Covers the full frozen spec tree — every kernel's IR (not just the
-    profiled first kernel: auxiliary kernels render too), launch
-    geometry, cmdline, verbosity/header/split knobs — via the
-    deterministic ``repr``, plus :data:`TEXT_VERSION`. Identity-memoized;
-    the corpus programs are long-lived shared instances.
+    A program :func:`~repro.kernels.corpus.build_corpus` returned is a
+    pure function of its uid and the generator's code, so its key is
+    :data:`TEXT_VERSION`, the generator digest and the uid
+    (:func:`~repro.kernels.corpus.generated_program_key`): one short hash,
+    and any generator or codegen edit changes every such key. Any other
+    program — a ``dataclasses.replace`` copy, a hand-built spec, a
+    held-out example — is keyed by its full frozen spec tree: every
+    kernel's IR (auxiliary kernels render too), launch geometry, cmdline
+    and the verbosity/header/split knobs, via the deterministic ``repr``,
+    plus :data:`TEXT_VERSION`.
     """
-    return memoized_object_key(program, _PROGRAM_TEXT_KEYS, _compute_text_key)
+    key = generated_program_key(program, TEXT_VERSION)
+    if key is not None:
+        return key
+    return _compute_text_key(program)
 
 
 def _compute_text_key(program: "ProgramSpec") -> str:

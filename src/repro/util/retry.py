@@ -88,6 +88,8 @@ class RetryPolicy:
             raise ValueError(
                 f"timeout_jitter must be in [0, 1), got {self.timeout_jitter}"
             )
+        if self.timeout_s is not None and not self.timeout_s > 0.0:
+            raise ValueError(f"timeout_s must be > 0, got {self.timeout_s}")
 
     def backoff_delay(self, attempt: int, rng: random.Random) -> float:
         """Jittered delay after failed attempt ``attempt`` (0-based)."""

@@ -316,28 +316,32 @@ class TestArtifactRootPin:
     """The bytes one fixed workload leaves in an artifact root.
 
     Written only through the text pipeline and the CLI, so it pins the
-    on-disk format independently of how the cache is put together."""
+    on-disk format independently of how the cache is put together. The
+    generator digest is fixed too: corpus programs' keys hash it, and an
+    edit to a kernel family changes keys, not the format."""
 
     #: (file name, sha256) of every run after compaction.
     GOLDEN_RUNS = {
-        "sources-721fe651fed203ca1e59edde1fbbfdac.bin":
-            "8186c2aed871151299ddbfb0acf5996ae43cdff5ca649629c11f5d5b4a433cf3",
-        "tokencounts-365d5a947008f6691c1d1a96320be2c3.bin":
-            "ffc607d4294d43eb4f9d9f54a8f05907d2bb71243ee83884a776cf4b2e7b8bf1",
-        "tokencounts-87676d660b581a177a43899bdc4dbd94.bin":
-            "cb8098f236a8a5fcfacdf33f100c018294a68a062ef6f2a9f3a017866e389e3d",
-        "tokenizers-63dbdc53dcf47c3131c18913f6326b8e.bin":
-            "742fd9a75762c505a975774b8f8407d7165bb153cec93493507889376adb2a5d",
+        "sources-8cbeb96ad80951c540a0cb5fce9d5cb3.bin":
+            "b840d5e4217189857879e9bd7afa39f58639f1c9d05374c9633e5657282de735",
+        "tokencounts-54c0432bd3e96242684a71e2b02d62c5.bin":
+            "dbf70898df0de19dc6ca4d45c1d4e9f1791d265fd1079e961e001e50af031098",
+        "tokencounts-ef4e4013ba851bab2daf8ed768ff3f73.bin":
+            "778c8efc74228d45b70c4c2ad5f9babe4293cedb2e047259a30e93ebdf03bb05",
+        "tokenizers-5d124a1297967fa0db5e85614b0fe374.bin":
+            "d9503714ee759322f6c3ab85f6c494fe98bc33fcc2d2d1e1052536ce519478fa",
     }
 
     def test_compacted_root_bytes_and_counts_are_pinned(
         self, tmp_path, small_corpus, small_tokenizer, fresh_text_memos,
-        capsys,
+        capsys, monkeypatch,
     ):
         from repro.cli import main
+        from repro.kernels import corpus as corpus_mod
         from repro.store.text import TEXT_SEGMENT_PREFIXES
         from repro.tokenizer.pretrained import train_corpus_tokenizer
 
+        monkeypatch.setattr(corpus_mod, "_DIGEST", "0" * 64)
         root = tmp_path / "ac"
         cache = ArtifactCache(root)
         trained = train_corpus_tokenizer(sample=6, num_merges=30, cache=cache)

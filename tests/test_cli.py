@@ -297,6 +297,19 @@ NUMERIC_FLAGS = {
     "serve --port -1": ["serve"],
     "stats --resamples 0": ["stats"],
     "matrix --resamples 0": ["matrix"],
+    "rq1 --rooflines 0": ["rq1", "--model", "o3-mini", "--no-cache"],
+    "rq1 --rooflines -5": ["rq1", "--model", "o3-mini", "--no-cache"],
+    "table1 --rooflines 0": ["table1", "--model", "o3-mini", "--no-cache"],
+    "table1 --rooflines -5": ["table1", "--model", "o3-mini", "--no-cache"],
+}
+
+#: Serve policy flags outside their policy's domain, keyed "flag value",
+#: with the error the policy raises.
+SERVE_POLICY_FLAGS = {
+    "--hedge-delay -1": "delay_s must be >= 0, got -1.0",
+    "--attempt-timeout -1": "timeout_s must be > 0, got -1.0",
+    "--attempt-timeout 0": "timeout_s must be > 0, got 0.0",
+    "--breaker-window 0": "window must be >= 1, got 0",
 }
 
 
@@ -321,6 +334,24 @@ class TestNumericFlags:
         assert build_parser().parse_args(
             ["serve", "--port", "65535"]
         ).port == 65535
+
+    @pytest.mark.parametrize("case", sorted(SERVE_POLICY_FLAGS))
+    def test_serve_policy_out_of_domain_is_a_usage_error(
+        self, capsys, monkeypatch, case
+    ):
+        import repro.serve
+
+        def no_server(*args, **kwargs):
+            raise AssertionError("serve bound a socket")
+
+        monkeypatch.setattr(repro.serve, "PredictionServer", no_server)
+        flag, value = case.split()
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--no-cache", f"{flag}={value}"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: {SERVE_POLICY_FLAGS[case]}" in err
+        assert "Traceback" not in err
 
     def test_confidence_outside_unit_interval(self, capsys, dataset):
         assert main([

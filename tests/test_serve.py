@@ -258,6 +258,12 @@ def test_attempt_timeout_surfaces_as_provider_timeout():
     assert engine.stats.retries == 1
 
 
+@pytest.mark.parametrize("timeout_s", [0.0, -1.0, float("nan")])
+def test_attempt_timeout_must_be_positive(timeout_s):
+    with pytest.raises(ValueError, match="timeout_s must be > 0"):
+        RetryPolicy(timeout_s=timeout_s)
+
+
 def test_jittered_timeouts_vary_per_attempt():
     policy = RetryPolicy(timeout_s=1.0, timeout_jitter=0.25)
     rng = random.Random(3)

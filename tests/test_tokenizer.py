@@ -253,3 +253,62 @@ class TestEncodeCache:
         a.count_tokens("abab")  # cache contents must not leak into digests
         assert a.digest() == b.digest()
         assert a.digest() != c.digest()
+
+
+class TestLineMemo:
+    """``count_tokens`` sums memoized per-line counts; the sum equals a
+    count over the whole text's pre-tokens."""
+
+    #: Trained on code-like text so merges span identifiers, numbers,
+    #: punctuation and whitespace runs, newline runs included.
+    MERGES_CORPUS = [
+        "for (int i = 0; i < n; i++) {\n\tout[i] = alpha * x[i] + y[i];\n}\n\n",
+        "float alpha = 2.0f;\r\n  const float *x;  \t float *y;\n\n\n",
+    ] * 4
+
+    @staticmethod
+    def unmemoized(tok, text):
+        return sum(len(tok._encode_word(word)) for word in pretokenize(text))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        texts=st.lists(
+            st.text(
+                alphabet=st.one_of(
+                    st.sampled_from(list("\n\n\r \t\tab_Z09(){};*+=.")),
+                    st.characters(min_codepoint=0x80, max_codepoint=0x2FFF),
+                ),
+                max_size=80,
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        cache_size=st.sampled_from([0, 1, 3, 200_000]),
+    )
+    def test_matches_unmemoized_count(self, texts, cache_size):
+        tok = BpeTokenizer.train(self.MERGES_CORPUS, num_merges=40)
+        tok.cache_size = cache_size
+        for _ in range(2):  # cold memo, then warm
+            for text in texts:
+                assert tok.count_tokens(text) == self.unmemoized(tok, text)
+        assert len(tok._line_counts) <= cache_size
+
+    def test_matches_unmemoized_count_on_rendered_programs(self):
+        from repro.kernels.codegen import render_program
+        from repro.kernels.corpus import build_corpus
+
+        tok = BpeTokenizer.train(self.MERGES_CORPUS, num_merges=40)
+        sources = [
+            render_program(p).concatenated_source()
+            for p in build_corpus(3, 2).programs
+        ]
+        for _ in range(2):  # cold memo, then warm
+            for source in sources:
+                assert tok.count_tokens(source) == self.unmemoized(tok, source)
+
+    def test_memo_resets_with_the_merges(self):
+        tok = BpeTokenizer(merges=[("a", "b")])
+        assert tok.count_tokens("ab\nab") == 3
+        tok.merges = []
+        tok._rebuild()
+        assert tok.count_tokens("ab\nab") == 5
