@@ -143,39 +143,30 @@ _GENERATED: dict[int, "weakref.ref[ProgramSpec]"] = {}
 _DIGEST: str | None = None
 
 
-def generator_files(root: Path | None = None) -> list[Path]:
+def generator_files() -> list[Path]:
     """Every source file the corpus generator runs, codegen included, in
     the order :func:`generator_digest` hashes them."""
-    root = _PACKAGE_ROOT if root is None else Path(root)
     kernels = sorted(
-        (root / "kernels").rglob("*.py"),
-        key=lambda path: path.relative_to(root).as_posix(),
+        (_PACKAGE_ROOT / "kernels").rglob("*.py"),
+        key=lambda path: path.relative_to(_PACKAGE_ROOT).as_posix(),
     )
-    return [root / name for name in _GENERATOR_MODULES] + kernels
+    return [_PACKAGE_ROOT / name for name in _GENERATOR_MODULES] + kernels
 
 
-def generator_digest(root: Path | None = None) -> str:
+def generator_digest() -> str:
     """SHA-256 over numpy's version (its ``PCG64`` streams draw every
     variant) and the relative path and bytes of every file of
-    :func:`generator_files`.
-
-    Computed once per process for the installed package; pass ``root``
-    to digest another copy of the sources (uncached).
-    """
+    :func:`generator_files`. Computed once per process."""
     global _DIGEST
-    if root is None and _DIGEST is not None:
-        return _DIGEST
-    base = _PACKAGE_ROOT if root is None else Path(root)
-    digest = stable_hash_hex(
-        numpy.__version__,
-        [
-            (path.relative_to(base).as_posix(), path.read_bytes())
-            for path in generator_files(base)
-        ],
-    )
-    if root is None:
-        _DIGEST = digest
-    return digest
+    if _DIGEST is None:
+        _DIGEST = stable_hash_hex(
+            numpy.__version__,
+            [
+                (path.relative_to(_PACKAGE_ROOT).as_posix(), path.read_bytes())
+                for path in generator_files()
+            ],
+        )
+    return _DIGEST
 
 
 def _register(programs: list[ProgramSpec]) -> None:

@@ -233,14 +233,19 @@ class BpeTokenizer:
                 ]
                 n -= 1
         result = tuple(symbols)
+        self._memo_put(cache, word, result)
+        return result
+
+    def _memo_put(self, memo: OrderedDict, key: str, value) -> None:
+        """Store ``key`` in ``memo``, evicting the oldest entries to keep
+        it under ``cache_size`` (``0`` stores nothing)."""
         if self.cache_size > 0:
-            while len(cache) >= self.cache_size:
+            while len(memo) >= self.cache_size:
                 try:
-                    cache.popitem(last=False)
+                    memo.popitem(last=False)
                 except KeyError:  # racing evictor emptied it
                     break
-            cache[word] = result
-        return result
+            memo[key] = value
 
     def encode(self, text: str) -> list[int]:
         """Encode text into token ids."""
@@ -276,13 +281,7 @@ class BpeTokenizer:
             count = memo.get(piece)
             if count is None:
                 count = self._count_piece(piece)
-                if self.cache_size > 0:
-                    while len(memo) >= self.cache_size:
-                        try:
-                            memo.popitem(last=False)
-                        except KeyError:  # racing evictor emptied it
-                            break
-                    memo[piece] = count
+                self._memo_put(memo, piece, count)
             total += freq * count
         return total
 

@@ -138,9 +138,11 @@ def test_digest_covers_every_module_the_generator_imports():
         "from pathlib import Path",
         "import repro.kernels.corpus",
         "from repro.kernels.codegen import render_program",
-        "corpus = repro.kernels.corpus.build_corpus(3, 2)",
+        "from repro.kernels.families import all_families",
+        "corpus = repro.kernels.corpus.build_corpus()",
         "for program in corpus.programs:",
         "    render_program(program)",
+        "assert {p.family for p in corpus.programs} == set(all_families())",
         "hashed = {p.resolve() for p in repro.kernels.corpus.generator_files()}",
         "for name, module in sorted(sys.modules.items()):",
         "    if name == 'repro' or name.startswith('repro.'):",
@@ -161,9 +163,18 @@ def test_digest_covers_every_module_the_generator_imports():
     assert {name for name, hashed in seen.items() if hashed != "True"} == set()
 
 
+def _digest_of(root: Path, monkeypatch) -> str:
+    """The generator digest of the sources under ``root``; the package's
+    own digest memo is left as it was."""
+    with monkeypatch.context() as m:
+        m.setattr(corpus_mod, "_PACKAGE_ROOT", root)
+        m.setattr(corpus_mod, "_DIGEST", None)
+        return generator_digest()
+
+
 class TestOneByteEdit:
     @pytest.fixture()
-    def edited_digest(self, tmp_path):
+    def edited_digest(self, tmp_path, monkeypatch):
         """The generator digest over a copy of the sources with one byte
         of a kernel-family file changed."""
         root = tmp_path / "repro"
@@ -172,12 +183,13 @@ class TestOneByteEdit:
         data = bytearray(family_file.read_bytes())
         data[-1] ^= 0x01
         family_file.write_bytes(bytes(data))
-        assert generator_digest(root) != generator_digest()
-        return generator_digest(root)
+        digest = _digest_of(root, monkeypatch)
+        assert digest != generator_digest()
+        return digest
 
-    def test_copy_digests_like_the_package(self, tmp_path):
+    def test_copy_digests_like_the_package(self, tmp_path, monkeypatch):
         shutil.copytree(SRC / "repro", tmp_path / "repro")
-        assert generator_digest(tmp_path / "repro") == generator_digest()
+        assert _digest_of(tmp_path / "repro", monkeypatch) == generator_digest()
 
     def test_every_key_changes_and_warm_stores_miss(
         self, small_corpus, edited_digest, tmp_path, monkeypatch, fresh_memos
