@@ -74,6 +74,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import Sequence
@@ -807,7 +808,8 @@ def _cmd_cache(args: argparse.Namespace) -> int:
                   "(missing; treated as empty)")
         else:
             m = artifacts.manifest()
-            n = m.tokenizer_entries + m.source_entries + m.count_entries
+            n = (m.tokenizer_entries + m.source_entries + m.count_entries
+                 + m.sample_entries)
             artifacts.clear()
             print(f"wiped {n} artifact entries @ {artifacts.root}")
         return 0
@@ -925,6 +927,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             max_attempts=args.retries,
             timeout_s=args.attempt_timeout,
         )
+        limiter = RateLimiter(args.rate_limit, burst=args.burst)
+        if not 0 <= args.drain_timeout < math.inf:
+            raise ValueError(
+                "drain timeout must be finite and >= 0, "
+                f"got {args.drain_timeout}"
+            )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(2)
@@ -933,7 +941,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     engine = AsyncEvalEngine(
         store=store,
         retry=retry,
-        limiter=RateLimiter(args.rate_limit, burst=args.burst),
+        limiter=limiter,
         max_concurrency=args.max_concurrency,
         breaker=breaker,
         hedge=hedge,

@@ -59,6 +59,10 @@ class TextArtifact:
 _TEXT_LOCK = threading.Lock()
 _SOURCE_MEMO: dict[int, tuple["weakref.ref", str]] = {}
 _COUNT_MEMO: dict[tuple[str, int], tuple["weakref.ref", int]] = {}
+# Text key → source, for sources read by key with no program object to
+# anchor them (stored sample sets): every set that holds a program shares
+# one string. Bounded by the corpus's distinct text keys.
+_KEYED_SOURCE_MEMO: dict[str, str] = {}
 
 
 def clear_text_memos() -> None:
@@ -66,6 +70,7 @@ def clear_text_memos() -> None:
     with _TEXT_LOCK:
         _SOURCE_MEMO.clear()
         _COUNT_MEMO.clear()
+        _KEYED_SOURCE_MEMO.clear()
 
 
 def _memo_get(memo: dict, key, obj: object):
@@ -90,6 +95,25 @@ def _memo_install(memo: dict, entries: dict) -> None:
                 weakref.ref(obj, lambda r, key=key: _evict(r, key=key)),
                 value,
             )
+
+
+def stored_sources(text_keys: Sequence[str], cache) -> dict[str, str]:
+    """text key → source for every key in memory or in ``cache``; a key
+    found in neither is left out. Each source is decoded once per
+    process."""
+    with _TEXT_LOCK:
+        out = {
+            key: _KEYED_SOURCE_MEMO[key]
+            for key in text_keys
+            if key in _KEYED_SOURCE_MEMO
+        }
+    missing = [key for key in text_keys if key not in out]
+    if missing:
+        read = cache.get_sources(missing)
+        with _TEXT_LOCK:
+            for key, source in read.items():
+                out[key] = _KEYED_SOURCE_MEMO.setdefault(key, source)
+    return out
 
 
 def rendered_sources(

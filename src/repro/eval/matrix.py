@@ -37,7 +37,7 @@ from functools import cached_property
 from typing import Sequence
 
 from repro.dataset import Sample, paper_dataset
-from repro.dataset.build import build_sample
+from repro.dataset.build import build_sample, stored_samples
 from repro.eval.engine import EvalEngine
 from repro.eval.rq23 import classification_items, regime_variant
 from repro.eval.runner import RunResult, run_queries
@@ -77,12 +77,13 @@ def scenario_samples(
     shared :func:`repro.dataset.text.program_texts` pass — a 6-device
     sweep renders and tokenizes each program once, not six times.
     Profiling is deterministic per (kernel, device), so the result is
-    memoized per (gpu, subset) and stable across calls and processes.
+    memoized per (gpu, subset) and stable across calls and processes: a
+    warm artifact cache serves the whole set
+    (:func:`repro.dataset.build.stored_samples`) with no corpus built.
     """
     from repro.dataset.text import program_texts
     from repro.gpusim import profile_programs
 
-    corpus = default_corpus()
     if uids is None:
         uids = [s.uid for s in paper_dataset(jobs=jobs).balanced]
     key = (gpu, tuple(uids))
@@ -90,12 +91,14 @@ def scenario_samples(
     if hit is not None:
         return hit
     device = device_for(gpu)
-    tokenizer = corpus_tokenizer()
-    programs = [corpus.get(uid) for uid in uids]
-    profiles = profile_programs(programs, device, jobs=jobs)
-    texts = program_texts(programs, tokenizer, jobs=jobs)
-    samples = tuple(
-        parallel_map(
+
+    def build() -> list[Sample]:
+        corpus = default_corpus()
+        tokenizer = corpus_tokenizer()
+        programs = [corpus.get(uid) for uid in key[1]]
+        profiles = profile_programs(programs, device, jobs=jobs)
+        texts = program_texts(programs, tokenizer, jobs=jobs)
+        return parallel_map(
             lambda p: build_sample(
                 p, device, tokenizer, profile=profiles[p.uid],
                 text=texts[p.uid],
@@ -103,7 +106,8 @@ def scenario_samples(
             programs,
             jobs=jobs,
         )
-    )
+
+    samples = tuple(stored_samples(device, key[1], build))
     _SCENARIO_MEMO[key] = samples
     return samples
 

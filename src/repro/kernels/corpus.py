@@ -14,7 +14,9 @@ generator's code. So the stores address such a program by
 the generator runs, hashed once per process) and the uid, instead of a
 ``repr`` walk of its spec tree. Any edit to the generator changes the
 digest, so every key changes with it and a stale entry can only read as
-a miss.
+a miss. A stored sample set (:func:`repro.dataset.build.sample_set_key`)
+hashes :func:`package_digest` instead: every module of the package, since
+profiling, labelling and token counting shape a sample too.
 """
 
 from __future__ import annotations
@@ -25,7 +27,12 @@ from pathlib import Path
 
 import numpy
 
-from repro.kernels.families import families_for, get_family
+from repro.kernels.families import (
+    FamilySpec,
+    all_families,
+    families_for,
+    get_family,
+)
 from repro.kernels.program import ProgramSpec
 from repro.types import Language
 from repro.util.hashing import stable_hash_hex
@@ -141,16 +148,33 @@ _GENERATOR_MODULES = (
 _GENERATED: dict[int, "weakref.ref[ProgramSpec]"] = {}
 
 _DIGEST: str | None = None
+_PACKAGE_DIGEST: str | None = None
+
+
+def _py_files(directory: Path) -> list[Path]:
+    """Every ``*.py`` under ``directory``, in package-relative path order."""
+    return sorted(directory.rglob("*.py"), key=_relative)
+
+
+def _relative(path: Path) -> str:
+    return path.relative_to(_PACKAGE_ROOT).as_posix()
+
+
+def _files_digest(files: list[Path]) -> str:
+    """SHA-256 over numpy's version and the relative path and bytes of
+    every file of ``files``."""
+    return stable_hash_hex(
+        numpy.__version__,
+        [(_relative(path), path.read_bytes()) for path in files],
+    )
 
 
 def generator_files() -> list[Path]:
     """Every source file the corpus generator runs, codegen included, in
     the order :func:`generator_digest` hashes them."""
-    kernels = sorted(
-        (_PACKAGE_ROOT / "kernels").rglob("*.py"),
-        key=lambda path: path.relative_to(_PACKAGE_ROOT).as_posix(),
+    return [_PACKAGE_ROOT / name for name in _GENERATOR_MODULES] + _py_files(
+        _PACKAGE_ROOT / "kernels"
     )
-    return [_PACKAGE_ROOT / name for name in _GENERATOR_MODULES] + kernels
 
 
 def generator_digest() -> str:
@@ -159,14 +183,22 @@ def generator_digest() -> str:
     :func:`generator_files`. Computed once per process."""
     global _DIGEST
     if _DIGEST is None:
-        _DIGEST = stable_hash_hex(
-            numpy.__version__,
-            [
-                (path.relative_to(_PACKAGE_ROOT).as_posix(), path.read_bytes())
-                for path in generator_files()
-            ],
-        )
+        _DIGEST = _files_digest(generator_files())
     return _DIGEST
+
+
+def package_digest() -> str:
+    """SHA-256 over numpy's version and the relative path and bytes of
+    every ``repro/**/*.py``. Computed once per process.
+
+    A profiled sample folds together the generator, the profiler, the
+    roofline classifier, the tokenizer trainer and its counter, and not
+    all of them carry a version constant; so a stored sample set is keyed
+    by the whole package, and any edit to it reads as a miss."""
+    global _PACKAGE_DIGEST
+    if _PACKAGE_DIGEST is None:
+        _PACKAGE_DIGEST = _files_digest(_py_files(_PACKAGE_ROOT))
+    return _PACKAGE_DIGEST
 
 
 def _register(programs: list[ProgramSpec]) -> None:
@@ -174,9 +206,7 @@ def _register(programs: list[ProgramSpec]) -> None:
     lives outside ``repro.kernels`` (a family registered by user code) is
     not: :func:`generator_digest` does not hash that code."""
     for program in programs:
-        if not get_family(program.family).build.__module__.startswith(
-            "repro.kernels."
-        ):
+        if not _in_package(get_family(program.family)):
             continue
         ident = id(program)
         # The dict rides in as a default arg: at interpreter shutdown
@@ -198,4 +228,23 @@ def generated_program_key(program: ProgramSpec, version: str) -> str | None:
     ref = _GENERATED.get(id(program))
     if ref is None or ref() is not program:
         return None
-    return stable_hash_hex(version, generator_digest(), program.uid)
+    return generated_uid_key(program.uid, version)
+
+
+def generated_uid_key(uid: str, version: str) -> str:
+    """The store key under ``version`` of the corpus program named
+    ``uid``: what :func:`generated_program_key` returns for it, without
+    building the program."""
+    return stable_hash_hex(version, generator_digest(), uid)
+
+
+def generated_families_only() -> bool:
+    """Whether every registered family's builder lives in
+    ``repro.kernels``, so :func:`generator_digest` covers the default
+    corpus."""
+    return all(map(_in_package, all_families().values()))
+
+
+def _in_package(family: FamilySpec) -> bool:
+    """Whether ``family``'s builder is code of ``repro.kernels``."""
+    return family.build.__module__.startswith("repro.kernels.")

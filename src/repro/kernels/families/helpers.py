@@ -98,53 +98,52 @@ def _distractor_kernel(shape: int, tag: int, flag: str) -> Kernel:
 
     f32 = DType.F32
     base = flag.split("*")[0]
-    gxf = Cast(Var("gx", DType.I32), f32)
-    arr = ArrayDecl("aux_buf", f32, flag, Scope.GLOBAL, is_output=True)
-    vload = load("aux_buf", aff("gx"), f32)
-    shapes = {
-        0: (  # linear init
-            Store("aux_buf", aff("gx"), mul(gxf, Const(0.001, f32)), f32),
-        ),
-        1: (  # decay rescale
-            Let("v", vload, f32),
-            Store("aux_buf", aff("gx"), mul(Var("v", f32), Const(0.98, f32)), f32),
-        ),
-        2: (  # clamp pass
-            Let("v", vload, f32),
+    kind = shape % 6
+    v = Var("v", f32)
+
+    def rescale(by: float) -> tuple:
+        return (
+            Let("v", load("aux_buf", aff("gx"), f32), f32),
+            Store("aux_buf", aff("gx"), mul(v, Const(by, f32)), f32),
+        )
+
+    if kind == 0:  # linear init
+        gxf = Cast(Var("gx", DType.I32), f32)
+        body = (Store("aux_buf", aff("gx"), mul(gxf, Const(0.001, f32)), f32),)
+    elif kind == 1:  # decay rescale
+        body = rescale(0.98)
+    elif kind == 2:  # clamp pass
+        body = (
+            Let("v", load("aux_buf", aff("gx"), f32), f32),
             Store(
                 "aux_buf", aff("gx"),
                 BinOp(BinOpKind.MIN,
-                      BinOp(BinOpKind.MAX, Var("v", f32), Const(-10.0, f32), f32),
+                      BinOp(BinOpKind.MAX, v, Const(-10.0, f32), f32),
                       Const(10.0, f32), f32),
                 f32,
             ),
-        ),
-        3: (  # square accumulate
-            Let("v", vload, f32),
+        )
+    elif kind == 3:  # square accumulate
+        body = (
+            Let("v", load("aux_buf", aff("gx"), f32), f32),
             Store(
                 "aux_buf", aff("gx"),
-                mul(Var("v", f32), mul(Var("v", f32), Const(0.5, f32), f32), f32),
+                mul(v, mul(v, Const(0.5, f32), f32), f32),
                 f32,
             ),
-        ),
-        4: (  # offset shift
-            Let("v", vload, f32),
-            Store("aux_buf", aff("gx"),
-                  mul(Var("v", f32), Const(1.0625, f32), f32), f32),
-        ),
-        5: (  # zero fill
-            Store("aux_buf", aff("gx"), mul(gxf, Const(0.0, f32)), f32),
-        ),
-    }
-    names = {
-        0: "init_aux", 1: "rescale_aux", 2: "clamp_aux",
-        3: "square_aux", 4: "drift_aux", 5: "clear_aux",
-    }
+        )
+    elif kind == 4:  # offset shift
+        body = rescale(1.0625)
+    else:  # zero fill
+        gxf = Cast(Var("gx", DType.I32), f32)
+        body = (Store("aux_buf", aff("gx"), mul(gxf, Const(0.0, f32)), f32),)
+    names = ("init_aux", "rescale_aux", "clamp_aux",
+             "square_aux", "drift_aux", "clear_aux")
     return Kernel(
-        name=f"{names[shape % 6]}_{tag}",
-        arrays=(arr,),
+        name=f"{names[kind]}_{tag}",
+        arrays=(ArrayDecl("aux_buf", f32, flag, Scope.GLOBAL, is_output=True),),
         params=(ScalarParam(base, DType.I32),),
-        body=shapes[shape % 6],
+        body=body,
         work_items=base,
     )
 

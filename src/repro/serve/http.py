@@ -75,10 +75,12 @@ from repro.eval.rq23 import REGIME_VARIANTS
 from repro.llm.pricing import query_cost_usd
 from repro.llm.registry import MODEL_NAMES
 from repro.prompts import ZERO_SHOT, build_classify_prompt, get_variant
+from repro.prompts.examples import EXAMPLE_VARIANT, real_examples
 from repro.roofline.hardware import GpuSpec, get_gpu
 from repro.serve.engine import AsyncEvalEngine, ProviderChain
 from repro.serve.providers import resolve_provider
 from repro.serve.resilience import AllProvidersUnavailable, LoadShedError
+from repro.types import Language
 from repro.util.retry import DeadlineExceeded, TransientError
 
 #: The paper's headline model — the default for unqualified queries.
@@ -156,11 +158,19 @@ class PredictionService:
         return self._providers[model_name]
 
     def _build_index(self, gpu: GpuSpec | None) -> dict[str, Sample]:
-        """One GPU's uid → sample index: a (blocking) dataset build."""
+        """One GPU's uid → sample index: a (blocking) dataset build.
+
+        Also builds both languages' real-code example shots (memoized
+        per process), so a first ``few-shot-2`` prompt never builds them
+        on the event loop."""
         if gpu is None:
             samples: Sequence[Sample] = paper_dataset(jobs=self.jobs).balanced
         else:
             samples = scenario_samples(gpu, jobs=self.jobs)
+        for language in Language:
+            # Positional, as real_example_sequence calls it: the memo keys
+            # on the arguments as passed.
+            real_examples(language, EXAMPLE_VARIANT)
         return {s.uid: s for s in samples}
 
     async def _sample_index(self, gpu: GpuSpec | None) -> dict[str, Sample]:

@@ -30,6 +30,7 @@ through :meth:`CircuitBreaker.snapshot`.
 from __future__ import annotations
 
 import asyncio
+import math
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -90,6 +91,8 @@ class BreakerPolicy:
             )
         if self.min_calls < 1:
             raise ValueError(f"min_calls must be >= 1, got {self.min_calls}")
+        if not math.isfinite(self.cooldown_s):
+            raise ValueError(f"cooldown_s must be finite, got {self.cooldown_s}")
         if self.cooldown_s <= 0:
             raise ValueError(f"cooldown_s must be > 0, got {self.cooldown_s}")
         if self.half_open_probes < 1:
@@ -114,10 +117,16 @@ class HedgePolicy:
     min_samples: int = 8
 
     def __post_init__(self) -> None:
+        if self.delay_s is not None and not math.isfinite(self.delay_s):
+            raise ValueError(f"delay_s must be finite, got {self.delay_s}")
         if self.delay_s is not None and self.delay_s < 0:
             raise ValueError(f"delay_s must be >= 0, got {self.delay_s}")
         if not 0.0 < self.quantile < 1.0:
             raise ValueError(f"quantile must be in (0, 1), got {self.quantile}")
+        if not math.isfinite(self.min_delay_s):
+            raise ValueError(
+                f"min_delay_s must be finite, got {self.min_delay_s}"
+            )
         if self.min_delay_s < 0:
             raise ValueError(
                 f"min_delay_s must be >= 0, got {self.min_delay_s}"
@@ -272,8 +281,9 @@ class RateLimiter:
     no lock is needed. Waiters self-schedule — each sleeps exactly until
     its own token matures — and ``_reserved`` tokens make concurrent
     waiters queue FIFO-fairly instead of stampeding the bucket when it
-    refills. ``rate=None`` (or ``<= 0``) disables limiting;
-    ``clock``/``sleep`` are injectable for virtual-time tests.
+    refills. ``rate=None`` (or ``<= 0``, or infinite) disables limiting;
+    a NaN rate is rejected. ``clock``/``sleep`` are injectable for
+    virtual-time tests.
     """
 
     def __init__(
@@ -284,7 +294,9 @@ class RateLimiter:
         clock: Callable[[], float] = time.monotonic,
         sleep: Sleep = asyncio.sleep,
     ) -> None:
-        if rate is not None and rate <= 0:
+        if rate is not None and math.isnan(rate):
+            raise ValueError(f"rate must be a number, got {rate}")
+        if rate is not None and not 0 < rate < math.inf:
             rate = None
         if burst < 1:
             raise ValueError(f"burst must be >= 1, got {burst}")

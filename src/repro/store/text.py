@@ -7,7 +7,7 @@ tokenizer and rendering/token-counting every program. Both are pure
 functions of versioned inputs, so both persist in one
 :class:`ArtifactCache` (``--artifact-cache`` /
 ``$REPRO_ARTIFACT_CACHE``), an :class:`~repro.store.base.ArtifactStore`
-with three segment kinds under one root and one size bound:
+with four segment kinds under one root and one size bound:
 
 * **tokenizers** — learned BPE merge lists, keyed by SHA-256 over the
   **training-text digests** (the :func:`program_text_key` of every
@@ -22,12 +22,19 @@ with three segment kinds under one root and one size bound:
 * **token counts** — one segment per tokenizer digest (program text key →
   token count), like per-device profiles. A 6-device matrix sweep
   token-counts each program once, and a warm cache renders and counts
-  **nothing**.
+  **nothing**;
+* **samples** — one entry per profiled sample set (device × uid subset,
+  :func:`repro.dataset.build.sample_set_key`): the ordered samples
+  without their sources, which the sources segment fills back in. A warm
+  process reads a whole dataset or scenario this way and builds **no**
+  corpus.
 
 A corpus program's text key hashes the generator digest, so any
 generator or codegen edit changes it; any pretokenizer or trainer change
-bumps a version hashed into every key. Stale entries can only read as
-misses, never as wrong text.
+bumps a version hashed into every key. A sample set's key hashes the
+whole package (:func:`~repro.kernels.corpus.package_digest`), so any
+edit reads it as a miss. Stale entries can only read as misses, never
+as wrong text.
 The process-wide cache — installed by the CLI, else built from
 ``$REPRO_ARTIFACT_CACHE`` — lives in :mod:`repro.runtime`.
 """
@@ -64,12 +71,14 @@ DEFAULT_ARTIFACT_CACHE_DIRNAME = ".repro-artifact-cache"
 _SEGMENT_PREFIX_TOKENIZERS = "tokenizers-"
 _SEGMENT_PREFIX_SOURCES = "sources-"
 _SEGMENT_PREFIX_COUNTS = "tokencounts-"
+_SEGMENT_PREFIX_SAMPLES = "samples-"
 
 #: Every text-artifact segment kind.
 TEXT_SEGMENT_PREFIXES = (
     _SEGMENT_PREFIX_TOKENIZERS,
     _SEGMENT_PREFIX_SOURCES,
     _SEGMENT_PREFIX_COUNTS,
+    _SEGMENT_PREFIX_SAMPLES,
 )
 
 
@@ -132,6 +141,7 @@ class ArtifactCacheManifest:
     source_entries: int
     count_entries: int
     count_tokenizers: int  # distinct tokenizer digests with count segments
+    sample_entries: int
     total_bytes: int
     stale_segments: int = 0  # version-skewed/unreadable; GC'd on next evict
 
@@ -143,6 +153,7 @@ class ArtifactCacheManifest:
             f"counts:     {self.count_entries} "
             f"({self.count_tokenizers} tokenizer"
             f"{'' if self.count_tokenizers == 1 else 's'})",
+            f"samples:    {self.sample_entries}",
             f"bytes:      {self.total_bytes}",
         ]
         if self.stale_segments:
@@ -155,14 +166,16 @@ class ArtifactCacheManifest:
 
 
 class ArtifactCache(ArtifactStore):
-    """Learned BPE merges, rendered program sources and per-tokenizer
-    token counts, under one root directory and one size bound.
+    """Learned BPE merges, rendered program sources, per-tokenizer token
+    counts and profiled sample sets, under one root directory and one
+    size bound.
 
     Tokenizer entries are tiny (~900 merge pairs) and every consumer wants
     the whole tokenizer, so all of them share one segment. Sources are
     tokenizer-independent (one segment, like the profile store's
     device-independent traces); token counts hang off a tokenizer digest
-    (one segment per tokenizer, like per-device profiles).
+    (one segment per tokenizer, like per-device profiles). Sample sets
+    share one segment, one entry per set.
     """
 
     version = TEXT_VERSION
@@ -256,6 +269,29 @@ class ArtifactCache(ArtifactStore):
             dict(counts),
         )
 
+    # -- sample sets ---------------------------------------------------------
+    def get_samples(self, key: str) -> list[dict] | None:
+        """The stored sample records under ``key`` (each a
+        ``Sample.to_dict(include_source=False)``), or ``None`` on a miss.
+
+        Lazy: decodes only this set's blob."""
+        raw = self._get_entries(
+            _SEGMENT_PREFIX_SAMPLES, self._version_key(), [key]
+        ).get(key)
+        if not isinstance(raw, list) or not all(
+            isinstance(record, dict) for record in raw
+        ):
+            return None  # corrupt entry == miss; the re-put repairs it
+        return raw
+
+    def put_samples(self, key: str, records: Sequence[Mapping]) -> None:
+        self._merge_entries(
+            _SEGMENT_PREFIX_SAMPLES,
+            self._version_key(),
+            {"version": TEXT_VERSION},
+            {key: list(records)},
+        )
+
     # -- lifecycle -----------------------------------------------------------
     def manifest(self) -> ArtifactCacheManifest:
         """Entry counts and bytes. A missing or empty directory reads as
@@ -265,13 +301,15 @@ class ArtifactCache(ArtifactStore):
         version-skewed ones whose entries are not counted — so the total
         matches what :meth:`size_bytes` and the eviction bound see."""
         tokenizer_entries = source_entries = count_entries = 0
-        count_tokenizers = 0
+        count_tokenizers = sample_entries = 0
         for prefix, data in self.iter_segments():
             n = len(data["entries"])
             if prefix == _SEGMENT_PREFIX_TOKENIZERS:
                 tokenizer_entries += n
             elif prefix == _SEGMENT_PREFIX_SOURCES:
                 source_entries += n
+            elif prefix == _SEGMENT_PREFIX_SAMPLES:
+                sample_entries += n
             else:
                 count_entries += n
                 count_tokenizers += 1
@@ -281,6 +319,7 @@ class ArtifactCache(ArtifactStore):
             source_entries=source_entries,
             count_entries=count_entries,
             count_tokenizers=count_tokenizers,
+            sample_entries=sample_entries,
             total_bytes=self.size_bytes(),
             stale_segments=self.stale_segment_count(),
         )

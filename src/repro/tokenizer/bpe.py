@@ -45,10 +45,10 @@ _PRETOKEN_RE = re.compile(
 )
 
 
-#: Splits text into lines and the newline runs between them. No
-#: :data:`_PRETOKEN_RE` alternative but ``\n+`` matches a newline, so a
-#: text's pre-tokens are its pieces' pre-tokens, in order.
-_LINE_SPLIT_RE = re.compile(r"(\n+)")
+#: Runs of two or more newlines. No :data:`_PRETOKEN_RE` alternative but
+#: ``\n+`` matches a newline, so a text's pre-tokens are those of its
+#: lines and of the newline runs between them.
+_NEWLINE_RUNS_RE = re.compile(r"\n\n+")
 
 
 def pretokenize(text: str) -> list[str]:
@@ -276,8 +276,16 @@ class BpeTokenizer:
         pre-tokenizes each line once, not once per program.
         """
         memo = self._line_counts
+        pieces = Counter(text.split("\n"))
+        pieces.pop("", None)  # no tokens
+        runs = Counter(_NEWLINE_RUNS_RE.findall(text))
+        # Every newline outside a longer run is a run of one.
+        single = text.count("\n") - sum(len(r) * n for r, n in runs.items())
+        if single:
+            runs["\n"] = single
+        pieces.update(runs)  # lines hold no newline: no key is shared
         total = 0
-        for piece, freq in Counter(_LINE_SPLIT_RE.split(text)).items():
+        for piece, freq in pieces.items():
             count = memo.get(piece)
             if count is None:
                 count = self._count_piece(piece)

@@ -310,6 +310,14 @@ SERVE_POLICY_FLAGS = {
     "--attempt-timeout -1": "timeout_s must be > 0, got -1.0",
     "--attempt-timeout 0": "timeout_s must be > 0, got 0.0",
     "--breaker-window 0": "window must be >= 1, got 0",
+    "--rate-limit nan": "rate must be a number, got nan",
+    "--hedge-delay nan": "delay_s must be finite, got nan",
+    "--hedge-delay inf": "delay_s must be finite, got inf",
+    "--breaker-cooldown nan": "cooldown_s must be finite, got nan",
+    "--breaker-cooldown inf": "cooldown_s must be finite, got inf",
+    "--drain-timeout -1": "drain timeout must be finite and >= 0, got -1.0",
+    "--drain-timeout nan": "drain timeout must be finite and >= 0, got nan",
+    "--drain-timeout inf": "drain timeout must be finite and >= 0, got inf",
 }
 
 

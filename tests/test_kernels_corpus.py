@@ -1,5 +1,7 @@
 """Tests for corpus assembly (paper §2.1 counts and determinism)."""
 
+import hashlib
+
 import pytest
 
 from repro.kernels.corpus import (
@@ -69,6 +71,15 @@ class TestCorpusStructure:
         a = build_corpus(25, 15)
         b = build_corpus(25, 15)
         assert a.programs == b.programs
+
+    def test_default_corpus_is_pinned(self, corpus):
+        """SHA-256 over the ``repr`` of every default-corpus program: a
+        change to how programs are built that changes none of them keeps
+        this digest."""
+        digest = hashlib.sha256(repr(corpus.programs).encode()).hexdigest()
+        assert digest == (
+            "2db45da54b87426cddf774adea2a146abe83da895dad10976ffadfad4ca893d7"
+        )
 
     def test_default_corpus_cached(self):
         assert default_corpus() is default_corpus()

@@ -12,6 +12,7 @@ import asyncio
 import http.client
 import importlib.util
 import json
+import math
 import threading
 import time
 import urllib.error
@@ -35,6 +36,7 @@ from repro.serve import (
     LoadShedError,
     PredictionServer,
     PredictionService,
+    RateLimiter,
     RetryPolicy,
     provider_label,
     resolve_provider,
@@ -211,6 +213,23 @@ def test_hedge_policy_validation():
         HedgePolicy(quantile=1.0)
     with pytest.raises(ValueError):
         HedgePolicy(min_delay_s=-0.1)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_policies_reject_non_finite_values(value):
+    with pytest.raises(ValueError, match="must be finite"):
+        HedgePolicy(delay_s=value)
+    with pytest.raises(ValueError, match="must be finite"):
+        HedgePolicy(min_delay_s=value)
+    with pytest.raises(ValueError, match="must be finite"):
+        BreakerPolicy(cooldown_s=value)
+
+
+def test_rate_limiter_rejects_nan_and_keeps_its_off_switch():
+    with pytest.raises(ValueError, match="rate must be a number"):
+        RateLimiter(math.nan)
+    for off in (0, -1.0, math.inf):
+        assert RateLimiter(off).rate is None
 
 
 # -- fault plan: serving kinds -----------------------------------------------

@@ -688,6 +688,28 @@ def test_concurrent_first_queries_share_one_index_build(balanced_samples):
     assert len({a["prediction"] for a in answers}) == 1
 
 
+def test_index_build_builds_both_languages_example_shots(
+    balanced_samples, monkeypatch
+):
+    """The example shots of a first ``few-shot-2`` prompt are built on
+    the index's worker thread, never on the event loop."""
+    import repro.kernels.families
+    from repro.prompts import real_examples_block
+    from repro.prompts.examples import real_examples
+    from repro.types import Language
+
+    real_examples.cache_clear()
+    service = PredictionService(AsyncEvalEngine(store=MemoryResponseStore()))
+    service._build_index(None)
+
+    def no_build(name):
+        raise AssertionError(f"example shot {name!r} built after the index")
+
+    monkeypatch.setattr(repro.kernels.families, "get_family", no_build)
+    for language in Language:
+        assert real_examples_block(language, shots=2).count("Example ") == 2
+
+
 def test_index_build_survives_a_cancelled_waiter_and_forgets_a_failure(
     balanced_samples,
 ):

@@ -273,12 +273,17 @@ class TestLineMemo:
     @settings(max_examples=200, deadline=None)
     @given(
         texts=st.lists(
-            st.text(
-                alphabet=st.one_of(
-                    st.sampled_from(list("\n\n\r \t\tab_Z09(){};*+=.")),
-                    st.characters(min_codepoint=0x80, max_codepoint=0x2FFF),
+            st.builds(
+                lambda lead, body, trail: "\n" * lead + body + "\n" * trail,
+                st.integers(0, 3),
+                st.text(
+                    alphabet=st.one_of(
+                        st.sampled_from(list("\n\n\r \t\tab_Z09(){};*+=.")),
+                        st.characters(min_codepoint=0x80, max_codepoint=0x2FFF),
+                    ),
+                    max_size=80,
                 ),
-                max_size=80,
+                st.integers(0, 3),
             ),
             min_size=1,
             max_size=4,
