@@ -54,13 +54,13 @@ def test_fault_tolerance_overhead(dataset):
     def timed_direct():
         t0 = time.perf_counter()
         for _ in range(CALLS):
-            (lambda: 1)()
+            (lambda _attempt: 1)(0)
         return time.perf_counter() - t0
 
     def timed_wrapped():
         t0 = time.perf_counter()
         for _ in range(CALLS):
-            retry_call(lambda: 1, policy=policy)
+            retry_call(lambda _attempt: 1, policy=policy)
         return time.perf_counter() - t0
 
     t_direct = _best_of(3, timed_direct)

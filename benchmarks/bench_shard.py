@@ -22,6 +22,7 @@ import sys
 import time
 from pathlib import Path
 
+from repro.eval.engine import DiskResponseStore
 from repro.util.tables import format_table
 
 GRID = [
@@ -51,6 +52,9 @@ def _sweep_cmd(extra: list[str]) -> list[str]:
 
 
 def _entry_files(root: Path) -> dict:
+    # One sweep and a merge of shards spill at different flush boundaries;
+    # compacted to one canonical run each, their bytes must agree.
+    DiskResponseStore(root).compact()
     return {p.name: p.read_bytes() for p in root.glob("responses-*.bin")}
 
 

@@ -1210,7 +1210,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--burst", type=_positive_int, default=8,
                    help="rate-limit burst size (default 8)")
     p.add_argument("--max-concurrency", type=_positive_int, default=64,
-                   help="max in-flight completions per batch (default 64)")
+                   help="max in-flight completions per AsyncEvalEngine.run "
+                        "batch; serve never runs a batch, so its in-flight "
+                        "requests are bounded by --queue-budget (default 64)")
     p.add_argument("--breaker-window", type=int, default=16,
                    help="circuit-breaker sliding window of attempt outcomes "
                         "per provider (default 16)")

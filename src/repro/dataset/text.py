@@ -6,10 +6,10 @@ a 6-device matrix sweep must pay the render/tokenize cost once, not six
 times. This module is that shared pass, layered like
 :func:`repro.gpusim.profile_programs`:
 
-* an in-process memo keyed by *object identity* (weakref-evicted, so a
-  dead corpus frees its text and id reuse cannot alias) — the corpus and
-  scenario passes share one render per program object, and the memo
-  costs no digest work at all;
+* an in-process memo keyed by *object identity* and the artifact
+  cache's root (weakref-evicted, so a dead corpus frees its text and id
+  reuse cannot alias) — the corpus and scenario passes share one render
+  per program object, and the memo costs no digest work at all;
 * under it, the persistent artifact cache
   (:class:`repro.store.text.ArtifactCache`), addressed by
   :func:`repro.store.text.program_text_key` and the tokenizer digest. A
@@ -52,13 +52,14 @@ class TextArtifact:
 
 
 # Identity-keyed memos (value caches, same weakref discipline as
-# repro.store.base.memoized_object_key): _SOURCE_MEMO maps id(program) →
-# source, _COUNT_MEMO maps (tokenizer digest, id(program)) → count. The
-# tokenizer digest (one memoized hash over the merge list) rides in the
-# count key because one process can hold several trained tokenizers.
+# repro.store.base.memoized_object_key): _SOURCE_MEMO maps (cache root,
+# id(program)) → source, _COUNT_MEMO maps (cache root, tokenizer digest,
+# id(program)) → count. A hit skips the cache, so its root is in the key:
+# text memoized under one cache still reaches a later one. One process
+# can hold several trained tokenizers, hence the digest.
 _TEXT_LOCK = threading.Lock()
-_SOURCE_MEMO: dict[int, tuple["weakref.ref", str]] = {}
-_COUNT_MEMO: dict[tuple[str, int], tuple["weakref.ref", int]] = {}
+_SOURCE_MEMO: dict[tuple[str, int], tuple["weakref.ref", str]] = {}
+_COUNT_MEMO: dict[tuple[str, str, int], tuple["weakref.ref", int]] = {}
 # Text key → source, for sources read by key with no program object to
 # anchor them (stored sample sets): every set that holds a program shares
 # one string. Bounded by the corpus's distinct text keys.
@@ -129,12 +130,13 @@ def rendered_sources(
     """
     if cache is runtime.CURRENT:
         cache = runtime.current().artifact_cache
+    tag = str(cache.root) if cache is not None else ""
     programs = list(programs)
     sources: dict[int, str] = {}
     missing: list[tuple[int, "ProgramSpec"]] = []
     with _TEXT_LOCK:
         for i, program in enumerate(programs):
-            hit = _memo_get(_SOURCE_MEMO, id(program), program)
+            hit = _memo_get(_SOURCE_MEMO, (tag, id(program)), program)
             if hit is not None:
                 sources[i] = hit
             else:
@@ -152,7 +154,7 @@ def rendered_sources(
             _memo_install(
                 _SOURCE_MEMO,
                 {
-                    id(p): (p, stored[k])
+                    (tag, id(p)): (p, stored[k])
                     for (_, p), k in zip(missing, keys)
                     if k in stored
                 },
@@ -169,7 +171,7 @@ def rendered_sources(
         _memo_install(
             _SOURCE_MEMO,
             {
-                id(p): (p, text)
+                (tag, id(p)): (p, text)
                 for (_, p), text in zip(missing, rendered)
             },
         )
@@ -198,6 +200,7 @@ def program_texts(
     """
     if cache is runtime.CURRENT:
         cache = runtime.current().artifact_cache
+    tag = str(cache.root) if cache is not None else ""
     programs = list(programs)
     tdigest = tokenizer.digest()
     sources = rendered_sources(programs, jobs=jobs, cache=cache)
@@ -206,7 +209,7 @@ def program_texts(
     missing: list[tuple[int, "ProgramSpec"]] = []
     with _TEXT_LOCK:
         for i, program in enumerate(programs):
-            hit = _memo_get(_COUNT_MEMO, (tdigest, id(program)), program)
+            hit = _memo_get(_COUNT_MEMO, (tag, tdigest, id(program)), program)
             if hit is not None:
                 counts[i] = hit
             else:
@@ -224,7 +227,7 @@ def program_texts(
             _memo_install(
                 _COUNT_MEMO,
                 {
-                    (tdigest, id(p)): (p, stored[k])
+                    (tag, tdigest, id(p)): (p, stored[k])
                     for (_, p), k in zip(missing, keys)
                     if k in stored
                 },
@@ -241,7 +244,7 @@ def program_texts(
         _memo_install(
             _COUNT_MEMO,
             {
-                (tdigest, id(p)): (p, count)
+                (tag, tdigest, id(p)): (p, count)
                 for (_, p), count in zip(missing, counted)
             },
         )

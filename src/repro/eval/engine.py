@@ -42,7 +42,6 @@ import dataclasses
 import hashlib
 import json
 import os
-import random
 import threading
 import time
 from contextlib import nullcontext
@@ -56,7 +55,7 @@ from repro.llm.config import ModelConfig
 from repro.llm.pricing import Usage, UsageMeter
 from repro import runtime
 from repro.store.base import ArtifactStore, SegmentView
-from repro.util.hashing import stable_hash_bytes, stable_hash_u64
+from repro.util.hashing import stable_hash_bytes
 from repro.util.parallel import parallel_map, resolve_jobs
 from repro.util.retry import RetryPolicy, TransientError, retry_call
 
@@ -577,9 +576,9 @@ class EvalEngine(_EngineCore):
     ``"thread"``; any other value raises :class:`ValueError`.
 
     Fault tolerance: every completion attempt runs under ``retry`` (a
-    :class:`~repro.util.retry.RetryPolicy`; jitter RNG seeded per unit
-    from its cache key, so retried sweeps reproduce), and each re-attempt
-    is booked in ``stats.retries`` as it happens. ``failure_mode``
+    :class:`~repro.util.retry.RetryPolicy`; jitter hashed from the unit's
+    cache key and the attempt, so retried sweeps reproduce), and each
+    re-attempt is booked in ``stats.retries`` as it happens. ``failure_mode``
     decides what happens when a unit *exhausts* its retries —
     ``"fail_fast"`` (default) propagates and cancels the fan-out,
     ``"collect"`` records it as a
@@ -641,8 +640,8 @@ class EvalEngine(_EngineCore):
         """Lookup → compute → commit for one unit, in this thread.
 
         A miss runs the retry loop under the runtime's fault plan, booking
-        each re-attempt as it happens. The cache key seeds the retry RNG,
-        so backoff jitter reproduces however the fan-out schedules the
+        each re-attempt as it happens. The cache key is the loop's jitter
+        token, so backoff reproduces however the fan-out schedules the
         unit, and selects the unit's faults. In ``collect`` mode an
         exhausted transient failure commits as a :class:`_FailedCompletion`
         marker instead of raising; anything non-transient still
@@ -652,13 +651,10 @@ class EvalEngine(_EngineCore):
         outcome = self._lookup(key)
         if outcome is None:
             plan = runtime.current().fault_plan
-            attempts = 0
 
-            def attempt() -> CachedResponse:
-                nonlocal attempts
-                attempts += 1
+            def attempt(index: int) -> CachedResponse:
                 if plan is not None:
-                    plan.completion_fault(key, attempts - 1)
+                    plan.completion_fault(key, index)
                 return CachedResponse.from_response(
                     model.complete(prompt, temperature=temperature, top_p=top_p)
                 )
@@ -667,13 +663,16 @@ class EvalEngine(_EngineCore):
                 outcome = retry_call(
                     attempt,
                     policy=self.retry,
-                    rng=random.Random(stable_hash_u64("retry", key)),
+                    token=key,
                     on_retry=lambda _attempt, _exc: self.stats._bump("retries"),
                 )
             except TransientError as exc:
                 if not collect:
                     raise
-                outcome = _FailedCompletion(type(exc).__name__, str(exc), attempts)
+                # Only the last of max_attempts failures escapes the loop.
+                outcome = _FailedCompletion(
+                    type(exc).__name__, str(exc), self.retry.max_attempts
+                )
             self._commit(key, outcome)
         if isinstance(outcome, _FailedCompletion):
             return outcome

@@ -12,20 +12,21 @@ grid :meth:`AsyncEvalEngine.run` returns a byte-identical
 :class:`~repro.eval.runner.RunResult` and writes byte-identical cache
 segments (pinned by the equivalence oracle).
 
-What the async engine adds is how it computes a miss:
+A miss runs the batch engine's retry loop
+(:func:`~repro.util.retry.call_with_retry`: jitter hashed from the cache
+key and the attempt, an attempt overrun surfacing as
+:class:`~repro.serve.providers.ProviderTimeout`) and calls the fault
+plan's one hook with the candidate's provider label. Around that shared
+miss path the async engine adds:
 
 * **Request coalescing.** Identical in-flight prompts (same cache key)
   share one upstream completion: the first arrival owns the request, the
   rest await its future. With deterministic providers the duplicates'
   responses are exact, and with real APIs coalescing is what keeps a
   burst of identical queries from billing N times.
-* **Retry/backoff + rate limiting.** Every upstream call runs under a
-  :class:`~repro.util.retry.RetryPolicy` (bounded attempts, jittered
-  exponential backoff, jittered per-attempt deadlines, an overrun
-  surfacing as :class:`~repro.serve.providers.ProviderTimeout`) and an
-  optional :class:`~repro.serve.resilience.RateLimiter` token bucket,
-  acquired inside each attempt so backed-off retries re-queue behind
-  fresh work.
+* **Rate limiting.** An optional
+  :class:`~repro.serve.resilience.RateLimiter` token bucket is acquired
+  inside each attempt so backed-off retries re-queue behind fresh work.
 * **Resilience.** ``complete`` accepts a *failover chain* — an ordered
   tuple of providers sharing one :class:`~repro.llm.config.ModelConfig`.
   Each chain member sits behind its own
@@ -45,7 +46,6 @@ What the async engine adds is how it computes a miss:
 from __future__ import annotations
 
 import asyncio
-import random
 import time
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -146,7 +146,6 @@ class AsyncEvalEngine(_EngineCore):
         retry: RetryPolicy | None = None,
         limiter: RateLimiter | None = None,
         max_concurrency: int = 64,
-        rng: random.Random | None = None,
         sleep: Sleep = asyncio.sleep,
         clock: Callable[[], float] = time.monotonic,
         breaker: BreakerPolicy | None = None,
@@ -164,7 +163,6 @@ class AsyncEvalEngine(_EngineCore):
         self.breaker_policy = breaker or BreakerPolicy()
         self.hedge_policy = hedge  # None = hedging disabled
         self.latency = LatencyTracker()
-        self._rng = rng if rng is not None else random.Random()
         self._sleep = sleep
         self._clock = clock
         self._inflight: dict[str, asyncio.Future[LlmResponse]] = {}
@@ -300,16 +298,13 @@ class AsyncEvalEngine(_EngineCore):
     ) -> LlmResponse:
         """One provider's full retry loop, breaker- and fault-aware."""
         breaker = self.breaker(label)
-        state = {"attempt": 0}
 
-        async def attempt() -> LlmResponse:
-            index = state["attempt"]
-            state["attempt"] += 1
+        async def attempt(index: int) -> LlmResponse:
             if plan is not None:
                 tail = plan.slow_tail_delay(label, token)
                 if tail is not None:
                     await self._sleep(tail)
-                plan.provider_fault(label, token, index)
+                plan.completion_fault(token, index, label)
             if self.limiter is not None:
                 # Acquired per attempt: a retry after backoff waits its
                 # turn again rather than holding a stale reservation.
@@ -327,7 +322,7 @@ class AsyncEvalEngine(_EngineCore):
             response = await call_with_retry(
                 attempt,
                 policy=self.retry,
-                rng=self._rng,
+                token=token,
                 sleep=self._sleep,
                 on_retry=on_retry,
                 timeout_error=_provider_timeout,

@@ -10,8 +10,8 @@ parsed from a compact spec string (``$REPRO_FAULT_PLAN`` or
 
 Fault kinds:
 
-* completion faults, raised inside the engine's per-unit retry loop —
-  ``provider_error`` (a 5xx-shaped :class:`InjectedFault`),
+* completion faults, raised by the one hook both engines call before
+  every attempt, :meth:`FaultPlan.completion_fault` — ``provider_error`` (a 5xx-shaped :class:`InjectedFault`),
   ``provider_timeout`` (:class:`InjectedTimeout`), and ``rate_limit``
   (:class:`InjectedRateLimit`, optional ``retry_after`` hint). A selected
   unit fails its first ``attempts`` attempts and then succeeds, so
@@ -26,10 +26,10 @@ Fault kinds:
   **once** per (kind, file name) so a later rewrite can heal the store —
   corruption is an event, not a curse;
 * ``worker_death:after=N`` — the process SIGKILLs itself on its N-th
-  completion attempt: the crash drill for re-running a sweep over the
-  runs its store spilled;
-* serving faults, raised inside the async engine's per-candidate retry
-  loop — ``provider_brownout:provider=L,after=K,attempts=N`` (a sustained
+  batch completion attempt: the crash drill for re-running a sweep over
+  the runs its store spilled;
+* serving faults, injected only on the serving engine's path —
+  ``provider_brownout:provider=L,after=K,attempts=N`` (a sustained
   window: matching attempts K+1..K+N against provider label ``L`` all
   fail, exercising breakers and failover) and
   ``slow_tail:rate=R,ms=M`` (hash-selected calls answer ``M`` ms late,
@@ -61,13 +61,8 @@ from repro.util.retry import AttemptTimeout, TransientError
 FAULT_PLAN_ENV = "REPRO_FAULT_PLAN"
 
 COMPLETION_FAULT_KINDS = ("provider_error", "provider_timeout", "rate_limit")
-#: Serve-path faults: ``provider_brownout`` (a counter-window of sustained
-#: failures against one provider — every matching attempt in the window
-#: fails, modelling a vendor outage rather than per-unit weather) and
-#: ``slow_tail:rate=...,ms=...`` (pure-hash-selected calls answer ``ms``
-#: milliseconds late, the tail the hedging path exists for). Both honour
-#: an optional ``provider=<label>`` filter so a plan can brown out the
-#: primary while its failover target stays healthy.
+#: Serve-path faults (see the module docstring); both honour an optional
+#: ``provider=<label>`` filter.
 PROVIDER_FAULT_KINDS = ("provider_brownout", "slow_tail")
 SEGMENT_FAULT_KINDS = (
     "torn_write",
@@ -247,45 +242,33 @@ class FaultPlan:
             )
         raise InjectedFault(f"injected provider error: {where}")
 
-    def completion_fault(self, token: str, attempt: int) -> None:
+    def completion_fault(
+        self, token: str, attempt: int, provider: str | None = None
+    ) -> None:
         """Raise this unit's injected fault for ``attempt`` (0-based), if
-        any; also drives the ``worker_death`` counter. Called by the engine
-        before each real completion attempt. Provider-targeted specs
-        (``provider=...``) are serve-path faults and never fire here."""
-        for spec in self.specs:
-            if spec.kind != "worker_death":
-                continue
-            with self._lock:
-                self._attempts_seen += 1
-                fatal = self._attempts_seen == spec.after
-            if fatal:
-                os.kill(os.getpid(), signal.SIGKILL)
-        for spec in self.specs:
-            if spec.kind not in COMPLETION_FAULT_KINDS or spec.provider:
-                continue
-            if attempt >= spec.attempts or not self._selected(spec, token):
-                continue
-            self._raise_completion(
-                spec, f"unit {token[:12]} attempt {attempt + 1}"
-            )
+        any: the one hook both engines call before every attempt.
 
-    # -- serve-path hooks ----------------------------------------------------
-    def provider_fault(self, provider: str, token: str, attempt: int) -> None:
-        """The serving engine's twin of :meth:`completion_fault`.
-
-        ``provider`` is the candidate's label (``family:model``); specs
-        carrying ``provider=...`` fire only against that label, bare specs
-        fire against every provider. ``provider_brownout`` is a *window*:
-        a per-spec counter of matching attempts, of which numbers
-        ``(after, after + attempts]`` all fail — sustained unavailability
-        that exhausts retries and opens circuit breakers, then lifts so
-        half-open probes can close them again. Never SIGKILLs: process
-        death is a batch-sweep fault, not a serving one.
+        On the batch path (``provider=None``) the attempt first drives the
+        ``worker_death`` counter; provider-targeted specs and
+        ``provider_brownout`` never fire. Serve passes the candidate's
+        label: ``provider=...`` specs fire only against it, nothing ever
+        SIGKILLs, and a ``provider_brownout`` fails every matching attempt
+        numbered ``(after, after + attempts]`` of its per-spec counter — an
+        outage that opens breakers, then lifts so probes can close them.
         """
+        if provider is None:
+            for spec in self.specs:
+                if spec.kind != "worker_death":
+                    continue
+                with self._lock:
+                    self._attempts_seen += 1
+                    fatal = self._attempts_seen == spec.after
+                if fatal:
+                    os.kill(os.getpid(), signal.SIGKILL)
         for index, spec in enumerate(self.specs):
             if spec.provider and spec.provider != provider:
                 continue
-            if spec.kind == "provider_brownout":
+            if spec.kind == "provider_brownout" and provider is not None:
                 with self._lock:
                     seen = self._window_seen.get(index, 0) + 1
                     self._window_seen[index] = seen
@@ -295,14 +278,15 @@ class FaultPlan:
                         f"of window ({spec.after}, "
                         f"{spec.after + spec.attempts}]"
                     )
-                continue
-            if spec.kind not in COMPLETION_FAULT_KINDS:
-                continue
-            if attempt >= spec.attempts or not self._selected(spec, token):
-                continue
-            self._raise_completion(
-                spec, f"{provider} unit {token[:12]} attempt {attempt + 1}"
-            )
+            elif (
+                spec.kind in COMPLETION_FAULT_KINDS
+                and attempt < spec.attempts
+                and self._selected(spec, token)
+            ):
+                where = f"unit {token[:12]} attempt {attempt + 1}"
+                self._raise_completion(
+                    spec, f"{provider} {where}" if provider else where
+                )
 
     def slow_tail_delay(self, provider: str, token: str) -> float | None:
         """Seconds of injected tail latency for this call, or ``None``.

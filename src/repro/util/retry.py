@@ -1,13 +1,13 @@
-"""Bounded retry with jittered exponential backoff — sync and async.
+"""Bounded retry with jittered exponential backoff — one loop, two entries.
 
 The one retry layer: the :class:`RetryPolicy` schedule, the
-:class:`TransientError` marker taxonomy, and the sync and async retry
-drivers. The sync batch engine (:mod:`repro.eval.engine`) and the async
-serving engine (:mod:`repro.serve.engine`) back off under the *same*
-policy object and call these drivers directly; ``repro.serve`` also
-exports :class:`RetryPolicy` for its callers.
+:class:`TransientError` marker taxonomy, and the one loop over attempts,
+:func:`call_with_retry`. The async serving engine
+(:mod:`repro.serve.engine`) awaits it; the sync batch engine
+(:mod:`repro.eval.engine`) drives it through :func:`retry_call`, a
+blocking adapter. ``repro.serve`` also exports :class:`RetryPolicy`.
 
-What counts as retryable is the caller's business: both drivers take a
+What counts as retryable is the caller's business: both entries take a
 ``retryable`` exception tuple (defaulting to :class:`TransientError`, the
 marker base that provider errors and injected faults subclass). Anything
 else is a bug or a permanent rejection and propagates on the first
@@ -15,19 +15,21 @@ attempt. A retryable error may carry a ``retry_after`` attribute (a
 429-shaped server hint, seconds); the backoff never waits less than it.
 
 Determinism note: backoff delays and attempt timeouts are *jittered*
-(decorrelating clients that fail together), which makes wall-clock timing
-random — but never results. The jitter RNG is injectable (the sync
-engine seeds it per work unit from the cache key, so a retried sweep is
-reproducible), and ``sleep`` is injectable so tests run in virtual time.
+(decorrelating clients that fail together), but each factor is a pure
+function of ``(token, attempt)``; both engines pass the unit's cache key
+as the token, so a retried unit backs off identically however it is
+scheduled, and results never depend on it. ``sleep`` is injectable so
+tests run in virtual time.
 """
 
 from __future__ import annotations
 
 import asyncio
-import random
 import time
 from dataclasses import dataclass
 from typing import Awaitable, Callable, TypeVar
+
+from repro.util.hashing import stable_hash_u64
 
 #: Async sleep hook type — tests inject a virtual clock.
 Sleep = Callable[[float], Awaitable[None]]
@@ -55,6 +57,15 @@ class DeadlineExceeded(Exception):
     Deliberately *not* a :class:`TransientError`: once the requester's
     budget is gone there is nothing to retry for. The serving layer maps
     this to a 429-shaped rejection (shed, not failed)."""
+
+
+def _jittered(value: float, spread: float, *key: object) -> float:
+    """``value`` times a factor in ``[1 - spread, 1 + spread]`` hashed
+    from ``key``."""
+    if not spread:
+        return value
+    draw = stable_hash_u64("retry-jitter", *key) / 2.0**64
+    return value * (1.0 - spread + 2.0 * spread * draw)
 
 
 @dataclass(frozen=True)
@@ -91,47 +102,34 @@ class RetryPolicy:
         if self.timeout_s is not None and not self.timeout_s > 0.0:
             raise ValueError(f"timeout_s must be > 0, got {self.timeout_s}")
 
-    def backoff_delay(self, attempt: int, rng: random.Random) -> float:
+    def backoff_delay(self, attempt: int, token: str) -> float:
         """Jittered delay after failed attempt ``attempt`` (0-based)."""
         delay = min(self.base_delay_s * self.multiplier**attempt, self.max_delay_s)
-        if self.jitter:
-            delay *= rng.uniform(1.0 - self.jitter, 1.0 + self.jitter)
-        return delay
+        return _jittered(delay, self.jitter, "backoff", token, attempt)
 
-    def attempt_timeout(self, rng: random.Random) -> float | None:
-        """This attempt's jittered deadline (``None`` = no deadline)."""
+    def attempt_timeout(self, attempt: int, token: str) -> float | None:
+        """Attempt ``attempt``'s jittered deadline (``None`` = no deadline)."""
         if self.timeout_s is None:
             return None
-        if not self.timeout_jitter:
-            return self.timeout_s
-        return self.timeout_s * rng.uniform(
-            1.0 - self.timeout_jitter, 1.0 + self.timeout_jitter
+        return _jittered(
+            self.timeout_s, self.timeout_jitter, "timeout", token, attempt
         )
 
 
-def _hint_delay(policy: RetryPolicy, attempt: int, exc: BaseException,
-                rng: random.Random) -> float:
-    """Backoff after ``attempt``, floored by the error's ``retry_after``."""
-    delay = policy.backoff_delay(attempt, rng)
-    hint = getattr(exc, "retry_after", None)
-    if hint is not None:
-        delay = max(delay, hint)
-    return delay
-
-
 async def call_with_retry(
-    fn: Callable[[], Awaitable],
+    fn: Callable[[int], Awaitable[T]],
     *,
     policy: RetryPolicy,
     retryable: tuple[type[BaseException], ...] = (TransientError,),
-    rng: random.Random | None = None,
+    token: str = "",
     sleep: Sleep = asyncio.sleep,
     on_retry: Callable[[int, BaseException], None] | None = None,
     timeout_error: Callable[[int, float], BaseException] | None = None,
     deadline: float | None = None,
     clock: Callable[[], float] = time.monotonic,
-):
-    """Await ``fn()`` with bounded retries under ``policy``.
+) -> T:
+    """Await ``fn(attempt)`` (0-based attempt index) with bounded retries
+    under ``policy``; ``token`` keys the jitter.
 
     Retries only ``retryable`` errors; an attempt that overruns its
     jittered deadline is surfaced as ``timeout_error(attempt, timeout)``
@@ -148,11 +146,10 @@ async def call_with_retry(
     backoff that cannot finish inside the budget fails immediately
     instead of sleeping through it.
     """
-    rng = rng if rng is not None else random.Random()
     last: BaseException | None = None
     for attempt in range(policy.max_attempts):
         try:
-            timeout = policy.attempt_timeout(rng)
+            timeout = policy.attempt_timeout(attempt, token)
             if deadline is not None:
                 remaining = deadline - clock()
                 if remaining <= 0:
@@ -161,9 +158,9 @@ async def call_with_retry(
                     ) from last
                 timeout = remaining if timeout is None else min(timeout, remaining)
             if timeout is None:
-                return await fn()
+                return await fn(attempt)
             try:
-                return await asyncio.wait_for(fn(), timeout)
+                return await asyncio.wait_for(fn(attempt), timeout)
             except asyncio.TimeoutError:
                 if timeout_error is not None:
                     raise timeout_error(attempt, timeout) from None
@@ -174,7 +171,10 @@ async def call_with_retry(
             last = exc
             if attempt + 1 >= policy.max_attempts:
                 raise
-            delay = _hint_delay(policy, attempt, exc, rng)
+            delay = policy.backoff_delay(attempt, token)
+            hint = getattr(exc, "retry_after", None)
+            if hint is not None:
+                delay = max(delay, hint)
             if deadline is not None and clock() + delay >= deadline:
                 raise DeadlineExceeded(
                     f"deadline leaves no room for a {delay:.3f}s backoff "
@@ -187,31 +187,38 @@ async def call_with_retry(
 
 
 def retry_call(
-    fn: Callable[[], T],
+    fn: Callable[[int], T],
     *,
     policy: RetryPolicy,
     retryable: tuple[type[BaseException], ...] = (TransientError,),
-    rng: random.Random | None = None,
+    token: str = "",
     sleep: Callable[[float], None] = time.sleep,
     on_retry: Callable[[int, BaseException], None] | None = None,
 ) -> T:
-    """Synchronous twin of :func:`call_with_retry` for the batch engine.
+    """Blocking entry to :func:`call_with_retry` for the batch engine.
 
-    Same schedule, same ``retry_after`` flooring, same ``on_retry`` hook.
-    ``policy.timeout_s`` is not enforced here — a sync call can't be
-    cancelled from outside without an event loop, so attempt deadlines
-    are an async-path feature only.
+    ``fn`` and ``sleep`` are wrapped in coroutines that never suspend, so
+    one ``send`` runs the whole loop to completion in the calling thread
+    with no event loop — safe inside thread-pool workers. A policy with
+    ``timeout_s`` is rejected: a blocking call cannot be cancelled from
+    outside, so attempt deadlines are an async-path feature only.
     """
-    rng = rng if rng is not None else random.Random()
-    last: BaseException | None = None
-    for attempt in range(policy.max_attempts):
-        try:
-            return fn()
-        except retryable as exc:
-            last = exc
-            if attempt + 1 >= policy.max_attempts:
-                raise
-            if on_retry is not None:
-                on_retry(attempt, exc)
-            sleep(_hint_delay(policy, attempt, exc, rng))
-    raise last if last is not None else RuntimeError("unreachable")
+    if policy.timeout_s is not None:
+        raise ValueError("retry_call cannot enforce timeout_s: use "
+                         "call_with_retry on an event loop")
+
+    async def attempt(index: int) -> T:
+        return fn(index)
+
+    async def pause(delay: float) -> None:
+        sleep(delay)
+
+    loop = call_with_retry(
+        attempt, policy=policy, retryable=retryable, token=token,
+        sleep=pause, on_retry=on_retry,
+    )
+    try:
+        loop.send(None)
+    except StopIteration as done:
+        return done.value
+    raise RuntimeError("retry_call: an attempt suspended on an event loop")

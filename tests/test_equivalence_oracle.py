@@ -16,7 +16,8 @@ oracle asserts:
   between paths; the compacted bytes may not);
 * zero completions on every warm path;
 * identical ``hits``/``misses``/``uncached``/``retries``/``failed``
-  across the sync executors under an injected fault plan.
+  across the sync executors and the async engine under an injected
+  fault plan.
 
 This is the safety net for the engine core: any path that drifts from
 the shared lookup → compute → commit → assemble pipeline fails here.
@@ -38,7 +39,7 @@ from repro.llm import get_model
 from repro.prompts.rq1 import build_rq1_prompt, generate_rq1_questions
 from repro.roofline.hardware import get_gpu
 from repro.types import Boundedness, Language
-from repro.serve import AsyncEvalEngine
+from repro.serve import AsyncEvalEngine, BreakerPolicy
 from repro.serve.providers import EmulatedProvider
 from repro.util.faults import FaultPlan
 from repro.util.retry import RetryPolicy
@@ -174,36 +175,47 @@ def test_every_path_matches_the_reference(path, reference, tmp_path):
         assert ref_segments and segment_bytes(root) == ref_segments
 
 
-@pytest.mark.parametrize("executor,jobs", SYNC_EXECUTORS)
+@pytest.mark.parametrize("executor,jobs", SYNC_EXECUTORS + (("async", 1),))
 def test_stats_identical_across_backends_under_faults(
     executor, jobs, tmp_path
 ):
     runtime.install(fault_plan=FaultPlan.parse(FAULT_PLAN))
+    retry = RetryPolicy(max_attempts=3, base_delay_s=0.0)
 
-    def counters(jobs, root):
+    def counters(executor, jobs, root):
         def engine_for(store):
-            return EvalEngine(
-                jobs=jobs,
-                store=store,
-                retry=RetryPolicy(max_attempts=3, base_delay_s=0.0),
-            )
+            if executor == "async":
+                # One unit at a time, no hedging, and a breaker that opens
+                # only on a window of nothing but failures: under the
+                # default breaker and 64-wide fan-out, the plan's
+                # first-attempt failures land before any success, the
+                # breaker opens and the run raises AllProvidersUnavailable.
+                return AsyncEvalEngine(
+                    store=store,
+                    retry=retry,
+                    max_concurrency=1,
+                    hedge=None,
+                    breaker=BreakerPolicy(threshold=1.0),
+                )
+            return EvalEngine(jobs=jobs, store=store, retry=retry)
 
+        grid = async_grid if executor == "async" else sync_grid
         # Store off (uncached), then cold and warm over one store (misses,
         # then hits): every counter is exercised.
         off = engine_for(None)
-        sync_grid(off)
+        grid(off)
         on = engine_for(DiskResponseStore(root))
-        sync_grid(on)
-        sync_grid(on)
+        grid(on)
+        grid(on)
         return [
             (s.hits, s.misses, s.uncached, s.retries, s.failed)
             for s in (off.stats, on.stats)
         ]
 
-    expected = counters(1, tmp_path / "reference")
+    expected = counters("sequential", 1, tmp_path / "reference")
     (_, _, uncached, off_retries, _), (hits, misses, _, retries, failed) = (
         expected
     )
     assert uncached == misses == hits == len(grid_items()) * len(MODELS)
     assert off_retries == retries > 0 and failed == 0
-    assert counters(jobs, tmp_path / executor) == expected
+    assert counters(executor, jobs, tmp_path / executor) == expected

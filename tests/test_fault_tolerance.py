@@ -18,7 +18,6 @@ Pins the robustness contracts:
 """
 
 import os
-import random
 import re
 import signal
 import subprocess
@@ -60,7 +59,7 @@ class TestSyncRetry:
     def test_recovers_within_attempt_bound(self):
         calls = []
 
-        def flaky():
+        def flaky(_attempt):
             calls.append(1)
             if len(calls) < 3:
                 raise TransientError("blip")
@@ -74,7 +73,7 @@ class TestSyncRetry:
         assert len(sleeps) == 2
 
     def test_exhaustion_raises_the_last_error(self):
-        def always():
+        def always(_attempt):
             raise TransientError("down")
 
         with pytest.raises(TransientError, match="down"):
@@ -83,7 +82,7 @@ class TestSyncRetry:
     def test_non_transient_propagates_immediately(self):
         calls = []
 
-        def bug():
+        def bug(_attempt):
             calls.append(1)
             raise KeyError("not weather")
 
@@ -97,7 +96,7 @@ class TestSyncRetry:
 
         calls = []
 
-        def flaky():
+        def flaky(_attempt):
             calls.append(1)
             if len(calls) == 1:
                 raise Limited("429")
@@ -112,8 +111,10 @@ class TestSyncRetry:
 
     def test_on_retry_sees_each_failed_attempt(self):
         seen = []
+        attempts = []
 
-        def flaky():
+        def flaky(attempt):
+            attempts.append(attempt)
             if len(seen) < 2:
                 raise TransientError("blip")
             return "ok"
@@ -125,12 +126,40 @@ class TestSyncRetry:
             on_retry=lambda attempt, exc: seen.append(attempt),
         )
         assert seen == [0, 1]
+        assert attempts == [0, 1, 2]  # fn sees its 0-based attempt index
 
-    def test_jitter_is_reproducible_per_rng_seed(self):
-        policy = RetryPolicy(max_attempts=5, base_delay_s=0.05)
-        a = [policy.backoff_delay(i, random.Random(7)) for i in range(4)]
-        b = [policy.backoff_delay(i, random.Random(7)) for i in range(4)]
-        assert a == b
+    def test_jitter_is_a_pure_function_of_token_and_attempt(self):
+        policy = RetryPolicy(
+            max_attempts=5, base_delay_s=0.05, max_delay_s=10.0, jitter=0.5
+        )
+        a = [policy.backoff_delay(i, "unit-a") for i in range(4)]
+        assert a == [policy.backoff_delay(i, "unit-a") for i in range(4)]
+        assert a != [policy.backoff_delay(i, "unit-b") for i in range(4)]
+        for attempt, delay in enumerate(a):
+            base = 0.05 * 2.0**attempt
+            assert 0.5 * base <= delay <= 1.5 * base
+        factors = {
+            policy.backoff_delay(0, f"unit-{i}") / 0.05 for i in range(256)
+        }
+        assert len(factors) == 256
+        assert min(factors) < 0.6 and max(factors) > 1.4  # spans the band
+
+    def test_retry_call_sleeps_the_token_schedule(self):
+        def always(_attempt):
+            raise TransientError("down")
+
+        policy = RetryPolicy(max_attempts=4, base_delay_s=0.05)
+        sleeps = []
+        with pytest.raises(TransientError):
+            retry_call(always, policy=policy, token="k", sleep=sleeps.append)
+        assert sleeps == [policy.backoff_delay(i, "k") for i in range(3)]
+
+    def test_retry_call_rejects_attempt_timeouts(self):
+        with pytest.raises(ValueError, match="timeout_s"):
+            retry_call(
+                lambda _attempt: "ok",
+                policy=RetryPolicy(timeout_s=1.0),
+            )
 
 
 class TestFaultPlanParsing:
@@ -246,7 +275,8 @@ class TestCollectMode:
             with pytest.raises(InjectedFault):
                 engine.run(get_model("gpt-4o-mini"), items)
         else:
-            assert len(engine.run(get_model("gpt-4o-mini"), items).failures) == 1
+            (failure,) = engine.run(get_model("gpt-4o-mini"), items).failures
+            assert failure.attempts == 3
         assert engine.stats.retries == 2
 
     def test_collect_failures_survive_to_json_and_render(

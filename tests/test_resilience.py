@@ -13,6 +13,8 @@ import http.client
 import importlib.util
 import json
 import math
+import os
+import signal
 import threading
 import time
 import urllib.error
@@ -23,7 +25,7 @@ from pathlib import Path
 import pytest
 
 from repro import runtime
-from repro.eval.engine import DiskResponseStore, EvalEngine
+from repro.eval.engine import DiskResponseStore, EvalEngine, cache_key
 from repro.eval.rq23 import classification_items
 from repro.llm.registry import get_model
 from repro.serve import (
@@ -232,7 +234,7 @@ def test_rate_limiter_rejects_nan_and_keeps_its_off_switch():
         assert RateLimiter(off).rate is None
 
 
-# -- fault plan: serving kinds -----------------------------------------------
+# -- fault plan: serving kinds and the one completion hook -------------------
 
 def test_provider_fault_spec_roundtrip():
     plan = FaultPlan.parse(
@@ -257,7 +259,7 @@ def test_provider_brownout_window_is_a_counter():
     outcomes = []
     for _ in range(8):
         try:
-            plan.provider_fault("pri:m", "tok", 0)
+            plan.completion_fault("tok", 0, "pri:m")
             outcomes.append("ok")
         except InjectedFault:
             outcomes.append("fail")
@@ -271,12 +273,78 @@ def test_provider_fault_targets_only_its_label():
         "seed=1;provider_brownout:attempts=99,provider=pri:m"
     )
     for _ in range(5):
-        plan.provider_fault("bak:m", "tok", 0)   # other label: untouched
+        plan.completion_fault("tok", 0, "bak:m")   # other label: untouched
     with pytest.raises(InjectedFault):
-        plan.provider_fault("pri:m", "tok", 0)
+        plan.completion_fault("tok", 0, "pri:m")
     # ...and provider-targeted specs never fire on the batch path.
     plan2 = FaultPlan.parse("seed=1;provider_error:rate=1,provider=pri:m")
     plan2.completion_fault("tok", 0)  # no raise
+
+
+@pytest.fixture()
+def kills(monkeypatch):
+    """Signals the fault plan sends itself, with ``os.kill`` patched out."""
+    sent = []
+    monkeypatch.setattr(os, "kill", lambda _pid, sig: sent.append(sig))
+    return sent
+
+
+def test_batch_hook_counts_worker_death_before_any_fault(kills):
+    plan = FaultPlan.parse("seed=1;provider_error:rate=1;worker_death:after=1")
+    with pytest.raises(InjectedFault):
+        plan.completion_fault("tok", 0)
+    assert kills == [signal.SIGKILL]
+
+
+def test_serve_hook_never_kills(kills):
+    plan = FaultPlan.parse(
+        "seed=1;worker_death:after=1;provider_error:rate=1,attempts=3"
+    )
+    for attempt in range(3):
+        with pytest.raises(InjectedFault):
+            plan.completion_fault("tok", attempt, "pri:m")
+    assert kills == []
+
+
+def test_bare_brownout_never_fires_on_the_batch_path(kills):
+    plan = FaultPlan.parse("seed=1;provider_brownout:attempts=99")
+    for attempt in range(5):
+        plan.completion_fault("tok", attempt)  # no raise
+    with pytest.raises(InjectedFault):
+        plan.completion_fault("tok", 0, "pri:m")
+    assert kills == []
+
+
+def test_async_engines_back_off_by_key_and_attempt():
+    """Two engines retrying one faulty key, interleaved on one loop, sleep
+    the same delays: the policy's schedule for that cache key."""
+    runtime.install(
+        fault_plan=FaultPlan.parse("seed=3;provider_error:rate=1,attempts=2")
+    )
+    policy = RetryPolicy(max_attempts=3, base_delay_s=0.05)
+    provider = StubProvider("pri")
+    sleeps: tuple[list, list] = ([], [])
+
+    def recording(log):
+        async def sleep(delay):
+            log.append(delay)
+            await asyncio.sleep(0)  # let the other engine run in between
+
+        return sleep
+
+    engines = [
+        AsyncEvalEngine(retry=policy, sleep=recording(log), hedge=None)
+        for log in sleeps
+    ]
+
+    async def both():
+        await asyncio.gather(*(e.complete(provider, "p") for e in engines))
+
+    asyncio.run(both())
+    key = cache_key(provider.config, "p", None, None)
+    expected = [policy.backoff_delay(attempt, key) for attempt in range(2)]
+    assert sleeps[0] == sleeps[1] == expected
+    assert expected != [0.05, 0.1]  # jittered, not the bare schedule
 
 
 def test_slow_tail_delay_is_deterministic():
@@ -293,7 +361,7 @@ def test_slow_tail_delay_is_deterministic():
 # -- deadline propagation ----------------------------------------------------
 
 def test_deadline_expired_before_attempt():
-    async def fn():
+    async def fn(_attempt):
         raise AssertionError("attempt must not start with no budget")
 
     async def go():
@@ -310,7 +378,7 @@ def test_deadline_blocks_pointless_backoff():
     calls = {"n": 0}
     slept = []
 
-    async def fn():
+    async def fn(_attempt):
         calls["n"] += 1
         raise TransientError("boom")
 
@@ -331,7 +399,7 @@ def test_deadline_blocks_pointless_backoff():
 
 
 def test_deadline_clips_attempt_timeout_real_time():
-    async def fn():
+    async def fn(_attempt):
         await asyncio.sleep(60)
 
     async def go():

@@ -12,7 +12,6 @@ import asyncio
 import http.client
 import json
 import logging
-import random
 import re
 import socket
 import struct
@@ -190,11 +189,10 @@ def test_retry_recovers_from_transient_faults():
     ])
     sleeps: list[float] = []
     policy = RetryPolicy(max_attempts=4, base_delay_s=0.1, jitter=0.5)
-    rng = random.Random(7)
 
     response = asyncio.run(call_with_retry(
-        lambda: provider.complete("hello"),
-        policy=policy, rng=rng, sleep=_recording_sleep(sleeps),
+        lambda _attempt: provider.complete("hello"),
+        policy=policy, token="hello", sleep=_recording_sleep(sleeps),
     ))
     assert response.text in ("Compute", "Bandwidth")
     assert provider.calls == 3          # 2 failures + 1 success
@@ -211,9 +209,8 @@ def test_retry_attempts_are_bounded():
     policy = RetryPolicy(max_attempts=3)
     with pytest.raises(TransientProviderError):
         asyncio.run(call_with_retry(
-            lambda: provider.complete("hello"),
-            policy=policy, rng=random.Random(0),
-            sleep=_recording_sleep(sleeps),
+            lambda _attempt: provider.complete("hello"),
+            policy=policy, sleep=_recording_sleep(sleeps),
         ))
     assert provider.calls == 3
     assert len(sleeps) == 2             # no sleep after the final failure
@@ -225,9 +222,9 @@ def test_retry_honours_rate_limit_retry_after():
     )
     sleeps: list[float] = []
     asyncio.run(call_with_retry(
-        lambda: provider.complete("hello"),
+        lambda _attempt: provider.complete("hello"),
         policy=RetryPolicy(base_delay_s=0.01),
-        rng=random.Random(0), sleep=_recording_sleep(sleeps),
+        sleep=_recording_sleep(sleeps),
     ))
     assert sleeps == [9.0]              # server hint floors the backoff
 
@@ -236,8 +233,8 @@ def test_retry_does_not_retry_programming_errors():
     provider = FaultyProvider(faults=[ValueError("bug")])
     with pytest.raises(ValueError, match="bug"):
         asyncio.run(call_with_retry(
-            lambda: provider.complete("hello"),
-            policy=RetryPolicy(), rng=random.Random(0),
+            lambda _attempt: provider.complete("hello"),
+            policy=RetryPolicy(),
         ))
     assert provider.calls == 1
 
@@ -248,7 +245,7 @@ def test_attempt_timeout_surfaces_as_provider_timeout():
                          base_delay_s=0.0, jitter=0.0)
     sleeps: list[float] = []
     engine = AsyncEvalEngine(
-        store=MemoryResponseStore(), retry=policy, rng=random.Random(0),
+        store=MemoryResponseStore(), retry=policy,
         sleep=_recording_sleep(sleeps),
     )
     with pytest.raises(ProviderTimeout):
@@ -266,10 +263,11 @@ def test_attempt_timeout_must_be_positive(timeout_s):
 
 def test_jittered_timeouts_vary_per_attempt():
     policy = RetryPolicy(timeout_s=1.0, timeout_jitter=0.25)
-    rng = random.Random(3)
-    draws = {policy.attempt_timeout(rng) for _ in range(16)}
-    assert len(draws) > 1
+    draws = [policy.attempt_timeout(attempt, "tok") for attempt in range(16)]
+    assert len(set(draws)) > 1
     assert all(0.75 <= t <= 1.25 for t in draws)
+    # A pure function of (token, attempt): asking again answers the same.
+    assert draws == [policy.attempt_timeout(a, "tok") for a in range(16)]
 
 
 def test_rate_limiter_spaces_acquisitions():
@@ -402,7 +400,6 @@ def test_engine_retry_counter_and_recovery():
     engine = AsyncEvalEngine(
         store=MemoryResponseStore(),
         retry=RetryPolicy(base_delay_s=0.0, jitter=0.0),
-        rng=random.Random(0),
     )
     response = asyncio.run(engine.complete(provider, "p"))
     assert response.text in ("Compute", "Bandwidth")

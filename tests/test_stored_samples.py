@@ -143,6 +143,21 @@ class TestWarmStart:
         assert len(calls) == 1
         assert cache.manifest().sample_entries == 1
 
+    def test_text_memoized_under_one_cache_reaches_the_next(
+        self, tmp_path, small, fresh_memos
+    ):
+        programs, device, build, calls = small
+        uids = [p.uid for p in programs]
+        build(ArtifactCache(tmp_path / "a"))()  # memoizes every text
+        calls.clear()
+        later = ArtifactCache(tmp_path / "b")
+        first = stored_samples(device, uids, build(later), cache=later)
+        for _ in range(2):
+            assert stored_samples(device, uids, build(later), cache=later) == first
+        assert len(calls) == 1
+        keys = [program_text_key(p) for p in programs]
+        assert sorted(later.get_sources(keys)) == sorted(keys)
+
     def test_subsets_and_devices_key_apart(self, small):
         programs, device, _, _ = small
         uids = [p.uid for p in programs]
