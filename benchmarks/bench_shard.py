@@ -23,6 +23,7 @@ import time
 from pathlib import Path
 
 from repro.eval.engine import DiskResponseStore
+from repro.store.families import PROFILES
 from repro.util.tables import format_table
 
 GRID = [
@@ -43,7 +44,7 @@ def _env(profile_cache: Path) -> dict:
     # the 1-shard and 4-shard runs *separate* cold stores keeps the timed
     # comparison about sharding, not profile-store warmth (the four shard
     # processes still share one store, as real shard fleets would).
-    env["REPRO_PROFILE_CACHE"] = str(profile_cache)
+    env[PROFILES.root_env] = str(profile_cache)
     return env
 
 

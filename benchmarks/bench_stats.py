@@ -26,6 +26,7 @@ from repro.eval.engine import EvalEngine, MemoryResponseStore
 from repro.eval.matrix import run_matrix
 from repro.llm import get_model
 from repro.roofline.hardware import get_gpu
+from repro.store.families import RESPONSES
 from repro.util.tables import format_table
 
 MODELS = ("o3-mini-high", "gpt-4o-mini")
@@ -53,7 +54,7 @@ def _sweep(store):
 
 
 def _cli_matrix(cache_dir, *extra) -> float:
-    env = dict(os.environ, REPRO_CACHE_DIR=str(cache_dir))
+    env = {**os.environ, RESPONSES.root_env: str(cache_dir)}
     env.setdefault("PYTHONPATH", "src")
     cmd = [
         sys.executable, "-m", "repro.cli", "matrix",

@@ -90,12 +90,7 @@ def run_client(base_url: str) -> None:
 
 
 def self_hosted_demo() -> None:
-    from repro.eval.engine import (
-        CACHE_DIR_ENV,
-        DEFAULT_CACHE_DIRNAME,
-        DiskResponseStore,
-        EvalEngine,
-    )
+    from repro.eval.engine import DiskResponseStore, EvalEngine
     from repro.eval.rq23 import classification_items
     from repro.dataset import paper_dataset
     from repro.llm import get_model
@@ -105,8 +100,9 @@ def self_hosted_demo() -> None:
         PredictionServer,
         PredictionService,
     )
+    from repro.store.families import RESPONSES
 
-    store = DiskResponseStore(env_root(CACHE_DIR_ENV, DEFAULT_CACHE_DIRNAME))
+    store = DiskResponseStore(env_root(RESPONSES.root_env, RESPONSES.dirname))
     samples = list(paper_dataset().balanced)
     # Warm the store exactly how the batch CLI would (same prompts, same
     # cache keys) so the served queries below are all hits.

@@ -156,10 +156,17 @@ def main() -> int:
     parser.add_argument("--limit", type=int, default=200,
                         help="kernels per device in the chaos grid")
     parser.add_argument("--workdir", default=None,
-                        help="scratch directory (default: a fresh tempdir)")
+                        help="scratch directory, kept afterwards (default: "
+                             "a fresh temp dir, removed on exit)")
     opts = parser.parse_args()
 
-    work = Path(opts.workdir or tempfile.mkdtemp(prefix="chaos-smoke-"))
+    if opts.workdir:
+        return smoke(opts, Path(opts.workdir))
+    with tempfile.TemporaryDirectory(prefix="chaos-smoke-") as work:
+        return smoke(opts, Path(work))
+
+
+def smoke(opts: argparse.Namespace, work: Path) -> int:
     work.mkdir(parents=True, exist_ok=True)
     env = {
         **os.environ,

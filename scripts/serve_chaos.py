@@ -102,10 +102,17 @@ def main() -> int:
     parser.add_argument("--limit", type=int, default=6,
                         help="cold kernels to query (default 6)")
     parser.add_argument("--cache-dir", default=None,
-                        help="response cache dir (default: a fresh temp "
-                             "dir, so every query is cold)")
+                        help="response cache dir, kept afterwards (default: "
+                             "a fresh temp dir, so every query is cold, "
+                             "removed on exit)")
     args = parser.parse_args()
-    cache_dir = args.cache_dir or tempfile.mkdtemp(prefix="serve-chaos-")
+    if args.cache_dir:
+        return smoke(args, args.cache_dir)
+    with tempfile.TemporaryDirectory(prefix="serve-chaos-") as cache_dir:
+        return smoke(args, cache_dir)
+
+
+def smoke(args: argparse.Namespace, cache_dir: str) -> int:
 
     print(f"1) starting serve with a browned-out primary "
           f"(chain emulated,wire; cache @ {cache_dir})")

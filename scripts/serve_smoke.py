@@ -200,10 +200,17 @@ def main() -> int:
     parser.add_argument("--limit", type=int, default=8,
                         help="kernels to warm and query (default 8)")
     parser.add_argument("--cache-dir", default=None,
-                        help="cache directory (default: a temp dir)")
+                        help="cache directory, kept afterwards (default: a temp "
+                             "dir, removed on exit)")
     args = parser.parse_args()
 
-    cache_dir = args.cache_dir or tempfile.mkdtemp(prefix="serve-smoke-")
+    if args.cache_dir:
+        return smoke(args, args.cache_dir)
+    with tempfile.TemporaryDirectory(prefix="serve-smoke-") as cache_dir:
+        return smoke(args, cache_dir)
+
+
+def smoke(args: argparse.Namespace, cache_dir: str) -> int:
     print(f"1) warming cache @ {cache_dir} via batch CLI ({args.limit} kernels)")
     labels = batch_labels(cache_dir, args.limit)
     print(f"   batch labels: {labels}")

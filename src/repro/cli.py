@@ -40,10 +40,13 @@ trained BPE tokenizer, rendered program sources, and token counts —
 persist in a third content-addressed store (``--artifact-cache``,
 default ``$REPRO_ARTIFACT_CACHE`` or ``.repro-artifact-cache``;
 ``--artifact-cache-max-bytes`` / ``--no-artifact-cache``), so a warm
-cache trains zero tokenizers and renders zero programs. Each command
-installs the profile store, artifact cache and ``--inject-faults`` plan
-its flags select into :mod:`repro.runtime` once; a blank store env var
-reads as unset.
+cache trains zero tokenizers and renders zero programs. Each store is
+declared once, as a row of :mod:`repro.store.families`: this module
+declares every store flag from those rows, opens every store through one
+opener (:func:`_open_store`), and runs ``cache`` and ``doctor`` as one
+loop over them. Each command installs the profile store, artifact cache
+and ``--inject-faults`` plan its flags select into :mod:`repro.runtime`
+once; a blank store env var reads as unset.
 
 Distributed sweeps: ``sweep --shard I/N`` executes one deterministic shard
 of the (model × regime × GPU × kernel) grid on any machine, and
@@ -79,50 +82,35 @@ import os
 import sys
 from typing import Sequence
 
-
-def _add_store_flags(p: argparse.ArgumentParser) -> None:
-    from repro.gpusim.store import DEFAULT_PROFILE_CACHE_DIRNAME
-    from repro.store.text import DEFAULT_ARTIFACT_CACHE_DIRNAME
-
-    p.add_argument("--profile-cache", default=None,
-                   help="persistent kernel-profile store directory "
-                        "(default: $REPRO_PROFILE_CACHE or "
-                        f"{DEFAULT_PROFILE_CACHE_DIRNAME})")
-    p.add_argument("--profile-cache-max-bytes", type=_non_negative_int,
-                   default=None,
-                   help="size-bound the profile store, evicting oldest "
-                        "segments (default: $REPRO_PROFILE_CACHE_MAX_BYTES "
-                        "or unbounded)")
-    p.add_argument("--no-profile-cache", action="store_true",
-                   help="disable the persistent profile store for this run")
-    p.add_argument("--artifact-cache", default=None,
-                   help="persistent text-artifact store directory: trained "
-                        "tokenizers, rendered sources, token counts "
-                        "(default: $REPRO_ARTIFACT_CACHE or "
-                        f"{DEFAULT_ARTIFACT_CACHE_DIRNAME})")
-    p.add_argument("--artifact-cache-max-bytes", type=_non_negative_int,
-                   default=None,
-                   help="size-bound the artifact cache, evicting oldest "
-                        "segments (default: $REPRO_ARTIFACT_CACHE_MAX_BYTES "
-                        "or unbounded)")
-    p.add_argument("--no-artifact-cache", action="store_true",
-                   help="disable the persistent text-artifact store for "
-                        "this run")
+from repro.store.families import (
+    ARTIFACTS,
+    FAMILIES,
+    PROFILES,
+    RESPONSES,
+    StoreFamily,
+    dest,
+)
 
 
-def _add_cache_flags(p: argparse.ArgumentParser) -> None:
-    from repro.eval.engine import DEFAULT_CACHE_DIRNAME
+def _add_root_flag(p: argparse.ArgumentParser, family: StoreFamily) -> None:
+    p.add_argument(family.root_flag, default=None,
+                   help=f"{family.what} directory (default: "
+                        f"${family.root_env} or {family.dirname})")
 
-    p.add_argument("--cache-dir", default=None,
-                   help="response cache directory (default: $REPRO_CACHE_DIR "
-                        f"or {DEFAULT_CACHE_DIRNAME})")
-    p.add_argument("--cache-max-bytes", type=_non_negative_int,
-                   default=None,
-                   help="size-bound the cache, evicting oldest entries "
-                        "(default: $REPRO_CACHE_MAX_BYTES or unbounded)")
-    p.add_argument("--no-cache", action="store_true",
-                   help="disable the response cache for this run")
-    _add_store_flags(p)
+
+def _add_store_flags(
+    p: argparse.ArgumentParser, families=(PROFILES, ARTIFACTS)
+) -> None:
+    """Each of ``families``' root, size-bound and off flags."""
+    for family in families:
+        _add_root_flag(p, family)
+        p.add_argument(family.bound_flag, type=_non_negative_int,
+                       default=None,
+                       help=f"size-bound the {family.what}, evicting oldest "
+                            f"segments (default: ${family.bound_env} or "
+                            "unbounded)")
+        p.add_argument(family.off_flag, action="store_true",
+                       help=f"disable the {family.what} for this run")
 
 
 def _add_fault_flags(p: argparse.ArgumentParser) -> None:
@@ -149,31 +137,33 @@ def _add_engine_flags(p: argparse.ArgumentParser) -> None:
                         "cores; default 1, the plain loop; for many cores "
                         "use sweep --shard and merge-caches)")
     _add_fault_flags(p)
-    _add_cache_flags(p)
+    _add_store_flags(p, FAMILIES)
 
 
-def _flag_root(args: argparse.Namespace, attr: str, env: str, dirname: str):
-    """A store directory: an explicit flag wins ("" falls through like an
-    absent flag), then ``$env`` (blank reads as unset), then ``dirname``."""
-    from repro.runtime import env_root
+def _open_store(args: argparse.Namespace, family: StoreFamily):
+    """The store ``family``'s flags select; ``None`` when its off flag is
+    set.
 
-    value = getattr(args, attr, None)
-    return value if value else env_root(env, dirname)
+    The root is an explicit flag ("" falls through like an absent flag),
+    then ``$root_env`` (blank reads as unset), then the default dirname.
+    The size bound is an explicit flag (0 too: a zero bound means "keep
+    nothing", a real request), then ``$bound_env``.
+    """
+    from repro.runtime import env_max_bytes, env_root
+
+    if getattr(args, dest(family.off_flag), False):
+        return None
+    root = getattr(args, dest(family.root_flag), None)
+    bound = getattr(args, dest(family.bound_flag), None)
+    return family.open(
+        root or env_root(family.root_env, family.dirname),
+        max_bytes=env_max_bytes(family.bound_env) if bound is None else bound,
+    )
 
 
-def _flag_max_bytes(args: argparse.Namespace, attr: str, env: str):
-    """A store size bound: an explicit flag wins (0 too: a zero bound
-    means "keep nothing", a real request), then ``$env``."""
-    from repro.runtime import env_max_bytes
-
-    value = getattr(args, attr, None)
-    return value if value is not None else env_max_bytes(env)
-
-
-def _install_runtime(args: argparse.Namespace):
+def _install_runtime(args: argparse.Namespace) -> None:
     """Install the profile store, artifact cache and fault plan the flags
-    select into :mod:`repro.runtime`, and return
-    :func:`repro.runtime.current`.
+    select into :mod:`repro.runtime`.
 
     Every consumer downstream (dataset build, tokenizer training, matrix
     scenarios, shard execution, store writes, engine retry loops) reads
@@ -181,49 +171,22 @@ def _install_runtime(args: argparse.Namespace):
     through call chains. Without ``--inject-faults`` any
     ``$REPRO_FAULT_PLAN`` plan stays in effect (that is how sharded
     workers and subprocess chaos tests inherit one). A malformed spec is a
-    usage error: print it and exit 2 like argparse.
+    usage error.
     """
     from repro import runtime
-    from repro.gpusim.store import (
-        DEFAULT_PROFILE_CACHE_DIRNAME,
-        PROFILE_CACHE_ENV,
-        PROFILE_CACHE_MAX_BYTES_ENV,
-        ProfileStore,
-    )
-    from repro.store.text import (
-        ARTIFACT_CACHE_ENV,
-        ARTIFACT_CACHE_MAX_BYTES_ENV,
-        DEFAULT_ARTIFACT_CACHE_DIRNAME,
-        ArtifactCache,
-    )
     from repro.util.faults import FaultPlan
 
-    fields: dict = {"profile_store": None, "artifact_cache": None}
-    if not getattr(args, "no_profile_cache", False):
-        fields["profile_store"] = ProfileStore(
-            _flag_root(args, "profile_cache", PROFILE_CACHE_ENV,
-                       DEFAULT_PROFILE_CACHE_DIRNAME),
-            max_bytes=_flag_max_bytes(
-                args, "profile_cache_max_bytes", PROFILE_CACHE_MAX_BYTES_ENV
-            ),
-        )
-    if not getattr(args, "no_artifact_cache", False):
-        fields["artifact_cache"] = ArtifactCache(
-            _flag_root(args, "artifact_cache", ARTIFACT_CACHE_ENV,
-                       DEFAULT_ARTIFACT_CACHE_DIRNAME),
-            max_bytes=_flag_max_bytes(
-                args, "artifact_cache_max_bytes", ARTIFACT_CACHE_MAX_BYTES_ENV
-            ),
-        )
+    fields = {
+        family.runtime_field: _open_store(args, family)
+        for family in (PROFILES, ARTIFACTS)
+    }
     spec = getattr(args, "inject_faults", None)
     if spec is not None:
         try:
             fields["fault_plan"] = FaultPlan.parse(spec)
         except ValueError as exc:
-            print(f"error: --inject-faults: {exc}", file=sys.stderr)
-            raise SystemExit(2)
+            raise _UsageError(f"--inject-faults: {exc}") from None
     runtime.install(**fields)
-    return runtime.current()
 
 
 def _add_stats_flags(p: argparse.ArgumentParser) -> None:
@@ -327,28 +290,11 @@ def _build_stats(args: argparse.Namespace, result):
         raise _UsageError(exc) from None
 
 
-def _make_store(args: argparse.Namespace):
-    """The response store selected by the cache flags (None = disabled)."""
-    from repro.eval.engine import (
-        CACHE_DIR_ENV,
-        CACHE_MAX_BYTES_ENV,
-        DEFAULT_CACHE_DIRNAME,
-        DiskResponseStore,
-    )
-
-    if args.no_cache:
-        return None
-    return DiskResponseStore(
-        _flag_root(args, "cache_dir", CACHE_DIR_ENV, DEFAULT_CACHE_DIRNAME),
-        max_bytes=_flag_max_bytes(args, "cache_max_bytes", CACHE_MAX_BYTES_ENV),
-    )
-
-
 def _make_engine(args: argparse.Namespace):
     from repro.eval.engine import EvalEngine
 
     _install_runtime(args)
-    store = _make_store(args)
+    store = _open_store(args, RESPONSES)
     try:
         return EvalEngine(
             jobs=args.jobs,
@@ -357,8 +303,7 @@ def _make_engine(args: argparse.Namespace):
             max_failures=getattr(args, "max_failures", None),
         )
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(2)
+        raise _UsageError(exc) from None
 
 
 def _report_cache(engine) -> None:
@@ -420,10 +365,10 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     ds = paper_dataset()
     matches = [s for s in ds.balanced if s.uid == args.uid]
     if not matches:
-        print(f"error: {args.uid!r} is not in the balanced dataset "
-              f"(try one of: {', '.join(s.uid for s in ds.balanced[:3])} ...)",
-              file=sys.stderr)
-        return 2
+        raise _UsageError(
+            f"{args.uid!r} is not in the balanced dataset (try one of: "
+            f"{', '.join(s.uid for s in ds.balanced[:3])} ...)"
+        )
     sample = matches[0]
     variant = regime_variant("rq3" if args.few_shot else "rq2")
     prompt = build_classify_prompt(sample, variant=variant)
@@ -667,18 +612,17 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         shard_index, num_shards = parse_shard_spec(args.shard)
         gpus = resolve_gpus(args.gpus)
     except (KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise _UsageError(exc) from None
     if num_shards == 1:
         # An unsharded sweep IS a matrix run (same flags, same report).
         return _cmd_matrix(args)
     models = _select_models(args.model)
     engine = _make_engine(args)
     if engine.store is None:
-        print("error: a sharded sweep's output is its cache; "
-              "drop --no-cache (or point --cache-dir at the shard's store)",
-              file=sys.stderr)
-        return 2
+        raise _UsageError(
+            "a sharded sweep's output is its cache; drop --no-cache (or "
+            "point --cache-dir at the shard's store)"
+        )
     try:
         report = run_shard(
             models,
@@ -690,8 +634,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             engine=engine,
         )
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise _UsageError(exc) from None
     print(report.render())
     _report_cache(engine)
     return 0
@@ -726,22 +669,6 @@ def _cmd_merge_caches(args: argparse.Namespace) -> int:
     return 0
 
 
-def _doctor_families(args: argparse.Namespace):
-    """The response store, profile store and artifact cache the doctor
-    and the cache manifest inspect, honouring the shared dir flags."""
-    from repro.eval.engine import (
-        CACHE_DIR_ENV,
-        DEFAULT_CACHE_DIRNAME,
-        DiskResponseStore,
-    )
-
-    rt = _install_runtime(args)
-    store = DiskResponseStore(
-        _flag_root(args, "cache_dir", CACHE_DIR_ENV, DEFAULT_CACHE_DIRNAME)
-    )
-    return store, rt.profile_store, rt.artifact_cache
-
-
 def _doctor_hint(store, label: str) -> None:
     """One summary line when a store has doctor-visible damage — printed
     uniformly for all three families by ``repro-paper cache``."""
@@ -763,22 +690,15 @@ def _cmd_doctor(args: argparse.Namespace) -> int:
     # Attach without the stale-tmp sweep: a --dry-run must *report* leaked
     # tmp files, not clean them up as a side effect of looking.
     with quiet_attach():
-        store, profiles, artifacts = _doctor_families(args)
-    families = (
-        ("responses", store),
-        ("profiles", profiles),
-        ("artifacts", artifacts),
-    )
+        stores = [(family, _open_store(args, family)) for family in FAMILIES]
     issues = 0
-    first = True
-    for label, family in families:
-        if not first:
+    for i, (family, store) in enumerate(stores):
+        if i:
             print()
-        first = False
-        if not family.root.is_dir():
-            print(f"{label}: {family.root} (missing; nothing to check)")
+        if not store.root.is_dir():
+            print(f"{family.label}: {store.root} (missing; nothing to check)")
             continue
-        report = doctor_store(family, label, repair=not args.dry_run)
+        report = doctor_store(store, family.label, repair=not args.dry_run)
         print(report.render())
         issues += len(report.issues)
     if args.dry_run and issues:
@@ -789,72 +709,33 @@ def _cmd_doctor(args: argparse.Namespace) -> int:
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
-    store, profiles, artifacts = _doctor_families(args)
-    if args.wipe:
+    stores = [(family, _open_store(args, family)) for family in FAMILIES]
+    for i, (family, store) in enumerate(stores):
+        if i and not args.wipe:
+            print()
         if not store.root.is_dir():
-            print(f"cache dir: {store.root} (missing; treated as empty)")
-        else:
+            # A missing directory is an empty store, not an error — common
+            # on fresh checkouts and CI runners inspecting never-populated
+            # stores.
+            print(f"{family.heading}: {store.root} "
+                  "(missing; treated as empty)")
+            if not args.wipe:
+                print(store.manifest().render())
+        elif args.wipe:
             n = len(store)
             store.clear()
-            print(f"wiped {n} entries @ {store.root}")
-        if not profiles.root.is_dir():
-            print(f"profile store: {profiles.root} (missing; treated as empty)")
+            print(f"wiped {family.count(n, 'entries')} @ {store.root}")
         else:
-            n = len(profiles)
-            profiles.clear()
-            print(f"wiped {n} profile entries @ {profiles.root}")
-        if not artifacts.root.is_dir():
-            print(f"artifact cache: {artifacts.root} "
-                  "(missing; treated as empty)")
-        else:
-            m = artifacts.manifest()
-            n = (m.tokenizer_entries + m.source_entries + m.count_entries
-                 + m.sample_entries)
-            artifacts.clear()
-            print(f"wiped {n} artifact entries @ {artifacts.root}")
-        return 0
-    if not store.root.is_dir():
-        # A missing directory is an empty cache, not an error — common on
-        # fresh checkouts and CI runners inspecting never-populated stores.
-        print(f"cache dir: {store.root} (missing; treated as empty)")
-        print(store.manifest().render())
-    else:
-        if args.max_bytes is not None:
-            removed = store.evict(args.max_bytes)
-            print(f"evicted {removed} segments @ {store.root}")
-        print(f"cache dir: {store.root}")
-        print(store.manifest().render())
-        snapshot = store.root / SERVE_STATS_NAME
-        if snapshot.is_file():
-            try:
-                data = json.loads(snapshot.read_text(encoding="utf-8"))
-            except (OSError, ValueError):
-                data = None
-            if isinstance(data, dict):
-                print(f"serve:     {_render_serve_snapshot(data)}")
-        _doctor_hint(store, "responses")
-    print()
-    if not profiles.root.is_dir():
-        print(f"profile store: {profiles.root} (missing; treated as empty)")
-    else:
-        if args.profile_max_bytes is not None:
-            removed = profiles.evict(args.profile_max_bytes)
-            print(f"evicted {removed} profile segments @ {profiles.root}")
-        print(f"profile store: {profiles.root}")
-    print(profiles.manifest().render())
-    if profiles.root.is_dir():
-        _doctor_hint(profiles, "profiles")
-    print()
-    if not artifacts.root.is_dir():
-        print(f"artifact cache: {artifacts.root} (missing; treated as empty)")
-    else:
-        if args.artifact_max_bytes is not None:
-            removed = artifacts.evict(args.artifact_max_bytes)
-            print(f"evicted {removed} artifact segments @ {artifacts.root}")
-        print(f"artifact cache: {artifacts.root}")
-    print(artifacts.manifest().render())
-    if artifacts.root.is_dir():
-        _doctor_hint(artifacts, "artifacts")
+            bound = getattr(args, dest(family.evict_flag))
+            if bound is not None:
+                removed = store.evict(bound)
+                print(f"evicted {family.count(removed, 'segments')} "
+                      f"@ {store.root}")
+            print(f"{family.heading}: {store.root}")
+            print(store.manifest().render())
+            if family is RESPONSES:
+                _print_serve_snapshot(store.root / SERVE_STATS_NAME)
+            _doctor_hint(store, family.label)
     return 0
 
 
@@ -879,7 +760,15 @@ def _write_serve_snapshot(store, service) -> None:
     print(f"stats snapshot: {path}", flush=True)
 
 
-def _render_serve_snapshot(data: dict) -> str:
+def _print_serve_snapshot(path) -> None:
+    """The ``serve:`` line of ``repro-paper cache``, when ``path`` holds a
+    readable snapshot."""
+    try:
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError):
+        return
+    if not isinstance(data, dict):
+        return
     line = (
         f"{data.get('hits', 0)} hits, {data.get('misses', 0)} misses, "
         f"{data.get('shed', 0)} shed, "
@@ -895,7 +784,7 @@ def _render_serve_snapshot(data: dict) -> str:
             if isinstance(entry, dict)
         )
         line += f"; breakers: {states}"
-    return line
+    print(f"serve:     {line}")
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -934,10 +823,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 f"got {args.drain_timeout}"
             )
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(2)
+        raise _UsageError(exc) from None
     _install_runtime(args)
-    store = _make_store(args)
+    store = _open_store(args, RESPONSES)
     engine = AsyncEvalEngine(
         store=store,
         retry=retry,
@@ -1078,7 +966,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "regimes over several GPUs and report label "
                             "flips")
     _add_grid_flags(p)
-    p.add_argument("--flip-limit", type=int, default=20,
+    p.add_argument("--flip-limit", type=_non_negative_int, default=20,
                    help="max label-flip rows to print (default 20)")
     p.add_argument("--stats", action="store_true",
                    help="append the statistical significance report "
@@ -1117,7 +1005,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="execute shard I of a deterministic N-shard plan "
                         "(e.g. 1/3); the default 0/1 runs the whole grid "
                         "and prints the matrix report")
-    p.add_argument("--flip-limit", type=int, default=20,
+    p.add_argument("--flip-limit", type=_non_negative_int, default=20,
                    help="max label-flip rows to print (unsharded runs)")
     p.add_argument("--stats", action="store_true",
                    help="append the statistical report (unsharded runs)")
@@ -1129,7 +1017,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "no conflicting entries")
     p.add_argument("sources", nargs="+", help="shard cache directories")
     p.add_argument("--into", required=True, help="destination cache directory")
-    p.add_argument("--cache-max-bytes", type=_non_negative_int,
+    p.add_argument(RESPONSES.bound_flag, type=_non_negative_int,
                    default=None,
                    help="size-bound the merged store, evicting oldest "
                         "entries after the union")
@@ -1143,24 +1031,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cache", help="inspect, bound, or wipe the response "
                                      "cache, the kernel-profile store, and "
                                      "the text-artifact cache")
-    p.add_argument("--cache-dir", default=None)
-    p.add_argument("--max-bytes", type=_non_negative_int,
-                   default=None,
-                   help="evict oldest entries until the cache fits this size")
-    p.add_argument("--profile-cache", default=None,
-                   help="kernel-profile store directory (default: "
-                        "$REPRO_PROFILE_CACHE or .repro-profile-cache)")
-    p.add_argument("--profile-max-bytes", type=_non_negative_int,
-                   default=None,
-                   help="evict oldest profile segments until the store "
-                        "fits this size")
-    p.add_argument("--artifact-cache", default=None,
-                   help="text-artifact store directory (default: "
-                        "$REPRO_ARTIFACT_CACHE or .repro-artifact-cache)")
-    p.add_argument("--artifact-max-bytes", type=_non_negative_int,
-                   default=None,
-                   help="evict oldest artifact segments until the store "
-                        "fits this size")
+    for family in FAMILIES:
+        _add_root_flag(p, family)
+        p.add_argument(family.evict_flag, type=_non_negative_int,
+                       default=None,
+                       help=f"evict oldest segments until the {family.what} "
+                            "fits this size")
     p.add_argument("--wipe", action="store_true",
                    help="delete every cached response, stored profile, "
                         "and text artifact")
@@ -1173,15 +1049,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dry-run", action="store_true",
                    help="report issues without touching the stores; exits 1 "
                         "when any are found")
-    p.add_argument("--cache-dir", default=None,
-                   help="response cache directory (default: $REPRO_CACHE_DIR "
-                        "or .repro-cache)")
-    p.add_argument("--profile-cache", default=None,
-                   help="kernel-profile store directory (default: "
-                        "$REPRO_PROFILE_CACHE or .repro-profile-cache)")
-    p.add_argument("--artifact-cache", default=None,
-                   help="text-artifact store directory (default: "
-                        "$REPRO_ARTIFACT_CACHE or .repro-artifact-cache)")
+    for family in FAMILIES:
+        _add_root_flag(p, family)
 
     p = sub.add_parser("serve",
                        help="answer classification queries over HTTP from "
@@ -1245,7 +1114,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="log one line per HTTP request")
     p.add_argument("--jobs", type=int, default=1,
                    help="workers for dataset/profile builds (0 = all cores)")
-    _add_cache_flags(p)
+    _add_store_flags(p, FAMILIES)
 
     p = sub.add_parser("figures", help="render Figures 1-2 as ASCII")
     p.add_argument("--which", choices=("1", "2", "both"), default="both")

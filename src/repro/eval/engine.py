@@ -66,15 +66,6 @@ from repro.util.retry import RetryPolicy, TransientError, retry_call
 #: as ``<untagged>`` in the manifest until rewritten.
 CACHE_SCHEMA_VERSION = "repro-response-v1"
 
-#: Environment override for the on-disk cache location.
-CACHE_DIR_ENV = "REPRO_CACHE_DIR"
-
-#: Environment override for the on-disk cache size bound (bytes).
-CACHE_MAX_BYTES_ENV = "REPRO_CACHE_MAX_BYTES"
-
-#: Default on-disk cache directory (relative to the working directory).
-DEFAULT_CACHE_DIRNAME = ".repro-cache"
-
 #: Sidecar file (at a disk store's root) recording which source cache each
 #: merged entry came from. Not a segment or entry file — no store glob ever
 #: sees it — so merged and single-run stores stay entry-for-entry identical.
@@ -584,7 +575,9 @@ class EvalEngine(_EngineCore):
     ``"collect"`` records it as a
     :class:`~repro.eval.runner.FailedUnit` on the result and keeps going,
     aborting with :class:`MaxFailuresExceeded` once ``max_failures``
-    units have failed.
+    units have failed. A ``retry`` with ``timeout_s`` raises
+    :class:`ValueError` here: a blocking attempt cannot be cancelled, so
+    attempt deadlines belong to the async engine.
 
     Resuming an interrupted sweep is a plain re-run over the same store:
     the store spills a run every
@@ -611,6 +604,11 @@ class EvalEngine(_EngineCore):
             )
         self.backend = backend
         self.retry = retry if retry is not None else DEFAULT_RETRY_POLICY
+        if self.retry.timeout_s is not None:
+            raise ValueError(
+                "EvalEngine cannot enforce retry timeout_s: attempt "
+                "deadlines need the async engine"
+            )
         self.failure_mode = resolve_failure_mode(failure_mode)
         if max_failures is not None and max_failures < 1:
             raise ValueError(f"max_failures must be >= 1, got {max_failures}")

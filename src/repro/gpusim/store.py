@@ -59,16 +59,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (profiler imports us)
 #: unreachable (misses) instead of replaying stale counters.
 PROFILER_VERSION = "gpusim-profiler-v1"
 
-#: Environment override for the on-disk profile store location.
-PROFILE_CACHE_ENV = "REPRO_PROFILE_CACHE"
-
-#: Environment override for the profile store size bound (bytes).
-PROFILE_CACHE_MAX_BYTES_ENV = "REPRO_PROFILE_CACHE_MAX_BYTES"
-
-#: Default on-disk profile store directory (the CLI's default; the library
-#: attaches no store unless ``$REPRO_PROFILE_CACHE`` is set).
-DEFAULT_PROFILE_CACHE_DIRNAME = ".repro-profile-cache"
-
 _SEGMENT_PREFIX_PROFILES = "profiles-"
 _SEGMENT_PREFIX_TRACES = "traces-"
 

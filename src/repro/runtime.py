@@ -15,6 +15,9 @@ place that holds them:
   Each field is resolved when it is read, so a field's env vars are
   parsed only when that field is used.
 
+The stores' env vars come from their rows in
+:mod:`repro.store.families`, the one place a store is declared.
+
 An env-built value is memoized per field on that field's own env text:
 every caller in a process shares one store instance (so a ``deferred()``
 block on it batches every put), and changing one field's env vars never
@@ -31,6 +34,7 @@ import threading
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
+from repro.store.families import ARTIFACTS, PROFILES, StoreFamily
 from repro.util.faults import FAULT_PLAN_ENV, FaultPlan
 
 if TYPE_CHECKING:  # pragma: no cover - the stores import this module
@@ -41,7 +45,9 @@ if TYPE_CHECKING:  # pragma: no cover - the stores import this module
 #: current value". Pass ``None`` to run without a store.
 CURRENT = object()
 
-_FIELDS = frozenset(("profile_store", "artifact_cache", "fault_plan"))
+_FIELDS = frozenset(
+    (PROFILES.runtime_field, ARTIFACTS.runtime_field, "fault_plan")
+)
 _LOCK = threading.Lock()
 _INSTALLED: dict[str, object] = {}
 #: field → (the env text it was built from, the value built).
@@ -69,11 +75,13 @@ def env_max_bytes(env: str) -> int | None:
     return parse_max_bytes(os.environ.get(env), source=env)
 
 
-def _env_store(cls: Callable, root_env: str, bound_env: str):
-    """A ``cls`` store rooted at ``$root_env`` and bounded by
+def _env_store(family: StoreFamily):
+    """``family``'s store rooted at ``$root_env`` and bounded by
     ``$bound_env``; ``None`` while ``$root_env`` is unset or blank."""
-    root = env_root(root_env)
-    return None if root is None else cls(root, max_bytes=env_max_bytes(bound_env))
+    root = env_root(family.root_env)
+    if root is None:
+        return None
+    return family.open(root, max_bytes=env_max_bytes(family.bound_env))
 
 
 def _env_fault_plan() -> FaultPlan | None:
@@ -96,6 +104,14 @@ def _resolve(field: str, envs: tuple[str, ...], build: Callable[[], object]):
         return built[1]
 
 
+def _resolve_store(family: StoreFamily):
+    """``family``'s runtime field, resolved from its row's env vars."""
+    return _resolve(
+        family.runtime_field, (family.root_env, family.bound_env),
+        lambda: _env_store(family),
+    )
+
+
 class Runtime:
     """The process-wide values; each attribute is resolved when read."""
 
@@ -103,29 +119,11 @@ class Runtime:
 
     @property
     def profile_store(self) -> "ProfileStore | None":
-        from repro.gpusim.store import (
-            PROFILE_CACHE_ENV as root,
-            PROFILE_CACHE_MAX_BYTES_ENV as bound,
-            ProfileStore,
-        )
-
-        return _resolve(
-            "profile_store", (root, bound),
-            lambda: _env_store(ProfileStore, root, bound),
-        )
+        return _resolve_store(PROFILES)
 
     @property
     def artifact_cache(self) -> "ArtifactCache | None":
-        from repro.store.text import (
-            ARTIFACT_CACHE_ENV as root,
-            ARTIFACT_CACHE_MAX_BYTES_ENV as bound,
-            ArtifactCache,
-        )
-
-        return _resolve(
-            "artifact_cache", (root, bound),
-            lambda: _env_store(ArtifactCache, root, bound),
-        )
+        return _resolve_store(ARTIFACTS)
 
     @property
     def fault_plan(self) -> FaultPlan | None:

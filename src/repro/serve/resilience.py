@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import asyncio
 import math
+import sys
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -85,6 +86,10 @@ class BreakerPolicy:
     def __post_init__(self) -> None:
         if self.window < 1:
             raise ValueError(f"window must be >= 1, got {self.window}")
+        if self.window > sys.maxsize:  # the largest deque maxlen
+            raise ValueError(
+                f"window must be <= {sys.maxsize}, got {self.window}"
+            )
         if not 0.0 < self.threshold <= 1.0:
             raise ValueError(
                 f"threshold must be in (0, 1], got {self.threshold}"

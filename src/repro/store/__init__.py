@@ -23,43 +23,44 @@ profiles + symbolic traces) and :class:`repro.store.text.ArtifactCache`
 (learned BPE merges, rendered program sources and per-tokenizer token
 counts, one store per root). The process-wide instance of each lives in
 :mod:`repro.runtime`.
+
+:mod:`repro.store.families` is the one place a store is declared: one
+row per store holds its env vars, default directory, CLI flags and
+class. The names below load their submodule on first access, so
+importing the table loads no store code.
 """
 
-from repro.store.base import ArtifactStore, memoized_object_key
-from repro.store.doctor import (
-    DoctorReport,
-    StoreIssue,
-    diagnose_store,
-    doctor_store,
-    quiet_attach,
-    repair_store,
-)
-from repro.store.text import (
-    ARTIFACT_CACHE_ENV,
-    ARTIFACT_CACHE_MAX_BYTES_ENV,
-    DEFAULT_ARTIFACT_CACHE_DIRNAME,
-    TEXT_VERSION,
-    ArtifactCache,
-    ArtifactCacheManifest,
-    program_text_key,
-    tokenizer_train_key,
+import importlib
+
+from repro.store.families import (
+    ARTIFACTS,
+    FAMILIES,
+    PROFILES,
+    RESPONSES,
+    StoreFamily,
 )
 
+_LAZY = {
+    "repro.store.base": ("ArtifactStore", "memoized_object_key"),
+    "repro.store.doctor": (
+        "DoctorReport", "StoreIssue", "diagnose_store", "doctor_store",
+        "quiet_attach", "repair_store",
+    ),
+    "repro.store.text": (
+        "TEXT_VERSION", "ArtifactCache", "ArtifactCacheManifest",
+        "program_text_key", "tokenizer_train_key",
+    ),
+}
+_HOME = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name: str):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(module), name)
+
+
 __all__ = [
-    "ArtifactStore",
-    "memoized_object_key",
-    "DoctorReport",
-    "StoreIssue",
-    "diagnose_store",
-    "doctor_store",
-    "quiet_attach",
-    "repair_store",
-    "TEXT_VERSION",
-    "ARTIFACT_CACHE_ENV",
-    "ARTIFACT_CACHE_MAX_BYTES_ENV",
-    "DEFAULT_ARTIFACT_CACHE_DIRNAME",
-    "ArtifactCache",
-    "ArtifactCacheManifest",
-    "program_text_key",
-    "tokenizer_train_key",
+    "StoreFamily", "FAMILIES", "RESPONSES", "PROFILES", "ARTIFACTS", *_HOME,
 ]

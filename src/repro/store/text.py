@@ -58,16 +58,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: unreachable (misses) instead of replaying stale text.
 TEXT_VERSION = "text-artifacts-v1"
 
-#: Environment override for the on-disk artifact cache location.
-ARTIFACT_CACHE_ENV = "REPRO_ARTIFACT_CACHE"
-
-#: Environment override for the artifact cache size bound (bytes).
-ARTIFACT_CACHE_MAX_BYTES_ENV = "REPRO_ARTIFACT_CACHE_MAX_BYTES"
-
-#: Default on-disk artifact cache directory (the CLI's default; the
-#: library attaches no cache unless ``$REPRO_ARTIFACT_CACHE`` is set).
-DEFAULT_ARTIFACT_CACHE_DIRNAME = ".repro-artifact-cache"
-
 _SEGMENT_PREFIX_TOKENIZERS = "tokenizers-"
 _SEGMENT_PREFIX_SOURCES = "sources-"
 _SEGMENT_PREFIX_COUNTS = "tokencounts-"
@@ -293,6 +283,10 @@ class ArtifactCache(ArtifactStore):
         )
 
     # -- lifecycle -----------------------------------------------------------
+    def __len__(self) -> int:
+        """Total stored entries of every kind."""
+        return sum(len(data["entries"]) for _, data in self.iter_segments())
+
     def manifest(self) -> ArtifactCacheManifest:
         """Entry counts and bytes. A missing or empty directory reads as
         an empty manifest, never an error.

@@ -11,15 +11,11 @@ import time
 import pytest
 
 from repro.cli import main
-from repro.eval.engine import (
-    CACHE_MAX_BYTES_ENV,
-    CachedResponse,
-    DiskResponseStore,
-    EvalEngine,
-)
+from repro.eval.engine import CachedResponse, DiskResponseStore, EvalEngine
 from repro.eval.runner import run_queries
 from repro.llm import get_model
 from repro.prompts.rq1 import build_rq1_prompt, generate_rq1_questions
+from repro.store.families import RESPONSES
 
 
 def _response(i: int, model: str = "test-model") -> CachedResponse:
@@ -209,29 +205,30 @@ def _cli_bound() -> int | None:
     """The size bound of the response store the CLI builds from its env."""
     from repro import cli
 
-    return cli._make_store(cli.build_parser().parse_args(["rq2"])).max_bytes
+    args = cli.build_parser().parse_args(["rq2"])
+    return cli._open_store(args, RESPONSES).max_bytes
 
 
 class TestEnvDefaults:
     def test_env_bound_parsed(self, monkeypatch):
-        monkeypatch.setenv(CACHE_MAX_BYTES_ENV, "12345")
+        monkeypatch.setenv(RESPONSES.bound_env, "12345")
         assert _cli_bound() == 12345
 
     @pytest.mark.parametrize("raw", ["", "  "])
     def test_env_bound_blank_means_unbounded(self, monkeypatch, raw):
-        monkeypatch.setenv(CACHE_MAX_BYTES_ENV, raw)
+        monkeypatch.setenv(RESPONSES.bound_env, raw)
         assert _cli_bound() is None
 
     @pytest.mark.parametrize("raw", ["banana", "1GB", "-3"])
     def test_env_bound_warns_on_junk(self, monkeypatch, raw):
         # Junk used to silently mean "unbounded"; it still falls back to
         # unbounded but must say so.
-        monkeypatch.setenv(CACHE_MAX_BYTES_ENV, raw)
+        monkeypatch.setenv(RESPONSES.bound_env, raw)
         with pytest.warns(RuntimeWarning, match="size bound"):
             assert _cli_bound() is None
 
     def test_env_bound_zero_parses_as_zero(self, monkeypatch):
-        monkeypatch.setenv(CACHE_MAX_BYTES_ENV, "0")
+        monkeypatch.setenv(RESPONSES.bound_env, "0")
         assert _cli_bound() == 0
 
 

@@ -161,6 +161,11 @@ class TestSyncRetry:
                 policy=RetryPolicy(timeout_s=1.0),
             )
 
+    def test_engine_rejects_attempt_timeouts_at_construction(self):
+        # Before the first miss, not at it: a warm run would never notice.
+        with pytest.raises(ValueError, match="timeout_s"):
+            EvalEngine(store=None, retry=RetryPolicy(timeout_s=1.0))
+
 
 class TestFaultPlanParsing:
     def test_round_trip(self):

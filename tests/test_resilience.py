@@ -194,6 +194,14 @@ def test_breaker_policy_validation():
         BreakerPolicy(half_open_probes=0)
 
 
+def test_breaker_policy_rejects_a_window_no_breaker_can_hold():
+    import sys
+
+    CircuitBreaker(BreakerPolicy(window=sys.maxsize))
+    with pytest.raises(ValueError, match=f"window must be <= {sys.maxsize}"):
+        BreakerPolicy(window=sys.maxsize + 1)
+
+
 # -- latency tracker + hedge policy ------------------------------------------
 
 def test_hedge_delay_floors_until_samples_then_tracks_p95():

@@ -560,16 +560,13 @@ class TestSizeEnvParsers:
         """The bound the store ``env`` governs ends up with, built the way
         ``path`` builds it."""
         from repro import cli, runtime
+        from repro.store.families import FAMILIES
 
+        (family,) = (f for f in FAMILIES if f.bound_env == env)
         if path == "cli":
             args = cli.build_parser().parse_args(["rq2"])
-            if env == "REPRO_CACHE_MAX_BYTES":
-                return cli._make_store(args).max_bytes
-            cli._install_runtime(args)
-        rt = runtime.current()
-        if env == "REPRO_PROFILE_CACHE_MAX_BYTES":
-            return rt.profile_store.max_bytes
-        return rt.artifact_cache.max_bytes
+            return cli._open_store(args, family).max_bytes
+        return getattr(runtime.current(), family.runtime_field).max_bytes
 
     @pytest.fixture(
         params=CASES,
