@@ -4,7 +4,8 @@ The repo has three persistent caches with the same shape — the response
 cache, the kernel-profile store, and the text-artifact cache for
 tokenizers and rendered sources. This package factors the
 shared segment/eviction/atomic-write/manifest machinery into one
-:class:`ArtifactStore` base so every store obeys the same contract:
+:class:`~repro.store.base.ArtifactStore` base so every store obeys the
+same contract:
 
 * entries are addressed by SHA-256 content digests that hash in a version
   string — a stale entry can only read as a *miss*, never as a wrong
@@ -26,11 +27,11 @@ counts, one store per root). The process-wide instance of each lives in
 
 :mod:`repro.store.families` is the one place a store is declared: one
 row per store holds its env vars, default directory, CLI flags and
-class. The names below load their submodule on first access, so
-importing the table loads no store code.
+class. This package exports only that table, and imports no store code,
+so reading the table stays cheap; import the stores from their modules
+(:mod:`repro.store.base`, :mod:`repro.store.doctor`,
+:mod:`repro.store.text`).
 """
-
-import importlib
 
 from repro.store.families import (
     ARTIFACTS,
@@ -40,27 +41,4 @@ from repro.store.families import (
     StoreFamily,
 )
 
-_LAZY = {
-    "repro.store.base": ("ArtifactStore", "memoized_object_key"),
-    "repro.store.doctor": (
-        "DoctorReport", "StoreIssue", "diagnose_store", "doctor_store",
-        "quiet_attach", "repair_store",
-    ),
-    "repro.store.text": (
-        "TEXT_VERSION", "ArtifactCache", "ArtifactCacheManifest",
-        "program_text_key", "tokenizer_train_key",
-    ),
-}
-_HOME = {name: module for module, names in _LAZY.items() for name in names}
-
-
-def __getattr__(name: str):
-    module = _HOME.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(importlib.import_module(module), name)
-
-
-__all__ = [
-    "StoreFamily", "FAMILIES", "RESPONSES", "PROFILES", "ARTIFACTS", *_HOME,
-]
+__all__ = ["StoreFamily", "FAMILIES", "RESPONSES", "PROFILES", "ARTIFACTS"]

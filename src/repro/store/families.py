@@ -1,21 +1,16 @@
 """The three on-disk stores, each declared once.
 
-The response cache, the kernel-profile store and the text-artifact cache
-share one identity shape: a label, a heading, a root and a size-bound
-environment variable, a default directory name, command-line flags and a
-store class. :data:`FAMILIES` holds one :class:`StoreFamily` row per
-store, and it is the only place any of these is spelled:
+:data:`FAMILIES` holds one :class:`StoreFamily` row per store (the
+response cache, the kernel-profile store and the text-artifact cache):
+its names, env vars, default directory, CLI flags and store class. This
+is the only place any of these is spelled. :mod:`repro.cli` declares its
+store flags, opens its stores and runs ``cache``/``doctor`` from the
+rows, and :mod:`repro.runtime` builds its env-backed stores from them.
 
-* :mod:`repro.cli` declares every store flag from the rows, opens every
-  store through one opener, and runs ``cache``, ``cache --wipe`` and
-  ``doctor`` as one loop over them;
-* :mod:`repro.runtime` builds its process-wide profile store and
-  artifact cache from their rows' env vars.
-
-This module imports only the standard library, so reading the table
-loads no store code. A row names its store class by import path, which
-:meth:`StoreFamily.open` resolves on first use: the store modules import
-:mod:`repro.runtime`, which imports this table.
+The module imports only the standard library. A row names its store
+class by import path, resolved on first :meth:`StoreFamily.open`,
+because the store modules import :mod:`repro.runtime`, which imports
+this table.
 """
 
 from __future__ import annotations

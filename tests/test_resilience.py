@@ -15,6 +15,7 @@ import json
 import math
 import os
 import signal
+import sys
 import threading
 import time
 import urllib.error
@@ -195,8 +196,6 @@ def test_breaker_policy_validation():
 
 
 def test_breaker_policy_rejects_a_window_no_breaker_can_hold():
-    import sys
-
     CircuitBreaker(BreakerPolicy(window=sys.maxsize))
     with pytest.raises(ValueError, match=f"window must be <= {sys.maxsize}"):
         BreakerPolicy(window=sys.maxsize + 1)

@@ -11,7 +11,7 @@ import pytest
 
 from repro import runtime
 from repro.cli import _open_store, build_parser
-from repro.store.families import FAMILIES, RESPONSES, dest
+from repro.store.families import FAMILIES, dest
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -65,7 +65,9 @@ def test_flag_beats_env_beats_default(family, tmp_path, monkeypatch):
     assert _open_store(parse(["rq2", family.off_flag]), family) is None
 
 
-@pytest.mark.parametrize("family", FAMILIES[1:], ids=lambda f: f.label)
+@pytest.mark.parametrize(
+    "family", [f for f in FAMILIES if f.runtime_field], ids=lambda f: f.label
+)
 def test_runtime_builds_its_stores_from_the_rows(family, tmp_path, monkeypatch):
     monkeypatch.setenv(family.root_env, str(tmp_path / "env"))
     monkeypatch.setenv(family.bound_env, "9")
@@ -73,7 +75,3 @@ def test_runtime_builds_its_stores_from_the_rows(family, tmp_path, monkeypatch):
     assert type(store) is type(family.open(tmp_path / "other"))
     assert (store.root, store.max_bytes) == (tmp_path / "env", 9)
 
-
-def test_only_the_response_store_stays_out_of_the_runtime():
-    assert RESPONSES.runtime_field is None
-    assert all(f.runtime_field for f in FAMILIES if f is not RESPONSES)
