@@ -11,12 +11,15 @@ Two measurements back that up:
   replay — absolute time, sub-second at any realistic grid size;
 * end-to-end: ``repro-paper matrix`` vs ``matrix --stats`` over the same
   warm disk cache in fresh processes (what a CI tier-2 job runs), where
-  the stats pass must add <10% wall time.
+  the stats pass must add <10% wall time. One process's wall time swings
+  by about ±20% on a shared host, so the gate reads the median overhead
+  of several alternating plain/``--stats`` process pairs.
 """
 
 from __future__ import annotations
 
 import os
+import statistics
 import subprocess
 import sys
 import time
@@ -35,6 +38,8 @@ REGIMES = ("rq2", "rq3")
 SLICE = 60
 JOBS = max(4, os.cpu_count() or 1)
 MAX_OVERHEAD = 0.10
+#: Alternating plain/--stats CLI process pairs timed for the overhead.
+CLI_PAIRS = 15
 #: The pure-math pass must stay this fast in absolute terms, whatever the
 #: host — it is 16 bootstrap runs plus 3 rank tests over ≤480 outcomes.
 MAX_STATS_SECONDS = 2.0
@@ -81,15 +86,21 @@ def test_stats_pass_overhead(dataset, tmp_path):
 
     cache_dir = tmp_path / "bench-cache"
     _cli_matrix(cache_dir)  # cold fill for the end-to-end runs
-    t_cli_warm = _cli_matrix(cache_dir)
-    t_cli_stats = _cli_matrix(cache_dir, "--stats")
+    pairs = [
+        (_cli_matrix(cache_dir), _cli_matrix(cache_dir, "--stats"))
+        for _ in range(CLI_PAIRS)
+    ]
+    t_cli_warm = statistics.median(plain for plain, _ in pairs)
+    t_cli_stats = statistics.median(stats for _, stats in pairs)
+    overheads = sorted((stats - plain) / plain for plain, stats in pairs)
+    overhead = statistics.median(overheads)
 
     rows = [
         ["in-process warm matrix", f"{t_warm:.3f}", ""],
         ["in-process stats pass", f"{t_stats:.3f}", ""],
-        ["CLI warm matrix", f"{t_cli_warm:.3f}", ""],
-        ["CLI warm matrix --stats", f"{t_cli_stats:.3f}",
-         f"{100.0 * (t_cli_stats - t_cli_warm) / t_cli_warm:+.1f}%"],
+        [f"CLI warm matrix (median of {CLI_PAIRS})", f"{t_cli_warm:.3f}", ""],
+        [f"CLI warm matrix --stats (median of {CLI_PAIRS})",
+         f"{t_cli_stats:.3f}", f"{100.0 * overhead:+.1f}% (median pair)"],
     ]
     print()
     print(format_table(
@@ -107,8 +118,9 @@ def test_stats_pass_overhead(dataset, tmp_path):
     # The promise under test: the stats pass is a cheap addendum — small
     # in absolute terms, <10% of a warm end-to-end sweep.
     assert t_stats < MAX_STATS_SECONDS
-    assert t_cli_stats - t_cli_warm < MAX_OVERHEAD * t_cli_warm, (
-        f"--stats added {t_cli_stats - t_cli_warm:.3f}s to a "
-        f"{t_cli_warm:.3f}s warm CLI sweep "
-        f"(> {100.0 * MAX_OVERHEAD:.0f}%)"
+    assert overhead < MAX_OVERHEAD, (
+        f"--stats added a median {100.0 * overhead:+.1f}% over "
+        f"{CLI_PAIRS} pairs to a {t_cli_warm:.3f}s warm CLI sweep "
+        f"(> {100.0 * MAX_OVERHEAD:.0f}%); per pair: "
+        f"{', '.join(f'{100.0 * o:+.1f}%' for o in overheads)}"
     )

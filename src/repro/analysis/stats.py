@@ -35,6 +35,7 @@ from itertools import combinations
 
 import numpy as np
 
+from repro.defaults import DEFAULT_RESAMPLES, DEFAULT_STATS_SEED
 from repro.eval.matrix import MatrixResult
 from repro.util.rng import RngStream
 from repro.util.stats import (
@@ -48,14 +49,6 @@ from repro.util.stats import (
 )
 from repro.util.tables import format_table
 from repro.util.textplot import ascii_intervals
-
-#: Fixed default seed: a bare ``repro-paper matrix --stats`` is reproducible
-#: run-to-run without any flag.
-DEFAULT_STATS_SEED = 20250807
-
-#: Default bootstrap resample count (CI endpoints stable to ~a point of
-#: accuracy at matrix sample sizes).
-DEFAULT_RESAMPLES = 1000
 
 #: The grid axes compared pairwise, in report order.
 AXES = ("model", "gpu", "regime")

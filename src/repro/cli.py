@@ -82,6 +82,7 @@ import os
 import sys
 from typing import Sequence
 
+from repro.defaults import DEFAULT_RESAMPLES, DEFAULT_STATS_SEED, FAILURE_MODES
 from repro.store.families import (
     ARTIFACTS,
     FAMILIES,
@@ -114,8 +115,6 @@ def _add_store_flags(
 
 
 def _add_fault_flags(p: argparse.ArgumentParser) -> None:
-    from repro.eval.engine import FAILURE_MODES
-
     p.add_argument("--failure-mode", choices=FAILURE_MODES,
                    default="fail_fast",
                    help="what to do when a unit exhausts its retries: "
@@ -190,8 +189,6 @@ def _install_runtime(args: argparse.Namespace) -> None:
 
 
 def _add_stats_flags(p: argparse.ArgumentParser) -> None:
-    from repro.analysis.stats import DEFAULT_RESAMPLES, DEFAULT_STATS_SEED
-
     p.add_argument("--stats-seed", type=int, default=DEFAULT_STATS_SEED,
                    help="seed for the bootstrap resampling streams "
                         f"(default {DEFAULT_STATS_SEED}; same seed = "

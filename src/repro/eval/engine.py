@@ -50,6 +50,7 @@ from functools import lru_cache, partial
 from pathlib import Path
 from typing import Protocol, Sequence
 
+from repro.defaults import FAILURE_MODES
 from repro.llm.base import LlmModel, LlmResponse
 from repro.llm.config import ModelConfig
 from repro.llm.pricing import Usage, UsageMeter
@@ -467,11 +468,6 @@ class CacheStats:
             out += f", {self.failed} failed"
         return out
 
-
-#: How failure_mode="fail_fast"/"collect" handle a unit that exhausts its
-#: retries: propagate immediately (cancelling the fan-out), or record it
-#: as a :class:`~repro.eval.runner.FailedUnit` and keep sweeping.
-FAILURE_MODES = ("fail_fast", "collect")
 
 #: The sync engine's default schedule. The in-process emulated models are
 #: deterministic — only injected faults (or future real-API adapters) ever

@@ -41,6 +41,31 @@ class LlmResponse:
         return Boundedness.from_word(self.text)
 
 
+class _PromptStream(RngStream):
+    """The deterministic per-(model, prompt) stream
+    ``RngStream("llm", model, stable_hash_hex(prompt), *subkey)``: repeated
+    queries at fixed settings return identical answers (temperature 0.1 in
+    the paper made responses 'less diverse and consistent').
+
+    The prompt is hashed only when a draw seeds the generator. At the
+    paper's ``top_p`` a classify completion never draws, so it never hashes
+    its prompt; a draw that does happen sees the same key as ever.
+    """
+
+    def __init__(self, model: str, prompt: str, *subkey: object):
+        self._parts = (model, prompt, subkey)
+        self._lazy_gen = None
+
+    @property
+    def _key(self) -> tuple:
+        model, prompt, subkey = self._parts
+        return ("llm", model, stable_hash_hex(prompt), *subkey)
+
+    def child(self, *subkey: object) -> "_PromptStream":
+        model, prompt, own = self._parts
+        return _PromptStream(model, prompt, *own, *subkey)
+
+
 class SamplingNotSupported(ValueError):
     """Raised when sampling params are passed to a reasoning model, matching
     the OpenAI API behaviour the paper notes (§3.2)."""
@@ -80,7 +105,7 @@ class LlmModel:
             temperature=DEFAULT_TEMPERATURE if temperature is None else temperature,
             top_p=DEFAULT_TOP_P if top_p is None else top_p,
         )
-        rng = self._rng(prompt)
+        rng = _PromptStream(self.name, prompt)
         in_tokens = estimate_prompt_tokens(prompt)
 
         from repro.llm import decompose_handler
@@ -104,12 +129,6 @@ class LlmModel:
         return self._respond("Bandwidth", in_tokens)
 
     # -- internals -------------------------------------------------------------
-    def _rng(self, prompt: str) -> RngStream:
-        """Deterministic per-(model, prompt) stream: repeated queries at
-        fixed settings return identical answers (temperature 0.1 in the
-        paper made responses 'less diverse and consistent')."""
-        return RngStream("llm", self.name, stable_hash_hex(prompt))
-
     def _respond(self, word: str, in_tokens: int) -> LlmResponse:
         usage = Usage(
             input_tokens=in_tokens,

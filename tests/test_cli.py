@@ -634,3 +634,22 @@ def test_closed_stdout_exits_141_without_traceback():
     _, err = proc.communicate(timeout=120)
     assert proc.returncode == 141, err.decode()
     assert b"Traceback" not in err and b"Exception" not in err
+
+
+#: ``main(['--help'])`` is what the ``repro-paper --help`` entry point runs.
+@pytest.mark.parametrize("call", ["build_parser()", "main(['--help'])"])
+def test_parser_loads_no_numpy(call):
+    """Building the parser reads its defaults from stdlib-only modules, so
+    `--help` (and any parse) pays for none of the code they configure."""
+    code = (
+        "import sys, repro.cli\n"
+        f"try:\n    repro.cli.{call}\nexcept SystemExit:\n    pass\n"
+        "print('numpy' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        timeout=120,
+        env={"PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"

@@ -2,8 +2,11 @@
 reasoner, arithmetic solver, attention model."""
 
 import dataclasses
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.llm.arithmetic import solve_roofline
 from repro.llm.config import ALL_CONFIGS
@@ -89,6 +92,67 @@ class TestLexicalFeatures:
         v1 = lexical_logit(q, cfg, RngStream("a"))
         v2 = lexical_logit(q, cfg, RngStream("b"))
         assert v1 == v2
+
+
+# The regex extractor that LexicalFeatures.extract replaced, kept as the
+# reference its literal-anchored scan must agree with.
+_REF_MATH_FN_RE = re.compile(
+    r"\b(?:sqrtf?|rsqrtf?|expf?|logf?|sinf?|cosf?|tanhf?|powf?|erff?|fmaf?)\s*\("
+)
+_REF_FOR_RE = re.compile(r"\bfor\s*\(")
+_REF_DOUBLE_RE = re.compile(r"\bdouble\b")
+_REF_ATOMIC_RE = re.compile(r"\batomic|#pragma omp atomic")
+_REF_ARRAY_RE = re.compile(r"\b([A-Za-z_][A-Za-z_0-9]*)\s*\[")
+
+
+def reference_extract(source: str) -> LexicalFeatures:
+    return LexicalFeatures(
+        math_fn_count=len(_REF_MATH_FN_RE.findall(source)),
+        loop_count=len(_REF_FOR_RE.findall(source)),
+        double_mentions=len(_REF_DOUBLE_RE.findall(source)),
+        atomic_present=bool(_REF_ATOMIC_RE.search(source)),
+        distinct_arrays=len(set(_REF_ARRAY_RE.findall(source))),
+        source_kilochars=len(source) / 1000.0,
+    )
+
+
+_MATH_NAMES = ("sqrt", "rsqrt", "exp", "log", "sin", "cos", "tanh", "pow", "erf", "fma")
+
+#: Pieces that sit on every boundary the scan checks by hand: word
+#: characters the regexes' ``\w`` counts (digits, ``_``, non-ASCII
+#: letters), Unicode whitespace for ``\s*``, and each cue's literal.
+_LEXICAL_FRAGMENTS = (
+    "0", "7", "_", "é", "x", "ab", " ", "\u00a0", "\u2003", "\n", "\t",
+    "[", "]", "(", "#pragma omp atomic", "for", "double", "atomicAdd", "f",
+    *_MATH_NAMES, *(name + "f" for name in _MATH_NAMES),
+)
+
+
+class TestLexicalScanDifferential:
+    def test_every_rendered_program(self, dataset):
+        sources = [s.source for s in dataset.profiled]
+        assert len(sources) == 749
+        for source in sources:
+            assert LexicalFeatures.extract(source) == reference_extract(source)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.sampled_from(_LEXICAL_FRAGMENTS), max_size=40))
+    def test_random_fragment_soup(self, fragments):
+        text = "".join(fragments)
+        assert LexicalFeatures.extract(text) == reference_extract(text)
+
+    @pytest.mark.parametrize("text, field, want", [
+        ("sqrtf (x)", "math_fn_count", 1),
+        ("rsqrt(x) + _sqrt(x) + sqrtff(x) + sqrt\u2003\n(x)", "math_fn_count", 2),
+        ("for(;;) for\u00a0( éfor( fork(", "loop_count", 2),
+        ("double doubles _double double2 double", "double_mentions", 2),
+        ("#pragma omp atomic", "atomic_present", True),
+        ("xatomicAdd(p, 1)", "atomic_present", False),
+        ("a[0] a [1] a\n[2] b1[0] éc[0] 9d[0] c é[0]", "distinct_arrays", 2),
+    ])
+    def test_boundaries(self, text, field, want):
+        assert getattr(LexicalFeatures.extract(text), field) == want
+        assert getattr(reference_extract(text), field) == want
 
 
 class TestDeepReasoner:

@@ -18,7 +18,12 @@ from repro.llm import (
     reasoning_models,
 )
 from repro.llm.sampling import sample_response
-from repro.prompts import build_classify_prompt, build_rq1_prompt, generate_question
+from repro.prompts import (
+    build_classify_prompt,
+    build_rq1_prompt,
+    generate_question,
+    generate_rq1_questions,
+)
 from repro.types import Boundedness
 from repro.util.rng import RngStream
 
@@ -129,6 +134,65 @@ class TestSamplingLayer:
             SamplingParams(temperature=-1.0)
         with pytest.raises(ValueError):
             SamplingParams(top_p=0.0)
+
+
+#: Answers (first letter of each word) that draw from the per-prompt
+#: stream, recorded when that stream was still keyed eagerly: gpt-4o-mini
+#: at temperature 1.0 / top_p 1.0 on the first 48 balanced samples'
+#: zero-shot prompts, and its RQ1 answers (arithmetic_slip 0.10) to the
+#: first 24 rooflines' questions.
+_GOLDEN_HOT_CLASSIFY = "CCCCBCCCCBCCCBCCBCCCBBBBCBCCCCCCCBCCCCBBCCCBCCCB"
+_GOLDEN_RQ1 = "BCBBBBBCBCBCBCBCBCCCBCCBBCBCBCBCBBBCBCBCCCBCBCBC"
+
+
+class TestDeferredPromptStream:
+    """The per-prompt stream is keyed (its prompt hashed) only when a
+    completion draws from it, with the same key as ever."""
+
+    @pytest.fixture
+    def hashed(self, monkeypatch):
+        from repro.llm import base
+
+        calls: list[tuple] = []
+        real = base.stable_hash_hex
+
+        def counting(*parts):
+            calls.append(parts)
+            return real(*parts)
+
+        monkeypatch.setattr(base, "stable_hash_hex", counting)
+        return calls
+
+    def test_paper_settings_hash_no_prompt(self, balanced_samples, hashed):
+        prompts = [build_classify_prompt(s).text for s in balanced_samples[:20]]
+        for name in ("o3-mini-high", "gpt-4o-mini"):
+            model = get_model(name)
+            for prompt in prompts:
+                model.complete(prompt)
+        assert hashed == []
+        # A completion that draws hashes its prompt, once.
+        hot = get_model("gpt-4o-mini")
+        for prompt in prompts:
+            hot.complete(prompt, temperature=1.0, top_p=1.0)
+        assert hashed == [(prompt,) for prompt in prompts]
+
+    def test_draws_match_golden_words(self, balanced_samples):
+        model = get_model("gpt-4o-mini")
+        prompts = [build_classify_prompt(s).text for s in balanced_samples[:48]]
+
+        def words(prompts, **kwargs):
+            return "".join(model.complete(p, **kwargs).text[0] for p in prompts)
+
+        hot = words(prompts, temperature=1.0, top_p=1.0)
+        assert hot == _GOLDEN_HOT_CLASSIFY
+        # The draw decides some borderline answers.
+        assert hot != words(prompts, temperature=0.0, top_p=1.0)
+
+        questions = generate_rq1_questions(24)
+        rq1 = words([build_rq1_prompt(q, shots=2) for q in questions])
+        assert rq1 == _GOLDEN_RQ1
+        # Some of those answers are slips.
+        assert rq1 != "".join(q.truth.value[0] for q in questions)
 
 
 class TestPricing:

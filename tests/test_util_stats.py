@@ -5,6 +5,10 @@ Every from-first-principles routine is cross-validated against scipy
 (available in the dev environment, deliberately not a runtime dependency).
 """
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.special
@@ -26,6 +30,7 @@ from repro.util.stats import (
     norm_ppf,
     norm_sf,
     rankdata_average,
+    sorted_quantile,
     vargha_delaney_a12,
     wilcoxon_signed_rank,
 )
@@ -338,6 +343,44 @@ class TestVarghaDelaneyA12:
         assert a12_magnitude(0.36) == "medium"
         assert a12_magnitude(0.29) == "large"
         assert a12_magnitude(0.75) == "large"
+
+
+class TestSortedQuantile:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.floats(width=64), min_size=1, max_size=30),
+        st.one_of(
+            st.floats(0.0, 1.0),
+            st.sampled_from([0.0, 0.025, 0.25, 0.5, 0.975, 1.0]),
+        ),
+    )
+    def test_bit_equal_to_numpy(self, values, q):
+        """Same float as np.quantile's default method, NaN, inf and signed
+        zeros included (repr tells -0.0 from 0.0 and round-trips)."""
+        arr = np.asarray(values, dtype=float)
+        ours = sorted_quantile(np.sort(arr), q)
+        with np.errstate(invalid="ignore"):
+            theirs = float(np.quantile(arr, q))
+        assert repr(ours) == repr(theirs)
+
+    def test_bootstrap_leaves_numpy_ma_unloaded(self):
+        """np.quantile's first call imports numpy.ma; the bootstrap's own
+        quantile keeps that import off a cold ``matrix --stats``."""
+        code = (
+            "import sys\n"
+            "from repro.util.rng import RngStream\n"
+            "from repro.util.stats import bootstrap_ci\n"
+            "bootstrap_ci(list(range(20)), sum, rng=RngStream('t'),"
+            " n_resamples=50)\n"
+            "print('numpy.ma' in sys.modules)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            timeout=120,
+            env={"PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
 
 
 class TestBootstrapCi:
