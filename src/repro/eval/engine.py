@@ -43,7 +43,6 @@ import hashlib
 import json
 import os
 import threading
-import time
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -55,7 +54,7 @@ from repro.llm.base import LlmModel, LlmResponse
 from repro.llm.config import ModelConfig
 from repro.llm.pricing import Usage, UsageMeter
 from repro import runtime
-from repro.store.base import ArtifactStore, SegmentView
+from repro.store.base import ArtifactStore, Breakdown, CountRow, SegmentView
 from repro.util.hashing import stable_hash_bytes
 from repro.util.parallel import parallel_map, resolve_jobs
 from repro.util.retry import RetryPolicy, TransientError, retry_call
@@ -66,11 +65,6 @@ from repro.util.retry import RetryPolicy, TransientError, retry_call
 #: key, so pre-tag caches keep replaying — untagged entries just render
 #: as ``<untagged>`` in the manifest until rewritten.
 CACHE_SCHEMA_VERSION = "repro-response-v1"
-
-#: Sidecar file (at a disk store's root) recording which source cache each
-#: merged entry came from. Not a segment or entry file — no store glob ever
-#: sees it — so merged and single-run stores stay entry-for-entry identical.
-MERGE_PROVENANCE_FILENAME = "merge-provenance.json"
 
 _RESPONSES_PREFIX = "responses-"
 
@@ -201,40 +195,6 @@ class MemoryResponseStore:
         self._data.clear()
 
 
-@dataclass(frozen=True)
-class CacheManifest:
-    """Summary of a disk store's contents (``repro-paper cache``)."""
-
-    entries: int
-    total_bytes: int
-    oldest_age_s: float | None  # None when the store is empty
-    newest_age_s: float | None
-    per_model: tuple[tuple[str, int], ...]  # (model name, entry count), sorted
-    #: (source cache label, live merged entries), sorted — empty unless the
-    #: store was assembled by ``merge_caches``.
-    per_source: tuple[tuple[str, int], ...] = ()
-    stale_segments: int = 0  # version-skewed/unreadable; GC'd on next evict
-
-    def render(self) -> str:
-        lines = [f"entries:   {self.entries}", f"bytes:     {self.total_bytes}"]
-        if self.oldest_age_s is not None and self.newest_age_s is not None:
-            lines.append(
-                f"age:       {self.newest_age_s:.0f}s (newest) … "
-                f"{self.oldest_age_s:.0f}s (oldest)"
-            )
-        if self.stale_segments:
-            lines.append(
-                f"stale:     {self.stale_segments} segment"
-                f"{'' if self.stale_segments == 1 else 's'} "
-                "(reclaimed on next eviction)"
-            )
-        for name, count in self.per_model:
-            lines.append(f"  {name or '<untagged>'}: {count}")
-        for label, count in self.per_source:
-            lines.append(f"  merged from {label}: {count}")
-        return "\n".join(lines)
-
-
 class DiskResponseStore(ArtifactStore):
     """Packed binary response runs: the whole store is one logical segment.
 
@@ -258,6 +218,11 @@ class DiskResponseStore(ArtifactStore):
 
     version = CACHE_SCHEMA_VERSION
     segment_prefixes = (_RESPONSES_PREFIX,)
+    count_rows = (CountRow("entries", _RESPONSES_PREFIX),)
+    breakdown = Breakdown(
+        _RESPONSES_PREFIX, "model", of="entry", unnamed="<untagged>"
+    )
+    age_row = True
 
     #: Inside ``deferred()`` (one engine sweep), write pending entries out
     #: as a run every this many puts. This spill is the sweep's checkpoint:
@@ -293,15 +258,10 @@ class DiskResponseStore(ArtifactStore):
             {key: value.to_dict()},
         )
 
-    def _live_runs(self):
-        """The response segment's snapshot (see ``_live_views``), or
-        ``None`` for an empty store."""
-        segments = self._live_views()
-        return segments.get((_RESPONSES_PREFIX, RESPONSES_SEGMENT_KEY))
-
     def _live_blobs(self) -> dict[str, bytes]:
         """key → canonical entry bytes for every live entry."""
-        seg = self._live_runs()
+        segments = self._live_views()
+        seg = segments.get((_RESPONSES_PREFIX, RESPONSES_SEGMENT_KEY))
         if seg is None:
             return {}
         blobs: dict[str, bytes] = {}
@@ -334,23 +294,6 @@ class DiskResponseStore(ArtifactStore):
         ).get(key)
 
     # -- merge provenance ---------------------------------------------------
-    @property
-    def _provenance_path(self) -> Path:
-        return self.root / MERGE_PROVENANCE_FILENAME
-
-    def provenance(self) -> dict[str, str]:
-        """key → source-cache label for entries installed by a merge.
-
-        Tolerant of a missing, torn, or foreign sidecar file (all read as
-        "no provenance") — a plain single-machine cache never has one.
-        """
-        try:
-            data = json.loads(self._provenance_path.read_text(encoding="utf-8"))
-            sources = data["sources"]
-            return {str(k): str(v) for k, v in sources.items()}
-        except (OSError, ValueError, KeyError, TypeError, AttributeError):
-            return {}
-
     def record_provenance(self, mapping: dict[str, str]) -> None:
         """Merge ``mapping`` into the provenance sidecar (atomic write).
 
@@ -379,48 +322,6 @@ class DiskResponseStore(ArtifactStore):
             os.replace(tmp, self._provenance_path)
         except OSError:
             return  # provenance is advisory; never fail the merge over it
-
-    def manifest(self) -> CacheManifest:
-        """Entry count, byte total, age range, per-model and (for merged
-        stores) per-source entry counts. A missing or empty cache directory
-        reads as an empty manifest, never an error.
-
-        Entry ages derive from their run's mtime — every entry in one run
-        shares the run's write age (a compacted run keeps its newest
-        input's)."""
-        now = time.time()
-        per_model: dict[str, int] = {}
-        provenance = self.provenance()
-        per_source: dict[str, int] = {}
-        total = 0
-        oldest: float | None = None
-        newest: float | None = None
-        count = 0
-        seg = self._live_runs()
-        if seg is not None:
-            total = sum(view.sig[1] for view in seg.runs.values())
-            for key, view in seg.where.items():
-                data = view.get(key)
-                if not isinstance(data, dict):
-                    continue
-                age = max(0.0, now - view.sig[0] / 1e9)
-                count += 1
-                oldest = age if oldest is None else max(oldest, age)
-                newest = age if newest is None else min(newest, age)
-                model = str(data.get("model", ""))
-                per_model[model] = per_model.get(model, 0) + 1
-                source = provenance.get(key)
-                if source is not None:
-                    per_source[source] = per_source.get(source, 0) + 1
-        return CacheManifest(
-            entries=count,
-            total_bytes=total,
-            oldest_age_s=oldest,
-            newest_age_s=newest,
-            per_model=tuple(sorted(per_model.items())),
-            per_source=tuple(sorted(per_source.items())),
-            stale_segments=self.stale_segment_count(),
-        )
 
     def clear(self) -> None:
         super().clear()

@@ -13,7 +13,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.eval.engine import EvalEngine, ResponseStore
+from repro.eval.engine import EvalEngine
 from repro.eval.metrics import MetricReport
 from repro.llm.base import LlmModel
 from repro.types import Boundedness
@@ -156,16 +156,14 @@ def run_queries(
     *,
     temperature: float | None = None,
     top_p: float | None = None,
-    jobs: int = 1,
-    cache: ResponseStore | None = None,
     engine: EvalEngine | None = None,
 ) -> RunResult:
     """Evaluate ``items`` of (item_id, prompt, truth) against one model.
 
-    ``jobs``/``cache`` configure a throwaway engine; pass ``engine``
-    instead to share a pool and hit/miss stats across calls. Results are
-    identical at any worker count.
+    ``engine`` sets the pool and the response store and keeps hit/miss
+    stats across calls; without one, a plain loop runs with no store.
+    Results are identical at any worker count.
     """
     if engine is None:
-        engine = EvalEngine(jobs=jobs, store=cache)
+        engine = EvalEngine()
     return engine.run(model, items, temperature=temperature, top_p=top_p)

@@ -41,12 +41,16 @@ process-wide store — installed by the CLI, else built from
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from repro import runtime
 from repro.kernels.corpus import generated_program_key
-from repro.store.base import ArtifactStore, memoized_object_key
+from repro.store.base import (
+    ArtifactStore,
+    Breakdown,
+    CountRow,
+    memoized_object_key,
+)
 from repro.util.hashing import stable_hash_hex
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (profiler imports us)
@@ -121,35 +125,6 @@ def _compute_device_key(device: "DeviceModel") -> str:
 # The store
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ProfileStoreManifest:
-    """Summary of a profile store's contents (``repro-paper cache``)."""
-
-    version: str
-    profile_entries: int
-    trace_entries: int
-    total_bytes: int
-    per_device: tuple[tuple[str, int], ...]  # (device name, entries), sorted
-    stale_segments: int = 0  # version-skewed/unreadable; GC'd on next evict
-
-    def render(self) -> str:
-        lines = [
-            f"profiler:  {self.version}",
-            f"profiles:  {self.profile_entries}",
-            f"traces:    {self.trace_entries}",
-            f"bytes:     {self.total_bytes}",
-        ]
-        if self.stale_segments:
-            lines.append(
-                f"stale:     {self.stale_segments} segment"
-                f"{'' if self.stale_segments == 1 else 's'} "
-                "(reclaimed on next eviction)"
-            )
-        for name, count in self.per_device:
-            lines.append(f"  {name}: {count}")
-        return "\n".join(lines)
-
-
 class ProfileStore(ArtifactStore):
     """Disk-backed profile/trace segments with size-bounded eviction.
 
@@ -160,6 +135,15 @@ class ProfileStore(ArtifactStore):
 
     version = PROFILER_VERSION
     segment_prefixes = (_SEGMENT_PREFIX_PROFILES, _SEGMENT_PREFIX_TRACES)
+    version_row = "profiler"
+    count_rows = (
+        CountRow("profiles", _SEGMENT_PREFIX_PROFILES),
+        CountRow("traces", _SEGMENT_PREFIX_TRACES),
+    )
+    breakdown = Breakdown(
+        _SEGMENT_PREFIX_PROFILES, "device", of="payload",
+        unnamed="<unknown device>",
+    )
 
     # -- segment naming ------------------------------------------------------
     def _traces_key(self) -> str:
@@ -242,33 +226,6 @@ class ProfileStore(ArtifactStore):
             len(data["entries"])
             for prefix, data in self.iter_segments()
             if prefix == _SEGMENT_PREFIX_PROFILES
-        )
-
-    def manifest(self) -> ProfileStoreManifest:
-        """Entry counts, bytes, and per-device breakdown. A missing or
-        empty directory reads as an empty manifest, never an error.
-
-        Bytes cover *every* segment file — including corrupt or
-        version-skewed ones whose entries are not counted — so the total
-        matches what :meth:`size_bytes` and the eviction bound see."""
-        profile_entries = 0
-        trace_entries = 0
-        per_device: dict[str, int] = {}
-        for prefix, data in self.iter_segments():
-            entries = data["entries"]
-            if prefix == _SEGMENT_PREFIX_TRACES:
-                trace_entries += len(entries)
-            else:
-                profile_entries += len(entries)
-                name = str(data.get("device", "<unknown device>"))
-                per_device[name] = per_device.get(name, 0) + len(entries)
-        return ProfileStoreManifest(
-            version=PROFILER_VERSION,
-            profile_entries=profile_entries,
-            trace_entries=trace_entries,
-            total_bytes=self.size_bytes(),
-            per_device=tuple(sorted(per_device.items())),
-            stale_segments=self.stale_segment_count(),
         )
 
 

@@ -55,6 +55,19 @@ wrote or compacted runs). When a logical segment holds more than
 one; :meth:`ArtifactStore.compact` merges every segment into exactly one
 run whose bytes equal :func:`encode_segment` over the union — the bytes a
 single writer would have produced.
+
+Every store reports itself through one :meth:`ArtifactStore.manifest`: a
+:class:`StoreManifest` counted from one snapshot of the live runs and laid
+out from the rows the store declares (:attr:`ArtifactStore.version_row`,
+:attr:`~ArtifactStore.count_rows`, :attr:`~ArtifactStore.breakdown`,
+:attr:`~ArtifactStore.age_row`). Its ``bytes`` is :meth:`size_bytes`, the
+figure the eviction bound sees, so damaged runs and tmp files count.
+
+A ``*.tmp.*`` file is stale when the writer pid in its name is dead, or
+once it is older than :attr:`ArtifactStore.STALE_TMP_AGE_S`, so a file
+whose writer is alive or unknown is never deleted sooner.
+:meth:`ArtifactStore.stale_tmp_files` applies that rule for the attach
+and eviction sweeps and for the store doctor alike.
 """
 
 from __future__ import annotations
@@ -70,6 +83,7 @@ import warnings
 import weakref
 from collections import OrderedDict
 from contextlib import contextmanager
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
@@ -393,8 +407,8 @@ def _forget_views(paths: Iterable[str]) -> None:
 def _pid_alive(pid: int) -> bool:
     try:
         os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
+    except (ProcessLookupError, OverflowError):
+        return False  # no such process; no pid is that large
     except OSError:
         return True  # exists but not ours (EPERM): treat as alive
     return True
@@ -469,6 +483,97 @@ class _Segment:
 
 
 # ---------------------------------------------------------------------------
+# The manifest
+# ---------------------------------------------------------------------------
+
+#: Sidecar file at a store's root naming the source store of each entry
+#: a merge installed (:func:`repro.eval.shard.merge_caches`). Not a
+#: segment, so no store walk sees it; a manifest reads it for its
+#: ``merged from`` rows.
+MERGE_PROVENANCE_FILENAME = "merge-provenance.json"
+
+
+@dataclass(frozen=True)
+class CountRow:
+    """A manifest row counting the live entries under one segment
+    ``prefix``; with ``per`` set, it also counts the logical segments
+    holding them, as ``(N <per>s)``."""
+
+    label: str
+    prefix: str
+    per: str = ""
+
+
+@dataclass(frozen=True)
+class Breakdown:
+    """The indented manifest rows: the live entries under ``prefix``,
+    grouped by ``field`` of their run's payload (``of="payload"``) or of
+    the entry itself (``of="entry"``); ``unnamed`` stands for a missing
+    or empty name."""
+
+    prefix: str
+    field: str
+    of: str
+    unnamed: str
+
+
+def _plural(n: int, noun: str) -> str:
+    return f"{n} {noun}{'' if n == 1 else 's'}"
+
+
+@dataclass(frozen=True)
+class StoreManifest:
+    """What one store holds, as ``repro-paper cache`` prints it."""
+
+    #: The version row's label (``profiler``), or "" for no version row.
+    version_row: str
+    version: str
+    #: Per count row: the row, its live entries and its logical segments.
+    counts: tuple[tuple[CountRow, int, int], ...]
+    #: Every byte the store occupies: :meth:`ArtifactStore.size_bytes`.
+    total_bytes: int
+    #: Segment files that cannot serve reads; eviction reclaims them.
+    stale_segments: int
+    #: (group name, live entries) per breakdown group, sorted.
+    breakdown: tuple[tuple[str, int], ...] = ()
+    #: (source store, live merged entries), sorted; empty unless a merge
+    #: assembled the store.
+    per_source: tuple[tuple[str, int], ...] = ()
+    #: Ages of the newest and oldest entry, for a store with an age row;
+    #: ``None`` otherwise or when it is empty.
+    newest_age_s: float | None = None
+    oldest_age_s: float | None = None
+
+    def count(self, label: str) -> int:
+        """Live entries on the count row ``label``."""
+        return next(n for row, n, _ in self.counts if row.label == label)
+
+    def segments(self, label: str) -> int:
+        """Logical segments holding the count row ``label``'s entries."""
+        return next(n for row, _, n in self.counts if row.label == label)
+
+    def render(self) -> str:
+        rows = [(self.version_row, self.version)] if self.version_row else []
+        for row, entries, segments in self.counts:
+            per = f" ({_plural(segments, row.per)})" if row.per else ""
+            rows.append((row.label, f"{entries}{per}"))
+        rows.append(("bytes", str(self.total_bytes)))
+        if self.oldest_age_s is not None:
+            rows.append(("age", f"{self.newest_age_s:.0f}s (newest) … "
+                                f"{self.oldest_age_s:.0f}s (oldest)"))
+        if self.stale_segments:
+            rows.append(("stale", f"{_plural(self.stale_segments, 'segment')}"
+                                  " (reclaimed on next eviction)"))
+        # Values line up one space past the longest ``label:``, and at
+        # least 11 characters in.
+        width = max(10, *(len(label) + 1 for label, _ in rows))
+        lines = [f"{label + ':':<{width}} {value}" for label, value in rows]
+        lines += [f"  {name}: {n}" for name, n in self.breakdown]
+        lines += [f"  merged from {name}: {n}" for name, n in self.per_source]
+        return "\n".join(lines)
+
+
+# ---------------------------------------------------------------------------
 # The store base
 # ---------------------------------------------------------------------------
 
@@ -501,6 +606,15 @@ class ArtifactStore:
     #: Size accounting, eviction, and ``clear`` operate over the union, so
     #: stores sharing one root share one bound.
     segment_prefixes: tuple[str, ...] = ()
+
+    #: What :meth:`manifest` shows besides ``bytes`` and ``stale``: the
+    #: label of its version row ("" for none), one count row per segment
+    #: prefix, the per-group rows, and whether an ``age`` row gives the
+    #: newest and oldest entry's age.
+    version_row: str = ""
+    count_rows: tuple[CountRow, ...] = ()
+    breakdown: Breakdown | None = None
+    age_row: bool = False
 
     #: Inside a ``deferred()`` block, flush anyway once this many entries
     #: are buffered (bounds memory on huge sweeps).
@@ -536,6 +650,10 @@ class ArtifactStore:
         # sweep the stale ones whenever a store attaches to a directory.
         if self.ATTACH_SWEEP and self.root.is_dir():
             self._sweep_stale_tmp_files()
+
+    @property
+    def _provenance_path(self) -> Path:
+        return self.root / MERGE_PROVENANCE_FILENAME
 
     # -- files ---------------------------------------------------------------
     def _segment_files(self) -> list[Path]:
@@ -716,8 +834,7 @@ class ArtifactStore:
 
     def iter_segments(self) -> Iterator[tuple[str, dict]]:
         """Yield ``(prefix, data)`` per live logical segment: its newest
-        run's payload plus ``entries``, every entry decoded — the raw
-        material for subclass manifests."""
+        run's payload plus ``entries``, every entry decoded."""
         for (prefix, _), seg in self._live_views().items():
             data = dict(seg.ordered()[-1].payload)
             entries = {}
@@ -734,6 +851,68 @@ class ArtifactStore:
         call garbage-collects them; manifests surface this count."""
         return sum(
             1 for p in self._segment_files() if self._live_view(p) is None
+        )
+
+    def provenance(self) -> dict[str, str]:
+        """key → source-store label for entries a merge installed.
+
+        Tolerant of a missing, torn, or foreign sidecar file (all read as
+        "no provenance") — a store no merge wrote into never has one.
+        """
+        try:
+            data = json.loads(self._provenance_path.read_text(encoding="utf-8"))
+            sources = data["sources"]
+            return {str(k): str(v) for k, v in sources.items()}
+        except (OSError, ValueError, KeyError, TypeError, AttributeError):
+            return {}
+
+    def manifest(self) -> StoreManifest:
+        """What the store holds, counted from one :meth:`_live_views`
+        snapshot: the decodable entries (and segments) per count row, the
+        breakdown, the age range when the store shows one (an entry is as
+        old as its run), and the ``merged from`` rows when a merge left
+        provenance. A missing or empty directory reads as an empty
+        manifest, never an error."""
+        provenance = self.provenance()
+        split = self.breakdown
+        counts = {row.prefix: [0, 0] for row in self.count_rows}
+        groups: dict[str, int] = {}
+        sources: dict[str, int] = {}
+        stamps: list[int] = []
+        for (prefix, _), seg in self._live_views().items():
+            payload = seg.ordered()[-1].payload
+            tally = counts.setdefault(prefix, [0, 0])
+            tally[1] += 1
+            for key, view in seg.where.items():
+                value = view.get(key, _MISS)
+                if value is _MISS:
+                    continue
+                tally[0] += 1
+                stamps.append(view.sig[0])
+                if key in provenance:
+                    label = provenance[key]
+                    sources[label] = sources.get(label, 0) + 1
+                if split is not None and prefix == split.prefix:
+                    held = value if split.of == "entry" else payload
+                    name = isinstance(held, dict) and held.get(split.field)
+                    name = str(name or split.unnamed)
+                    groups[name] = groups.get(name, 0) + 1
+        ages = {}
+        if self.age_row and stamps:
+            now = time.time()
+            ages = {
+                "newest_age_s": max(0.0, now - max(stamps) / 1e9),
+                "oldest_age_s": max(0.0, now - min(stamps) / 1e9),
+            }
+        return StoreManifest(
+            version_row=self.version_row,
+            version=self.version,
+            counts=tuple((row, *counts[row.prefix]) for row in self.count_rows),
+            total_bytes=self.size_bytes(),
+            stale_segments=self.stale_segment_count(),
+            breakdown=tuple(sorted(groups.items())),
+            per_source=tuple(sorted(sources.items())),
+            **ages,
         )
 
     # -- writes --------------------------------------------------------------
@@ -953,27 +1132,29 @@ class ArtifactStore:
                 continue
         return total
 
-    def _sweep_stale_tmp_files(self) -> int:
-        """Delete tmp files leaked by crashed writers: their recorded pid
-        is dead, or they outlived :data:`STALE_TMP_AGE_S`. A live writer's
-        in-flight tmp file survives."""
-        removed = 0
+    def stale_tmp_files(self) -> Iterator[tuple[Path, str]]:
+        """Yield ``(path, reason)`` per stale ``*.tmp.*`` file: the writer
+        pid its name records is dead, or it is older than
+        :data:`STALE_TMP_AGE_S`. A file whose writer is alive or unknown
+        (no pid in its name) is stale only by age, so an in-flight write
+        is never deleted on sight."""
         now = time.time()
         for p in self._iter_tmp_files():
-            pid: int | None = None
             _, _, tail = p.name.partition(".tmp.")
             head = tail.split(".", 1)[0]
-            if head.isdigit():
-                pid = int(head)
-            stale = True
-            if pid is not None and _pid_alive(pid):
-                try:
-                    stale = now - p.stat().st_mtime > self.STALE_TMP_AGE_S
-                except OSError:
-                    continue  # vanished mid-sweep: nothing left to do
-            if stale and _unlink(p):
-                removed += 1
-        return removed
+            if head.isdigit() and not _pid_alive(int(head)):
+                yield p, f"writer pid {int(head)} is dead"
+                continue
+            try:
+                age = now - p.stat().st_mtime
+            except OSError:
+                continue  # vanished mid-scan: nothing left to judge
+            if age > self.STALE_TMP_AGE_S:
+                yield p, f"tmp file is {age:.0f}s old"
+
+    def _sweep_stale_tmp_files(self) -> int:
+        """Delete every stale tmp file (:meth:`stale_tmp_files`)."""
+        return sum(_unlink(p) for p, _ in self.stale_tmp_files())
 
     def _maybe_evict(self) -> None:
         if self.max_bytes is not None:

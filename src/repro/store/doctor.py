@@ -16,7 +16,8 @@ way a store file can stop serving reads:
   body, or the span/blob prefixes disagree (per-entry misses at read
   time);
 * ``bad_entry`` — a span resolves but its blob is not valid JSON;
-* ``stale_tmp`` — a ``*.tmp.*`` file leaked by a dead writer.
+* ``stale_tmp`` — a ``*.tmp.*`` file leaked by a dead writer, or older
+  than any write takes (``ArtifactStore.stale_tmp_files``).
 
 Files that are not segments — including ``.json`` segments and per-entry
 response files from older versions — are foreign to every store, so the
@@ -35,7 +36,6 @@ from __future__ import annotations
 
 import json
 import os
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -45,7 +45,6 @@ from repro.store.base import (
     _SEGMENT_HEADER,
     SEGMENT_MAGIC,
     ArtifactStore,
-    _pid_alive,
     _segment_view,
 )
 
@@ -148,27 +147,6 @@ def _classify_binary(path: Path, version: str) -> tuple[str, str] | None:
     return None
 
 
-def _stale_tmp_files(store: ArtifactStore) -> list[tuple[Path, str]]:
-    out = []
-    now = time.time()
-    for p in store._iter_tmp_files():
-        pid: int | None = None
-        _, _, tail = p.name.partition(".tmp.")
-        head = tail.split(".", 1)[0]
-        if head.isdigit():
-            pid = int(head)
-        if pid is not None and not _pid_alive(pid):
-            out.append((p, f"writer pid {pid} is dead"))
-            continue
-        try:
-            age = now - p.stat().st_mtime
-        except OSError:
-            continue
-        if age > store.STALE_TMP_AGE_S:
-            out.append((p, f"tmp file is {age:.0f}s old"))
-    return out
-
-
 def diagnose_store(store: ArtifactStore, label: str) -> DoctorReport:
     """Read-only fsck of one store; never modifies anything on disk."""
     store.flush()
@@ -179,7 +157,7 @@ def diagnose_store(store: ArtifactStore, label: str) -> DoctorReport:
         found = _classify_binary(path, store.version)
         if found is not None:
             issues.append(StoreIssue(label, path, found[0], found[1]))
-    for path, detail in _stale_tmp_files(store):
+    for path, detail in store.stale_tmp_files():
         scanned += 1
         issues.append(StoreIssue(label, path, "stale_tmp", detail))
     return DoctorReport(

@@ -41,12 +41,11 @@ The process-wide cache — installed by the CLI, else built from
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from repro import runtime
 from repro.kernels.corpus import generated_program_key
-from repro.store.base import ArtifactStore
+from repro.store.base import ArtifactStore, CountRow
 from repro.tokenizer.bpe import BPE_VERSION
 from repro.util.hashing import stable_hash_hex
 
@@ -122,39 +121,6 @@ def tokenizer_train_key(
 # The cache
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ArtifactCacheManifest:
-    """Summary of an artifact cache's contents (``repro-paper cache``)."""
-
-    version: str
-    tokenizer_entries: int
-    source_entries: int
-    count_entries: int
-    count_tokenizers: int  # distinct tokenizer digests with count segments
-    sample_entries: int
-    total_bytes: int
-    stale_segments: int = 0  # version-skewed/unreadable; GC'd on next evict
-
-    def render(self) -> str:
-        lines = [
-            f"artifacts:  {self.version}",
-            f"tokenizers: {self.tokenizer_entries}",
-            f"sources:    {self.source_entries}",
-            f"counts:     {self.count_entries} "
-            f"({self.count_tokenizers} tokenizer"
-            f"{'' if self.count_tokenizers == 1 else 's'})",
-            f"samples:    {self.sample_entries}",
-            f"bytes:      {self.total_bytes}",
-        ]
-        if self.stale_segments:
-            lines.append(
-                f"stale:      {self.stale_segments} segment"
-                f"{'' if self.stale_segments == 1 else 's'} "
-                "(reclaimed on next eviction)"
-            )
-        return "\n".join(lines)
-
-
 class ArtifactCache(ArtifactStore):
     """Learned BPE merges, rendered program sources, per-tokenizer token
     counts and profiled sample sets, under one root directory and one
@@ -170,6 +136,13 @@ class ArtifactCache(ArtifactStore):
 
     version = TEXT_VERSION
     segment_prefixes = TEXT_SEGMENT_PREFIXES
+    version_row = "artifacts"
+    count_rows = (
+        CountRow("tokenizers", _SEGMENT_PREFIX_TOKENIZERS),
+        CountRow("sources", _SEGMENT_PREFIX_SOURCES),
+        CountRow("counts", _SEGMENT_PREFIX_COUNTS, per="tokenizer"),
+        CountRow("samples", _SEGMENT_PREFIX_SAMPLES),
+    )
 
     def _version_key(self) -> str:
         """The logical key of the tokenizers and the sources segments."""
@@ -286,37 +259,6 @@ class ArtifactCache(ArtifactStore):
     def __len__(self) -> int:
         """Total stored entries of every kind."""
         return sum(len(data["entries"]) for _, data in self.iter_segments())
-
-    def manifest(self) -> ArtifactCacheManifest:
-        """Entry counts and bytes. A missing or empty directory reads as
-        an empty manifest, never an error.
-
-        Bytes cover *every* segment file — including corrupt or
-        version-skewed ones whose entries are not counted — so the total
-        matches what :meth:`size_bytes` and the eviction bound see."""
-        tokenizer_entries = source_entries = count_entries = 0
-        count_tokenizers = sample_entries = 0
-        for prefix, data in self.iter_segments():
-            n = len(data["entries"])
-            if prefix == _SEGMENT_PREFIX_TOKENIZERS:
-                tokenizer_entries += n
-            elif prefix == _SEGMENT_PREFIX_SOURCES:
-                source_entries += n
-            elif prefix == _SEGMENT_PREFIX_SAMPLES:
-                sample_entries += n
-            else:
-                count_entries += n
-                count_tokenizers += 1
-        return ArtifactCacheManifest(
-            version=TEXT_VERSION,
-            tokenizer_entries=tokenizer_entries,
-            source_entries=source_entries,
-            count_entries=count_entries,
-            count_tokenizers=count_tokenizers,
-            sample_entries=sample_entries,
-            total_bytes=self.size_bytes(),
-            stale_segments=self.stale_segment_count(),
-        )
 
 
 def set_active_artifact_cache(cache: ArtifactCache | None) -> None:

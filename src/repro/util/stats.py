@@ -460,10 +460,16 @@ def sorted_quantile(ordered: np.ndarray, q: float) -> float:
     """
     last = ordered.size - 1
     index = last * q
-    floor = math.floor(index)
-    lo, hi = (last, last) if index >= last else (floor, floor + 1)
+    if index >= last:
+        # np.quantile reads both ends at index -1, so its weight is
+        # index + 1: that weight fixes the sign of a zero it returns.
+        lo = hi = last
+        t = index + 1
+    else:
+        lo = math.floor(index)
+        hi = lo + 1
+        t = index - lo
     a, b = float(ordered[lo]), float(ordered[hi])
-    t = index - floor
     diff = b - a
     value = b - diff * (1 - t) if t >= 0.5 else a + diff * t
     # np.quantile's answer for a sample holding NaN (sorted last) is NaN.

@@ -267,7 +267,7 @@ class TestSharedLifecycle:
         cache = ArtifactCache(tmp_path / "never")
         assert cache.get_merges("k") is None
         assert cache.get_sources(["k"]) == {}
-        assert cache.manifest().source_entries == 0
+        assert cache.manifest().count("sources") == 0
         assert cache.evict(10) == 0
         cache.clear()  # no-op, no crash
 
@@ -282,7 +282,7 @@ class TestSharedLifecycle:
             data["version"] = "text-artifacts-v999"
             write_segment(path, data)
         m = ArtifactCache(root).manifest()
-        assert m.tokenizer_entries + m.source_entries + m.count_entries == 0
+        assert m.count("tokenizers") + m.count("sources") + m.count("counts") == 0
         assert m.total_bytes == cache.size_bytes() > 0
         assert m.stale_segments == 4  # surfaced for the cache manifest
 
@@ -291,10 +291,10 @@ class TestSharedLifecycle:
         self._populate(root)
         m = ArtifactCache(root).manifest()
         assert m.version == TEXT_VERSION
-        assert m.tokenizer_entries == 1
-        assert m.source_entries == 1
-        assert m.count_entries == 2
-        assert m.count_tokenizers == 2
+        assert m.count("tokenizers") == 1
+        assert m.count("sources") == 1
+        assert m.count("counts") == 2
+        assert m.segments("counts") == 2
         assert m.total_bytes > 0
         rendered = m.render()
         assert TEXT_VERSION in rendered
@@ -308,7 +308,7 @@ class TestSharedLifecycle:
             cache.put_merges("k", MERGES)
             inside = cache.manifest()
         after = cache.manifest()
-        assert inside.tokenizer_entries == after.tokenizer_entries == 1
+        assert inside.count("tokenizers") == after.count("tokenizers") == 1
         assert inside.total_bytes == after.total_bytes > 0
 
 
@@ -361,8 +361,8 @@ class TestArtifactRootPin:
         assert runs == set(self.GOLDEN_RUNS.items())
 
         m = ArtifactCache(root).manifest()
-        counts = (m.tokenizer_entries, m.source_entries, m.count_entries,
-                  m.count_tokenizers)
+        counts = (m.count("tokenizers"), m.count("sources"), m.count("counts"),
+                  m.segments("counts"))
         assert counts == (1, 10, 10, 2)
 
         capsys.readouterr()
@@ -560,8 +560,8 @@ class TestActiveCache:
             list(small_corpus.programs[:2]), small_tokenizer
         )  # default: the runtime's cache
         manifest = ArtifactCache(tmp_path / "env-ac").manifest()
-        assert manifest.source_entries == 2
-        assert manifest.count_entries == 2
+        assert manifest.count("sources") == 2
+        assert manifest.count("counts") == 2
 
     def test_empty_env_means_no_cache(self, monkeypatch):
         monkeypatch.setenv("REPRO_ARTIFACT_CACHE", "")

@@ -15,6 +15,7 @@ import re
 from repro.cli import main
 from repro.eval.engine import CachedResponse, DiskResponseStore
 from repro.gpusim.store import PROFILER_VERSION, ProfileStore
+from repro.store.families import FAMILIES
 from repro.store.text import ArtifactCache
 
 DIRS = {"responses": "c", "profiles": "p", "artifacts": "a"}
@@ -159,7 +160,7 @@ artifact cache: <ROOT>/a (missing; treated as empty)
 TORN_CACHE_HEAD = """\
 cache dir: <ROOT>/c
 entries:   1
-bytes:     256
+bytes:     510
 age:       <AGE>
 stale:     1 segment (reclaimed on next eviction)
   gpt-4o-mini: 1
@@ -260,6 +261,27 @@ def _tear_one_response_run_of_two(root) -> tuple[str, int]:
     data = holder.read_bytes()
     holder.write_bytes(data[:-3])
     return holder.name, len(data)
+
+
+class TestManifestBytes:
+    def test_every_store_reports_the_bytes_eviction_sees(self, tmp_path):
+        """A torn run and a dead writer's tmp file hold disk space the
+        size bound counts, so every manifest's ``bytes`` counts them too."""
+        _fill(tmp_path)
+        seen = {}
+        for family in FAMILIES:
+            root = tmp_path / DIRS[family.label]
+            run = sorted(root.glob("*.bin"))[-1]
+            run.write_bytes(run.read_bytes()[:-3])
+            store = family.open(root)
+            leak = root / f"{run.stem}.tmp.99999999999999999999.0"
+            leak.write_bytes(b"half a segment")
+            seen[family.label] = (
+                store.manifest().total_bytes, store.size_bytes()
+            )
+            assert leak.exists()
+        assert {label: pair for label, pair in seen.items()
+                if pair[0] != pair[1]} == {}
 
 
 class TestDoctorGolden:

@@ -127,16 +127,16 @@ class TestManifest:
         for i, key in enumerate(keys_b):
             store.put(key, _response(i, model="model-b"))
         manifest = store.manifest()
-        assert manifest.entries == 5
+        assert manifest.count("entries") == 5
         assert manifest.total_bytes == store.size_bytes()
-        assert manifest.per_model == (("model-a", 3), ("model-b", 2))
+        assert manifest.breakdown == (("model-a", 3), ("model-b", 2))
         assert manifest.oldest_age_s >= manifest.newest_age_s >= 0.0
 
     def test_empty_store(self, tmp_path):
         manifest = DiskResponseStore(tmp_path).manifest()
-        assert manifest.entries == 0
+        assert manifest.count("entries") == 0
         assert manifest.oldest_age_s is None
-        assert manifest.per_model == ()
+        assert manifest.breakdown == ()
 
     def test_render_lists_models(self, tmp_path):
         store = DiskResponseStore(tmp_path)
@@ -154,7 +154,7 @@ class TestManifest:
 
     def test_missing_dir_manifest_is_empty_not_an_error(self, tmp_path):
         manifest = DiskResponseStore(tmp_path / "never-created").manifest()
-        assert manifest.entries == 0
+        assert manifest.count("entries") == 0
         assert manifest.per_source == ()
 
     def test_provenance_counts_only_live_entries(self, tmp_path, run_holding):
@@ -175,8 +175,8 @@ class TestManifest:
             CachedResponse("Compute", 5, 1, 0, model=""),
         )
         manifest = store.manifest()
-        assert manifest.entries == 2
-        assert ("", 1) in manifest.per_model
+        assert manifest.count("entries") == 2
+        assert ("<untagged>", 1) in manifest.breakdown
 
 
 class TestRecordModelTag:
@@ -189,9 +189,9 @@ class TestRecordModelTag:
         q = generate_rq1_questions(1, seed_key="tag")[0]
         items = [("q0", build_rq1_prompt(q, shots=2), q.truth)]
         store = DiskResponseStore(tmp_path)
-        run_queries(model, items, cache=store)
+        run_queries(model, items, engine=EvalEngine(store=store))
         manifest = store.manifest()
-        assert dict(manifest.per_model) == {"o3-mini": 1}
+        assert dict(manifest.breakdown) == {"o3-mini": 1}
 
     def test_missing_model_field_defaults_empty(self):
         r = CachedResponse.from_dict({

@@ -8,6 +8,9 @@ quarantines or deletes exactly what was reported, after which the store
 re-attaches clean and every surviving read works.
 """
 
+import os
+import time
+
 import pytest
 
 from repro import runtime
@@ -175,3 +178,32 @@ class TestQuietAttach:
                 assert ArtifactStore.ATTACH_SWEEP is False
                 raise RuntimeError("boom")
         assert ArtifactStore.ATTACH_SWEEP is True
+
+
+class TestOneStaleTmpRule:
+    """The doctor and the attach sweep judge a ``*.tmp.*`` file by one
+    rule: a dead recorded writer pid makes it stale, and otherwise only
+    age does. A file that names no pid is never deleted on sight."""
+
+    TWO_HOURS_AGO = -2 * 3600  # past ArtifactStore.STALE_TMP_AGE_S
+
+    @pytest.mark.parametrize("name,age_s,stale", [
+        ("responses-x.tmp.partial", 0, False),
+        ("responses-x.tmp.partial", TWO_HOURS_AGO, True),
+        ("responses-x.tmp.{pid}.1", 0, False),
+        ("responses-x.tmp.{pid}.1", TWO_HOURS_AGO, True),  # pids recycle
+        ("responses-x.tmp.99999999999999999999.0", 0, True),  # no such pid
+    ])
+    def test_doctor_and_attach_agree(self, tmp_path, name, age_s, stale):
+        store = _populated(tmp_path, n=1)
+        leak = store.root / name.format(pid=os.getpid())
+        leak.write_bytes(b"half a segment")
+        stamp = time.time() + age_s
+        os.utime(leak, (stamp, stamp))
+        with quiet_attach():
+            report = diagnose_store(DiskResponseStore(store.root), "responses")
+        flagged = [i.path.name for i in report.issues if i.kind == "stale_tmp"]
+        assert flagged == ([leak.name] if stale else [])
+        assert leak.exists()  # diagnosis never deletes
+        DiskResponseStore(store.root)  # a plain attach sweeps
+        assert leak.exists() is not stale

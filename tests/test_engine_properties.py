@@ -50,7 +50,7 @@ class TestParallelismInvariance:
     def test_jobs_never_change_result(self, model_name, jobs):
         model = get_model(model_name)
         baseline = run_queries(model, _ITEMS)
-        parallel = run_queries(model, _ITEMS, jobs=jobs)
+        parallel = run_queries(model, _ITEMS, engine=EvalEngine(jobs=jobs))
         assert run_bytes(parallel) == run_bytes(baseline)
 
     @run_settings
@@ -64,7 +64,7 @@ class TestParallelismInvariance:
         model = get_model(model_name)
         shuffled = RngStream("shuffle", shuffle_seed).shuffle(list(_ITEMS))
         baseline = {r.item_id: r for r in run_queries(model, _ITEMS).records}
-        result = run_queries(model, shuffled, jobs=jobs)
+        result = run_queries(model, shuffled, engine=EvalEngine(jobs=jobs))
         assert [r.item_id for r in result.records] == [i[0] for i in shuffled]
         for record in result.records:
             assert record == baseline[record.item_id]
@@ -81,8 +81,12 @@ class TestParallelismInvariance:
         model = get_model(model_name)
         baseline = run_queries(model, _ITEMS)
         store = MemoryResponseStore()
-        cold = run_queries(model, _ITEMS, jobs=cold_jobs, cache=store)
-        warm = run_queries(model, _ITEMS, jobs=warm_jobs, cache=store)
+        cold = run_queries(
+            model, _ITEMS, engine=EvalEngine(jobs=cold_jobs, store=store)
+        )
+        warm = run_queries(
+            model, _ITEMS, engine=EvalEngine(jobs=warm_jobs, store=store)
+        )
         assert run_bytes(cold) == run_bytes(baseline)
         assert run_bytes(warm) == run_bytes(baseline)
 
@@ -92,16 +96,15 @@ class TestParallelismInvariance:
         from repro.eval.engine import DiskResponseStore
 
         model = get_model("o3-mini-high")
-        mem = run_queries(
-            model, _ITEMS, jobs=jobs, cache=MemoryResponseStore()
-        )
+        def run(store):
+            return run_queries(
+                model, _ITEMS, engine=EvalEngine(jobs=jobs, store=store)
+            )
+
+        mem = run(MemoryResponseStore())
         disk_dir = tmp_path_factory.mktemp("store")
-        disk_cold = run_queries(
-            model, _ITEMS, jobs=jobs, cache=DiskResponseStore(disk_dir)
-        )
-        disk_warm = run_queries(
-            model, _ITEMS, jobs=jobs, cache=DiskResponseStore(disk_dir)
-        )
+        disk_cold = run(DiskResponseStore(disk_dir))
+        disk_warm = run(DiskResponseStore(disk_dir))
         assert run_bytes(disk_cold) == run_bytes(mem)
         assert run_bytes(disk_warm) == run_bytes(mem)
 
@@ -119,7 +122,7 @@ class TestBackendInvariance:
     def test_backend_never_changes_result(self, model_name, jobs):
         model = get_model(model_name)
         baseline = run_queries(model, _ITEMS)
-        result = run_queries(model, _ITEMS, jobs=jobs)
+        result = run_queries(model, _ITEMS, engine=EvalEngine(jobs=jobs))
         assert run_bytes(result) == run_bytes(baseline)
 
     @settings(max_examples=8, deadline=None,
@@ -133,11 +136,17 @@ class TestBackendInvariance:
         warm replays stay byte-identical across worker counts."""
         model = get_model("o3-mini-high")
         reference = MemoryResponseStore()
-        baseline = run_queries(model, _ITEMS, jobs=1, cache=reference)
+        baseline = run_queries(
+            model, _ITEMS, engine=EvalEngine(jobs=1, store=reference)
+        )
         store = MemoryResponseStore()
-        cold = run_queries(model, _ITEMS, jobs=cold_jobs, cache=store)
+        cold = run_queries(
+            model, _ITEMS, engine=EvalEngine(jobs=cold_jobs, store=store)
+        )
         assert store._data == reference._data
-        warm = run_queries(model, _ITEMS, jobs=warm_jobs, cache=store)
+        warm = run_queries(
+            model, _ITEMS, engine=EvalEngine(jobs=warm_jobs, store=store)
+        )
         assert store._data == reference._data
         assert run_bytes(cold) == run_bytes(baseline)
         assert run_bytes(warm) == run_bytes(baseline)
@@ -194,10 +203,9 @@ class TestSeededPipelineDeterminism:
         plans = [
             dict(jobs=1),
             dict(jobs=7),
-            dict(jobs=3, cache=store),
-            dict(jobs=5, cache=store),  # warm
+            dict(jobs=3, store=store),
+            dict(jobs=5, store=store),  # warm
         ]
         for plan in plans:
-            assert run_bytes(run_queries(model, items, **plan)) == run_bytes(
-                baseline
-            )
+            run = run_queries(model, items, engine=EvalEngine(**plan))
+            assert run_bytes(run) == run_bytes(baseline)

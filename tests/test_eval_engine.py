@@ -50,7 +50,7 @@ class TestPoolEquivalence:
         model = get_model("o3-mini-high")
         items = classify_items(balanced_samples, 24)
         sequential = run_queries(model, items)
-        parallel = run_queries(model, items, jobs=jobs)
+        parallel = run_queries(model, items, engine=EvalEngine(jobs=jobs))
         assert parallel == sequential
         assert parallel.records == sequential.records
         assert parallel.usage == sequential.usage
@@ -61,8 +61,12 @@ class TestPoolEquivalence:
         items = classify_items(balanced_samples, 16)
         baseline = run_queries(model, items)
         store = MemoryResponseStore()
-        cold = run_queries(model, items, jobs=4, cache=store)
-        warm = run_queries(model, items, jobs=4, cache=store)
+        cold = run_queries(
+            model, items, engine=EvalEngine(jobs=4, store=store)
+        )
+        warm = run_queries(
+            model, items, engine=EvalEngine(jobs=4, store=store)
+        )
         assert cold == baseline
         assert warm == baseline
 
@@ -73,7 +77,10 @@ class TestPoolEquivalence:
     def test_sampling_rejection_propagates(self, balanced_samples):
         items = classify_items(balanced_samples, 4)
         with pytest.raises(ValueError):
-            run_queries(get_model("o1"), items, temperature=0.7, jobs=4)
+            run_queries(
+                get_model("o1"), items, temperature=0.7,
+                engine=EvalEngine(jobs=4),
+            )
 
 
 class TestCacheAccounting:

@@ -390,10 +390,10 @@ class TestProfileStore:
         m = store.manifest()
         n = len(small_corpus.programs)
         assert m.version == PROFILER_VERSION
-        assert m.profile_entries == 2 * n
-        assert m.trace_entries == n
+        assert m.count("profiles") == 2 * n
+        assert m.count("traces") == n
         assert m.total_bytes > 0
-        assert dict(m.per_device) == {
+        assert dict(m.breakdown) == {
             ALL_DEVICES[0].spec.name: n,
             ALL_DEVICES[1].spec.name: n,
         }
@@ -404,7 +404,7 @@ class TestProfileStore:
     def test_missing_root_reads_empty(self, tmp_path):
         store = ProfileStore(tmp_path / "never")
         assert len(store) == 0
-        assert store.manifest().profile_entries == 0
+        assert store.manifest().count("profiles") == 0
         assert store.evict(10) == 0
         store.clear()  # no-op, no crash
 

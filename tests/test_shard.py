@@ -20,12 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.eval.engine import (
-    CachedResponse,
-    DiskResponseStore,
-    EvalEngine,
-    MERGE_PROVENANCE_FILENAME,
-)
+from repro.eval.engine import CachedResponse, DiskResponseStore, EvalEngine
 from repro.eval.matrix import run_matrix
 from repro.eval.shard import (
     CacheMergeConflict,
@@ -38,6 +33,7 @@ from repro.eval.shard import (
 )
 from repro.llm import get_model
 from repro.roofline.hardware import get_gpu
+from repro.store.base import MERGE_PROVENANCE_FILENAME
 
 
 class TestShardSpec:
@@ -259,7 +255,7 @@ class TestMergeCaches:
         text = manifest.render()
         assert f"merged from {a.root}: 2" in text
         # The sidecar is not an entry: counts and sizes ignore it.
-        assert manifest.entries == 3
+        assert manifest.count("entries") == 3
         assert len(merged) == 3
 
     def test_provenance_sidecar_survives_repeat_merge(self, tmp_path):

@@ -128,7 +128,7 @@ class TestWarmStart:
         for sample in warm_scenarios[0]:
             assert sample.source is by_uid[sample.uid]
 
-        assert cache.manifest().sample_entries == 3
+        assert cache.manifest().count("samples") == 3
         capsys.readouterr()
         assert main(["cache", "--artifact-cache", str(cache.root)]) == 0
         assert "samples:    3" in capsys.readouterr().out
@@ -141,7 +141,7 @@ class TestWarmStart:
         again = stored_samples(device, uids, build(cache), cache=cache)
         assert again == first
         assert len(calls) == 1
-        assert cache.manifest().sample_entries == 1
+        assert cache.manifest().count("samples") == 1
 
     def test_text_memoized_under_one_cache_reaches_the_next(
         self, tmp_path, small, fresh_memos
@@ -195,7 +195,7 @@ class TestOneByteEdit:
         again = stored_samples(device, uids, build(cache), cache=cache)
         assert len(calls) == 2
         assert again == first
-        assert cache.manifest().sample_entries == 2
+        assert cache.manifest().count("samples") == 2
 
 
 class TestFallback:
@@ -208,7 +208,7 @@ class TestFallback:
         for _ in range(2):
             stored_samples(device, None, build(cache), cache=cache)
         assert len(calls) == 2
-        assert cache.manifest().sample_entries == 0
+        assert cache.manifest().count("samples") == 0
 
     def test_missing_source_runs_the_build(self, cache, small, fresh_memos):
         programs, device, build, calls = small
