@@ -31,7 +31,7 @@ def _items(balanced, n=200):
 def _timed(run):
     """``run()`` and its wall time, with the heap built so far frozen.
 
-    A full collection walks the session's whole dataset heap, which takes
+    A full collection walks the test run's whole dataset heap, which takes
     longer than the warm pass itself; landing in a timed window, it would
     measure the heap the other tests left, not the engine."""
     gc.collect()
