@@ -14,8 +14,7 @@ import time
 
 from repro.eval.engine import EvalEngine, MemoryResponseStore
 from repro.eval.runner import run_queries
-from repro.llm import get_model
-from repro.llm.reasoner import clear_analysis_memo
+from repro.llm import get_model, reasoner
 from repro.prompts import build_classify_prompt
 from repro.util.tables import format_table
 
@@ -52,7 +51,8 @@ def test_engine_warm_cache_speedup(balanced):
 
     # The sequential pass memoized every kernel reading; drop them so the
     # parallel pass is cold too.
-    clear_analysis_memo()
+    reasoner.ANALYSES.clear()
+    reasoner.DRAWS.clear()
     store = MemoryResponseStore()
     cold_engine = EvalEngine(jobs=8, store=store)
     cold, t_cold = _timed(

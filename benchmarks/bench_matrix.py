@@ -16,8 +16,7 @@ import time
 
 from repro.eval.engine import EvalEngine, MemoryResponseStore
 from repro.eval.matrix import run_matrix
-from repro.llm import get_model
-from repro.llm.reasoner import clear_analysis_memo
+from repro.llm import get_model, reasoner
 from repro.roofline.hardware import get_gpu
 from repro.util.tables import format_table
 
@@ -40,6 +39,11 @@ def _sweep(jobs: int, store=None):
     return result, time.perf_counter() - t0
 
 
+def _clear_readings() -> None:
+    reasoner.ANALYSES.clear()
+    reasoner.DRAWS.clear()
+
+
 def test_matrix_backend_walltime(dataset):
     # Scenario profiling is memoized; prime it so each sweep times only the
     # completion fan-out. The emulated models' kernel readings are memoized
@@ -47,10 +51,10 @@ def test_matrix_backend_walltime(dataset):
     run_matrix([get_model(MODELS[0])], [get_gpu(GPUS[0])],
                rqs=("rq2",), limit=1)
 
-    clear_analysis_memo()
+    _clear_readings()
     baseline, t_seq = _sweep(1)
     store = MemoryResponseStore()
-    clear_analysis_memo()
+    _clear_readings()
     threads, t_thread = _sweep(JOBS, store=store)
     warm, t_warm = _sweep(JOBS, store=store)
 

@@ -16,7 +16,8 @@ from __future__ import annotations
 import time
 
 from repro.gpusim import device_for, profile_corpus, profile_first_kernel
-from repro.gpusim.profiler import _PROFILE_MEMO, _TRACE_MEMO, _Walker
+from repro.gpusim import profiler
+from repro.gpusim.profiler import _Walker
 from repro.gpusim.store import ProfileStore
 from repro.kernels.corpus import default_corpus
 from repro.roofline.hardware import GPU_DATABASE, short_gpu_name
@@ -32,8 +33,8 @@ def _counting_run(self):
 
 
 def _fresh():
-    _PROFILE_MEMO.clear()
-    _TRACE_MEMO.clear()
+    profiler.PROFILE_BATCHES.clear()
+    profiler.TRACES.clear()
     WALKS[0] = 0
 
 

@@ -22,12 +22,7 @@ from __future__ import annotations
 
 import time
 
-from repro.store.base import (
-    _VIEW_CACHE,
-    _VIEW_CACHE_LOCK,
-    ArtifactStore,
-    _segment_view,
-)
+from repro.store.base import VIEWS, ArtifactStore, _segment_view
 from repro.util.tables import format_table
 
 N_ENTRIES = 4096
@@ -50,8 +45,7 @@ def _entries() -> dict:
 
 
 def _drop_views() -> None:
-    with _VIEW_CACHE_LOCK:
-        _VIEW_CACHE.clear()
+    VIEWS.clear()
 
 
 def _build(tmp_path, entries) -> _BenchStore:

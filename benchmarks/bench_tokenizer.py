@@ -33,7 +33,7 @@ from repro.eval import matrix as matrix_mod
 from repro.eval.engine import EvalEngine
 from repro.eval.matrix import run_matrix
 from repro.gpusim import default_device, profile_corpus
-from repro.gpusim.profiler import _PROFILE_MEMO, _TRACE_MEMO
+from repro.gpusim import profiler
 from repro.gpusim.store import ProfileStore
 from repro.kernels.codegen import render_program
 from repro.kernels.corpus import default_corpus
@@ -102,10 +102,15 @@ def seed_count_tokens(tokenizer, text):
 
 def _fresh():
     """Reset every in-process memo a cold process would start without."""
-    _PROFILE_MEMO.clear()
-    _TRACE_MEMO.clear()
-    text_mod.clear_text_memos()
-    matrix_mod._SCENARIO_MEMO.clear()
+    for table in (
+        profiler.PROFILE_BATCHES,
+        profiler.TRACES,
+        text_mod.SOURCES,
+        text_mod.COUNTS,
+        text_mod.KEYED_SOURCES,
+        matrix_mod.SCENARIOS,
+    ):
+        table.clear()
     reset_corpus_tokenizer()
 
 
@@ -234,7 +239,7 @@ def test_text_pipeline_walltime(tmp_path):
         # -- matrix digests: store on/off must agree byte-for-byte ---------
         models = [get_model("o3-mini-high")]
         gpus = list(GPU_DATABASE.values())[:2]
-        matrix_mod._SCENARIO_MEMO.clear()
+        matrix_mod.SCENARIOS.clear()
         with_store = run_matrix(
             models, gpus, rqs=("rq2",), limit=25, engine=EvalEngine()
         ).digest()

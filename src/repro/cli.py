@@ -721,12 +721,12 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         elif args.wipe:
             n = len(store)
             store.clear()
-            print(f"wiped {family.count(n, 'entries')} @ {store.root}")
+            print(f"wiped {family.count(n, 'entry')} @ {store.root}")
         else:
             bound = getattr(args, dest(family.evict_flag))
             if bound is not None:
                 removed = store.evict(bound)
-                print(f"evicted {family.count(removed, 'segments')} "
+                print(f"evicted {family.count(removed, 'segment')} "
                       f"@ {store.root}")
             print(f"{family.heading}: {store.root}")
             print(store.manifest().render())

@@ -7,9 +7,10 @@ times. This module is that shared pass, layered like
 :func:`repro.gpusim.profile_programs`:
 
 * an in-process memo keyed by *object identity* and the artifact
-  cache's root (weakref-evicted, so a dead corpus frees its text and id
-  reuse cannot alias) — the corpus and scenario passes share one render
-  per program object, and the memo costs no digest work at all;
+  cache's root (a :class:`repro.util.memo.IdentityMemo`, so a dead corpus
+  frees its text and id reuse cannot alias) — the corpus and scenario
+  passes share one render per program object, and the memo costs no
+  digest work at all;
 * under it, the persistent artifact cache
   (:class:`repro.store.text.ArtifactCache`), addressed by
   :func:`repro.store.text.program_text_key` and the tokenizer digest. A
@@ -28,14 +29,13 @@ decisions, and report digests are identical with and without the cache.
 
 from __future__ import annotations
 
-import threading
-import weakref
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from repro import runtime
 from repro.kernels.codegen import render_program
 from repro.store.text import program_text_key
+from repro.util.memo import IdentityMemo, Memo
 from repro.util.parallel import parallel_map
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -51,69 +51,32 @@ class TextArtifact:
     token_count: int
 
 
-# Identity-keyed memos (value caches, same weakref discipline as
-# repro.store.base.memoized_object_key): _SOURCE_MEMO maps (cache root,
-# id(program)) → source, _COUNT_MEMO maps (cache root, tokenizer digest,
-# id(program)) → count. A hit skips the cache, so its root is in the key:
-# text memoized under one cache still reaches a later one. One process
-# can hold several trained tokenizers, hence the digest.
-_TEXT_LOCK = threading.Lock()
-_SOURCE_MEMO: dict[tuple[str, int], tuple["weakref.ref", str]] = {}
-_COUNT_MEMO: dict[tuple[str, str, int], tuple["weakref.ref", int]] = {}
+# Identity-keyed memos: SOURCES maps (program, cache root) → source,
+# COUNTS maps (program, cache root, tokenizer digest) → count. A hit skips
+# the cache, so its root is in the key: text memoized under one cache
+# still reaches a later one. One process can hold several trained
+# tokenizers, hence the digest.
+SOURCES = IdentityMemo()
+COUNTS = IdentityMemo()
 # Text key → source, for sources read by key with no program object to
 # anchor them (stored sample sets): every set that holds a program shares
 # one string. Bounded by the corpus's distinct text keys.
-_KEYED_SOURCE_MEMO: dict[str, str] = {}
-
-
-def clear_text_memos() -> None:
-    """Drop every in-process text memo (tests and benchmarks only)."""
-    with _TEXT_LOCK:
-        _SOURCE_MEMO.clear()
-        _COUNT_MEMO.clear()
-        _KEYED_SOURCE_MEMO.clear()
-
-
-def _memo_get(memo: dict, key, obj: object):
-    hit = memo.get(key)
-    if hit is not None and hit[0]() is obj:
-        return hit[1]
-    return None
-
-
-def _memo_install(memo: dict, entries: dict) -> None:
-    """``entries`` maps memo key → (anchor object, value)."""
-
-    def _evict(_ref, *, key, memo=memo, lock=_TEXT_LOCK) -> None:
-        # The lock rides in as a default arg: at interpreter shutdown
-        # module globals are torn down before late weakref callbacks fire.
-        with lock:
-            memo.pop(key, None)
-
-    with _TEXT_LOCK:
-        for key, (obj, value) in entries.items():
-            memo[key] = (
-                weakref.ref(obj, lambda r, key=key: _evict(r, key=key)),
-                value,
-            )
+KEYED_SOURCES = Memo()
 
 
 def stored_sources(text_keys: Sequence[str], cache) -> dict[str, str]:
     """text key → source for every key in memory or in ``cache``; a key
     found in neither is left out. Each source is decoded once per
     process."""
-    with _TEXT_LOCK:
-        out = {
-            key: _KEYED_SOURCE_MEMO[key]
-            for key in text_keys
-            if key in _KEYED_SOURCE_MEMO
-        }
+    out = {
+        key: source
+        for key in text_keys
+        if (source := KEYED_SOURCES.get(key)) is not None
+    }
     missing = [key for key in text_keys if key not in out]
     if missing:
-        read = cache.get_sources(missing)
-        with _TEXT_LOCK:
-            for key, source in read.items():
-                out[key] = _KEYED_SOURCE_MEMO.setdefault(key, source)
+        for key, source in cache.get_sources(missing).items():
+            out[key] = KEYED_SOURCES.setdefault(key, source)
     return out
 
 
@@ -134,13 +97,12 @@ def rendered_sources(
     programs = list(programs)
     sources: dict[int, str] = {}
     missing: list[tuple[int, "ProgramSpec"]] = []
-    with _TEXT_LOCK:
-        for i, program in enumerate(programs):
-            hit = _memo_get(_SOURCE_MEMO, (tag, id(program)), program)
-            if hit is not None:
-                sources[i] = hit
-            else:
-                missing.append((i, program))
+    for i, program in enumerate(programs):
+        hit = SOURCES.get(program, tag)
+        if hit is not None:
+            sources[i] = hit
+        else:
+            missing.append((i, program))
     if cache is not None and missing:
         keys = [program_text_key(p) for _, p in missing]
         stored = cache.get_sources(keys)
@@ -148,17 +110,9 @@ def rendered_sources(
             rest = []
             for (i, program), key in zip(missing, keys):
                 if key in stored:
-                    sources[i] = stored[key]
+                    sources[i] = SOURCES.put(program, tag, value=stored[key])
                 else:
                     rest.append((i, program))
-            _memo_install(
-                _SOURCE_MEMO,
-                {
-                    (tag, id(p)): (p, stored[k])
-                    for (_, p), k in zip(missing, keys)
-                    if k in stored
-                },
-            )
             missing = rest
     if missing:
         rendered = parallel_map(
@@ -166,15 +120,8 @@ def rendered_sources(
             missing,
             jobs=jobs,
         )
-        for (i, _), text in zip(missing, rendered):
-            sources[i] = text
-        _memo_install(
-            _SOURCE_MEMO,
-            {
-                (tag, id(p)): (p, text)
-                for (_, p), text in zip(missing, rendered)
-            },
-        )
+        for (i, program), text in zip(missing, rendered):
+            sources[i] = SOURCES.put(program, tag, value=text)
         if cache is not None:
             cache.put_sources(
                 {
@@ -207,13 +154,12 @@ def program_texts(
 
     counts: dict[int, int] = {}
     missing: list[tuple[int, "ProgramSpec"]] = []
-    with _TEXT_LOCK:
-        for i, program in enumerate(programs):
-            hit = _memo_get(_COUNT_MEMO, (tag, tdigest, id(program)), program)
-            if hit is not None:
-                counts[i] = hit
-            else:
-                missing.append((i, program))
+    for i, program in enumerate(programs):
+        hit = COUNTS.get(program, tag, tdigest)
+        if hit is not None:
+            counts[i] = hit
+        else:
+            missing.append((i, program))
     if cache is not None and missing:
         keys = [program_text_key(p) for _, p in missing]
         stored = cache.get_token_counts(tdigest, keys)
@@ -221,17 +167,11 @@ def program_texts(
             rest = []
             for (i, program), key in zip(missing, keys):
                 if key in stored:
-                    counts[i] = stored[key]
+                    counts[i] = COUNTS.put(
+                        program, tag, tdigest, value=stored[key]
+                    )
                 else:
                     rest.append((i, program))
-            _memo_install(
-                _COUNT_MEMO,
-                {
-                    (tag, tdigest, id(p)): (p, stored[k])
-                    for (_, p), k in zip(missing, keys)
-                    if k in stored
-                },
-            )
             missing = rest
     if missing:
         counted = parallel_map(
@@ -239,15 +179,8 @@ def program_texts(
             missing,
             jobs=jobs,
         )
-        for (i, _), count in zip(missing, counted):
-            counts[i] = count
-        _memo_install(
-            _COUNT_MEMO,
-            {
-                (tag, tdigest, id(p)): (p, count)
-                for (_, p), count in zip(missing, counted)
-            },
-        )
+        for (i, program), count in zip(missing, counted):
+            counts[i] = COUNTS.put(program, tag, tdigest, value=count)
         if cache is not None:
             cache.put_token_counts(
                 tdigest,

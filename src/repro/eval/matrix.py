@@ -48,13 +48,14 @@ from repro.llm.registry import all_models
 from repro.roofline.hardware import GPU_DATABASE, GpuSpec, short_gpu_name
 from repro.tokenizer import corpus_tokenizer
 from repro.types import Boundedness
+from repro.util.memo import Memo
 from repro.util.parallel import parallel_map
 from repro.util.tables import format_table
 
 #: Memoized device-specific sample sets, keyed by (gpu spec, uid subset).
 #: Keyed by the frozen spec itself (like :func:`repro.gpusim.device_for`),
 #: so a tweaked spec sharing a marketing name never aliases.
-_SCENARIO_MEMO: dict[tuple[GpuSpec, tuple[str, ...]], tuple[Sample, ...]] = {}
+SCENARIOS = Memo()
 
 
 def scenario_samples(
@@ -87,7 +88,7 @@ def scenario_samples(
     if uids is None:
         uids = [s.uid for s in paper_dataset(jobs=jobs).balanced]
     key = (gpu, tuple(uids))
-    hit = _SCENARIO_MEMO.get(key)
+    hit = SCENARIOS.get(key)
     if hit is not None:
         return hit
     device = device_for(gpu)
@@ -107,9 +108,7 @@ def scenario_samples(
             jobs=jobs,
         )
 
-    samples = tuple(stored_samples(device, key[1], build))
-    _SCENARIO_MEMO[key] = samples
-    return samples
+    return SCENARIOS.put(key, tuple(stored_samples(device, key[1], build)))
 
 
 def grid_uids(limit: int = 0, *, jobs: int = 1) -> tuple[str, ...]:

@@ -13,8 +13,6 @@ exactly the gap the paper's LLMs have to bridge.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -59,6 +57,7 @@ from repro.kernels.ir import (
 from repro.kernels.launch import CommandLine, KernelInstance
 from repro.kernels.program import ProgramSpec
 from repro.types import OpClass
+from repro.util.memo import Memo
 
 # ---------------------------------------------------------------------------
 # Operation cost tables (ops per executed instruction)
@@ -593,24 +592,13 @@ def profile_first_kernel(
 # (:func:`repro.gpusim.store.program_profile_key`) and the device digest,
 # so two builds of one corpus share one pass, the memo layers over the
 # persistent profile store (same key discipline), and no id()-reuse
-# hazards exist. The memo is a small LRU: each entry is a ~749-profile
-# dict, and six scenario devices plus the default fit comfortably.
-_MEMO_LOCK = threading.Lock()
-_PROFILE_MEMO: "OrderedDict[tuple[str, str, str], dict[str, KernelProfile]]" = OrderedDict()
-_PROFILE_MEMO_CAP = 16
+# hazards exist. Each entry is a ~749-profile dict; six scenario devices
+# plus the default fit comfortably.
+PROFILE_BATCHES = Memo(16)
 
 # Device-independent traces, keyed by program digest, shared across every
-# device pass in the process. Bounded: on overflow the oldest half is
-# dropped (traces are cheap to rebuild, one walk each).
-_TRACE_MEMO: dict[str, SymbolicTrace] = {}
-_TRACE_MEMO_CAP = 4096
-
-def _install_traces(traces: Mapping[str, SymbolicTrace]) -> None:
-    with _MEMO_LOCK:
-        _TRACE_MEMO.update(traces)
-        if len(_TRACE_MEMO) > _TRACE_MEMO_CAP:
-            for stale in list(_TRACE_MEMO)[: _TRACE_MEMO_CAP // 2]:
-                del _TRACE_MEMO[stale]
+# device pass in the process (cheap to rebuild, one walk each).
+TRACES = Memo(4096)
 
 
 def profile_programs(
@@ -651,11 +639,9 @@ def profile_programs(
     # would have written this store — warmth is part of the contract.
     store_tag = str(store.root) if store is not None else ""
     memo_key = (stable_hash_hex(*pkeys), dkey, store_tag)
-    with _MEMO_LOCK:
-        hit = _PROFILE_MEMO.get(memo_key)
-        if hit is not None:
-            _PROFILE_MEMO.move_to_end(memo_key)
-            return hit
+    hit = PROFILE_BATCHES.get(memo_key)
+    if hit is not None:
+        return hit
 
     stored: dict[str, KernelProfile] = {}
     if store is not None and programs:
@@ -665,7 +651,9 @@ def profile_programs(
     computed: dict[str, KernelProfile] = {}
     if missing:
         traces: dict[str, SymbolicTrace] = {
-            k: _TRACE_MEMO[k] for _, k in missing if k in _TRACE_MEMO
+            k: trace
+            for _, k in missing
+            if (trace := TRACES.get(k)) is not None
         }
         if store is not None:
             need = [k for _, k in missing if k not in traces]
@@ -688,8 +676,8 @@ def profile_programs(
             batch, device, uids=[p.uid for p, _ in missing]
         )
         computed = {k: prof for (_, k), prof in zip(missing, profiles)}
-        if walked:
-            _install_traces(walked)
+        for key, trace in walked.items():
+            TRACES.put(key, trace)
         if store is not None:
             store.put_profiles(device, computed)
             if walked:
@@ -699,12 +687,7 @@ def profile_programs(
         p.uid: stored[k] if k in stored else computed[k]
         for p, k in zip(programs, pkeys)
     }
-    with _MEMO_LOCK:
-        _PROFILE_MEMO[memo_key] = result
-        _PROFILE_MEMO.move_to_end(memo_key)
-        while len(_PROFILE_MEMO) > _PROFILE_MEMO_CAP:
-            _PROFILE_MEMO.popitem(last=False)
-    return result
+    return PROFILE_BATCHES.put(memo_key, result)
 
 
 def profile_corpus(

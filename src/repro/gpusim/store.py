@@ -45,13 +45,9 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 from repro import runtime
 from repro.kernels.corpus import generated_program_key
-from repro.store.base import (
-    ArtifactStore,
-    Breakdown,
-    CountRow,
-    memoized_object_key,
-)
+from repro.store.base import ArtifactStore, Breakdown, CountRow
 from repro.util.hashing import stable_hash_hex
+from repro.util.memo import IdentityMemo
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (profiler imports us)
     from repro.gpusim.device import DeviceModel
@@ -71,10 +67,9 @@ _SEGMENT_PREFIX_TRACES = "traces-"
 # Content digests
 # ---------------------------------------------------------------------------
 
-# Device digests are memoized per object identity (the per-spec
-# DeviceModels are long-lived shared instances) via the shared
-# weakref-evicting helper in repro.store.base.
-_DEVICE_KEYS: dict[int, tuple] = {}
+# Device digests are memoized per object identity: the per-spec
+# DeviceModels are long-lived shared instances.
+DEVICE_KEYS = IdentityMemo()
 
 
 def program_profile_key(program: "ProgramSpec") -> str:
@@ -107,7 +102,10 @@ def _compute_program_key(program: "ProgramSpec") -> str:
 
 def device_profile_key(device: "DeviceModel") -> str:
     """SHA-256 content address of one device's simulation parameters."""
-    return memoized_object_key(device, _DEVICE_KEYS, _compute_device_key)
+    key = DEVICE_KEYS.get(device)
+    if key is None:
+        key = DEVICE_KEYS.put(device, value=_compute_device_key(device))
+    return key
 
 
 def _compute_device_key(device: "DeviceModel") -> str:

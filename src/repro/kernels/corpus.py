@@ -21,7 +21,6 @@ profiling, labelling and token counting shape a sample too.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -36,6 +35,7 @@ from repro.kernels.families import (
 from repro.kernels.program import ProgramSpec
 from repro.types import Language
 from repro.util.hashing import stable_hash_hex
+from repro.util.memo import IdentityMemo
 
 #: Paper §2.1 corpus sizes.
 DEFAULT_CUDA_COUNT = 446
@@ -133,19 +133,19 @@ _PACKAGE_ROOT = Path(__file__).resolve().parent.parent
 
 #: The modules outside ``kernels/`` that the generator runs, relative to
 #: the package root: the package inits it passes through, the RNG streams
-#: and the hashing under them, and the shared enums.
+#: and the hashing under them, the shared enums, and the memo that
+#: registers the generated programs.
 _GENERATOR_MODULES = (
     "__init__.py",
     "types.py",
     "util/__init__.py",
     "util/hashing.py",
+    "util/memo.py",
     "util/rng.py",
 )
 
-#: id(program) → weakref, for every program :func:`build_corpus` returned
-#: that is still alive. Dict operations are atomic, and a weakref
-#: callback runs before its object's id can be reused.
-_GENERATED: dict[int, "weakref.ref[ProgramSpec]"] = {}
+#: Every program :func:`build_corpus` returned that is still alive.
+GENERATED = IdentityMemo()
 
 _DIGEST: str | None = None
 _PACKAGE_DIGEST: str | None = None
@@ -208,13 +208,7 @@ def _register(programs: list[ProgramSpec]) -> None:
     for program in programs:
         if not _in_package(get_family(program.family)):
             continue
-        ident = id(program)
-        # The dict rides in as a default arg: at interpreter shutdown
-        # module globals are torn down before late weakref callbacks fire.
-        _GENERATED[ident] = weakref.ref(
-            program,
-            lambda _ref, ident=ident, live=_GENERATED: live.pop(ident, None),
-        )
+        GENERATED.put(program, value=True)
 
 
 def generated_program_key(program: ProgramSpec, version: str) -> str | None:
@@ -225,8 +219,7 @@ def generated_program_key(program: ProgramSpec, version: str) -> str | None:
     spec is not registered, so its caller falls back to a key over the
     spec's own content.
     """
-    ref = _GENERATED.get(id(program))
-    if ref is None or ref() is not program:
+    if not GENERATED.get(program):
         return None
     return generated_uid_key(program.uid, version)
 

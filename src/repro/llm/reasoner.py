@@ -14,7 +14,6 @@ with how much of the estimate rests on guesses.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -22,6 +21,7 @@ from repro.analysis import StaticEstimate, analyze_kernel, find_kernel
 from repro.llm.config import ModelConfig
 from repro.llm.promptio import ClassifyQuery
 from repro.types import Language, OpClass
+from repro.util.memo import Memo
 from repro.util.rng import RngStream
 
 
@@ -41,44 +41,22 @@ _FAILED = DeepAnalysis(logit=0.0, raw_margin=0.0, guess_fraction=1.0, succeeded=
 # regime cell (and every model) in the process: the static estimates here
 # and the lexical scores of :func:`repro.llm.heuristic.source_score`. Keyed
 # by code digest (:attr:`ClassifyQuery.code_digest`), never by the source
-# text itself. Bounded the way the profiler bounds its trace memo: on
-# overflow the oldest half is dropped.
-_ANALYSIS_LOCK = threading.Lock()
-_ANALYSIS_MEMO: dict[tuple, object] = {}
-_ANALYSIS_MEMO_CAP = 4096
+# text itself.
+ANALYSES = Memo(4096)
 _MISSING = object()
 
-# The code-keyed draws (see :class:`MemoStream`), in their own map so that
-# they can never evict a kernel analysis: one entry per code stream, i.e.
-# per (model, code digest), holding that stream's children's draws. A
+# The code-keyed draws (see :class:`MemoStream`), in their own table so
+# that they can never evict a kernel analysis: one entry per code stream,
+# i.e. per (model, code digest), holding that stream's children's draws. A
 # ``--model all`` sweep of the paper's kernels needs 9 × 340 entries.
-_DRAW_MEMO: dict[tuple, dict[tuple, float]] = {}
-_DRAW_MEMO_CAP = 4096
-
-
-def clear_analysis_memo() -> None:
-    """Drop every memoized kernel reading and code-keyed draw."""
-    with _ANALYSIS_LOCK:
-        _ANALYSIS_MEMO.clear()
-        _DRAW_MEMO.clear()
-
-
-def _bound(memo: dict, cap: int) -> None:
-    """Drop the oldest half of ``memo`` once it outgrows ``cap`` (caller
-    holds the lock)."""
-    if len(memo) > cap:
-        for stale in list(memo)[: cap // 2]:
-            del memo[stale]
+DRAWS = Memo(4096)
 
 
 def memoized(key: tuple, compute: Callable[[], object]) -> object:
     """The analysis-memo entry for ``key``, computed on first use."""
-    value = _ANALYSIS_MEMO.get(key, _MISSING)
+    value = ANALYSES.get(key, _MISSING)
     if value is _MISSING:
-        value = compute()
-        with _ANALYSIS_LOCK:
-            _ANALYSIS_MEMO[key] = value
-            _bound(_ANALYSIS_MEMO, _ANALYSIS_MEMO_CAP)
+        value = ANALYSES.put(key, compute())
     return value
 
 
@@ -118,16 +96,13 @@ class MemoStream(RngStream):
             raise RuntimeError(f"second draw from the memo-served {self!r}")
         self._drawn = True
         sub = (self._key[len(self._entry):], method, args)
-        draws = _DRAW_MEMO.get(self._entry)
+        draws = DRAWS.get(self._entry)
         value = _MISSING if draws is None else draws.get(sub, _MISSING)
         if value is _MISSING:
             value = getattr(RngStream(*self._key), method)(*args)
-            with _ANALYSIS_LOCK:
-                draws = _DRAW_MEMO.get(self._entry)
-                if draws is None:
-                    draws = _DRAW_MEMO[self._entry] = {}
-                    _bound(_DRAW_MEMO, _DRAW_MEMO_CAP)
-                draws[sub] = value
+            if draws is None:
+                draws = DRAWS.setdefault(self._entry, {})
+            draws[sub] = value
         return value
 
 

@@ -80,50 +80,16 @@ import struct
 import threading
 import time
 import warnings
-import weakref
-from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import Iterator, Mapping, Sequence, TypeVar
 
 from repro import runtime
+from repro.store.families import plural
+from repro.util.memo import Memo
 
 T = TypeVar("T")
-
-# ---------------------------------------------------------------------------
-# Identity-memoized content keys
-# ---------------------------------------------------------------------------
-
-# Content digests cover deep object trees (kernel IR, program specs), so
-# they are memoized per object identity — the corpus programs, the
-# per-spec DeviceModels, and the trained tokenizer are long-lived shared
-# instances. Weakref callbacks evict entries when the object dies, which
-# also defuses id() reuse.
-_KEY_LOCK = threading.Lock()
-
-
-def memoized_object_key(
-    obj: object, memo: dict, compute: Callable[[object], str]
-) -> str:
-    """``compute(obj)``, cached per object identity in ``memo``."""
-    ident = id(obj)
-    with _KEY_LOCK:
-        hit = memo.get(ident)
-        if hit is not None and hit[0]() is obj:
-            return hit[1]
-    key = compute(obj)
-
-    # The lock rides in as a default arg: at interpreter shutdown module
-    # globals are torn down to None before late weakref callbacks fire.
-    def _evict(_ref, *, ident=ident, memo=memo, lock=_KEY_LOCK) -> None:
-        with lock:
-            memo.pop(ident, None)
-
-    with _KEY_LOCK:
-        memo[ident] = (weakref.ref(obj, _evict), key)
-    return key
-
 
 # ---------------------------------------------------------------------------
 # Size-bound parsing (shared by every store's env override)
@@ -365,13 +331,12 @@ def _load_binary_view(path: Path) -> SegmentView | None:
     )
 
 
-# Parsed views are cached process-wide by (path, stat signature): a warm
-# replay probes the same run thousands of times, and re-parsing the index
-# per probe would defeat the lazy format. A rewrite changes the signature
-# and reloads; mmaps of replaced or unlinked files stay valid until dropped.
-_VIEW_CACHE_LOCK = threading.Lock()
-_VIEW_CACHE: "OrderedDict[str, tuple[tuple, SegmentView | None]]" = OrderedDict()
-_VIEW_CACHE_CAP = 512
+# Parsed views are cached process-wide by path, each with its stat
+# signature: a warm replay probes the same run thousands of times, and
+# re-parsing the index per probe would defeat the lazy format. A rewrite
+# changes the signature and reloads; mmaps of replaced or unlinked files
+# stay valid until dropped, so a store pops the views of runs it deletes.
+VIEWS = Memo(512)
 
 
 def _segment_view(path: Path) -> SegmentView | None:
@@ -382,26 +347,10 @@ def _segment_view(path: Path) -> SegmentView | None:
     except OSError:
         return None
     sig = (st.st_mtime_ns, st.st_size, st.st_ino)
-    cache_key = str(path)
-    with _VIEW_CACHE_LOCK:
-        hit = _VIEW_CACHE.get(cache_key)
-        if hit is not None and hit[0] == sig:
-            _VIEW_CACHE.move_to_end(cache_key)
-            return hit[1]
-    view = _load_binary_view(path)
-    with _VIEW_CACHE_LOCK:
-        _VIEW_CACHE[cache_key] = (sig, view)
-        _VIEW_CACHE.move_to_end(cache_key)
-        while len(_VIEW_CACHE) > _VIEW_CACHE_CAP:
-            _VIEW_CACHE.popitem(last=False)
-    return view
-
-
-def _forget_views(paths: Iterable[str]) -> None:
-    """Drop cached views of deleted runs, releasing their mmaps."""
-    with _VIEW_CACHE_LOCK:
-        for path in paths:
-            _VIEW_CACHE.pop(path, None)
+    hit = VIEWS.get(str(path))
+    if hit is not None and hit[0] == sig:
+        return hit[1]
+    return VIEWS.put(str(path), (sig, _load_binary_view(path)))[1]
 
 
 def _pid_alive(pid: int) -> bool:
@@ -517,10 +466,6 @@ class Breakdown:
     unnamed: str
 
 
-def _plural(n: int, noun: str) -> str:
-    return f"{n} {noun}{'' if n == 1 else 's'}"
-
-
 @dataclass(frozen=True)
 class StoreManifest:
     """What one store holds, as ``repro-paper cache`` prints it."""
@@ -555,14 +500,14 @@ class StoreManifest:
     def render(self) -> str:
         rows = [(self.version_row, self.version)] if self.version_row else []
         for row, entries, segments in self.counts:
-            per = f" ({_plural(segments, row.per)})" if row.per else ""
+            per = f" ({plural(segments, row.per)})" if row.per else ""
             rows.append((row.label, f"{entries}{per}"))
         rows.append(("bytes", str(self.total_bytes)))
         if self.oldest_age_s is not None:
             rows.append(("age", f"{self.newest_age_s:.0f}s (newest) … "
                                 f"{self.oldest_age_s:.0f}s (oldest)"))
         if self.stale_segments:
-            rows.append(("stale", f"{_plural(self.stale_segments, 'segment')}"
+            rows.append(("stale", f"{plural(self.stale_segments, 'segment')}"
                                   " (reclaimed on next eviction)"))
         # Values line up one space past the longest ``label:``, and at
         # least 11 characters in.
@@ -745,7 +690,8 @@ class ArtifactStore:
             unchanged = old is not None and old.runs == runs
             segments[seg_id] = old if unchanged else _Segment(runs)
         self._segments = segments
-        _forget_views(known)  # runs deleted since the last listing
+        for path in known:  # runs deleted since the last listing
+            VIEWS.pop(path)
         quiet = sig is None or time.time_ns() - sig[0] > _RACY_ROOT_NS
         self._root_sig = sig if quiet else _UNSYNCED
 
@@ -1117,7 +1063,7 @@ class ArtifactStore:
             seg.reindex()
         for path in inputs:
             _unlink(path)
-        _forget_views(inputs)
+            VIEWS.pop(path)
 
     # -- lifecycle -----------------------------------------------------------
     def size_bytes(self) -> int:
@@ -1166,7 +1112,8 @@ class ArtifactStore:
         if not paths:
             return 0
         removed = sum(_unlink(p) for p in paths)
-        _forget_views(str(p) for p in paths)
+        for path in paths:
+            VIEWS.pop(str(path))
         with self._store_lock:
             self._root_sig = _UNSYNCED
         return removed

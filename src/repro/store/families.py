@@ -55,8 +55,16 @@ class StoreFamily:
         return cls(root, max_bytes=max_bytes)
 
     def count(self, n: int, unit: str) -> str:
-        """``n`` of ``unit`` in this store, e.g. ``3 profile segments``."""
-        return " ".join(filter(None, (str(n), self.kind, unit)))
+        """``n`` of the singular ``unit`` in this store, e.g. ``3 profile
+        segments`` or ``1 entry``."""
+        return plural(n, " ".join(filter(None, (self.kind, unit))))
+
+
+def plural(n: int, noun: str) -> str:
+    """``n noun``, the noun in the plural unless ``n`` is 1."""
+    if n != 1:
+        noun = noun[:-1] + "ies" if noun.endswith("y") else noun + "s"
+    return f"{n} {noun}"
 
 
 def dest(flag: str) -> str:

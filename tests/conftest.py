@@ -26,6 +26,43 @@ def _isolated_response_cache(tmp_path, monkeypatch):
     runtime.reset()
 
 
+#: The process-wide memo tables a test may need empty, as (module, name).
+_MEMO_TABLES = (
+    ("repro.gpusim.profiler", "PROFILE_BATCHES"),
+    ("repro.gpusim.profiler", "TRACES"),
+    ("repro.dataset.text", "SOURCES"),
+    ("repro.dataset.text", "COUNTS"),
+    ("repro.dataset.text", "KEYED_SOURCES"),
+    ("repro.eval.matrix", "SCENARIOS"),
+    ("repro.llm.reasoner", "ANALYSES"),
+    ("repro.llm.reasoner", "DRAWS"),
+)
+
+
+@pytest.fixture
+def fresh_memos(monkeypatch):
+    """Empty memo tables for one test, so every pass does (and stores)
+    its work; the session's warm tables come back afterwards. Calling the
+    fixture's value empties them again, as a new process finds them."""
+    import importlib
+
+    from repro.util.memo import IdentityMemo, Memo
+
+    tables = []
+    for module_name, name in _MEMO_TABLES:
+        module = importlib.import_module(module_name)
+        table = getattr(module, name)
+        fresh = Memo(table.cap) if isinstance(table, Memo) else IdentityMemo()
+        monkeypatch.setattr(module, name, fresh)
+        tables.append(fresh)
+
+    def clear() -> None:
+        for table in tables:
+            table.clear()
+
+    return clear
+
+
 @pytest.fixture
 def run_holding():
     """``run_holding(store, key, prefix="")``: the run file holding entry

@@ -75,18 +75,6 @@ def small_tokenizer():
     return BpeTokenizer(merges=list(MERGES))
 
 
-@pytest.fixture()
-def fresh_text_memos():
-    """Snapshot/clear the in-process text memos around a test."""
-    saved_sources = dict(text_mod._SOURCE_MEMO)
-    saved_counts = dict(text_mod._COUNT_MEMO)
-    text_mod.clear_text_memos()
-    yield
-    text_mod.clear_text_memos()
-    text_mod._SOURCE_MEMO.update(saved_sources)
-    text_mod._COUNT_MEMO.update(saved_counts)
-
-
 class TestSharedBase:
     def test_every_store_shares_the_base(self):
         for cls in (ProfileStore, ArtifactCache):
@@ -333,7 +321,7 @@ class TestArtifactRootPin:
     }
 
     def test_compacted_root_bytes_and_counts_are_pinned(
-        self, tmp_path, small_corpus, small_tokenizer, fresh_text_memos,
+        self, tmp_path, small_corpus, small_tokenizer, fresh_memos,
         capsys, monkeypatch,
     ):
         from repro.cli import main
@@ -403,26 +391,26 @@ class TestContentKeys:
 
 class TestTextPipeline:
     def test_results_identical_with_without_and_across_cache_states(
-        self, small_corpus, small_tokenizer, tmp_path, fresh_text_memos
+        self, small_corpus, small_tokenizer, tmp_path, fresh_memos
     ):
         programs = list(small_corpus.programs)
         bare = program_texts(programs, small_tokenizer, cache=None)
-        text_mod.clear_text_memos()
+        fresh_memos()
         cache = ArtifactCache(tmp_path / "ac")
         cold = program_texts(programs, small_tokenizer, cache=cache)
-        text_mod.clear_text_memos()
+        fresh_memos()
         warm = program_texts(programs, small_tokenizer, cache=cache)
         assert cold == bare
         assert warm == bare
 
     def test_warm_cache_renders_and_counts_nothing(
-        self, small_corpus, small_tokenizer, tmp_path, fresh_text_memos,
+        self, small_corpus, small_tokenizer, tmp_path, fresh_memos,
         monkeypatch,
     ):
         programs = list(small_corpus.programs)
         cache = ArtifactCache(tmp_path / "ac")
         expected = program_texts(programs, small_tokenizer, cache=cache)
-        text_mod.clear_text_memos()
+        fresh_memos()
 
         def _boom(*a, **k):
             raise AssertionError("warm cache must not recompute")
@@ -432,7 +420,7 @@ class TestTextPipeline:
         assert program_texts(programs, small_tokenizer, cache=cache) == expected
 
     def test_counts_match_tokenizer_exactly(
-        self, small_corpus, small_tokenizer, fresh_text_memos
+        self, small_corpus, small_tokenizer, fresh_memos
     ):
         programs = list(small_corpus.programs[:3])
         texts = program_texts(programs, small_tokenizer, cache=None)
@@ -442,7 +430,7 @@ class TestTextPipeline:
             )
 
     def test_samples_identical_with_and_without_text_pass(
-        self, small_corpus, small_tokenizer, fresh_text_memos
+        self, small_corpus, small_tokenizer, fresh_memos
     ):
         device = device_for(next(iter(GPU_DATABASE.values())))
         via_pipeline = build_samples(
@@ -455,7 +443,7 @@ class TestTextPipeline:
         assert via_pipeline == direct
 
     def test_sources_shared_between_tokenizer_training_and_dataset(
-        self, tmp_path, fresh_text_memos
+        self, tmp_path, fresh_memos
     ):
         # Training through rendered_sources seeds the same store segment
         # the dataset pass reads: one render, two consumers.
@@ -473,7 +461,7 @@ class TestTextPipeline:
         assert len(stored) == len(chosen)
 
     def test_warm_store_trains_zero_tokenizers(
-        self, tmp_path, fresh_text_memos, monkeypatch
+        self, tmp_path, fresh_memos, monkeypatch
     ):
         from repro.tokenizer.pretrained import train_corpus_tokenizer
 
@@ -489,7 +477,7 @@ class TestTextPipeline:
         assert again.digest() == first.digest()
 
     def test_different_budget_misses_the_store(
-        self, tmp_path, fresh_text_memos
+        self, tmp_path, fresh_memos
     ):
         from repro.tokenizer.pretrained import train_corpus_tokenizer
 
@@ -501,18 +489,8 @@ class TestTextPipeline:
 
 
 class TestRenderOnceMatrix:
-    @pytest.fixture()
-    def fresh_scenario_memo(self):
-        from repro.eval import matrix as matrix_mod
-
-        saved = dict(matrix_mod._SCENARIO_MEMO)
-        matrix_mod._SCENARIO_MEMO.clear()
-        yield
-        matrix_mod._SCENARIO_MEMO.clear()
-        matrix_mod._SCENARIO_MEMO.update(saved)
-
     def test_multi_device_sweep_renders_each_program_once(
-        self, fresh_text_memos, fresh_scenario_memo, monkeypatch, tokenizer
+        self, fresh_memos, monkeypatch, tokenizer
     ):
         from repro.eval.matrix import scenario_samples
         from repro.kernels.corpus import default_corpus
@@ -552,7 +530,7 @@ class TestRenderOnceMatrix:
 class TestActiveCache:
     def test_env_var_activates_cache(
         self, small_corpus, small_tokenizer, tmp_path, monkeypatch,
-        fresh_text_memos,
+        fresh_memos,
     ):
         monkeypatch.setenv("REPRO_ARTIFACT_CACHE", str(tmp_path / "env-ac"))
         assert runtime.current().artifact_cache is not None

@@ -51,6 +51,21 @@ def _fill(root) -> None:
     artifacts.put_samples("set", [{"uid": "cuda/x-v1"}])
 
 
+def _fill_one(root) -> None:
+    """One entry in one segment of every store."""
+    responses = DiskResponseStore(root / DIRS["responses"])
+    responses.put("00" + "0" * 62, CachedResponse(
+        text="Compute", input_tokens=10, output_tokens=1,
+        reasoning_tokens=0, model="o3-mini-high",
+    ))
+    ProfileStore(root / DIRS["profiles"])._merge_entries(
+        "profiles-", "v100",
+        {"version": PROFILER_VERSION, "device": "V100"},
+        {"V100-0": {"cycles": 0}},
+    )
+    ArtifactCache(root / DIRS["artifacts"]).put_sources({"s0": "int main(){}"})
+
+
 def _flags(root) -> list[str]:
     return [
         "--cache-dir", str(root / DIRS["responses"]),
@@ -151,6 +166,35 @@ wiped 3 profile entries @ <ROOT>/p
 wiped 6 artifact entries @ <ROOT>/a
 """
 
+BOUNDED_ONE = """\
+evicted 1 segment @ <ROOT>/c
+cache dir: <ROOT>/c
+entries:   0
+bytes:     0
+
+evicted 1 profile segment @ <ROOT>/p
+profile store: <ROOT>/p
+profiler:  gpusim-profiler-v1
+profiles:  0
+traces:    0
+bytes:     0
+
+evicted 1 artifact segment @ <ROOT>/a
+artifact cache: <ROOT>/a
+artifacts:  text-artifacts-v1
+tokenizers: 0
+sources:    0
+counts:     0 (0 tokenizers)
+samples:    0
+bytes:      0
+"""
+
+WIPED_ONE = """\
+wiped 1 entry @ <ROOT>/c
+wiped 1 profile entry @ <ROOT>/p
+wiped 1 artifact entry @ <ROOT>/a
+"""
+
 WIPED_MISSING = """\
 cache dir: <ROOT>/c (missing; treated as empty)
 profile store: <ROOT>/p (missing; treated as empty)
@@ -238,6 +282,15 @@ class TestCacheGolden:
         assert [p.name for p in tmp_path.rglob("*") if p.is_file()] == [
             "serve-stats.json"
         ]
+
+    def test_one_segment_and_one_entry_are_singular(self, capsys, tmp_path):
+        _fill_one(tmp_path)
+        argv = ["cache", *_flags(tmp_path), "--max-bytes", "1",
+                "--profile-max-bytes", "1", "--artifact-max-bytes", "1"]
+        assert _run(capsys, tmp_path, argv) == (0, BOUNDED_ONE)
+        _fill_one(tmp_path)
+        argv = ["cache", *_flags(tmp_path), "--wipe"]
+        assert _run(capsys, tmp_path, argv) == (0, WIPED_ONE)
 
     def test_wipe_missing_roots(self, capsys, tmp_path):
         argv = ["cache", *_flags(tmp_path), "--wipe"]

@@ -24,10 +24,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.dataset import text as text_mod
 from repro.dataset.text import program_texts
 from repro.gpusim import default_device, profile_corpus
-from repro.gpusim import profiler as profiler_mod
 from repro.gpusim import store as profile_store_mod
 from repro.gpusim.store import PROFILER_VERSION, ProfileStore, program_profile_key
 from repro.kernels import corpus as corpus_mod
@@ -49,25 +47,6 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 @pytest.fixture()
 def small_corpus():
     return build_corpus(3, 2)
-
-
-@pytest.fixture()
-def fresh_memos():
-    """Empty in-process profile and text memos around a test, so a pass
-    writes every entry to its store."""
-    memos = (
-        profiler_mod._PROFILE_MEMO,
-        profiler_mod._TRACE_MEMO,
-        text_mod._SOURCE_MEMO,
-        text_mod._COUNT_MEMO,
-    )
-    saved = [dict(memo) for memo in memos]
-    for memo in memos:
-        memo.clear()
-    yield
-    for memo, entries in zip(memos, saved):
-        memo.clear()
-        memo.update(entries)
 
 
 class TestGeneratorKeys:
@@ -126,10 +105,10 @@ class TestGeneratorKeys:
 
     def test_dead_programs_leave_the_registry(self):
         corpus = build_corpus(3, 2)
-        idents = [id(p) for p in corpus.programs]
-        assert all(i in corpus_mod._GENERATED for i in idents)
+        assert all(corpus_mod.GENERATED.get(p) for p in corpus.programs)
+        held, n = len(corpus_mod.GENERATED), len(corpus.programs)
         del corpus
-        assert not any(i in corpus_mod._GENERATED for i in idents)
+        assert len(corpus_mod.GENERATED) == held - n
 
 
 def test_digest_covers_every_module_the_generator_imports():

@@ -296,20 +296,21 @@ class TestAnalysisMemo:
         )
 
     @pytest.fixture
-    def reference(self, dataset):
-        """The grid with the memo cleared before every completion."""
+    def reference(self, dataset, fresh_memos):
+        """The grid with the memos cleared before every completion."""
         from repro.llm import base, reasoner
 
         real = base.LlmModel.complete
 
         def cold_complete(self, prompt, **kwargs):
-            reasoner.clear_analysis_memo()
+            reasoner.ANALYSES.clear()
+            reasoner.DRAWS.clear()
             return real(self, prompt, **kwargs)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(base.LlmModel, "complete", cold_complete)
             result = self._grid()
-        reasoner.clear_analysis_memo()
+        fresh_memos()
         return result
 
     def test_invisible(self, reference):
@@ -321,14 +322,13 @@ class TestAnalysisMemo:
             for cell, ref in zip(result.cells, reference.cells):
                 assert cell.run.records == ref.run.records
 
-    def test_each_kernel_read_once(self, dataset, monkeypatch):
+    def test_each_kernel_read_once(self, dataset, fresh_memos, monkeypatch):
         from collections import Counter
 
         from repro.llm import base, reasoner
         from repro.llm.promptio import parse_classify_query
         from repro.util.hashing import stable_hash_hex
 
-        reasoner.clear_analysis_memo()
         prompts: list[str] = []
         extracted: Counter = Counter()
         found: Counter = Counter()
@@ -364,7 +364,6 @@ class TestAnalysisMemo:
         monkeypatch.setattr(reasoner, "find_kernel", find_kernel)
         monkeypatch.setattr(base, "deep_logit", deep)
         self._grid()
-        reasoner.clear_analysis_memo()
 
         queries = [parse_classify_query(p) for p in prompts]
         assert len(queries) == 2 * 2 * 2 * 12  # models × GPUs × regimes × kernels
@@ -380,25 +379,25 @@ class TestAnalysisMemo:
         assert found == Counter({(d, lang): 1 for d, lang, _ in deep_keys})
         assert len(found) == len(deep_keys)
 
-    def test_overflow_drops_oldest_half(self, reference, monkeypatch):
+    def test_overflow_drops_oldest_half(
+        self, reference, fresh_memos, monkeypatch
+    ):
         from repro.llm import reasoner
 
-        monkeypatch.setattr(reasoner, "_ANALYSIS_MEMO_CAP", 8)
-        reasoner.clear_analysis_memo()
+        monkeypatch.setattr(reasoner.ANALYSES, "cap", 8)
         capped = self._grid()
-        assert len(reasoner._ANALYSIS_MEMO) <= 8
+        assert len(reasoner.ANALYSES) <= 8
         assert capped == reference
         assert capped.digest() == reference.digest()
 
-        reasoner.clear_analysis_memo()
+        fresh_memos()
         for i in range(9):
             reasoner.memoized(("k", i), lambda i=i: i)
-        assert list(reasoner._ANALYSIS_MEMO) == [("k", i) for i in range(4, 9)]
-        reasoner.clear_analysis_memo()
+        assert list(reasoner.ANALYSES) == [("k", i) for i in range(4, 9)]
 
     def _grid_queries(self, monkeypatch):
-        """Run the grid on cleared memos; return (model name, parsed query)
-        for each of its completions."""
+        """Run the grid; return (model name, parsed query) for each of its
+        completions."""
         from repro.llm import base, reasoner
         from repro.llm.promptio import parse_classify_query
 
@@ -410,11 +409,10 @@ class TestAnalysisMemo:
             return real_complete(self, prompt, **kwargs)
 
         monkeypatch.setattr(base.LlmModel, "complete", complete)
-        reasoner.clear_analysis_memo()
         self._grid()
         return [(name, parse_classify_query(p)) for name, p in prompts]
 
-    def test_code_streams_seeded_once(self, dataset, monkeypatch):
+    def test_code_streams_seeded_once(self, dataset, fresh_memos, monkeypatch):
         """Each code-keyed stream is seeded once per (model, kernel) across
         the 2 GPU × 2 regime grid, however many cells draw from it."""
         from collections import Counter
@@ -445,44 +443,46 @@ class TestAnalysisMemo:
             deep += seeds[derive_seed(*key, "deep")]
         assert deep > 0
 
-    def test_clear_empties_draw_memo(self, dataset, monkeypatch):
+    def test_clear_empties_draw_memo(self, dataset, fresh_memos, monkeypatch):
         """Clearing drops the draws too, so a cleared run is truly cold."""
         from repro.llm import reasoner
 
         self._grid_queries(monkeypatch)
-        assert reasoner._DRAW_MEMO and reasoner._ANALYSIS_MEMO
-        reasoner.clear_analysis_memo()
-        assert reasoner._DRAW_MEMO == {} and reasoner._ANALYSIS_MEMO == {}
+        assert len(reasoner.DRAWS) and len(reasoner.ANALYSES)
+        fresh_memos()
+        assert len(reasoner.DRAWS) == 0 and len(reasoner.ANALYSES) == 0
 
-    def test_draw_overflow_keeps_analyses(self, reference, monkeypatch):
-        """The draws live in their own bounded map: overflowing it drops
+    def test_draw_overflow_keeps_analyses(
+        self, reference, fresh_memos, monkeypatch
+    ):
+        """The draws live in their own bounded table: overflowing it drops
         only draws, never a kernel analysis, and changes no answer."""
         from repro.llm import reasoner
 
-        reasoner.clear_analysis_memo()
-        self._grid()
-        analyses = dict(reasoner._ANALYSIS_MEMO)
-        assert len(reasoner._DRAW_MEMO) == 2 * 12
+        def readings() -> dict:
+            return {k: reasoner.ANALYSES.get(k) for k in reasoner.ANALYSES}
 
-        monkeypatch.setattr(reasoner, "_DRAW_MEMO_CAP", 4)
+        self._grid()
+        analyses = readings()
+        assert len(reasoner.DRAWS) == 2 * 12
+
+        monkeypatch.setattr(reasoner.DRAWS, "cap", 4)
         for i in range(50):
             reasoner.MemoStream("overflow", i).child("u").uniform()
-        assert len(reasoner._DRAW_MEMO) <= 4
-        assert reasoner._ANALYSIS_MEMO == analyses
+        assert len(reasoner.DRAWS) <= 4
+        assert readings() == analyses
 
-        reasoner.clear_analysis_memo()
+        fresh_memos()
         capped = self._grid()
-        assert len(reasoner._DRAW_MEMO) <= 4
-        assert reasoner._ANALYSIS_MEMO.keys() == analyses.keys()
+        assert len(reasoner.DRAWS) <= 4
+        assert set(reasoner.ANALYSES) == analyses.keys()
         assert capped == reference
         assert capped.digest() == reference.digest()
-        reasoner.clear_analysis_memo()
 
-    def test_memo_stream_draws_once(self):
+    def test_memo_stream_draws_once(self, fresh_memos):
         """A memoized value stands in only for a stream's first draw."""
         from repro.llm import reasoner
 
-        reasoner.clear_analysis_memo()
         root = reasoner.MemoStream("memo-test", 7)
         fresh = root.child("u")
         value = fresh.uniform(-0.8, 0.8)
@@ -494,15 +494,15 @@ class TestAnalysisMemo:
         assert served.uniform(-0.8, 0.8) == value
         with pytest.raises(RuntimeError):
             served.normal()
-        assert reasoner._DRAW_MEMO == {
-            ("memo-test", 7): {(("u",), "uniform", (-0.8, 0.8)): value}
+        assert list(reasoner.DRAWS) == [("memo-test", 7)]
+        assert reasoner.DRAWS.get(("memo-test", 7)) == {
+            (("u",), "uniform", (-0.8, 0.8)): value
         }
         # Draws the memo cannot stand in for are refused outright.
         with pytest.raises(TypeError):
             root.child("b").bernoulli(0.5)
-        reasoner.clear_analysis_memo()
 
-    def test_draw_memo_under_thread_contention(self, monkeypatch):
+    def test_draw_memo_under_thread_contention(self, fresh_memos, monkeypatch):
         """Thread-pool workers share the draw map: with more threads than
         cores, forced switches and a tiny cap, every draw still equals a
         fresh stream's and the map stays bounded."""
@@ -513,8 +513,7 @@ class TestAnalysisMemo:
 
         keys = [("stress", i) for i in range(40)]
         expected = {k: RngStream(*k, "u").uniform(-0.8, 0.8) for k in keys}
-        monkeypatch.setattr(reasoner, "_DRAW_MEMO_CAP", 8)
-        reasoner.clear_analysis_memo()
+        monkeypatch.setattr(reasoner.DRAWS, "cap", 8)
         errors: list = []
 
         def worker(offset):
@@ -539,5 +538,4 @@ class TestAnalysisMemo:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert errors == []
-        assert len(reasoner._DRAW_MEMO) <= 8
-        reasoner.clear_analysis_memo()
+        assert len(reasoner.DRAWS) <= 8

@@ -164,12 +164,10 @@ class TestRunMatrix:
         assert again == small_matrix
 
     def test_digest_identical_with_and_without_profile_store(
-        self, dataset, tmp_path
+        self, dataset, tmp_path, fresh_memos
     ):
         """Acceptance: reports are byte-identical whether kernel profiles
         come from a fresh walk, a cold store pass, or a warm store."""
-        from repro.eval import matrix as matrix_mod
-        from repro.gpusim.profiler import _PROFILE_MEMO, _TRACE_MEMO
         from repro import runtime
         from repro.gpusim.store import ProfileStore
 
@@ -177,9 +175,7 @@ class TestRunMatrix:
         gpus = [get_gpu("V100"), get_gpu("2080")]
 
         def fresh_run():
-            matrix_mod._SCENARIO_MEMO.clear()
-            _PROFILE_MEMO.clear()
-            _TRACE_MEMO.clear()
+            fresh_memos()
             return run_matrix(models, gpus, rqs=("rq2",), limit=8)
 
         try:

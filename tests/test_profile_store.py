@@ -34,8 +34,6 @@ from repro.gpusim import (
 from repro.gpusim.counters import ProfileCounters
 from repro.gpusim.memory import aggregate_traffic, coalescing_quality
 from repro.gpusim.profiler import (
-    _PROFILE_MEMO,
-    _TRACE_MEMO,
     _Walker,
     KernelProfile,
 )
@@ -246,27 +244,12 @@ def small_corpus():
     return build_corpus(8, 5)
 
 
-@pytest.fixture()
-def fresh_memos():
-    """Snapshot/clear the in-process profile memos around a test."""
-    saved_profiles = dict(_PROFILE_MEMO)
-    saved_traces = dict(_TRACE_MEMO)
-    _PROFILE_MEMO.clear()
-    _TRACE_MEMO.clear()
-    yield
-    _PROFILE_MEMO.clear()
-    _PROFILE_MEMO.update(saved_profiles)
-    _TRACE_MEMO.clear()
-    _TRACE_MEMO.update(saved_traces)
-
-
 class TestProfileStore:
     def test_round_trip_bit_exact(self, small_corpus, tmp_path, fresh_memos):
         store = ProfileStore(tmp_path / "ps")
         device = ALL_DEVICES[1]
         first = profile_corpus(small_corpus, device, store=store)
-        _PROFILE_MEMO.clear()
-        _TRACE_MEMO.clear()
+        fresh_memos()
         second = profile_corpus(
             small_corpus, device, store=ProfileStore(tmp_path / "ps")
         )
@@ -277,8 +260,7 @@ class TestProfileStore:
     ):
         store = ProfileStore(tmp_path / "ps")
         profile_corpus(small_corpus, ALL_DEVICES[0], store=store)
-        _PROFILE_MEMO.clear()
-        _TRACE_MEMO.clear()
+        fresh_memos()
 
         walks = []
         orig = _Walker.run
@@ -294,8 +276,7 @@ class TestProfileStore:
         # A device never profiled still reuses persisted phase-1 traces.
         store = ProfileStore(tmp_path / "ps")
         profile_corpus(small_corpus, ALL_DEVICES[0], store=store)
-        _PROFILE_MEMO.clear()
-        _TRACE_MEMO.clear()
+        fresh_memos()
 
         walks = []
         orig = _Walker.run
@@ -330,13 +311,11 @@ class TestProfileStore:
                 segment.write_text(json.dumps({"version": "other", "entries": {}}))
             else:
                 segment.write_bytes(b"\x00\xff\x00")
-        _PROFILE_MEMO.clear()
-        _TRACE_MEMO.clear()
+        fresh_memos()
         again = profile_corpus(small_corpus, device, store=store)
         assert again == expected
         # ...and the re-put repaired the store for the next cold process.
-        _PROFILE_MEMO.clear()
-        _TRACE_MEMO.clear()
+        fresh_memos()
         assert store.get_profiles(
             device, [program_profile_key(p) for p in small_corpus.programs]
         )
@@ -449,12 +428,10 @@ class TestStoreInvisibleToResults:
     ):
         device = ALL_DEVICES[3]
         bare = profile_corpus(small_corpus, device, store=None)
-        _PROFILE_MEMO.clear()
-        _TRACE_MEMO.clear()
+        fresh_memos()
         store = ProfileStore(tmp_path / "ps")
         cold = profile_corpus(small_corpus, device, store=store)
-        _PROFILE_MEMO.clear()
-        _TRACE_MEMO.clear()
+        fresh_memos()
         warm = profile_corpus(small_corpus, device, store=store)
         assert cold == bare
         assert warm == bare

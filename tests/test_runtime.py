@@ -27,7 +27,7 @@ import pytest
 
 from repro import runtime
 from repro.cli import main
-from repro.dataset.text import clear_text_memos, program_texts
+from repro.dataset.text import program_texts
 from repro.gpusim import device_for, profile_programs
 from repro.gpusim.store import ProfileStore, set_active_profile_store
 from repro.kernels.corpus import build_corpus
@@ -42,7 +42,7 @@ def _runs(root: Path) -> list[Path]:
 
 class TestEnvBuiltValues:
     def test_env_stores_are_one_instance_and_defer_every_put(
-        self, tmp_path
+        self, tmp_path, fresh_memos
     ):
         # The autouse fixture points both store env vars at tmp dirs.
         rt = runtime.current()
@@ -51,7 +51,6 @@ class TestEnvBuiltValues:
         assert rt.profile_store.root == tmp_path / "profile-cache"
         assert rt.artifact_cache.root == tmp_path / "artifact-cache"
 
-        clear_text_memos()
         programs = build_corpus(3, 2).programs
         device = device_for(next(iter(GPU_DATABASE.values())))
         tokenizer = BpeTokenizer(merges=[("a", "b"), (" ", "f")])

@@ -22,10 +22,8 @@ import pytest
 import repro.dataset as dataset_mod
 from repro import runtime
 from repro.dataset import paper_dataset
-from repro.dataset import text as text_mod
 from repro.dataset.build import build_sample, sample_set_key, stored_samples
 from repro.dataset.text import program_texts
-from repro.eval import matrix as matrix_mod
 from repro.eval.matrix import scenario_samples
 from repro.gpusim import default_device, device_for
 from repro.kernels import corpus as corpus_mod
@@ -37,26 +35,6 @@ from repro.tokenizer import pretrained
 from repro.tokenizer.bpe import BpeTokenizer
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-
-
-@pytest.fixture()
-def fresh_memos(monkeypatch):
-    """No process memo of the dataset, the scenarios or the text pass
-    around a test; the session's own memos come back afterwards."""
-    monkeypatch.setattr(dataset_mod, "_CACHED", None)
-    saved = (
-        dict(matrix_mod._SCENARIO_MEMO),
-        dict(text_mod._SOURCE_MEMO),
-        dict(text_mod._COUNT_MEMO),
-    )
-    matrix_mod._SCENARIO_MEMO.clear()
-    text_mod.clear_text_memos()
-    yield
-    matrix_mod._SCENARIO_MEMO.clear()
-    text_mod.clear_text_memos()
-    matrix_mod._SCENARIO_MEMO.update(saved[0])
-    text_mod._SOURCE_MEMO.update(saved[1])
-    text_mod._COUNT_MEMO.update(saved[2])
 
 
 @pytest.fixture()
@@ -108,14 +86,14 @@ class TestWarmStart:
 
         gpus = [get_gpu("V100"), get_gpu("H100")]
         runtime.install(profile_store=None, artifact_cache=cache)
+        monkeypatch.setattr(dataset_mod, "_CACHED", None)
         cold = paper_dataset()
         cold_scenarios = [scenario_samples(g) for g in gpus]
 
         # A new process: no memo, and building the corpus or training the
         # tokenizer fails the test.
         monkeypatch.setattr(dataset_mod, "_CACHED", None)
-        matrix_mod._SCENARIO_MEMO.clear()
-        text_mod.clear_text_memos()
+        fresh_memos()
         _forbid_corpus_and_tokenizer(monkeypatch)
         warm = paper_dataset()
         warm_scenarios = [scenario_samples(g) for g in gpus]
@@ -137,7 +115,7 @@ class TestWarmStart:
         programs, device, build, calls = small
         uids = [p.uid for p in programs]
         first = stored_samples(device, uids, build(cache), cache=cache)
-        text_mod.clear_text_memos()
+        fresh_memos()
         again = stored_samples(device, uids, build(cache), cache=cache)
         assert again == first
         assert len(calls) == 1
