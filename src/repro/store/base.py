@@ -350,7 +350,9 @@ def _segment_view(path: Path) -> SegmentView | None:
     hit = VIEWS.get(str(path))
     if hit is not None and hit[0] == sig:
         return hit[1]
-    return VIEWS.put(str(path), (sig, _load_binary_view(path)))[1]
+    view = _load_binary_view(path)
+    VIEWS.put(str(path), (sig, view))
+    return view
 
 
 def _pid_alive(pid: int) -> bool:
